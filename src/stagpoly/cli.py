@@ -52,6 +52,7 @@ class ConfigError(Exception):
 
 
 def _atomic_write(path, text: str) -> None:
+    os.makedirs(os.path.dirname(str(path)) or ".", exist_ok=True)
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -107,12 +108,10 @@ def _add_solve_flags(p):
                    default=DEFAULT_STAR, help="star point placement")
     p.add_argument("--quadrature", choices=["paper", "high"], default="paper",
                    help="error-norm quadrature mode")
-    p.add_argument("--method", choices=["auto", "cg", "direct"], default="auto")
+    p.add_argument("--method", choices=["direct", "cg"], default="direct")
     p.add_argument("--cg-tol", type=float, default=1e-10, help="cg tolerance")
     p.add_argument("--no-condense", action="store_true",
                    help="solve the full system instead of the face system")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; execution is serial")
 
 
 def cmd_mesh(args) -> int:

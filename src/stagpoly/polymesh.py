@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.spatial import Delaunay, Voronoi
 
@@ -38,6 +39,7 @@ __all__ = [
     "compute_star_points",
     "build_subtriangulation",
     "quality_report",
+    "cell_diameters",
     "mesh_size",
 ]
 
@@ -464,14 +466,21 @@ def gen_delaunay_triangles(n_points: int, rng_seed: int = 0) -> PolyMesh:
                     mesh.edge_markers, mesh.cell_edges, h_report=mesh_size(mesh))
 
 
+def cell_diameters(mesh: PolyMesh):
+    """Per-cell diameter: the largest distance between two vertices."""
+    sizes = np.array([len(loop) for loop in mesh.cells])
+    diam = np.empty(mesh.num_cells)
+    for m in np.unique(sizes):
+        group = np.flatnonzero(sizes == m)
+        pts = mesh.vertices[np.array([mesh.cells[c] for c in group])]
+        d = pts[:, :, None, :] - pts[:, None, :, :]
+        diam[group] = np.sqrt((d ** 2).sum(axis=3)).max(axis=(1, 2))
+    return diam
+
+
 def mesh_size(mesh: PolyMesh) -> float:
     """Max cell diameter."""
-    h = 0.0
-    for c in range(mesh.num_cells):
-        pts = mesh.cell_vertices(c)
-        d = pts[:, None, :] - pts[None, :, :]
-        h = max(h, float(np.sqrt((d ** 2).sum(axis=2)).max()))
-    return h
+    return float(cell_diameters(mesh).max())
 
 
 # ---------------------------------------------------------------------------
@@ -488,101 +497,70 @@ def _edge_frames(pts):
     return n, t, lengths
 
 
-def _clearance(pts, x):
-    """Min distance from x to the boundary of the polygon (pts CCW), signed."""
-    n, _, _ = _edge_frames(pts)
-    return float(np.min(np.einsum("ij,ij->i", n, pts - x[None, :])))
+def _kernel_chebyshev(mesh: PolyMesh):
+    """Center and radius of the largest disc inside each cell's kernel.
 
-
-def _is_convex(pts, tol=1e-12):
-    d = np.roll(pts, -1, axis=0) - pts
-    cross = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
-    scale = max(1.0, float(np.abs(cross).max()))
-    return bool(np.all(cross >= -tol * scale))
-
-
-def _incenter(pts):
-    a = np.linalg.norm(pts[2] - pts[1])
-    b = np.linalg.norm(pts[0] - pts[2])
-    c = np.linalg.norm(pts[1] - pts[0])
-    return (a * pts[0] + b * pts[1] + c * pts[2]) / (a + b + c)
-
-
-def _chebyshev_center_convex(pts):
-    n, _, _ = _edge_frames(pts)
-    # max r  s.t.  n_i . x + r <= n_i . p_i
-    a_ub = np.column_stack([n, np.ones(len(pts))])
-    b_ub = np.einsum("ij,ij->i", n, pts)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None), (None, None), (0.0, None)],
-                  method="highs")
-    if not res.success or res.x[2] <= 0.0:
-        raise StarShapeError("Chebyshev center has nonpositive clearance")
-    return np.array(res.x[:2])
-
-
-def _kernel_search(pts):
-    """Grid-refined search over the star kernel of a (possibly non-convex) loop."""
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    area = _polygon_area(pts)
-
-    def fan_valid(x):
-        q = np.roll(pts, -1, axis=0)
-        cross = ((pts[:, 0] - x[0]) * (q[:, 1] - x[1])
-                 - (pts[:, 1] - x[1]) * (q[:, 0] - x[0]))
-        return np.all(cross > 1e-12 * area)
-
-    def seg_dist(x):
-        q = np.roll(pts, -1, axis=0)
-        d = q - pts
-        tproj = np.clip(np.einsum("ij,ij->i", x[None, :] - pts, d)
-                        / (d ** 2).sum(axis=1), 0.0, 1.0)
-        near = pts + tproj[:, None] * d
-        return float(np.sqrt(((x - near) ** 2).sum(axis=1)).min())
-
-    best, best_val = None, -np.inf
-    span = hi - lo
-    center, half = (lo + hi) / 2.0, span / 2.0
-    for level in range(4):
-        m = 24 if level == 0 else 10
-        gx = np.linspace(center[0] - half[0], center[0] + half[0], m)
-        gy = np.linspace(center[1] - half[1], center[1] + half[1], m)
-        for x0 in gx:
-            for y0 in gy:
-                x = np.array([x0, y0])
-                if not fan_valid(x):
-                    continue
-                val = seg_dist(x)
-                if val > best_val:
-                    best, best_val = x, val
-        if best is None:
-            raise StarShapeError("no valid star point found (cell not star-shaped?)")
-        center, half = best, half / (m / 2.5)
-    return best
+    The kernel of a cell is the intersection of the inner half-planes of its
+    edges, i.e. the points that see the whole cell boundary. One
+    block-diagonal LP over all cells maximises sum_c r_c subject to
+    n_i . x_c + r_c <= n_i . p_i for every edge i of cell c (outward unit
+    normal n_i, start vertex p_i). Each cell is posed in its own frame,
+    centered at its vertex mean and scaled by its diameter, so the solver's
+    absolute tolerances act relative to the cell. r_c is free, which keeps
+    the LP feasible for any cell; r_c <= 0 means the kernel has no interior
+    and raises StarShapeError naming the cell.
+    """
+    nc = mesh.num_cells
+    # every cell's loop segments as flat arrays, cell by cell
+    sizes = np.array([len(loop) for loop in mesh.cells])
+    first = np.cumsum(sizes) - sizes
+    cell = np.repeat(np.arange(nc), sizes)
+    start = mesh.vertices[np.concatenate(mesh.cells)]
+    j = np.arange(len(cell)) - first[cell]
+    d = start[first[cell] + (j + 1) % sizes[cell]] - start
+    lengths = np.sqrt((d ** 2).sum(axis=1))
+    if np.any(lengths <= 0):
+        raise MeshValidationError("zero-length edge")
+    n = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+    xbar = np.add.reduceat(start, first) / sizes[:, None]
+    h = cell_diameters(mesh)
+    a_ub = sp.csr_matrix(
+        (np.column_stack([n, np.ones(len(cell))]).ravel(),
+         (np.repeat(np.arange(len(cell)), 3),
+          (3 * cell[:, None] + np.arange(3)).ravel())),
+        shape=(len(cell), 3 * nc))
+    b_ub = np.einsum("ij,ij->i", n, start - xbar[cell]) / h[cell]
+    res = linprog(np.tile([0.0, 0.0, -1.0], nc), A_ub=a_ub, b_ub=b_ub,
+                  bounds=(None, None), method="highs")
+    if not res.success:
+        raise StarShapeError(f"star-point LP failed: {res.message}")
+    sol = res.x.reshape(nc, 3)
+    bad = np.flatnonzero(sol[:, 2] <= 0.0)
+    if len(bad):
+        raise StarShapeError(
+            f"cell {bad[0]} is not star-shaped (its kernel has no interior)")
+    return xbar + h[:, None] * sol[:, :2], h * sol[:, 2]
 
 
 def compute_star_points(mesh: PolyMesh, method: str = "chebyshev"):
     """Per-cell star points.
 
-    method "chebyshev" (default) returns the center of the largest inscribed
-    ball (incenter for triangles, a small LP for other convex cells, kernel
-    search for non-convex star-shaped cells); "centroid" returns the area
-    centroid, valid for convex cells.
+    method "chebyshev" (default) returns each cell's kernel Chebyshev
+    center: the center of the largest disc inside the cell's kernel, the
+    set of points that see the whole cell boundary. On a triangle this is
+    the incenter, on a convex cell the center of the largest inscribed
+    disc. All cells are solved together in one LP. "centroid" returns the
+    area centroid, valid for convex cells. Raises StarShapeError when a
+    cell has no star point.
     """
+    if method == "chebyshev":
+        return _kernel_chebyshev(mesh)[0]
+    if method != "centroid":
+        raise ValueError(f"unknown star point method {method!r}")
     pts_out = np.empty((mesh.num_cells, 2))
     for c in range(mesh.num_cells):
         pts = mesh.cell_vertices(c)
-        if method == "centroid":
-            pts_out[c] = _polygon_centroid(pts)
-        elif method == "chebyshev":
-            if len(pts) == 3:
-                pts_out[c] = _incenter(pts)
-            elif _is_convex(pts):
-                pts_out[c] = _chebyshev_center_convex(pts)
-            else:
-                pts_out[c] = _kernel_search(pts)
-        else:
-            raise ValueError(f"unknown star point method {method!r}")
+        pts_out[c] = _polygon_centroid(pts)
         if _clearance_star(pts, pts_out[c]) <= 0.0:
             raise StarShapeError(f"star point of cell {c} has nonpositive clearance")
     return pts_out
@@ -686,23 +664,15 @@ class MeshQualityReport:
 
 
 def quality_report(mesh: PolyMesh, subtri: SubTriangulation) -> MeshQualityReport:
-    """Shape-regularity diagnostics: all reported ratios are >= 1."""
-    nc = mesh.num_cells
-    chunk = np.empty(nc)
-    face_ratio = np.empty(nc)
-    for c in range(nc):
-        pts = mesh.cell_vertices(c)
-        d = pts[:, None, :] - pts[None, :, :]
-        diam = float(np.sqrt((d ** 2).sum(axis=2)).max())
-        if len(pts) == 3:
-            center = _incenter(pts)
-        elif _is_convex(pts):
-            center = _chebyshev_center_convex(pts)
-        else:
-            center = _kernel_search(pts)
-        rho = _clearance(pts, center)
-        chunk[c] = diam / rho
-        face_ratio[c] = diam / float(subtri.fans[c].lengths.min())
+    """Shape-regularity diagnostics: all reported ratios are >= 1.
+
+    rho is the radius of the largest disc inside the cell's kernel (the
+    inradius for convex cells).
+    """
+    diam = cell_diameters(mesh)
+    _, rho = _kernel_chebyshev(mesh)
+    chunk = diam / rho
+    face_ratio = diam / np.array([fan.lengths.min() for fan in subtri.fans])
     return MeshQualityReport(
         chunkiness=chunk,
         face_ratio=face_ratio,

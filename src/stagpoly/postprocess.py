@@ -30,7 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .assembly import BoundarySpec, GlobalSystem, assemble_system
-from .polymesh import PolyMesh, build_subtriangulation
+from .polymesh import (PolyMesh, build_subtriangulation, cell_diameters,
+                       compute_star_points, mesh_size)
 from .quadbasis import edge_rule, map_to_edge, map_to_triangle, triangle_rule
 from .weakgrad import identity_coefficient, weak_gradient_coeffs
 
@@ -53,11 +54,6 @@ __all__ = [
 
 class PostprocessError(Exception):
     pass
-
-
-def _cell_diameter(loop: np.ndarray) -> float:
-    d = loop[:, None, :] - loop[None, :, :]
-    return float(np.sqrt((d ** 2).sum(axis=2)).max())
 
 
 @dataclass
@@ -168,9 +164,10 @@ def error_norms(solution: SolutionField, u_exact: Callable,
     e1h_sq = 0.0
     s_vol_sq = 0.0
     s_0h_sq = 0.0
+    diam = cell_diameters(system.mesh)
     for c, op in enumerate(system.elem_ops):
         fan = op.fan
-        hK = _cell_diameter(fan.loop)
+        hK = diam[c]
         uc = solution.cell_coeffs(c)
         for i in range(fan.n_edges):
             pts, wts = map_to_triangle(vol_rule, fan.triangle(i))
@@ -294,9 +291,10 @@ def flux_norms(flux: FluxField) -> tuple:
     erule = edge_rule(k + 1)
     vol_sq = 0.0
     face_sq = 0.0
+    diam = cell_diameters(system.mesh)
     for c, op in enumerate(system.elem_ops):
         fan = op.fan
-        hK = _cell_diameter(fan.loop)
+        hK = diam[c]
         for i in range(fan.n_edges):
             pts, wts = map_to_triangle(vol_rule, fan.triangle(i))
             sv = flux.tri_values(c, i, pts)
@@ -316,9 +314,10 @@ def h1h_distance(system: GlobalSystem, dofs_a: np.ndarray,
     erule = edge_rule(min(k + 2, 6))
     delta = SolutionField(system, np.asarray(dofs_a) - np.asarray(dofs_b))
     total = 0.0
+    diam = cell_diameters(system.mesh)
     for c, op in enumerate(system.elem_ops):
         fan = op.fan
-        hK = _cell_diameter(fan.loop)
+        hK = diam[c]
         uc = delta.cell_coeffs(c)
         face_sq = 0.0
         for i in range(fan.n_edges):
@@ -404,7 +403,7 @@ def convergence_study(problem, meshes, k: int = 0, star: str = "chebyshev",
     report = ConvergenceReport(problem=problem.name, k=k, columns=columns)
     for level, mesh in enumerate(meshes):
         subtri = build_subtriangulation(mesh, star_points=None if star is None
-                                        else _stars(mesh, star))
+                                        else compute_star_points(mesh, star))
         system = assemble_system(mesh, subtri, k, problem.coeff, problem.f,
                                  problem.bc, flux_sign=problem.flux_sign)
         try:
@@ -414,19 +413,9 @@ def convergence_study(problem, meshes, k: int = 0, star: str = "chebyshev",
         sol = SolutionField(system, dofs)
         flux = recover_flux(sol)
         errs = error_norms(sol, problem.u, problem.grad_u, flux=flux, mode=mode)
-        h = mesh.h_report if mesh.h_report is not None else _mesh_h(mesh)
+        h = mesh.h_report if mesh.h_report is not None else mesh_size(mesh)
         report.add(h=h, n_cells=mesh.num_cells, errors=errs)
     return report
-
-
-def _stars(mesh: PolyMesh, method: str):
-    from .polymesh import compute_star_points
-    return compute_star_points(mesh, method=method)
-
-
-def _mesh_h(mesh: PolyMesh) -> float:
-    return max(_cell_diameter(mesh.cell_vertices(c))
-               for c in range(mesh.num_cells))
 
 
 def cr_equivalence(mesh: PolyMesh, star_points=None) -> float:

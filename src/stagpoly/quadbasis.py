@@ -29,9 +29,6 @@ __all__ = [
     "cell_basis",
     "face_basis",
     "flux_basis",
-    "eval_cell_basis",
-    "eval_face_basis",
-    "eval_flux_basis",
     "monomial_exponents",
 ]
 
@@ -284,15 +281,3 @@ def flux_basis(fan: CellFan, k: int) -> FluxBasis:
         cent[i] = fan.triangle(i).mean(axis=0)
     return FluxBasis(fan=fan, k=k, centroids=cent)
 
-
-def eval_cell_basis(basis: CellBasis, x):
-    """Value vector of all cell basis functions at one point."""
-    return basis.eval([x])[0]
-
-
-def eval_face_basis(basis: FaceBasis, x):
-    return basis.eval([x])[0]
-
-
-def eval_flux_basis(basis: FluxBasis, x):
-    return basis.eval_at(x)

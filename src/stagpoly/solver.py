@@ -1,9 +1,11 @@
 """Linear solvers for the assembled SPD systems.
 
-A hand-rolled preconditioned conjugate gradient is the workhorse; small
-systems fall through to a dense Cholesky solve. Both operate on the
-reduced (Dirichlet-eliminated) matrices, which are SPD once at least one
-face DoF is pinned.
+The default is a sparse direct solve: SuperLU with a symmetric fill-reducing
+ordering and diagonal pivots, which is a symmetric factorization whose
+pivots prove the matrix SPD. A hand-rolled preconditioned conjugate
+gradient is the alternative; it checks curvature at every step and records
+its residual history. Both operate on the reduced (Dirichlet-eliminated)
+matrices, which are SPD once at least one face DoF is pinned.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import splu
 
 from .assembly import GlobalSystem, static_condensation
 
@@ -24,8 +26,6 @@ __all__ = [
     "solve_direct",
     "solve_system",
 ]
-
-DIRECT_THRESHOLD = 2000
 
 
 class SolverError(Exception):
@@ -110,30 +110,39 @@ def solve_cg(A, b, tol: float = 1e-10, maxiter: int | None = None,
 
 
 def solve_direct(A, b) -> tuple:
-    """Dense Cholesky solve; SolverError if the matrix is not SPD."""
+    """Sparse LU solve; SolverError if the matrix is singular or not SPD.
+
+    With a symmetric ordering and diagonal pivots the factorization is
+    P A P^T = L U with U = D L^T, so A is SPD exactly when no row was
+    swapped off the diagonal (perm_r == perm_c) and every pivot is > 0.
+    """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if n == 0:
         return np.zeros(0), SolveReport("direct", 0, 0, 0.0, True)
-    Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+    A = sp.csc_matrix(A, dtype=float)
     try:
-        factor = cho_factor(Ad)
-    except np.linalg.LinAlgError as exc:
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
         raise SolverError("matrix is singular or not SPD") from exc
-    x = cho_solve(factor, b)
-    res = float(np.linalg.norm(b - Ad @ x))
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(lu.U.diagonal() > 0.0)):
+        raise SolverError("matrix is singular or not SPD")
+    x = lu.solve(b)
+    res = float(np.linalg.norm(b - A @ x))
     return x, SolveReport("direct", n, 0, res, True)
 
 
-def solve_system(system: GlobalSystem, method: str = "auto",
+def solve_system(system: GlobalSystem, method: str = "direct",
                  condense: bool = True, tol: float = 1e-10,
-                 maxiter: int | None = None, precond: str = "jacobi",
-                 direct_threshold: int = DIRECT_THRESHOLD) -> tuple:
+                 maxiter: int | None = None, precond: str = "jacobi") -> tuple:
     """Solve an assembled system; returns (full DoF vector, SolveReport).
 
     With condense=True (default) the face-only Schur system is solved
-    and interior DoFs are recovered exactly cell by cell. method "auto"
-    uses the dense path up to direct_threshold unknowns, CG above.
+    and interior DoFs are recovered exactly cell by cell. method "direct"
+    (default) is the sparse LU of solve_direct, "cg" is solve_cg with
+    tol, maxiter and precond.
     """
     if condense:
         cond = static_condensation(system)
@@ -142,9 +151,6 @@ def solve_system(system: GlobalSystem, method: str = "auto",
         cond = None
         A, b = system.A, system.b
 
-    n = A.shape[0]
-    if method == "auto":
-        method = "direct" if n <= direct_threshold else "cg"
     if method == "direct":
         x, report = solve_direct(A, b)
     elif method == "cg":

@@ -188,6 +188,43 @@ def test_star_point_hexagon():
     assert np.allclose(star[0], [0.0, 0.0], atol=1e-9)
 
 
+L_HEXAGON = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+U_OCTAGON = [(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1), (1, 2), (0, 2)]
+
+
+@pytest.mark.parametrize("vertices, scale, star", [
+    (L_HEXAGON, 1.0, (0.5, 0.5)),
+    # the LP is posed in each cell's own frame, so tiny cells come out right
+    (L_HEXAGON, 1e-9, (0.5, 0.5)),
+    (U_OCTAGON, 1.0, None),
+], ids=["L-hexagon", "L-hexagon-tiny", "U-octagon"])
+def test_star_point_nonconvex(vertices, scale, star):
+    m = make_single_cell(scale * np.asarray(vertices, dtype=float))
+    if star is None:
+        with pytest.raises(StarShapeError, match="cell 0"):
+            compute_star_points(m)
+    else:
+        assert np.allclose(compute_star_points(m)[0] / scale, star,
+                           atol=1e-9, rtol=0.0)
+
+
+def _incenter(pts):
+    a = np.linalg.norm(pts[2] - pts[1])
+    b = np.linalg.norm(pts[0] - pts[2])
+    c = np.linalg.norm(pts[1] - pts[0])
+    return (a * pts[0] + b * pts[1] + c * pts[2]) / (a + b + c)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_uniform_triangles(4),
+                                  lambda: gen_delaunay_triangles(60, rng_seed=3)],
+                         ids=["tri4", "delaunay60"])
+def test_star_points_are_incenters_on_triangles(make):
+    m = make()
+    star = compute_star_points(m)
+    ref = np.array([_incenter(m.cell_vertices(c)) for c in range(m.num_cells)])
+    assert np.abs(star - ref).max() <= 1e-13
+
+
 def test_star_point_centroid_method(pentagon_cell):
     star = compute_star_points(pentagon_cell, method="centroid")
     assert np.allclose(star[0], [0.0, 0.0], atol=1e-12)

@@ -101,9 +101,10 @@ def test_cg_warm_start():
 def test_direct_matches_dense():
     A = random_spd(35, seed=7)
     b = RNG.standard_normal(35)
-    x, report = solve_direct(A, b)
-    assert report.method == "direct"
-    assert np.abs(x - np.linalg.solve(A, b)).max() < 1e-10
+    for matrix in (A, sp.csr_matrix(A)):
+        x, report = solve_direct(matrix, b)
+        assert report.method == "direct"
+        assert np.abs(x - np.linalg.solve(A, b)).max() < 1e-10
 
 
 def test_direct_singular_raises():
@@ -114,6 +115,13 @@ def test_direct_singular_raises():
 
 def test_direct_indefinite_raises():
     A = np.diag([1.0, -1.0])
+    with pytest.raises(SolverError):
+        solve_direct(A, np.ones(2))
+
+
+def test_direct_zero_diagonal_raises():
+    # indefinite, yet the row-swapped LU has positive pivots
+    A = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SolverError):
         solve_direct(A, np.ones(2))
 
@@ -135,18 +143,6 @@ def test_solve_system_cg_vs_direct(squares4):
     x_d, _ = solve_system(system, method="direct")
     assert rep.method == "cg"
     assert np.abs(x_cg - x_d).max() < 1e-8
-
-
-def test_solve_system_auto_picks_direct(tri4):
-    system = wg_system(tri4)
-    _, report = solve_system(system, method="auto")
-    assert report.method == "direct"  # 24 interior faces after condensation
-
-
-def test_solve_system_auto_threshold(tri4):
-    system = wg_system(tri4)
-    _, report = solve_system(system, method="auto", direct_threshold=1)
-    assert report.method == "cg"
 
 
 def test_solve_system_unknown_method(tri4):
