@@ -10,17 +10,18 @@ recovery exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
-from scipy.linalg import cho_factor, cho_solve
 
 from .polymesh import PolyMesh, SubTriangulation
-from .quadbasis import map_to_edge, map_to_triangle, triangle_rule, edge_rule
-from .weakgrad import (CoefficientField, ElementOperator, element_operator,
-                       face_projection_Qb)
+from .quadbasis import (MAX_TRIANGLE_DEGREE, edge_rule, face_monomials,
+                        map_to_edge, triangle_rule)
+from .weakgrad import (CoefficientField, DofMap, batched_cholesky,
+                       cho_solve_batched, element_groups, face_projection_Qb)
 
 __all__ = [
     "AssemblyError",
@@ -44,39 +45,12 @@ class CondensationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class DofMap:
-    k: int
-    num_faces: int
-    num_cells: int
-
-    @property
-    def face_block(self) -> int:
-        return self.k + 1
-
-    @property
-    def cell_block(self) -> int:
-        return (self.k + 2) * (self.k + 3) // 2
-
-    @property
-    def n_face_dofs(self) -> int:
-        return self.num_faces * self.face_block
-
-    @property
-    def total(self) -> int:
-        return self.n_face_dofs + self.num_cells * self.cell_block
-
-    def face_dofs(self, e: int):
-        return np.arange(e * self.face_block, (e + 1) * self.face_block)
-
-    def cell_dofs(self, c: int):
-        start = self.n_face_dofs + c * self.cell_block
-        return np.arange(start, start + self.cell_block)
-
-
 def build_dof_map(mesh: PolyMesh, k: int) -> DofMap:
-    if k < 0:
-        raise AssemblyError("polynomial degree k must be >= 0")
+    # the load rule has degree 2(k+1), and triangle rules stop at
+    # MAX_TRIANGLE_DEGREE
+    max_k = (MAX_TRIANGLE_DEGREE - 2) // 2
+    if not 0 <= k <= max_k:
+        raise AssemblyError(f"polynomial degree k must be in 0..{max_k}")
     return DofMap(k=k, num_faces=mesh.num_edges, num_cells=mesh.num_cells)
 
 
@@ -131,8 +105,10 @@ class BoundarySpec:
 class GlobalSystem:
     """Assembled system, before and after Dirichlet elimination.
 
-    A_full / b_full cover every DoF; A / b are restricted to the free set.
-    fixed_dofs and fixed_values record the eliminated Dirichlet data.
+    A_full / b_full cover every DoF; A / b, built on first use, are
+    restricted to the free set. fixed_dofs and fixed_values record the
+    eliminated Dirichlet data; groups hold the element operators, one
+    ElementGroup per cell valence.
     """
     mesh: PolyMesh
     subtri: SubTriangulation
@@ -145,10 +121,30 @@ class GlobalSystem:
     free: np.ndarray
     fixed_dofs: np.ndarray
     fixed_values: np.ndarray
-    A: sp.csr_matrix
-    b: np.ndarray
-    elem_ops: list = field(repr=False, default_factory=list)
+    groups: list = field(repr=False, default_factory=list)
     rhs_degree: int = 2
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        return self.A_full[self.free][:, self.free].tocsr()
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return self.b_full[self.free] \
+            - self.A_full[self.free][:, self.fixed_dofs] @ self.fixed_values
+
+    @cached_property
+    def _slots(self) -> np.ndarray:
+        slots = np.empty((2, self.mesh.num_cells), dtype=np.intp)
+        for gi, grp in enumerate(self.groups):
+            slots[0, grp.cells] = gi
+            slots[1, grp.cells] = np.arange(len(grp.cells))
+        return slots
+
+    def locate(self, c: int) -> tuple:
+        """(group index, row) of cell c."""
+        gi, row = self._slots[:, c]
+        return int(gi), int(row)
 
     def expand(self, x_free) -> np.ndarray:
         """Full coefficient vector from a free-DoF solution."""
@@ -175,6 +171,13 @@ def _symmetric_csr(n, rows, cols, vals) -> sp.csr_matrix:
     return (upper + upper.T - diag).tocsr()
 
 
+def _block_triplets(dofs, blocks):
+    """COO (rows, cols, vals) of local blocks (g, n, n) on DoFs (g, n)."""
+    n = dofs.shape[1]
+    return (np.repeat(dofs, n, axis=1).ravel(), np.tile(dofs, n).ravel(),
+            blocks.ravel())
+
+
 def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
                     coeff: CoefficientField, f: Callable, bc: BoundarySpec,
                     flux_sign: int = 1, rhs_degree: int | None = None,
@@ -195,75 +198,61 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
     if dirichlet_npoints is None:
         dirichlet_npoints = k + 1
     rhs_rule = triangle_rule(rhs_degree)
+    groups = element_groups(mesh, subtri, k, coeff)
 
-    rows, cols, vals = [], [], []
+    triplets = [_block_triplets(grp.dofs, grp.A) for grp in groups]
+    A_full = _symmetric_csr(dofmap.total, *zip(*triplets))
     b = np.zeros(dofmap.total)
-    elem_ops: list[ElementOperator] = []
-    for c in range(mesh.num_cells):
-        op = element_operator(mesh, subtri, c, k, coeff)
-        elem_ops.append(op)
-        gdofs = np.concatenate([dofmap.face_dofs(e) for e in op.fan.edge_ids]
-                               + [dofmap.cell_dofs(c)])
-        rr, cc = np.meshgrid(gdofs, gdofs, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(op.A.ravel())
+    for grp in groups:
+        pts, wts = grp.fan_quadrature(rhs_rule)
+        fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(wts.shape)
+        b[dofmap.cell_dofs(grp.cells)] += np.einsum(
+            "gtqc,gtq->gc", grp.cell_basis(pts), fv * wts)
 
-        cdofs = dofmap.cell_dofs(c)
-        load = np.zeros(dofmap.cell_block)
-        for i in range(op.fan.n_edges):
-            pts, wts = map_to_triangle(rhs_rule, op.fan.triangle(i))
-            fv = np.asarray(f(pts), dtype=float).reshape(len(pts))
-            load += op.cellb.eval(pts).T @ (fv * wts)
-        b[cdofs] += load
-
-    A_full = _symmetric_csr(dofmap.total, rows, cols, vals)
-
-    fixed_dofs, fixed_vals = [], []
+    edges = mesh.boundary_edges
+    tags = mesh.edge_markers[edges]
+    ends = mesh.vertices[mesh.edges[edges]]
+    dirichlet = np.zeros(len(edges), dtype=bool)
+    values = np.zeros((len(edges), k + 1))
     erule = edge_rule(min(max(k + 1, 2), 6))
-    for e in mesh.boundary_edges:
-        kind, g = bc.condition_for(int(mesh.edge_markers[e]))
-        c = mesh.edge_cells[e, 0]
-        op = elem_ops[c]
-        local = int(np.flatnonzero(op.fan.edge_ids == e)[0])
-        fb = op.face_bases[local]
+    psi = face_monomials(erule.points - 0.5, k)
+    for tag in np.unique(tags):
+        kind, g = bc.condition_for(int(tag))
+        sel = tags == tag
+        a, bb = ends[sel, 0], ends[sel, 1]
         if kind == "dirichlet":
-            coeffs = face_projection_Qb(fb, g, npoints=dirichlet_npoints)
-            fixed_dofs.extend(dofmap.face_dofs(e).tolist())
-            fixed_vals.extend(coeffs.tolist())
+            dirichlet[sel] = True
+            values[sel] = face_projection_Qb(a, bb, k, g,
+                                             npoints=dirichlet_npoints)
         else:
-            a = fb.midpoint - 0.5 * fb.length * fb.direction
-            bpt = fb.midpoint + 0.5 * fb.length * fb.direction
-            pts, wts = map_to_edge(erule, a, bpt)
-            gv = np.asarray(g(pts), dtype=float).reshape(len(pts))
-            b[dofmap.face_dofs(e)] += flux_sign * (fb.eval(pts).T @ (gv * wts))
+            pts, wts = map_to_edge(erule, a, bb)
+            gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(
+                wts.shape)
+            b[dofmap.face_dofs(edges[sel])] += flux_sign * ((gv * wts) @ psi)
 
-    fixed_dofs = np.asarray(fixed_dofs, dtype=np.intp)
-    fixed_vals = np.asarray(fixed_vals, dtype=float)
+    fixed_dofs = dofmap.face_dofs(edges[dirichlet]).ravel()
     mask = np.ones(dofmap.total, dtype=bool)
     mask[fixed_dofs] = False
-    free = np.flatnonzero(mask)
-
-    A_red = A_full[free][:, free].tocsr()
-    b_red = b[free].copy()
-    if len(fixed_dofs):
-        b_red -= A_full[free][:, fixed_dofs] @ fixed_vals
-
     return GlobalSystem(mesh=mesh, subtri=subtri, dofmap=dofmap, k=k,
                         coeff=coeff, flux_sign=flux_sign, A_full=A_full,
-                        b_full=b, free=free, fixed_dofs=fixed_dofs,
-                        fixed_values=fixed_vals, A=A_red, b=b_red,
-                        elem_ops=elem_ops, rhs_degree=rhs_degree)
+                        b_full=b, free=np.flatnonzero(mask),
+                        fixed_dofs=fixed_dofs,
+                        fixed_values=values[dirichlet].ravel(),
+                        groups=groups, rhs_degree=rhs_degree)
 
 
 @dataclass
 class CondensedSystem:
-    """Face-only Schur complement system with exact interior recovery."""
+    """Face-only Schur complement system with exact interior recovery.
+
+    factors holds, per element group, the lower Cholesky factors
+    (g, nc, nc) of the interior blocks of its cell matrices.
+    """
     system: GlobalSystem
     S: sp.csr_matrix            # reduced to free face DoFs
     b: np.ndarray
     free_faces: np.ndarray      # free face DoF ids (global numbering)
-    cell_factors: list = field(repr=False, default_factory=list)
+    factors: list = field(repr=False, default_factory=list)
 
     @property
     def dim(self) -> int:
@@ -277,54 +266,49 @@ class CondensedSystem:
         face-solver tolerance.
         """
         sys = self.system
-        dofmap = sys.dofmap
-        full = np.zeros(dofmap.total)
+        full = np.zeros(sys.dofmap.total)
         full[self.free_faces] = x_faces
         full[sys.fixed_dofs] = sys.fixed_values
-        for c, (factor, fdofs, Afc) in enumerate(self.cell_factors):
-            rhs = sys.b_full[dofmap.cell_dofs(c)] - Afc.T @ full[fdofs]
-            full[dofmap.cell_dofs(c)] = cho_solve(factor, rhs)
+        for grp, L in zip(sys.groups, self.factors):
+            nfl = grp.n_face_dofs
+            fdofs, cdofs = grp.dofs[:, :nfl], grp.dofs[:, nfl:]
+            rhs = sys.b_full[cdofs] - np.einsum(
+                "gfc,gf->gc", grp.A[:, :nfl, nfl:], full[fdofs])
+            full[cdofs] = cho_solve_batched(L, rhs[..., None])[..., 0]
         return full
 
 
 def static_condensation(system: GlobalSystem) -> CondensedSystem:
     """Eliminate the cell block by per-cell Schur complements."""
-    dofmap = system.dofmap
-    nf = dofmap.n_face_dofs
-    rows, cols, vals = [], [], []
+    nf = system.dofmap.n_face_dofs
+    triplets = []
     b_s = system.b_full[:nf].copy()
-    cell_factors = []
-    for c, op in enumerate(system.elem_ops):
-        fdofs = np.concatenate([dofmap.face_dofs(e) for e in op.fan.edge_ids])
-        nfl = op.n_face_dofs
-        Aff = op.A[:nfl, :nfl]
-        Afc = op.A[:nfl, nfl:]
-        Acc = op.A[nfl:, nfl:]
-        try:
-            factor = cho_factor(Acc)
-        except np.linalg.LinAlgError as exc:
-            raise CondensationError(
-                f"cell {c}: singular interior block") from exc
-        X = cho_solve(factor, Afc.T)
-        S_local = Aff - Afc @ X
-        S_local = 0.5 * (S_local + S_local.T)
-        rr, cc = np.meshgrid(fdofs, fdofs, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(S_local.ravel())
-        b_s[fdofs] -= Afc @ cho_solve(factor, system.b_full[dofmap.cell_dofs(c)])
-        cell_factors.append((factor, fdofs, Afc))
+    factors = []
+    for grp in system.groups:
+        nfl = grp.n_face_dofs
+        fdofs, cdofs = grp.dofs[:, :nfl], grp.dofs[:, nfl:]
+        Aff, Afc = grp.A[:, :nfl, :nfl], grp.A[:, :nfl, nfl:]
+        L = batched_cholesky(grp.A[:, nfl:, nfl:], grp.cells,
+                             CondensationError, "singular interior block")
+        X = cho_solve_batched(L, np.concatenate(
+            [np.swapaxes(Afc, 1, 2), system.b_full[cdofs][..., None]],
+            axis=2))
+        S_local = Aff - Afc @ X[:, :, :nfl]
+        S_local = 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
+        triplets.append(_block_triplets(fdofs, S_local))
+        b_s -= np.bincount(fdofs.ravel(), (Afc @ X[:, :, nfl:]).ravel(),
+                           minlength=nf)
+        factors.append(L)
 
-    S_full = _symmetric_csr(nf, rows, cols, vals)
+    S_full = _symmetric_csr(nf, *zip(*triplets))
     mask = np.ones(nf, dtype=bool)
     mask[system.fixed_dofs] = False
     free_faces = np.flatnonzero(mask)
     S_red = S_full[free_faces][:, free_faces].tocsr()
-    b_red = b_s[free_faces].copy()
-    if len(system.fixed_dofs):
-        b_red -= S_full[free_faces][:, system.fixed_dofs] @ system.fixed_values
+    b_red = b_s[free_faces] \
+        - S_full[free_faces][:, system.fixed_dofs] @ system.fixed_values
     return CondensedSystem(system=system, S=S_red, b=b_red,
-                           free_faces=free_faces, cell_factors=cell_factors)
+                           free_faces=free_faces, factors=factors)
 
 
 def write_matrix_market(system: GlobalSystem, path, reduced: bool = True) -> None:

@@ -39,6 +39,8 @@ __all__ = [
     "compute_star_points",
     "build_subtriangulation",
     "quality_report",
+    "valence_groups",
+    "fan_geometry",
     "cell_diameters",
     "mesh_size",
 ]
@@ -466,15 +468,32 @@ def gen_delaunay_triangles(n_points: int, rng_seed: int = 0) -> PolyMesh:
                     mesh.edge_markers, mesh.cell_edges, h_report=mesh_size(mesh))
 
 
+def valence_groups(mesh: PolyMesh):
+    """Cells grouped by edge count m, ascending.
+
+    Returns a list of (cells (g,), loop vertex ids (g, m), loop edge ids
+    (g, m)), one entry per m present in the mesh.
+    """
+    sizes = np.fromiter(map(len, mesh.cells), dtype=np.intp,
+                        count=mesh.num_cells)
+    first = np.cumsum(sizes) - sizes
+    verts = np.concatenate(mesh.cells)
+    edges = np.concatenate(mesh.cell_edges)
+    out = []
+    for m in np.unique(sizes):
+        cells = np.flatnonzero(sizes == m)
+        idx = first[cells, None] + np.arange(m)
+        out.append((cells, verts[idx], edges[idx]))
+    return out
+
+
 def cell_diameters(mesh: PolyMesh):
     """Per-cell diameter: the largest distance between two vertices."""
-    sizes = np.array([len(loop) for loop in mesh.cells])
     diam = np.empty(mesh.num_cells)
-    for m in np.unique(sizes):
-        group = np.flatnonzero(sizes == m)
-        pts = mesh.vertices[np.array([mesh.cells[c] for c in group])]
+    for cells, verts, _ in valence_groups(mesh):
+        pts = mesh.vertices[verts]
         d = pts[:, :, None, :] - pts[:, None, :, :]
-        diam[group] = np.sqrt((d ** 2).sum(axis=3)).max(axis=(1, 2))
+        diam[cells] = np.sqrt((d ** 2).sum(axis=3)).max(axis=(1, 2))
     return diam
 
 
@@ -486,15 +505,23 @@ def mesh_size(mesh: PolyMesh) -> float:
 # ---------------------------------------------------------------------------
 # Star points and fans
 
-def _edge_frames(pts):
-    """Outward unit normals and CCW unit tangents of a CCW loop."""
-    d = np.roll(pts, -1, axis=0) - pts
-    lengths = np.sqrt((d ** 2).sum(axis=1))
+def fan_geometry(loop, star):
+    """Fan of CCW loops (..., m, 2) around star points (..., 2).
+
+    Returns the fan triangle areas (..., m) and the outward unit normals,
+    CCW unit tangents (..., m, 2) and lengths (..., m) of the outer edges.
+    """
+    x = np.asarray(star)[..., None, :]
+    q = np.roll(loop, -1, axis=-2)
+    cross = ((loop[..., 0] - x[..., 0]) * (q[..., 1] - x[..., 1])
+             - (loop[..., 1] - x[..., 1]) * (q[..., 0] - x[..., 0]))
+    d = q - loop
+    lengths = np.sqrt((d ** 2).sum(axis=-1))
     if np.any(lengths <= 0):
         raise MeshValidationError("zero-length edge")
-    t = d / lengths[:, None]
-    n = np.column_stack([t[:, 1], -t[:, 0]])
-    return n, t, lengths
+    t = d / lengths[..., None]
+    n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+    return 0.5 * cross, n, t, lengths
 
 
 def _kernel_chebyshev(mesh: PolyMesh):
@@ -625,33 +652,27 @@ def build_subtriangulation(mesh: PolyMesh, star_points=None) -> SubTriangulation
     star_points = np.asarray(star_points, dtype=float)
     if star_points.shape != (mesh.num_cells, 2):
         raise ValueError("star_points must be (num_cells, 2)")
-    fans = []
-    for c in range(mesh.num_cells):
-        pts = mesh.cell_vertices(c)
-        x = star_points[c]
-        q = np.roll(pts, -1, axis=0)
-        cross = ((pts[:, 0] - x[0]) * (q[:, 1] - x[1])
-                 - (pts[:, 1] - x[1]) * (q[:, 0] - x[0]))
-        areas = 0.5 * cross
-        cell_area = float(areas.sum())
-        if np.any(areas <= 1e-12 * cell_area):
-            raise StarShapeError(
-                f"cell {c}: star point yields a degenerate fan triangle")
-        n, t, lengths = _edge_frames(pts)
-        fans.append(CellFan(
-            cell=c,
-            star=x.copy(),
-            loop=pts.copy(),
-            edge_ids=mesh.cell_edges[c].copy(),
-            areas=areas,
-            normals=n,
-            tangents=t,
-            midpoints=0.5 * (pts + q),
-            lengths=lengths,
-            xbar=pts.mean(axis=0),
-            h=float(np.sqrt(cell_area)),
-            area=cell_area,
-        ))
+    fans = [None] * mesh.num_cells
+    degenerate = []
+    for cells, verts, edge_ids in valence_groups(mesh):
+        loop = mesh.vertices[verts]
+        areas, n, t, lengths = fan_geometry(loop, star_points[cells])
+        cell_area = areas.sum(axis=1)
+        degenerate.extend(
+            cells[np.any(areas <= 1e-12 * cell_area[:, None], axis=1)])
+        mid = 0.5 * (loop + np.roll(loop, -1, axis=1))
+        xbar = loop.mean(axis=1)
+        h = np.sqrt(cell_area)
+        for r, c in enumerate(cells.tolist()):
+            fans[c] = CellFan(cell=c, star=star_points[c].copy(),
+                              loop=loop[r], edge_ids=edge_ids[r],
+                              areas=areas[r], normals=n[r], tangents=t[r],
+                              midpoints=mid[r], lengths=lengths[r],
+                              xbar=xbar[r], h=float(h[r]),
+                              area=float(cell_area[r]))
+    if degenerate:
+        raise StarShapeError(f"cell {min(degenerate)}: star point yields a "
+                             "degenerate fan triangle")
     return SubTriangulation(mesh=mesh, star=star_points, fans=fans)
 
 

@@ -32,8 +32,9 @@ import numpy as np
 from .assembly import BoundarySpec, GlobalSystem, assemble_system
 from .polymesh import (PolyMesh, build_subtriangulation, cell_diameters,
                        compute_star_points, mesh_size)
-from .quadbasis import edge_rule, map_to_edge, map_to_triangle, triangle_rule
-from .weakgrad import identity_coefficient, weak_gradient_coeffs
+from .quadbasis import (edge_rule, face_monomials, map_to_edge, monomials,
+                        triangle_rule)
+from .weakgrad import flux_values, identity_coefficient, weak_gradient_coeffs
 
 __all__ = [
     "PostprocessError",
@@ -73,49 +74,55 @@ class SolutionField:
         return self.dofs[self.system.dofmap.face_dofs(e)]
 
     def u0_values(self, c: int, pts) -> np.ndarray:
-        return self.system.elem_ops[c].cellb.eval(pts) @ self.cell_coeffs(c)
-
-    def ub_values(self, c: int, local_face: int, pts) -> np.ndarray:
-        op = self.system.elem_ops[c]
-        e = op.fan.edge_ids[local_face]
-        return op.face_bases[local_face].eval(pts) @ self.face_coeffs(e)
+        gi, r = self.system.locate(c)
+        grp = self.system.groups[gi]
+        return monomials(pts, grp.xbar[r], grp.h[r], grp.k + 1) \
+            @ self.cell_coeffs(c)
 
     def local_vector(self, c: int) -> np.ndarray:
-        dm = self.system.dofmap
-        op = self.system.elem_ops[c]
-        parts = [self.dofs[dm.face_dofs(e)] for e in op.fan.edge_ids]
-        parts.append(self.dofs[dm.cell_dofs(c)])
-        return np.concatenate(parts)
+        gi, r = self.system.locate(c)
+        return self.dofs[self.system.groups[gi].dofs[r]]
 
 
 @dataclass
 class FluxField:
-    """Piecewise P_k vector flux on the fan sub-triangulation."""
+    """Piecewise P_k vector flux on the fan sub-triangulation.
+
+    coeffs holds one (g, d) array of flux coefficients per element group.
+    """
     system: GlobalSystem
     coeffs: list = field(repr=False, default_factory=list)
     sign: int = 1
 
     def tri_values(self, c: int, i: int, pts) -> np.ndarray:
         """Flux values on fan triangle i of cell c at physical points."""
-        fb = self.system.elem_ops[c].fluxb
-        mono = fb.mono_eval(i, np.asarray(pts, dtype=float))
-        nm = fb.n_mono
-        out = np.zeros((len(mono), 2))
-        for frame in range(2):
-            lo = fb.index(frame, i, 0)
-            out += np.outer(mono @ self.coeffs[c][lo:lo + nm],
-                            fb.frame_vector(frame, i))
-        return out
+        gi, r = self.system.locate(c)
+        return flux_values(self.system.groups[gi], self.coeffs[gi],
+                           np.asarray(pts, dtype=float), r, i)
 
     def cell_values(self, c: int, pts) -> np.ndarray:
         """Flux at arbitrary points of cell c (per-point home triangle)."""
-        fb = self.system.elem_ops[c].fluxb
+        gi, r = self.system.locate(c)
+        grp = self.system.groups[gi]
+        fan = self.system.subtri.fans[c]
         pts = np.asarray(pts, dtype=float)
-        out = np.zeros((len(pts), 2))
-        for p, x in enumerate(pts):
-            i = fb.home_triangle(x)
-            out[p] = self.tri_values(c, i, x[None, :])[0]
-        return out
+        tri = _home_triangles(
+            np.array([fan.triangle(i) for i in range(fan.n_edges)]), pts)
+        if np.any(tri < 0):
+            raise PostprocessError(
+                f"point {pts[np.argmax(tri < 0)]} lies outside cell {c}")
+        return flux_values(grp, self.coeffs[gi], pts[:, None, :], r, tri)[:, 0]
+
+
+def _home_triangles(tris, pts, tol=1e-12):
+    """Index of the first of triangles (m, 3, 2) containing each point of
+    pts (P, 2), or -1."""
+    edge = np.roll(tris, -1, axis=1) - tris
+    rel = pts[:, None, None, :] - tris
+    cross = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
+    scale = np.maximum(1.0, np.abs(cross).max(axis=2, keepdims=True))
+    inside = np.all(cross >= -tol * scale, axis=2)
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
 def recover_flux(solution: SolutionField, sign: int | None = None) -> FluxField:
@@ -123,10 +130,8 @@ def recover_flux(solution: SolutionField, sign: int | None = None) -> FluxField:
     system = solution.system
     if sign is None:
         sign = system.flux_sign
-    coeffs = []
-    for c, op in enumerate(system.elem_ops):
-        s = weak_gradient_coeffs(op, solution.local_vector(c))
-        coeffs.append(sign * s)
+    coeffs = [sign * weak_gradient_coeffs(grp, solution.dofs[grp.dofs])
+              for grp in system.groups]
     return FluxField(system=system, coeffs=coeffs, sign=sign)
 
 
@@ -139,6 +144,37 @@ def _norm_rules(system: GlobalSystem, mode: str):
     if mode == "exact":
         return triangle_rule(min(2 * k + 2, 10)), edge_rule(min(k + 2, 6))
     raise PostprocessError(f"unknown quadrature mode {mode!r}")
+
+
+def _at(fn, pts, shape=()) -> np.ndarray:
+    """A callable on (n, 2) point arrays at points (..., 2)."""
+    vals = fn(pts.reshape(-1, 2))
+    return np.asarray(vals, dtype=float).reshape(pts.shape[:-1] + shape)
+
+
+def _face_jump_sq(grp, uc, ub, rule) -> np.ndarray:
+    """Per row of a group, sum over its faces of |Q_b(u_0) - u_b|_F^2 for
+    cell coefficients uc (g, nc) and face coefficients ub (g, m, k+1)."""
+    pts, wts = grp.edge_quadrature(rule)
+    psi = grp.face_basis(rule.points)
+    dub = np.einsum("gtqc,gc->gtq", grp.cell_basis(pts), uc) \
+        - np.einsum("gtqp,gtp->gtq", psi, ub)
+    gram = np.einsum("gtqa,gtqb->gtab", psi * wts[..., None], psi)
+    mom = np.einsum("gtqa,gtq->gta", psi, dub * wts)
+    return np.einsum("gta,gta->g", mom,
+                     np.linalg.solve(gram, mom[..., None])[..., 0])
+
+
+def _split(grp, dofs):
+    """Cell (g, nc) and face (g, m, k+1) coefficients of a group's rows."""
+    local = dofs[grp.dofs]
+    nfl = grp.n_face_dofs
+    return local[:, nfl:], local[:, :nfl].reshape(len(local), grp.n_edges, -1)
+
+
+def _normal_part(values, grp) -> np.ndarray:
+    """sigma . n on the outer edges from values (g, m, q, 2)."""
+    return np.einsum("gtqx,gtx->gtq", values, grp.frames[:, :, 0])
 
 
 def error_norms(solution: SolutionField, u_exact: Callable,
@@ -165,43 +201,28 @@ def error_norms(solution: SolutionField, u_exact: Callable,
     s_vol_sq = 0.0
     s_0h_sq = 0.0
     diam = cell_diameters(system.mesh)
-    for c, op in enumerate(system.elem_ops):
-        fan = op.fan
-        hK = diam[c]
-        uc = solution.cell_coeffs(c)
-        for i in range(fan.n_edges):
-            pts, wts = map_to_triangle(vol_rule, fan.triangle(i))
-            du = np.asarray(u_exact(pts), dtype=float).reshape(len(pts)) \
-                - op.cellb.eval(pts) @ uc
-            l2_sq += float(wts @ du ** 2)
-            if grad_u_exact is not None:
-                dg = np.asarray(grad_u_exact(pts), dtype=float).reshape(-1, 2) \
-                    - np.einsum("pid,i->pd", op.cellb.grad(pts), uc)
-                e1h_sq += float(wts @ (dg ** 2).sum(axis=1))
-            if flux is not None:
-                ds = flux.sign * _apply_coeff(coeff, pts, grad_u_exact(pts)) \
-                    - flux.tri_values(c, i, pts)
-                s_vol_sq += float(wts @ (ds ** 2).sum(axis=1))
-
-        face_sq = 0.0
-        sface_sq = 0.0
-        for i in range(fan.n_edges):
-            a, b = fan.loop[i], fan.loop[(i + 1) % fan.n_edges]
-            if grad_u_exact is not None:
-                pts, wts = map_to_edge(jump_rule, a, b)
-                dub = op.cellb.eval(pts) @ uc \
-                    - solution.ub_values(c, i, pts)
-                psi = op.face_bases[i].eval(pts)
-                gram = psi.T @ (psi * wts[:, None])
-                mom = psi.T @ (dub * wts)
-                face_sq += float(mom @ np.linalg.solve(gram, mom))
-            if flux is not None:
-                pts, wts = map_to_edge(face_rule, a, b)
-                ds = flux.sign * _apply_coeff(coeff, pts, grad_u_exact(pts)) \
-                    - flux.tri_values(c, i, pts)
-                sface_sq += float(wts @ (ds @ fan.normals[i]) ** 2)
-        e1h_sq += face_sq / hK
-        s_0h_sq += hK * sface_sq
+    for gi, grp in enumerate(system.groups):
+        hK = diam[grp.cells]
+        uc, ub = _split(grp, solution.dofs)
+        pts, wts = grp.fan_quadrature(vol_rule)
+        du = _at(u_exact, pts) \
+            - np.einsum("gtqc,gc->gtq", grp.cell_basis(pts), uc)
+        l2_sq += float(np.sum(wts * du ** 2))
+        if grad_u_exact is not None:
+            dg = _at(grad_u_exact, pts, (2,)) - np.einsum(
+                "gtqcx,gc->gtqx", grp.cell_basis(pts, grad=True), uc)
+            e1h_sq += float(np.sum(wts * (dg ** 2).sum(axis=-1)))
+            e1h_sq += float(np.sum(_face_jump_sq(grp, uc, ub, jump_rule)
+                                   / hK))
+        if flux is not None:
+            ds = flux.sign * _exact_flux(coeff, grad_u_exact, pts) \
+                - flux_values(grp, flux.coeffs[gi], pts)
+            s_vol_sq += float(np.sum(wts * (ds ** 2).sum(axis=-1)))
+            pts, wts = grp.edge_quadrature(face_rule)
+            ds = flux.sign * _exact_flux(coeff, grad_u_exact, pts) \
+                - flux_values(grp, flux.coeffs[gi], pts)
+            s_0h_sq += float(np.sum(hK * np.sum(
+                wts * _normal_part(ds, grp) ** 2, axis=(1, 2))))
 
     out = {"e_L2": float(np.sqrt(l2_sq))}
     if grad_u_exact is not None:
@@ -212,37 +233,34 @@ def error_norms(solution: SolutionField, u_exact: Callable,
     return out
 
 
-def _apply_coeff(coeff, pts, grads) -> np.ndarray:
-    grads = np.asarray(grads, dtype=float).reshape(-1, 2)
+def _exact_flux(coeff, grad_u_exact, pts) -> np.ndarray:
+    """K grad u at points (..., 2)."""
+    grads = _at(grad_u_exact, pts, (2,))
     if coeff.is_identity:
         return grads
-    return np.einsum("pij,pj->pi", coeff.at(pts), grads)
+    K = coeff.at(pts.reshape(-1, 2)).reshape(pts.shape + (2,))
+    return np.einsum("...ij,...j->...i", K, grads)
 
 
 def conservation_residuals(flux: FluxField, f: Callable) -> np.ndarray:
     """Per-cell residual (int_K f + sign * int_dK sigma.n) / |K|.
 
     With the Darcy sign baked into sigma this is the balance defect
-    (int f - int sigma.n)/|K|; the cell load reuses the assembly
-    quadrature so the discrete identity is reproduced exactly.
+    (int f - int sigma.n)/|K|; the cell load uses the assembly's rule on
+    the same fan quadrature, so the discrete identity is reproduced
+    exactly.
     """
     system = flux.system
     rhs_rule = triangle_rule(system.rhs_degree)
     erule = edge_rule(system.k + 1)
     out = np.zeros(system.mesh.num_cells)
-    for c, op in enumerate(system.elem_ops):
-        fan = op.fan
-        load = 0.0
-        for i in range(fan.n_edges):
-            pts, wts = map_to_triangle(rhs_rule, fan.triangle(i))
-            load += float(wts @ np.asarray(f(pts), dtype=float).reshape(len(pts)))
-        boundary = 0.0
-        for i in range(fan.n_edges):
-            a, b = fan.loop[i], fan.loop[(i + 1) % fan.n_edges]
-            pts, wts = map_to_edge(erule, a, b)
-            sn = flux.tri_values(c, i, pts) @ fan.normals[i]
-            boundary += float(wts @ sn)
-        out[c] = (load + flux.sign * boundary) / fan.area
+    for gi, grp in enumerate(system.groups):
+        pts, wts = grp.fan_quadrature(rhs_rule)
+        load = np.sum(wts * _at(f, pts), axis=(1, 2))
+        pts, wts = grp.edge_quadrature(erule)
+        sn = _normal_part(flux_values(grp, flux.coeffs[gi], pts), grp)
+        out[grp.cells] = (load + flux.sign * np.sum(wts * sn, axis=(1, 2))) \
+            / grp.areas.sum(axis=1)
     return out
 
 
@@ -255,32 +273,29 @@ def flux_jump_report(flux: FluxField) -> dict:
     system = flux.system
     mesh = system.mesh
     erule = edge_rule(system.k + 1)
-    worst = 0.0
-    worst_face = -1
-    for e in range(mesh.num_edges):
-        c0, c1 = mesh.edge_cells[e]
-        if c1 < 0:
-            continue
-        sides = []
-        for c in (c0, c1):
-            op = system.elem_ops[c]
-            i = int(np.flatnonzero(op.fan.edge_ids == e)[0])
-            sides.append((c, i))
-        a, b = mesh.vertices[mesh.edges[e, 0]], mesh.vertices[mesh.edges[e, 1]]
-        pts, wts = map_to_edge(erule, a, b)
-        t = (b - a) / np.linalg.norm(b - a)
-        n = np.array([t[1], -t[0]])
-        s0 = flux.tri_values(sides[0][0], sides[0][1], pts)
-        s1 = flux.tri_values(sides[1][0], sides[1][1], pts)
-        jump_n = (s0 - s1) @ n
-        psi = system.elem_ops[c0].face_bases[sides[0][1]].eval(pts)
-        moments = psi.T @ (jump_n * wts)
-        length = float(np.linalg.norm(b - a))
-        scale = max(float(np.abs(s0).max()), float(np.abs(s1).max()), 1e-30)
-        rel = float(np.abs(moments).max()) / (length * scale)
-        if rel > worst:
-            worst, worst_face = rel, e
-    return {"max_scaled_jump": worst, "face": worst_face}
+    ends = mesh.vertices[mesh.edges]
+    pts, wts = map_to_edge(erule, ends[:, 0], ends[:, 1])
+    # flux of edge_cells[e, 0] and of edge_cells[e, 1] at the points of e
+    sides = np.zeros((mesh.num_edges, 2) + pts.shape[1:])
+    for gi, grp in enumerate(system.groups):
+        side = (mesh.edge_cells[grp.edge_ids, 0] != grp.cells[:, None])
+        sides[grp.edge_ids, side.astype(np.intp)] = flux_values(
+            grp, flux.coeffs[gi], pts[grp.edge_ids])
+    inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
+    s0, s1 = sides[inner, 0], sides[inner, 1]
+    t = ends[inner, 1] - ends[inner, 0]
+    length = np.sqrt((t ** 2).sum(axis=1))
+    n = np.column_stack([t[:, 1], -t[:, 0]]) / length[:, None]
+    jump_n = np.einsum("eqx,ex->eq", s0 - s1, n)
+    moments = (jump_n * wts[inner]) @ face_monomials(erule.points - 0.5,
+                                                     system.k)
+    scale = np.maximum(np.maximum(np.abs(s0).max(axis=(1, 2)),
+                                  np.abs(s1).max(axis=(1, 2))), 1e-30)
+    rel = np.abs(moments).max(axis=1) / (length * scale)
+    if not len(rel) or rel.max() <= 0.0:
+        return {"max_scaled_jump": 0.0, "face": -1}
+    worst = int(np.argmax(rel))
+    return {"max_scaled_jump": float(rel[worst]), "face": int(inner[worst])}
 
 
 def flux_norms(flux: FluxField) -> tuple:
@@ -292,17 +307,14 @@ def flux_norms(flux: FluxField) -> tuple:
     vol_sq = 0.0
     face_sq = 0.0
     diam = cell_diameters(system.mesh)
-    for c, op in enumerate(system.elem_ops):
-        fan = op.fan
-        hK = diam[c]
-        for i in range(fan.n_edges):
-            pts, wts = map_to_triangle(vol_rule, fan.triangle(i))
-            sv = flux.tri_values(c, i, pts)
-            vol_sq += float(wts @ (sv ** 2).sum(axis=1))
-            a, b = fan.loop[i], fan.loop[(i + 1) % fan.n_edges]
-            epts, ewts = map_to_edge(erule, a, b)
-            sn = flux.tri_values(c, i, epts) @ fan.normals[i]
-            face_sq += hK * float(ewts @ sn ** 2)
+    for gi, grp in enumerate(system.groups):
+        pts, wts = grp.fan_quadrature(vol_rule)
+        sv = flux_values(grp, flux.coeffs[gi], pts)
+        vol_sq += float(np.sum(wts * (sv ** 2).sum(axis=-1)))
+        pts, wts = grp.edge_quadrature(erule)
+        sn = _normal_part(flux_values(grp, flux.coeffs[gi], pts), grp)
+        face_sq += float(np.sum(diam[grp.cells]
+                                * np.sum(wts * sn ** 2, axis=(1, 2))))
     return float(np.sqrt(vol_sq + face_sq)), float(np.sqrt(vol_sq))
 
 
@@ -312,26 +324,16 @@ def h1h_distance(system: GlobalSystem, dofs_a: np.ndarray,
     k = system.k
     vol_rule = triangle_rule(max(2 * k, 2))
     erule = edge_rule(min(k + 2, 6))
-    delta = SolutionField(system, np.asarray(dofs_a) - np.asarray(dofs_b))
+    delta = np.asarray(dofs_a) - np.asarray(dofs_b)
     total = 0.0
     diam = cell_diameters(system.mesh)
-    for c, op in enumerate(system.elem_ops):
-        fan = op.fan
-        hK = diam[c]
-        uc = delta.cell_coeffs(c)
-        face_sq = 0.0
-        for i in range(fan.n_edges):
-            pts, wts = map_to_triangle(vol_rule, fan.triangle(i))
-            g = np.einsum("pid,i->pd", op.cellb.grad(pts), uc)
-            total += float(wts @ (g ** 2).sum(axis=1))
-            a, b = fan.loop[i], fan.loop[(i + 1) % fan.n_edges]
-            epts, ewts = map_to_edge(erule, a, b)
-            dub = op.cellb.eval(epts) @ uc - delta.ub_values(c, i, epts)
-            psi = op.face_bases[i].eval(epts)
-            gram = psi.T @ (psi * ewts[:, None])
-            mom = psi.T @ (dub * ewts)
-            face_sq += float(mom @ np.linalg.solve(gram, mom))
-        total += face_sq / hK
+    for grp in system.groups:
+        uc, ub = _split(grp, delta)
+        pts, wts = grp.fan_quadrature(vol_rule)
+        g = np.einsum("gtqcx,gc->gtqx", grp.cell_basis(pts, grad=True), uc)
+        total += float(np.sum(wts * (g ** 2).sum(axis=-1)))
+        total += float(np.sum(_face_jump_sq(grp, uc, ub, erule)
+                              / diam[grp.cells]))
     return float(np.sqrt(total))
 
 
@@ -470,50 +472,41 @@ def write_vtk(path, solution: SolutionField, flux: FluxField | None = None) -> N
     """Legacy ASCII VTK of the fan triangulation.
 
     Points are duplicated per triangle so the discontinuous u_0 renders
-    faithfully as point data; the flux is one vector per triangle.
+    faithfully as point data; the flux is one vector per triangle, at its
+    centroid. Triangles are listed cell by cell.
     """
     system = solution.system
-    pts_lines = []
-    cell_lines = []
-    u0_lines = []
-    sig_lines = []
-    npts = 0
-    ntri = 0
-    for c, op in enumerate(system.elem_ops):
-        fan = op.fan
-        uc = solution.cell_coeffs(c)
-        for i in range(fan.n_edges):
-            tri = fan.triangle(i)
-            vals = op.cellb.eval(tri) @ uc
-            for p in range(3):
-                pts_lines.append(f"{tri[p, 0]:.10e} {tri[p, 1]:.10e} 0.0")
-                u0_lines.append(f"{vals[p]:.10e}")
-            cell_lines.append(f"3 {npts} {npts + 1} {npts + 2}")
-            npts += 3
-            if flux is not None:
-                centroid = tri.mean(axis=0)
-                sv = flux.tri_values(c, i, centroid[None, :])[0]
-                sig_lines.append(f"{sv[0]:.10e} {sv[1]:.10e} 0.0")
-            ntri += 1
+    sizes = np.zeros(system.mesh.num_cells, dtype=np.intp)
+    for grp in system.groups:
+        sizes[grp.cells] = grp.n_edges
+    first = np.cumsum(sizes) - sizes
+    ntri = int(sizes.sum())
+    corners = np.zeros((ntri, 3, 2))
+    u0 = np.zeros((ntri, 3))
+    sigma = np.zeros((ntri, 2))
+    for gi, grp in enumerate(system.groups):
+        slots = first[grp.cells, None] + np.arange(grp.n_edges)
+        tris = grp.triangles
+        corners[slots] = tris
+        u0[slots] = np.einsum("gtpc,gc->gtp", grp.cell_basis(tris),
+                              _split(grp, solution.dofs)[0])
+        if flux is not None:
+            sigma[slots] = flux_values(grp, flux.coeffs[gi],
+                                       grp.centroids[:, :, None])[:, :, 0]
 
-    lines = ["# vtk DataFile Version 2.0", "stagpoly solution", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {npts} double"]
-    lines += pts_lines
-    lines.append(f"CELLS {ntri} {4 * ntri}")
-    lines += cell_lines
-    lines.append(f"CELL_TYPES {ntri}")
-    lines += ["5"] * ntri
-    lines.append(f"POINT_DATA {npts}")
-    lines.append("SCALARS u0 double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines += u0_lines
-    if flux is not None:
-        lines.append(f"CELL_DATA {ntri}")
-        lines.append("VECTORS sigma double")
-        lines += sig_lines
-
-    text = "\n".join(lines) + "\n"
+    npts = 3 * ntri
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        fh.write("# vtk DataFile Version 2.0\nstagpoly solution\nASCII\n"
+                 f"DATASET UNSTRUCTURED_GRID\nPOINTS {npts} double\n")
+        np.savetxt(fh, corners.reshape(npts, 2), fmt="%.10e %.10e 0.0")
+        fh.write(f"CELLS {ntri} {4 * ntri}\n")
+        np.savetxt(fh, np.arange(npts).reshape(ntri, 3), fmt="3 %d %d %d")
+        fh.write(f"CELL_TYPES {ntri}\n" + "5\n" * ntri)
+        fh.write(f"POINT_DATA {npts}\nSCALARS u0 double 1\n"
+                 "LOOKUP_TABLE default\n")
+        np.savetxt(fh, u0.reshape(npts), fmt="%.10e")
+        if flux is not None:
+            fh.write(f"CELL_DATA {ntri}\nVECTORS sigma double\n")
+            np.savetxt(fh, sigma, fmt="%.10e %.10e 0.0")
     os.replace(tmp, str(path))

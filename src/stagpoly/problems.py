@@ -177,16 +177,15 @@ _REGISTRY = {
     "example1": example1,
     "example2": example2,
     "example3": example3,
-    "patch-linear": patch_linear,
     "patch_linear": patch_linear,
-    "patch-quadratic": patch_quadratic,
     "patch_quadratic": patch_quadratic,
 }
 
 
 def get_problem(name: str) -> Problem:
+    """Built-in problem by name; "-" and "_" are interchangeable."""
     try:
-        return _REGISTRY[name]()
+        return _REGISTRY[name.replace("-", "_")]()
     except KeyError:
         raise KeyError(f"unknown problem {name!r}; "
-                       f"choose from {sorted(set(_REGISTRY))}") from None
+                       f"choose from {sorted(_REGISTRY)}") from None

@@ -1,4 +1,4 @@
-"""Per-element operators of the weak Galerkin discretization.
+"""Element operators of the weak Galerkin discretization.
 
 For a cell fanned into triangles, the flux space is spanned by frame
 vectors (outward normal / tangent of each fan triangle's outer edge)
@@ -10,6 +10,13 @@ a pair (u_0, u_b) is the flux-space field G_w u with
 for every flux test field tau. In matrix form its coefficients are
 M^{-1} [D_b, D_0] u and the local stiffness is
 A_K = [D_b, D_0]^T M^{-1} [D_b, D_0].
+
+Cells with the same number of edges m share one array layout, so the
+operators of such a valence group are built and stored as stacks over its
+g cells (one ElementGroup per m). Local DoFs are [face DoFs | cell DoFs];
+flux coefficients are ordered (frame, fan triangle, monomial) with the
+normal frame first, and functions on distinct fan triangles have disjoint
+supports.
 """
 
 from __future__ import annotations
@@ -18,12 +25,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .polymesh import CellFan, PolyMesh, SubTriangulation
-from .quadbasis import (CellBasis, FaceBasis, FluxBasis, cell_basis, edge_rule,
-                        face_basis, flux_basis, map_to_edge, map_to_triangle,
-                        triangle_rule)
+from .polymesh import PolyMesh, SubTriangulation, fan_geometry, valence_groups
+from .quadbasis import (edge_rule, face_monomials, map_to_edge,
+                        map_to_triangle, monomials, triangle_rule)
 
 __all__ = [
     "CoefficientError",
@@ -32,16 +37,16 @@ __all__ = [
     "identity_coefficient",
     "scalar_coefficient",
     "matrix_coefficient",
-    "ElementOperator",
-    "element_operator",
-    "local_mass",
-    "local_db_d0",
-    "local_stiffness",
+    "DofMap",
+    "ElementGroup",
+    "element_groups",
+    "batched_cholesky",
+    "cho_solve_batched",
+    "flux_values",
     "weak_gradient_coeffs",
     "weak_divergence",
     "face_projection_Qb",
     "cell_mass",
-    "dump_element_operators",
 ]
 
 
@@ -129,154 +134,257 @@ def matrix_coefficient(fn, cellwise_constant: bool = False) -> CoefficientField:
 
 
 @dataclass(frozen=True)
-class ElementOperator:
-    """All local matrices of one cell, over [face DoFs | cell DoFs]."""
-    cell: int
+class DofMap:
+    """Global DoF layout: all face DoFs first (edge-major, k+1 each), then
+    all cell DoFs (cell-major, dim P_{k+1} each)."""
     k: int
-    fan: CellFan
-    fluxb: FluxBasis
-    cellb: CellBasis
-    face_bases: list
-    M: np.ndarray
-    Db: np.ndarray
-    D0: np.ndarray
-    A: np.ndarray
-    M_factor: tuple
+    num_faces: int
+    num_cells: int
+
+    @property
+    def face_block(self) -> int:
+        return self.k + 1
+
+    @property
+    def cell_block(self) -> int:
+        return (self.k + 2) * (self.k + 3) // 2
 
     @property
     def n_face_dofs(self) -> int:
-        return self.Db.shape[1]
+        return self.num_faces * self.face_block
 
     @property
-    def n_cell_dofs(self) -> int:
-        return self.D0.shape[1]
+    def total(self) -> int:
+        return self.n_face_dofs + self.num_cells * self.cell_block
 
-    def g_matrix(self):
-        return np.hstack([self.Db, self.D0])
+    def face_dofs(self, e):
+        """DoFs of edge(s) e, shape e.shape + (face_block,)."""
+        return np.asarray(e)[..., None] * self.face_block \
+            + np.arange(self.face_block)
+
+    def cell_dofs(self, c):
+        """DoFs of cell(s) c, shape c.shape + (cell_block,)."""
+        return self.n_face_dofs + np.asarray(c)[..., None] * self.cell_block \
+            + np.arange(self.cell_block)
 
 
-def local_mass(fluxb: FluxBasis, coeff: CoefficientField) -> np.ndarray:
-    """Gram matrix of the flux basis in the K^{-1}-weighted L2 product.
+@dataclass(frozen=True)
+class ElementGroup:
+    """Fan geometry and local operators of the g cells with m edges.
 
-    Block diagonal over fan triangles since supports are disjoint.
+    Geometry is stacked over the cells (rows) and their fan triangles:
+    triangle t of row r is (star[r], loop[r, t], loop[r, t+1]) with outer
+    edge edge_ids[r, t]; frames[r, t] holds its outward unit normal and CCW
+    unit tangent; orient[r, t] is +1 where the cell runs along the edge's
+    canonical direction and -1 otherwise. Flux monomials on triangle t are
+    centred at its centroid, cell monomials at the vertex average xbar[r],
+    both scaled by h[r] = sqrt(|K|). Operators have shapes M and its
+    lower Cholesky factor L (g, d, d), Db (g, d, m(k+1)), D0 (g, d, nc) and
+    A (g, n, n) with d = 2 m nm flux functions, nm = dim P_k and
+    n = m(k+1) + nc local DoFs; dofs (g, n) are their global indices.
     """
-    fan, k = fluxb.fan, fluxb.k
-    nedge, nm = fan.n_edges, fluxb.n_mono
-    dim = fluxb.dim
-    M = np.zeros((dim, dim))
-    deg = 2 * k if coeff.cellwise_constant else 2 * k + 2
-    rule = triangle_rule(max(deg, 0))
-    for i in range(nedge):
-        pts, wts = map_to_triangle(rule, fan.triangle(i))
-        mono = fluxb.mono_eval(i, pts)
-        if coeff.cellwise_constant:
-            Kinv = coeff.inv_at(fan.star[None, :])[0]
-            gram = mono.T @ (mono * wts[:, None])
-            frames = np.stack([fan.normals[i], fan.tangents[i]])
-            fprod = frames @ Kinv @ frames.T
-            for fa in range(2):
-                ia = fluxb.index(fa, i, 0)
-                for fb in range(2):
-                    ib = fluxb.index(fb, i, 0)
-                    M[ia:ia + nm, ib:ib + nm] += fprod[fa, fb] * gram
-        else:
-            Kinv = coeff.inv_at(pts)
-            frames = np.stack([fan.normals[i], fan.tangents[i]])
-            # cprod[q, fa, fb] = f_a . K^{-1}(x_q) f_b
-            cprod = np.einsum("ai,qij,bj->qab", frames, Kinv, frames)
-            for fa in range(2):
-                ia = fluxb.index(fa, i, 0)
-                for fb in range(2):
-                    ib = fluxb.index(fb, i, 0)
-                    w = wts * cprod[:, fa, fb]
-                    M[ia:ia + nm, ib:ib + nm] += mono.T @ (mono * w[:, None])
-    return M
+    k: int
+    cells: np.ndarray
+    star: np.ndarray
+    loop: np.ndarray
+    edge_ids: np.ndarray
+    orient: np.ndarray
+    frames: np.ndarray
+    lengths: np.ndarray
+    areas: np.ndarray
+    centroids: np.ndarray
+    xbar: np.ndarray
+    h: np.ndarray
+    M: np.ndarray
+    L: np.ndarray
+    Db: np.ndarray
+    D0: np.ndarray
+    A: np.ndarray
+    dofs: np.ndarray
+
+    @property
+    def n_edges(self) -> int:
+        return self.loop.shape[1]
+
+    @property
+    def n_mono(self) -> int:
+        return (self.k + 1) * (self.k + 2) // 2
+
+    @property
+    def n_face_dofs(self) -> int:
+        return self.Db.shape[2]
+
+    @property
+    def triangles(self):
+        """Fan triangle vertices (g, m, 3, 2)."""
+        return _fan_triangles(self.star, self.loop)
+
+    def fan_quadrature(self, rule):
+        """A reference triangle rule on every fan triangle: points
+        (g, m, q, 2) and weights (g, m, q)."""
+        return map_to_triangle(rule, self.triangles)
+
+    def edge_quadrature(self, rule):
+        """A reference edge rule on every outer edge in loop direction."""
+        return map_to_edge(rule, self.loop, np.roll(self.loop, -1, axis=1))
+
+    def face_basis(self, t):
+        """Face basis (g, m, len(t), k+1) at reference points t of every
+        outer edge in loop direction."""
+        return face_monomials(self.orient[..., None] * (np.asarray(t) - 0.5),
+                              self.k)
+
+    def cell_basis(self, pts, grad: bool = False):
+        """Cell basis P_{k+1} (scaled monomials about xbar) of each row at
+        points (g, ..., 2); see quadbasis.monomials."""
+        shape = (len(self.cells),) + (1,) * (np.ndim(pts) - 2)
+        return monomials(pts, self.xbar.reshape(shape + (2,)),
+                         self.h.reshape(shape), self.k + 1, grad)
 
 
-def local_db_d0(fluxb: FluxBasis, cellb: CellBasis, face_bases) -> tuple:
-    """Difference matrices.
+def _fan_triangles(star, loop):
+    star = np.broadcast_to(star[:, None, :], loop.shape)
+    return np.stack([star, loop, np.roll(loop, -1, axis=1)], axis=2)
 
-    D_b columns are flux moments of the face basis functions; D_0 columns
-    realize (grad phi_0, tau)_K - <phi_0, tau . n>_dK. Tangent-frame rows
-    of D_b vanish because tau . n does.
+
+def batched_cholesky(mats, cells, error, what: str):
+    """Lower Cholesky factors of a stack of matrices, one per cell.
+
+    Raises `error` naming the first cell whose matrix is not SPD.
     """
-    fan, k = fluxb.fan, fluxb.k
-    nedge, nm = fan.n_edges, fluxb.n_mono
-    nfd = k + 1
-    Db = np.zeros((fluxb.dim, nedge * nfd))
-    D0 = np.zeros((fluxb.dim, cellb.dim))
-    vol_rule = triangle_rule(max(2 * k, 0))
-    erule = edge_rule(k + 1)
-    for i in range(nedge):
-        a, b = fan.loop[i], fan.loop[(i + 1) % nedge]
-        epts, ewts = map_to_edge(erule, a, b)
-        mono_e = fluxb.mono_eval(i, epts)
-        psi = face_bases[i].eval(epts)
-        # normal-frame rows: tau . n = mono (n_i . n_i) = mono
-        ia = fluxb.index(0, i, 0)
-        Db[ia:ia + nm, i * nfd:(i + 1) * nfd] = mono_e.T @ (psi * ewts[:, None])
-        phi_e = cellb.eval(epts)
-        D0[ia:ia + nm, :] -= mono_e.T @ (phi_e * ewts[:, None])
-
-        pts, wts = map_to_triangle(vol_rule, fan.triangle(i))
-        mono = fluxb.mono_eval(i, pts)
-        gphi = cellb.grad(pts)
-        for frame in range(2):
-            vec = fluxb.frame_vector(frame, i)
-            gdotf = gphi @ vec
-            idx = fluxb.index(frame, i, 0)
-            D0[idx:idx + nm, :] += mono.T @ (gdotf * wts[:, None])
-    return Db, D0
-
-
-def local_stiffness(fluxb, cellb, face_bases, coeff) -> ElementOperator:
-    M = local_mass(fluxb, coeff)
-    Db, D0 = local_db_d0(fluxb, cellb, face_bases)
     try:
-        factor = cho_factor(M)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateElementError(
-            f"cell {fluxb.fan.cell}: singular flux mass matrix") from exc
-    G = np.hstack([Db, D0])
-    A = G.T @ cho_solve(factor, G)
-    A = 0.5 * (A + A.T)
-    return ElementOperator(cell=fluxb.fan.cell, k=fluxb.k, fan=fluxb.fan,
-                           fluxb=fluxb, cellb=cellb, face_bases=list(face_bases),
-                           M=M, Db=Db, D0=D0, A=A, M_factor=factor)
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        for c, mat in zip(cells, mats):
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError as exc:
+                raise error(f"cell {c}: {what}") from exc
+        raise
 
 
-def element_operator(mesh: PolyMesh, subtri: SubTriangulation, c: int, k: int,
-                     coeff: CoefficientField) -> ElementOperator:
-    fan = subtri.fans[c]
-    fluxb = flux_basis(fan, k)
-    cellb = cell_basis(fan, k)
-    fbs = [face_basis(mesh.vertices, mesh.edges[e], k) for e in fan.edge_ids]
-    return local_stiffness(fluxb, cellb, fbs, coeff)
+def cho_solve_batched(L, B):
+    """X with L L^T X = B for stacks L (g, n, n) and B (g, n, r)."""
+    return np.linalg.solve(np.swapaxes(L, 1, 2), np.linalg.solve(L, B))
 
 
-def weak_gradient_coeffs(op: ElementOperator, u_local) -> np.ndarray:
-    """Flux-basis coefficients of the weak gradient of [u_b | u_0]."""
-    u_local = np.asarray(u_local, dtype=float)
-    return cho_solve(op.M_factor, op.g_matrix() @ u_local)
+def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
+                   coeff: CoefficientField) -> list:
+    """One ElementGroup per cell valence, in ascending edge count.
+
+    M is the Gram matrix of the flux basis in the K^{-1}-weighted L2
+    product. D_b columns are flux moments of the face basis functions;
+    D_0 columns realize (grad phi_0, tau)_K - <phi_0, tau . n>_dK. Tangent
+    rows of D_b vanish because tau . n does. A cellwise-constant K is
+    sampled once per cell, at the star point.
+    """
+    dofmap = DofMap(k=k, num_faces=mesh.num_edges, num_cells=mesh.num_cells)
+    nm, nf, nc = (k + 1) * (k + 2) // 2, k + 1, dofmap.cell_block
+    groups = []
+    for cells, verts, edge_ids in valence_groups(mesh):
+        g, m = verts.shape
+        d = 2 * m * nm
+        slot = np.arange(m)
+        loop = mesh.vertices[verts]
+        star = subtri.star[cells]
+        areas, normals, tangents, lengths = fan_geometry(loop, star)
+        tris = _fan_triangles(star, loop)
+        cent = tris.mean(axis=2)
+        xbar = loop.mean(axis=1)
+        h = np.sqrt(areas.sum(axis=1))
+        frames = np.stack([normals, tangents], axis=2)
+        orient = np.where(mesh.edges[edge_ids, 0] == verts, 1.0, -1.0)
+        hq = h[:, None, None]
+
+        mass_rule = triangle_rule(2 * k if coeff.cellwise_constant
+                                  else 2 * k + 2)
+        pts, wts = map_to_triangle(mass_rule, tris)
+        mono = monomials(pts, cent[:, :, None], hq, k)
+        if coeff.cellwise_constant:
+            Kinv = coeff.inv_at(star)
+            fprod = np.einsum("gtai,gij,gtbj->gtab", frames, Kinv, frames)
+            gram = np.einsum("gtqa,gtqb->gtab", mono * wts[..., None], mono)
+            blocks = fprod[:, :, :, None, :, None] \
+                * gram[:, :, None, :, None, :]
+        else:
+            Kinv = coeff.inv_at(pts.reshape(-1, 2)).reshape(pts.shape + (2,))
+            cprod = np.einsum("gtai,gtqij,gtbj->gtqab", frames, Kinv, frames)
+            blocks = np.einsum("gtqa,gtqfh,gtqb->gtfahb", mono,
+                               cprod * wts[..., None, None], mono)
+        M = np.zeros((g, 2, m, nm, 2, m, nm))
+        M[:, :, slot, :, :, slot, :] = blocks.transpose(1, 0, 2, 3, 4, 5)
+        M = M.reshape(g, d, d)
+
+        erule = edge_rule(k + 1)
+        epts, ewts = map_to_edge(erule, loop, np.roll(loop, -1, axis=1))
+        emono = monomials(epts, cent[:, :, None], hq, k) * ewts[..., None]
+        psi = face_monomials(orient[..., None] * (erule.points - 0.5), k)
+        ephi = monomials(epts, xbar[:, None, None], hq, k + 1)
+        Db = np.zeros((g, 2, m, nm, m, nf))
+        Db[:, 0, slot, :, slot, :] = np.einsum("gtqa,gtqp->tgap", emono, psi)
+        D0 = np.zeros((g, 2, m, nm, nc))
+        D0[:, 0] -= np.einsum("gtqa,gtqc->gtac", emono, ephi)
+        pts, wts = map_to_triangle(triangle_rule(2 * k), tris)
+        mono = monomials(pts, cent[:, :, None], hq, k) * wts[..., None]
+        gphi = monomials(pts, xbar[:, None, None], hq, k + 1, grad=True)
+        D0 += np.einsum("gtqa,gtqcx,gtfx->gftac", mono, gphi, frames)
+        Db, D0 = Db.reshape(g, d, m * nf), D0.reshape(g, d, nc)
+
+        L = batched_cholesky(M, cells, DegenerateElementError,
+                             "singular flux mass matrix")
+        Y = np.linalg.solve(L, np.concatenate([Db, D0], axis=2))
+        A = np.swapaxes(Y, 1, 2) @ Y
+        A = 0.5 * (A + np.swapaxes(A, 1, 2))
+        dofs = np.concatenate([dofmap.face_dofs(edge_ids).reshape(g, -1),
+                               dofmap.cell_dofs(cells)], axis=1)
+        groups.append(ElementGroup(
+            k=k, cells=cells, star=star, loop=loop, edge_ids=edge_ids,
+            orient=orient, frames=frames, lengths=lengths, areas=areas,
+            centroids=cent, xbar=xbar, h=h, M=M, L=L, Db=Db, D0=D0, A=A,
+            dofs=dofs))
+    return groups
 
 
-def cell_mass(cellb: CellBasis, fan: CellFan) -> np.ndarray:
-    """Gram matrix of the cell basis integrated over the fan."""
-    rule = triangle_rule(min(2 * cellb.degree, 10))
-    G = np.zeros((cellb.dim, cellb.dim))
-    for i in range(fan.n_edges):
-        pts, wts = map_to_triangle(rule, fan.triangle(i))
-        phi = cellb.eval(pts)
-        G += phi.T @ (phi * wts[:, None])
-    return G
+def flux_values(group: ElementGroup, coeffs, pts, rows=None, tris=None):
+    """Flux field with coefficients coeffs (g, d) at points on fan triangles.
+
+    pts (..., q, 2) lie on fan triangle tris of group row rows; rows and
+    tris broadcast to pts.shape[:-2]. By default they cover every row and
+    triangle, pts (g, m, q, 2). Returns (..., q, 2).
+    """
+    if rows is None:
+        rows, tris = np.ix_(np.arange(len(group.cells)),
+                            np.arange(group.n_edges))
+    coeffs = np.asarray(coeffs, dtype=float).reshape(
+        len(group.cells), 2, group.n_edges, group.n_mono)[rows, :, tris]
+    mono = monomials(pts, group.centroids[rows, tris][..., None, :],
+                     np.asarray(group.h[rows])[..., None], group.k)
+    return np.einsum("...qa,...fa->...qf", mono, coeffs) \
+        @ group.frames[rows, tris]
 
 
-def weak_divergence(op: ElementOperator, s) -> tuple:
-    """Weak divergence of the flux field with coefficients s.
+def weak_gradient_coeffs(group: ElementGroup, u_local) -> np.ndarray:
+    """Flux coefficients (g, d) of the weak gradients of rows u_local (g, n)
+    = [u_b | u_0]."""
+    u = np.asarray(u_local, dtype=float)[..., None]
+    nfl = group.n_face_dofs
+    Gu = group.Db @ u[:, :nfl] + group.D0 @ u[:, nfl:]
+    return cho_solve_batched(group.L, Gu)[..., 0]
 
-    Returns (cell part coefficients in the cell basis, list of per-face
-    coefficient vectors of -h_F^{-1} (sigma . n) in each face basis).
-    The cell part is defined by
+
+def cell_mass(group: ElementGroup) -> np.ndarray:
+    """Gram matrices (g, nc, nc) of the cell bases integrated over the fans."""
+    pts, wts = group.fan_quadrature(triangle_rule(min(2 * (group.k + 1), 10)))
+    phi = group.cell_basis(pts)
+    return np.einsum("gtqa,gtqb->gab", phi * wts[..., None], phi)
+
+
+def weak_divergence(group: ElementGroup, s) -> tuple:
+    """Weak divergence of the flux fields with coefficients s (g, d).
+
+    Returns the cell part in the cell basis (g, nc) and the coefficients
+    of -h_F^{-1} (sigma . n) in the face basis of each outer edge
+    (g, m, k+1). The cell part is defined by
 
         (div_w sigma, w)_K = sum_T (div sigma, w)_T - sum_spokes <[sigma . n], w>
 
@@ -284,87 +392,51 @@ def weak_divergence(op: ElementOperator, s) -> tuple:
     triangle T_i into T_{i-1}.
     """
     s = np.asarray(s, dtype=float)
-    fan, fluxb, cellb = op.fan, op.fluxb, op.cellb
-    k, nm, nedge = op.k, fluxb.n_mono, fan.n_edges
-    rhs = np.zeros(cellb.dim)
-    vol_rule = triangle_rule(min(2 * (k + 1), 10))
-    for i in range(nedge):
-        pts, wts = map_to_triangle(vol_rule, fan.triangle(i))
-        phi = cellb.eval(pts)
-        mgrad = fluxb.mono_grad(i, pts)
-        div = np.zeros(len(pts))
-        for frame in range(2):
-            vec = fluxb.frame_vector(frame, i)
-            idx = fluxb.index(frame, i, 0)
-            div += (mgrad @ vec) @ s[idx:idx + nm]
-        rhs += phi.T @ (div * wts)
+    k, g, m = group.k, len(group.cells), group.n_edges
+    pts, wts = group.fan_quadrature(triangle_rule(min(2 * (k + 1), 10)))
+    mgrad = monomials(pts, group.centroids[:, :, None], group.h[:, None, None],
+                      k, grad=True)
+    div = np.einsum("gtqax,gtfx,gfta->gtq", mgrad, group.frames,
+                    s.reshape(g, 2, m, group.n_mono))
+    rhs = np.einsum("gtqc,gtq->gc", group.cell_basis(pts), div * wts)
 
-    erule = edge_rule(k + 2)
-    for i in range(nedge):
-        # spoke i runs from the star point to loop vertex i, shared by
-        # triangles T_{i-1} and T_i; its normal points from T_i into T_{i-1}
-        prev = (i - 1) % nedge
-        a, b = fan.star, fan.loop[i]
-        d = b - a
-        ne = np.array([d[1], -d[0]]) / np.linalg.norm(d)
-        epts, ewts = map_to_edge(erule, a, b)
-        phi = cellb.eval(epts)
-        sig_i = _flux_values(fluxb, s, i, epts)
-        sig_prev = _flux_values(fluxb, s, prev, epts)
-        jump = (sig_i - sig_prev) @ ne
-        rhs -= phi.T @ (jump * ewts)
+    # spoke i runs from the star point to loop vertex i, shared by
+    # triangles T_{i-1} and T_i; its normal points from T_i into T_{i-1}
+    srule = edge_rule(k + 2)
+    spts, swts = map_to_edge(srule, group.star[:, None, :], group.loop)
+    dvec = group.loop - group.star[:, None, :]
+    ne = np.stack([dvec[..., 1], -dvec[..., 0]], axis=-1) \
+        / np.sqrt((dvec ** 2).sum(axis=-1))[..., None]
+    rows, tris = np.ix_(np.arange(g), np.arange(m))
+    jump = flux_values(group, s, spts) \
+        - flux_values(group, s, spts, rows, (tris - 1) % m)
+    jump = np.einsum("gtqx,gtx->gtq", jump, ne)
+    rhs -= np.einsum("gtqc,gtq->gc", group.cell_basis(spts), jump * swts)
+    cell_part = np.linalg.solve(cell_mass(group), rhs[..., None])[..., 0]
 
-    cell_part = np.linalg.solve(cell_mass(cellb, fan), rhs)
-
-    face_parts = []
-    ferule = edge_rule(k + 1)
-    for i in range(nedge):
-        a, b = fan.loop[i], fan.loop[(i + 1) % nedge]
-        epts, ewts = map_to_edge(ferule, a, b)
-        sig_n = _flux_values(fluxb, s, i, epts) @ fan.normals[i]
-        psi = op.face_bases[i].eval(epts)
-        gram = psi.T @ (psi * ewts[:, None])
-        mom = psi.T @ (-sig_n / fan.lengths[i] * ewts)
-        face_parts.append(np.linalg.solve(gram, mom))
-    return cell_part, face_parts
+    frule = edge_rule(k + 1)
+    fpts, fwts = group.edge_quadrature(frule)
+    sig_n = np.einsum("gtqx,gtx->gtq", flux_values(group, s, fpts),
+                      group.frames[:, :, 0])
+    psi = group.face_basis(frule.points)
+    gram = np.einsum("gtqa,gtqb->gtab", psi * fwts[..., None], psi)
+    mom = np.einsum("gtqa,gtq->gta", psi,
+                    -sig_n / group.lengths[..., None] * fwts)
+    return cell_part, np.linalg.solve(gram, mom[..., None])[..., 0]
 
 
-def _flux_values(fluxb: FluxBasis, s, tri: int, points):
-    """sigma(x) on fan triangle `tri` at given points, shape (npts, 2)."""
-    mono = fluxb.mono_eval(tri, points)
-    nm = fluxb.n_mono
-    out = np.zeros((len(mono), 2))
-    for frame in range(2):
-        idx = fluxb.index(frame, tri, 0)
-        out += np.outer(mono @ s[idx:idx + nm], fluxb.frame_vector(frame, tri))
-    return out
-
-
-def face_projection_Qb(fbasis: FaceBasis, trace, npoints: int = 6) -> np.ndarray:
+def face_projection_Qb(a, b, k: int, trace, npoints: int = 6) -> np.ndarray:
     """L2 projection of a trace function onto the face polynomial space.
 
-    `trace` is a callable on (n, 2) point arrays. For degree 0 this is the
-    face average.
+    a, b (..., 2) are the end points of edges in canonical direction;
+    `trace` is a callable on (n, 2) point arrays. Returns coefficients
+    (..., k+1). For degree 0 this is the face average.
     """
     rule = edge_rule(npoints)
-    a = fbasis.midpoint - 0.5 * fbasis.length * fbasis.direction
-    b = fbasis.midpoint + 0.5 * fbasis.length * fbasis.direction
-    pts, wts = map_to_edge(rule, a, b)
-    psi = fbasis.eval(pts)
-    vals = np.asarray(trace(pts), dtype=float).reshape(len(pts))
-    gram = psi.T @ (psi * wts[:, None])
-    return np.linalg.solve(gram, psi.T @ (vals * wts))
-
-
-def dump_element_operators(mesh, subtri, k, coeff, path) -> None:
-    """Plain-text dump of per-cell M, D_b, D_0, A_K for cross-checking."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in range(mesh.num_cells):
-            op = element_operator(mesh, subtri, c, k, coeff)
-            fh.write(f"cell {c}\n")
-            for name, mat in (("M", op.M), ("Db", op.Db), ("D0", op.D0),
-                              ("A", op.A)):
-                fh.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n")
-                for row in mat:
-                    fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
-            fh.write("\n")
+    pts, _ = map_to_edge(rule, a, b)
+    vals = np.asarray(trace(pts.reshape(-1, 2)), dtype=float).reshape(
+        pts.shape[:-1])
+    # the edge length scales the Gram matrix and the moments alike
+    psi = face_monomials(rule.points - 0.5, k)
+    gram = psi.T @ (psi * rule.weights[:, None])
+    return (vals * rule.weights) @ psi @ np.linalg.inv(gram)

@@ -35,7 +35,8 @@ from stagpoly.problems import (
     patch_linear,
     patch_quadratic,
 )
-from stagpoly.quadbasis import edge_rule, map_to_edge, map_to_triangle, triangle_rule
+from stagpoly.quadbasis import (edge_rule, map_to_edge, map_to_triangle,
+                                monomials, triangle_rule)
 from stagpoly.solver import solve_system
 from stagpoly.weakgrad import cell_mass, weak_divergence, weak_gradient_coeffs
 
@@ -198,47 +199,48 @@ def test_criterion_5_linear_reproduction(mesh_families):
     assert worst <= 1e-10
 
 
-def identity_residual(op, u):
-    """Defining-identity gap of the weak gradient, by quadrature."""
-    fan = op.fan
+def identity_residual(grp, r, fan, u):
+    """Defining-identity gap of the weak gradient, by quadrature, for row r
+    of element group grp (cell fan `fan`, k = 0)."""
+    m = fan.n_edges
     vol = triangle_rule(4)
     eru = edge_rule(4)
-    s = weak_gradient_coeffs(op, u)
-    lhs = op.M @ s
-    rhs = np.zeros(op.fluxb.dim)
-    ub, u0 = u[:fan.n_edges], u[fan.n_edges:]
-    for i in range(fan.n_edges):
+    U = np.zeros((len(grp.cells), len(u)))
+    U[r] = u
+    s = weak_gradient_coeffs(grp, U)[r]
+    lhs = grp.M[r] @ s
+    rhs = np.zeros(2 * m)
+    ub, u0 = u[:m], u[m:]
+    for i in range(m):
         pts, wts = map_to_triangle(vol, fan.triangle(i))
-        gphi = np.einsum("pid,i->pd", op.cellb.grad(pts), u0)
-        mono = op.fluxb.mono_eval(i, pts)
-        a, b = fan.loop[i], fan.loop[(i + 1) % fan.n_edges]
+        gphi = np.einsum("pid,i->pd",
+                         monomials(pts, fan.xbar, fan.h, 1, grad=True), u0)
+        a, b = fan.loop[i], fan.loop[(i + 1) % m]
         epts, ewts = map_to_edge(eru, a, b)
-        trace = ub[i] - op.cellb.eval(epts) @ u0
-        emono = op.fluxb.mono_eval(i, epts)
-        for frame in range(2):
-            j = op.fluxb.index(frame, i, 0)
-            zeta = op.fluxb.frame_vector(frame, i)
-            zn = zeta @ fan.normals[i]
-            rhs[j] += wts @ (mono[:, 0] * (gphi @ zeta))
-            rhs[j] += ewts @ (emono[:, 0] * trace * zn)
+        trace = ub[i] - monomials(epts, fan.xbar, fan.h, 1) @ u0
+        for frame, zeta in enumerate((fan.normals[i], fan.tangents[i])):
+            j = frame * m + i  # the constant on triangle i
+            rhs[j] += wts @ (gphi @ zeta)
+            rhs[j] += ewts @ (trace * (zeta @ fan.normals[i]))
     return float(np.abs(lhs - rhs).max())
 
 
-def adjointness_residual(op, u, s):
-    """Duality gap between the weak gradient and weak divergence."""
-    fan = op.fan
-    Mc = cell_mass(op.cellb, fan)
+def adjointness_residual(grp, r, fan, u, s):
+    """Duality gap between the weak gradient and weak divergence (k = 0)."""
+    m = fan.n_edges
+    U = np.zeros((len(grp.cells), len(u)))
+    S = np.zeros((len(grp.cells), len(s)))
+    U[r], S[r] = u, s
+    w = weak_gradient_coeffs(grp, U)[r]
+    lhs = w @ (grp.M[r] @ s)
+    cell_part, face_parts = weak_divergence(grp, S)
+    rhs = cell_part[r] @ (cell_mass(grp)[r] @ u[m:])
     eru = edge_rule(3)
-    w = weak_gradient_coeffs(op, u)
-    lhs = w @ (op.M @ s)
-    cell_part, face_parts = weak_divergence(op, s)
-    rhs = cell_part @ (Mc @ u[fan.n_edges:])
-    for i in range(fan.n_edges):
-        a, b = fan.loop[i], fan.loop[(i + 1) % fan.n_edges]
-        epts, ewts = map_to_edge(eru, a, b)
-        psi = op.face_bases[i].eval(epts)
-        gram = psi.T @ (psi * ewts[:, None])
-        rhs += fan.lengths[i] * (u[i] * (gram @ face_parts[i])[0])
+    for i in range(m):
+        a, b = fan.loop[i], fan.loop[(i + 1) % m]
+        _, ewts = map_to_edge(eru, a, b)
+        gram = ewts.sum()  # the k = 0 face basis is 1
+        rhs += fan.lengths[i] * (u[i] * gram * face_parts[r, i, 0])
     return abs(lhs + rhs)
 
 
@@ -252,12 +254,12 @@ def test_criterion_6_structural_invariants(mesh_families):
         prob = problems[name]
         system, sol, _ = solve_problem(prob, mesh, method="direct")
 
-        for op in system.elem_ops:
-            assert np.array_equal(op.A, op.A.T), name
-            w = np.linalg.eigvalsh(op.A)
-            scale = w[-1]
-            assert w[0] > -1e-12 * scale, (name, "cell matrix indefinite")
-            assert w[1] > 1e-8 * scale, (name, "cell kernel too large")
+        for grp in system.groups:
+            assert np.array_equal(grp.A, np.swapaxes(grp.A, 1, 2)), name
+            for w in np.linalg.eigvalsh(grp.A):
+                scale = w[-1]
+                assert w[0] > -1e-12 * scale, (name, "cell matrix indefinite")
+                assert w[1] > 1e-8 * scale, (name, "cell kernel too large")
 
         dm = system.dofmap
         const = np.zeros(dm.total)
@@ -272,12 +274,12 @@ def test_criterion_6_structural_invariants(mesh_families):
 
         cells = RNG.integers(0, mesh.num_cells, size=20)
         for c in cells:
-            op = system.elem_ops[c]
-            ndof = op.fan.n_edges + op.cellb.dim
-            u = RNG.standard_normal(ndof)
-            s = RNG.standard_normal(op.fluxb.dim)
-            id_max = max(id_max, identity_residual(op, u))
-            adj_max = max(adj_max, adjointness_residual(op, u, s))
+            gi, r = system.locate(c)
+            grp, fan = system.groups[gi], system.subtri.fans[c]
+            u = RNG.standard_normal(fan.n_edges + 3)
+            s = RNG.standard_normal(2 * fan.n_edges)
+            id_max = max(id_max, identity_residual(grp, r, fan, u))
+            adj_max = max(adj_max, adjointness_residual(grp, r, fan, u, s))
 
         jump = flux_jump_report(recover_flux(sol))["max_scaled_jump"]
         jump_max = max(jump_max, jump)

@@ -16,6 +16,7 @@ from stagpoly.assembly import (
 )
 from stagpoly.problems import example1, example3, patch_linear
 from stagpoly.solver import solve_system
+from stagpoly.weakgrad import matrix_coefficient
 
 from conftest import subtriangulate
 
@@ -48,6 +49,14 @@ def test_dofmap_k1_counts(tri4):
     assert dm.face_block == 2
     assert dm.cell_block == 6
     assert dm.total == 2 * 56 + 6 * 32
+
+
+def test_dofmap_degree_range(tri4):
+    # the load rule of degree 2(k+1) must exist: k = 4 is the last degree
+    assert build_dof_map(tri4, 4).face_block == 5
+    for k in (-1, 5):
+        with pytest.raises(AssemblyError, match="0..4"):
+            build_dof_map(tri4, k)
 
 
 def test_dofmap_blocks_disjoint(squares4):
@@ -163,6 +172,32 @@ def test_neumann_loads_enter_rhs(squares4):
     others = np.setdiff1d(np.arange(dm.n_face_dofs), top)
     assert np.allclose(system.b_full[others], 0.0)
     assert set(top) <= set(groups[4])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_pointwise_constant_K_matches_cellwise(voronoi64, voronoi64_sub, k):
+    # the pointwise-K mass matrix of every valence group agrees with the
+    # star-point sample when K is constant
+    def K(pts):
+        return np.tile([[2.0, 0.5], [0.5, 1.0]], (len(pts), 1, 1))
+    bc = BoundarySpec.dirichlet_everywhere(zero)
+    A = [assemble_system(voronoi64, voronoi64_sub, k,
+                         matrix_coefficient(K, cellwise_constant=cw),
+                         zero, bc).A_full for cw in (False, True)]
+    assert len({len(c) for c in voronoi64.cells}) >= 4
+    assert abs(A[0] - A[1]).max() <= 1e-13 * abs(A[1]).max()
+
+
+def test_reduced_system_built_on_demand(tri4):
+    system = build(example1(), tri4)
+    assert "A" not in vars(system) and "b" not in vars(system)
+    solve_system(system, method="direct", condense=True)
+    assert "A" not in vars(system) and "b" not in vars(system)
+    free, fixed = system.free, system.fixed_dofs
+    expected = system.b_full[free] \
+        - system.A_full.toarray()[np.ix_(free, fixed)] @ system.fixed_values
+    assert np.allclose(system.b, expected, atol=1e-13)
+    assert system.A is system.A
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,17 @@ def test_solve_unknown_problem(tmp_path, capsys):
     assert "unknown problem" in err
 
 
+def test_solve_degree_out_of_range(tmp_path, capsys):
+    code, _, err = run(capsys, "solve", "--triangles", "2", "-k", "5",
+                       "--outdir", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "0..4" in err
+    code, out, _ = run(capsys, "solve", "--triangles", "2", "-k", "4",
+                       "--outdir", str(tmp_path / "o"), "--no-timestamp")
+    assert code == 0
+    assert "k = 4" in out
+
+
 def test_solve_cg_path(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--problem", "patch-linear",
                        "--triangles", "4", "--method", "cg",
@@ -105,6 +116,12 @@ def test_convergence_csv_deterministic(tmp_path, capsys):
     assert lines[1].endswith(",")  # first level has no rate
     rate = float(lines[2].split(",")[-1])
     assert 1.8 < rate < 2.2
+
+
+def test_convergence_degree_out_of_range(capsys):
+    code, _, err = run(capsys, "convergence", "--levels", "2,4", "-k", "5")
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "0..4" in err
 
 
 def test_convergence_compare_paper(capsys):

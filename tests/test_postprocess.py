@@ -46,9 +46,10 @@ def test_solution_field_length_check(tri4):
 def test_local_vector_layout(tri4):
     sol = solved(example1(), tri4)
     loc = sol.local_vector(0)
-    op = sol.system.elem_ops[0]
-    assert len(loc) == op.fan.n_edges * (sol.system.k + 1) + op.cellb.dim
+    fan = sol.system.subtri.fans[0]
+    assert len(loc) == fan.n_edges * (sol.system.k + 1) + 3
     assert np.array_equal(loc[-3:], sol.cell_coeffs(0))
+    assert np.array_equal(loc[:3], sol.dofs[fan.edge_ids])
 
 
 def test_patch_flux_is_constant(mesh_families):
@@ -57,7 +58,7 @@ def test_patch_flux_is_constant(mesh_families):
         sol = solved(prob, mesh)
         flux = recover_flux(sol)
         for c in range(mesh.num_cells):
-            pts = sol.system.elem_ops[c].fan.xbar[None, :]
+            pts = sol.system.subtri.fans[c].xbar[None, :]
             vals = flux.cell_values(c, pts)
             assert np.abs(vals - [2.0, -3.0]).max() < 1e-10, name
 
@@ -66,8 +67,15 @@ def test_flux_sign_flips_values(tri4):
     sol = solved(example1(), tri4)
     plus = recover_flux(sol, sign=1)
     minus = recover_flux(sol, sign=-1)
-    pts = sol.system.elem_ops[0].fan.xbar[None, :]
+    pts = sol.system.subtri.fans[0].xbar[None, :]
     assert np.allclose(plus.cell_values(0, pts), -minus.cell_values(0, pts))
+
+
+def test_cell_values_outside_cell_raises(tri4):
+    flux = recover_flux(solved(example1(), tri4))
+    inside = tri4.cell_vertices(0).mean(axis=0)
+    with pytest.raises(PostprocessError, match="outside cell 0"):
+        flux.cell_values(0, np.array([inside, [0.9, 0.9]]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +125,8 @@ def test_flux_norm_ordering(mesh_families):
         prob = example1()
         system = assemble_system(mesh, sub, 0, prob.coeff, prob.f, prob.bc)
         for trial in range(10):
-            coeffs = [RNG.standard_normal(op.fluxb.dim)
-                      for op in system.elem_ops]
+            coeffs = [RNG.standard_normal(grp.M.shape[:2])
+                      for grp in system.groups]
             flux = FluxField(system=system, coeffs=coeffs)
             n0h, nl2 = flux_norms(flux)
             assert n0h >= nl2 > 0
@@ -136,7 +144,7 @@ def test_random_flux_jump_large(tri4):
     prob = example1()
     sub = subtriangulate(tri4)
     system = assemble_system(tri4, sub, 0, prob.coeff, prob.f, prob.bc)
-    coeffs = [RNG.standard_normal(op.fluxb.dim) for op in system.elem_ops]
+    coeffs = [RNG.standard_normal(grp.M.shape[:2]) for grp in system.groups]
     report = flux_jump_report(FluxField(system=system, coeffs=coeffs))
     assert report["max_scaled_jump"] > 1e-3
 
@@ -156,7 +164,7 @@ def test_conservation_detects_wrong_flux(squares4):
     prob = example1()
     sol = solved(prob, squares4)
     flux = recover_flux(sol)
-    flux.coeffs = [c + RNG.standard_normal(len(c)) for c in flux.coeffs]
+    flux.coeffs = [c + RNG.standard_normal(c.shape) for c in flux.coeffs]
     resid = conservation_residuals(flux, prob.f)
     assert np.abs(resid).max() > 1e-3
 
@@ -205,6 +213,15 @@ def test_convergence_study_example1():
     assert 0.9 < row.rates["e_sigma_L2"] < 1.1
     assert 1.9 < row.rates["e_L2"] < 2.1
     assert report.rows[0].h == 0.25
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_convergence_rates_high_order(k):
+    meshes = [gen_uniform_triangles(n) for n in (4, 8, 16)]
+    report = convergence_study(example1(), meshes, k=k)
+    rates = report.rows[-1].rates
+    assert rates["e_sigma_L2"] >= k + 1 - 0.1
+    assert rates["e_L2"] >= k + 2 - 0.2
 
 
 def test_convergence_study_needs_meshes():

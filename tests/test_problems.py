@@ -30,8 +30,11 @@ def test_registry_aliases():
 
 
 def test_registry_unknown():
-    with pytest.raises(KeyError, match="unknown problem"):
+    with pytest.raises(KeyError, match="unknown problem") as info:
         get_problem("example99")
+    listed = str(info.value).split("choose from ")[1]
+    assert listed.count("patch_linear") == 1
+    assert "patch-linear" not in listed
 
 
 @pytest.mark.parametrize("make", [example1, example2, patch_linear,

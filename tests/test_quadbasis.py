@@ -7,17 +7,21 @@ from hypothesis import strategies as st
 
 from stagpoly.quadbasis import (
     QuadratureError,
-    cell_basis,
     edge_rule,
-    face_basis,
-    flux_basis,
+    face_monomials,
     map_to_edge,
     map_to_triangle,
     monomial_exponents,
+    monomials,
     triangle_rule,
 )
+from stagpoly.weakgrad import cell_mass, element_groups, identity_coefficient
 
 from conftest import make_single_cell, subtriangulate
+
+
+def groups_of(mesh, k):
+    return element_groups(mesh, subtriangulate(mesh), k, identity_coefficient())
 
 
 def ref_triangle_integral(a, b):
@@ -116,25 +120,41 @@ def test_map_to_edge_measures_length():
     assert wts @ f == pytest.approx(exact, abs=1e-13)
 
 
+def test_mapped_rules_batch():
+    # a stack of shapes maps like each member on its own
+    rng = np.random.default_rng(3)
+    tris = rng.random((4, 2, 3, 2))
+    pts, wts = map_to_triangle(triangle_rule(4), tris)
+    q = len(triangle_rule(4).weights)
+    assert pts.shape == (4, 2, q, 2) and wts.shape == (4, 2, q)
+    p1, w1 = map_to_triangle(triangle_rule(4), tris[2, 1])
+    assert np.array_equal(pts[2, 1], p1) and np.array_equal(wts[2, 1], w1)
+    a, b = rng.random((5, 2)), rng.random((5, 2))
+    pts, wts = map_to_edge(edge_rule(3), a, b)
+    p1, w1 = map_to_edge(edge_rule(3), a[4], b[4])
+    assert np.array_equal(pts[4], p1) and np.allclose(wts[4], w1, rtol=1e-15)
+
+
 def test_monomial_exponents_graded_lex():
     assert monomial_exponents(2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 # ---------------------------------------------------------------------------
-# cell basis
+# cell basis: scaled monomials of degree k+1 about the vertex average
 
 def test_cell_basis_k0_ordering(unit_square_cell):
     fan = subtriangulate(unit_square_cell).fans[0]
-    cb = cell_basis(fan, 0)
-    assert cb.dim == 3
-    assert np.allclose(cb.eval(fan.xbar[None, :])[0], [1.0, 0.0, 0.0])
-    vals = cb.eval(np.array([[1.0, 0.5]]))[0]
+    vals = monomials(fan.xbar[None, :], fan.xbar, fan.h, 1)
+    assert vals.shape == (1, 3)
+    assert np.allclose(vals[0], [1.0, 0.0, 0.0])
+    vals = monomials(np.array([[1.0, 0.5]]), fan.xbar, fan.h, 1)[0]
     assert np.allclose(vals, [1.0, 0.5, 0.0])
 
 
 def test_cell_basis_k1_dim(unit_square_cell):
-    fan = subtriangulate(unit_square_cell).fans[0]
-    assert cell_basis(fan, 1).dim == 6
+    [grp] = groups_of(unit_square_cell, 1)
+    assert grp.cell_basis(grp.loop).shape == (1, 4, 6)
+    assert grp.D0.shape[2] == 6
 
 
 @settings(max_examples=25, deadline=None)
@@ -142,101 +162,106 @@ def test_cell_basis_k1_dim(unit_square_cell):
                 min_size=5, max_size=5))
 def test_cell_basis_first_component_one(pentagon_cell, pts):
     fan = subtriangulate(pentagon_cell).fans[0]
-    cb = cell_basis(fan, 0)
-    vals = cb.eval(np.asarray(pts, dtype=float))
+    vals = monomials(np.asarray(pts, dtype=float), fan.xbar, fan.h, 1)
     assert np.allclose(vals[:, 0], 1.0)
 
 
 def test_cell_basis_gradient_matches_fd(pentagon_cell):
     fan = subtriangulate(pentagon_cell).fans[0]
-    cb = cell_basis(fan, 1)
     x = np.array([[0.3, -0.2]])
-    g = cb.grad(x)[0]
+    g = monomials(x, fan.xbar, fan.h, 2, grad=True)[0]
     eps = 1e-6
     for d, e in ((0, np.array([[eps, 0.0]])), (1, np.array([[0.0, eps]]))):
-        fd = (cb.eval(x + e)[0] - cb.eval(x - e)[0]) / (2 * eps)
+        fd = (monomials(x + e, fan.xbar, fan.h, 2)[0]
+              - monomials(x - e, fan.xbar, fan.h, 2)[0]) / (2 * eps)
         assert np.allclose(g[:, d], fd, atol=1e-8)
 
 
 def test_cell_basis_gram_conditioning(mesh_families):
-    from stagpoly.weakgrad import cell_mass
     for mesh in mesh_families.values():
-        sub = subtriangulate(mesh)
-        for fan in sub.fans:
-            G = cell_mass(cell_basis(fan, 0), fan)
-            assert np.linalg.cond(G) < 1e3
+        for grp in groups_of(mesh, 0):
+            assert np.linalg.cond(cell_mass(grp)).max() < 1e3
 
 
 # ---------------------------------------------------------------------------
-# face basis
+# face basis: monomials in the centered arclength parameter
 
-def test_face_basis_k0_constant(tri4):
-    fb = face_basis(tri4.vertices, tri4.edges[0], 0)
-    assert fb.dim == 1
-    pts = np.linspace(0, 1, 5)[:, None] * (tri4.vertices[tri4.edges[0, 1]]
-                                           - tri4.vertices[tri4.edges[0, 0]]) \
-        + tri4.vertices[tri4.edges[0, 0]]
-    assert np.allclose(fb.eval(pts), 1.0)
+def test_face_basis_k0_constant():
+    s = np.linspace(-0.5, 0.5, 5)
+    assert face_monomials(s, 0).shape == (5, 1)
+    assert np.allclose(face_monomials(s, 0), 1.0)
 
 
 def test_face_basis_param_endpoints(tri4):
-    e = tri4.edges[0]
-    fb = face_basis(tri4.vertices, e, 1)
-    assert fb.dim == 2
-    ends = tri4.vertices[e]
-    s = fb.param(ends)
-    assert np.allclose(np.sort(s), [-0.5, 0.5], atol=1e-13)
+    # both cells of an edge see the same parameter at the same point: -1/2
+    # at the edge's lower vertex id, +1/2 at the higher one
+    [grp] = groups_of(tri4, 1)
+    assert grp.face_basis([0.0, 1.0]).shape == (32, 3, 2, 2)
+    s = grp.face_basis([0.0, 1.0])[..., 1]
+    loop_ids = np.array(tri4.cells)
+    first = tri4.edges[grp.edge_ids, 0]
+    assert np.allclose(s[..., 0], np.where(loop_ids == first, -0.5, 0.5))
+    assert np.allclose(s[..., 1], -s[..., 0])
 
 
 # ---------------------------------------------------------------------------
-# flux basis
+# flux basis: frame vectors times monomials on one fan triangle each
 
 def test_flux_basis_square_k0(unit_square_cell):
-    fan = subtriangulate(unit_square_cell).fans[0]
-    zb = flux_basis(fan, 0)
-    assert zb.dim == 8
-    assert zb.n_mono == 1
+    [grp] = groups_of(unit_square_cell, 0)
+    assert grp.M.shape == (1, 8, 8)
+    assert grp.n_mono == 1
 
 
 def test_flux_basis_disjoint_support(unit_square_cell):
+    from stagpoly.weakgrad import flux_values
     fan = subtriangulate(unit_square_cell).fans[0]
-    zb = flux_basis(fan, 0)
+    [grp] = groups_of(unit_square_cell, 0)
     # a point inside triangle T_3 evaluates frame functions of T_1 to zero
-    x = fan.triangle(2).mean(axis=0)
-    vals = zb.eval_at(x)
-    idx_other = zb.index(0, 0, 0)
-    assert np.allclose(vals[idx_other], 0.0)
-    idx_home = zb.index(0, 2, 0)
-    assert np.allclose(vals[idx_home], fan.normals[2])
+    x = fan.triangle(2).mean(axis=0)[None, :]
+    other = np.zeros((1, 8))
+    other[0, 0] = 1.0
+    assert np.allclose(flux_values(grp, other, x, 0, 2), 0.0)
+    home = np.zeros((1, 8))
+    home[0, 2] = 1.0
+    assert np.allclose(flux_values(grp, home, x, 0, 2), fan.normals[2])
 
 
 def test_flux_basis_frames(pentagon_cell):
     fan = subtriangulate(pentagon_cell).fans[0]
-    zb = flux_basis(fan, 0)
+    [grp] = groups_of(pentagon_cell, 0)
     for i in range(fan.n_edges):
-        assert np.allclose(zb.frame_vector(0, i), fan.normals[i])
-        assert np.allclose(zb.frame_vector(1, i), fan.tangents[i])
+        assert np.allclose(grp.frames[0, i, 0], fan.normals[i])
+        assert np.allclose(grp.frames[0, i, 1], fan.tangents[i])
 
 
 def test_flux_basis_index_layout(pentagon_cell):
-    fan = subtriangulate(pentagon_cell).fans[0]
-    zb = flux_basis(fan, 1)
-    assert zb.n_mono == 3
-    assert zb.dim == 2 * 5 * 3
-    seen = set()
-    for frame in range(2):
-        for tri in range(5):
-            for mono in range(3):
-                seen.add(zb.index(frame, tri, mono))
-    assert seen == set(range(zb.dim))
-    # normal block comes first
-    assert zb.index(0, 0, 0) == 0
-    assert zb.index(1, 0, 0) == 5 * 3
+    [grp] = groups_of(pentagon_cell, 1)
+    assert grp.n_mono == 3
+    assert grp.M.shape[1] == 2 * 5 * 3
+    # (frame, triangle, monomial), normal frame first: the mass matrix
+    # couples functions on one triangle only, and D_b has no tangent rows
+    M = grp.M[0].reshape(2, 5, 3, 2, 5, 3)
+    for t in range(5):
+        for u in range(5):
+            block = M[:, t, :, :, u, :]
+            assert (np.abs(block).max() > 0) == (t == u)
+    assert np.abs(grp.Db[0, 15:]).max() == 0.0
+    assert np.abs(grp.Db[0, :15]).max() > 0.0
 
 
 def test_flux_basis_home_triangle(pentagon_cell):
-    fan = subtriangulate(pentagon_cell).fans[0]
-    zb = flux_basis(fan, 0)
-    for i in range(fan.n_edges):
-        x = fan.triangle(i).mean(axis=0)
-        assert zb.home_triangle(x) == i
+    from stagpoly.postprocess import FluxField
+    from stagpoly.assembly import BoundarySpec, assemble_system
+    sub = subtriangulate(pentagon_cell)
+    fan = sub.fans[0]
+    system = assemble_system(pentagon_cell, sub, 0, identity_coefficient(),
+                             lambda p: np.zeros(len(p)),
+                             BoundarySpec.dirichlet_everywhere(
+                                 lambda p: np.zeros(len(p))))
+    # normal component i on triangle i tells which triangle a point is in
+    coeffs = np.concatenate([np.arange(5.0), np.zeros(5)])[None, :]
+    flux = FluxField(system=system, coeffs=[coeffs])
+    cents = np.array([fan.triangle(i).mean(axis=0) for i in range(5)])
+    vals = flux.cell_values(0, cents)
+    assert np.allclose(vals, np.arange(5.0)[:, None] * fan.normals)

@@ -1,40 +1,44 @@
 import numpy as np
 import pytest
 
-from stagpoly.quadbasis import edge_rule, map_to_edge, map_to_triangle, triangle_rule
+from stagpoly.quadbasis import (edge_rule, map_to_edge, map_to_triangle,
+                                monomials, triangle_rule)
 from stagpoly.weakgrad import (
     CoefficientError,
+    DegenerateElementError,
+    batched_cholesky,
     cell_mass,
-    dump_element_operators,
-    element_operator,
+    element_groups,
     face_projection_Qb,
     identity_coefficient,
-    local_mass,
     matrix_coefficient,
     scalar_coefficient,
     weak_divergence,
     weak_gradient_coeffs,
 )
-from stagpoly.quadbasis import cell_basis, face_basis, flux_basis
 
 from conftest import make_single_cell, subtriangulate
 
 RNG = np.random.default_rng(42)
 
 
-def square_op(k=0, coeff=None):
-    mesh = make_single_cell([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+def one_cell_group(vertices, k, coeff):
+    """The single element group of a one-cell mesh (its row 0 is the cell)."""
+    mesh = make_single_cell(vertices)
     sub = subtriangulate(mesh)
-    return mesh, sub, element_operator(mesh, sub, 0, k,
-                                       coeff or identity_coefficient())
+    [grp] = element_groups(mesh, sub, k, coeff or identity_coefficient())
+    return mesh, sub, grp
+
+
+def square_op(k=0, coeff=None):
+    return one_cell_group([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+                          k, coeff)
 
 
 def pentagon_op(k=0, coeff=None):
     ang = np.pi / 2 + 2.0 * np.pi * np.arange(5) / 5.0
-    mesh = make_single_cell(np.column_stack([np.cos(ang), np.sin(ang)]))
-    sub = subtriangulate(mesh)
-    return mesh, sub, element_operator(mesh, sub, 0, k,
-                                       coeff or identity_coefficient())
+    return one_cell_group(np.column_stack([np.cos(ang), np.sin(ang)]), k,
+                          coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +73,14 @@ def test_matrix_coefficient_spd_check():
 
 def test_mass_unit_square_identity():
     _, _, op = square_op()
-    assert np.allclose(op.M, 0.25 * np.eye(8), atol=1e-15)
+    assert np.allclose(op.M[0], 0.25 * np.eye(8), atol=1e-15)
 
 
 def test_mass_pentagon_diag_areas():
     _, sub, op = pentagon_op()
     areas = sub.fans[0].areas
-    assert np.allclose(op.M, np.diag(np.concatenate([areas, areas])), atol=1e-14)
+    assert np.allclose(op.M[0], np.diag(np.concatenate([areas, areas])),
+                       atol=1e-14)
 
 
 def test_mass_scalar_scaling():
@@ -83,13 +88,14 @@ def test_mass_scalar_scaling():
     _, _, op1 = square_op()
     _, _, opk = square_op(coeff=scalar_coefficient(
         lambda pts: np.full(len(np.atleast_2d(pts)), kappa)))
-    assert np.allclose(opk.M, op1.M / kappa, rtol=1e-13)
+    assert np.allclose(opk.M[0], op1.M[0] / kappa, rtol=1e-13)
 
 
 def test_mass_k1_spd(pentagon_cell):
     sub = subtriangulate(pentagon_cell)
-    zb = flux_basis(sub.fans[0], 1)
-    M = local_mass(zb, identity_coefficient())
+    [grp] = element_groups(pentagon_cell, sub, 1, identity_coefficient())
+    M = grp.M[0]
+    assert M.shape == (30, 30)
     assert np.allclose(M, M.T, atol=1e-15)
     assert np.linalg.eigvalsh(M).min() > 0
 
@@ -100,7 +106,7 @@ def test_mass_k1_spd(pentagon_cell):
 def test_db_closed_form():
     _, _, op = square_op()
     expected = np.vstack([np.eye(4), np.zeros((4, 4))])
-    assert np.allclose(op.Db, expected, atol=1e-14)
+    assert np.allclose(op.Db[0], expected, atol=1e-14)
 
 
 def test_d0_closed_form():
@@ -109,15 +115,15 @@ def test_d0_closed_form():
     # bottom edge is the one with midpoint (0.5, 0)
     i = int(np.argmin(np.abs(fan.midpoints[:, 1])))
     assert np.allclose(fan.normals[i], [0.0, -1.0], atol=1e-14)
-    assert np.allclose(op.D0[i], [-1.0, 0.0, 0.25], atol=1e-14)
-    assert np.allclose(op.D0[4 + i], [0.0, 0.25, 0.0], atol=1e-14)
+    assert np.allclose(op.D0[0, i], [-1.0, 0.0, 0.25], atol=1e-14)
+    assert np.allclose(op.D0[0, 4 + i], [0.0, 0.25, 0.0], atol=1e-14)
 
 
 def test_d0_tangent_rows_general():
     _, sub, op = pentagon_op()
     fan = sub.fans[0]
     for i in range(5):
-        row = op.D0[5 + i]
+        row = op.D0[0, 5 + i]
         expected = [0.0, fan.areas[i] * fan.tangents[i, 0] / fan.h,
                     fan.areas[i] * fan.tangents[i, 1] / fan.h]
         assert np.allclose(row, expected, atol=1e-13)
@@ -128,13 +134,13 @@ def test_d0_tangent_rows_general():
 
 def test_stiffness_bitwise_symmetric():
     _, _, op = pentagon_op()
-    assert np.array_equal(op.A, op.A.T)
+    assert np.array_equal(op.A[0], op.A[0].T)
 
 
 def test_stiffness_psd_one_null():
     for build in (square_op, pentagon_op):
         _, _, op = build()
-        w = np.linalg.eigvalsh(op.A)
+        w = np.linalg.eigvalsh(op.A[0])
         scale = np.abs(w).max()
         assert w[0] >= -1e-12 * scale
         assert w[1] > 1e-8 * scale  # exactly one null direction
@@ -142,8 +148,9 @@ def test_stiffness_psd_one_null():
 
 def test_stiffness_constant_kernel():
     _, _, op = pentagon_op()
+    A = op.A[0]
     const = np.concatenate([np.ones(5), [1.0, 0.0, 0.0]])
-    assert np.allclose(op.A @ const, 0.0, atol=1e-12 * np.abs(op.A).max())
+    assert np.allclose(A @ const, 0.0, atol=1e-12 * np.abs(A).max())
 
 
 def test_stiffness_with_matrix_coefficient():
@@ -151,10 +158,11 @@ def test_stiffness_with_matrix_coefficient():
         pts = np.atleast_2d(pts)
         return np.tile([[2.0, 0.5], [0.5, 1.0]], (len(pts), 1, 1))
     _, _, op = pentagon_op(coeff=matrix_coefficient(K))
-    w = np.linalg.eigvalsh(op.A)
+    A = op.A[0]
+    w = np.linalg.eigvalsh(A)
     assert w[0] >= -1e-12 * np.abs(w).max()
     const = np.concatenate([np.ones(5), [1.0, 0.0, 0.0]])
-    assert np.allclose(op.A @ const, 0.0, atol=1e-12 * np.abs(op.A).max())
+    assert np.allclose(A @ const, 0.0, atol=1e-12 * np.abs(A).max())
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +171,7 @@ def test_stiffness_with_matrix_coefficient():
 def test_weak_gradient_kills_constants():
     _, _, op = pentagon_op()
     const = np.concatenate([3.0 * np.ones(5), [3.0, 0.0, 0.0]])
-    s = weak_gradient_coeffs(op, const)
+    s = weak_gradient_coeffs(op, const[None])[0]
     assert np.allclose(s, 0.0, atol=1e-13)
 
 
@@ -177,43 +185,37 @@ def test_weak_gradient_exact_on_linears():
 
     u0 = np.array([u(fan.xbar), grad[0] * fan.h, grad[1] * fan.h])
     ub = np.array([u(m) for m in fan.midpoints])
-    s = weak_gradient_coeffs(op, np.concatenate([ub, u0]))
+    s = weak_gradient_coeffs(op, np.concatenate([ub, u0])[None])[0]
+    # k = 0: coefficient (frame, triangle i) sits at frame * 5 + i
     for i in range(5):
-        assert s[op.fluxb.index(0, i, 0)] == pytest.approx(fan.normals[i] @ grad,
-                                                           abs=1e-12)
-        assert s[op.fluxb.index(1, i, 0)] == pytest.approx(fan.tangents[i] @ grad,
-                                                           abs=1e-12)
+        assert s[i] == pytest.approx(fan.normals[i] @ grad, abs=1e-12)
+        assert s[5 + i] == pytest.approx(fan.tangents[i] @ grad, abs=1e-12)
 
 
 def test_weak_gradient_defining_identity():
     # (grad_w u, zeta_j) = (grad u_0, zeta_j)_K + <u_b - u_0, zeta_j . n>_dK
     # verified by independent quadrature for random fields
     mesh, sub, op = pentagon_op()
-    fan = op.fan
+    fan = sub.fans[0]
     vol = triangle_rule(4)
     eru = edge_rule(4)
     for _ in range(20):
         u = RNG.standard_normal(8)
-        s = weak_gradient_coeffs(op, u)
-        lhs = op.M @ s  # identity coefficient: M is the plain Gram matrix
-        rhs = np.zeros(op.fluxb.dim)
+        s = weak_gradient_coeffs(op, u[None])[0]
+        lhs = op.M[0] @ s  # identity coefficient: M is the plain Gram matrix
+        rhs = np.zeros(10)
         ub, u0 = u[:5], u[5:]
         for i in range(fan.n_edges):
             pts, wts = map_to_triangle(vol, fan.triangle(i))
-            gphi = np.einsum("pid,i->pd", op.cellb.grad(pts), u0)
-            mono = op.fluxb.mono_eval(i, pts)
-            for frame in range(2):
-                j = op.fluxb.index(frame, i, 0)
-                zeta = op.fluxb.frame_vector(frame, i)
-                rhs[j] += wts @ (mono[:, 0] * (gphi @ zeta))
+            gphi = np.einsum("pid,i->pd",
+                             monomials(pts, fan.xbar, fan.h, 1, grad=True), u0)
             a, b = fan.loop[i], fan.loop[(i + 1) % fan.n_edges]
             epts, ewts = map_to_edge(eru, a, b)
-            trace = ub[i] - op.cellb.eval(epts) @ u0
-            emono = op.fluxb.mono_eval(i, epts)
-            for frame in range(2):
-                j = op.fluxb.index(frame, i, 0)
-                zn = op.fluxb.frame_vector(frame, i) @ fan.normals[i]
-                rhs[j] += ewts @ (emono[:, 0] * trace * zn)
+            trace = ub[i] - monomials(epts, fan.xbar, fan.h, 1) @ u0
+            for frame, zeta in enumerate((fan.normals[i], fan.tangents[i])):
+                j = frame * 5 + i  # the constant on triangle i, k = 0
+                rhs[j] += wts @ (gphi @ zeta)
+                rhs[j] += ewts @ (trace * (zeta @ fan.normals[i]))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -221,87 +223,84 @@ def test_weak_gradient_defining_identity():
 # weak divergence
 
 def test_weak_divergence_constant_flux():
-    _, _, op = pentagon_op()
+    _, sub, op = pentagon_op()
+    fan = sub.fans[0]
     vec = np.array([1.3, -0.4])
-    s = np.zeros(10)
-    for i in range(5):
-        s[op.fluxb.index(0, i, 0)] = op.fan.normals[i] @ vec
-        s[op.fluxb.index(1, i, 0)] = op.fan.tangents[i] @ vec
-    cell_part, face_parts = weak_divergence(op, s)
-    assert np.allclose(cell_part, 0.0, atol=1e-12)
+    s = np.concatenate([fan.normals @ vec, fan.tangents @ vec])
+    cell_part, face_parts = weak_divergence(op, s[None])
+    assert np.allclose(cell_part[0], 0.0, atol=1e-12)
 
 
 def test_weak_divergence_adjointness():
     # (grad_w u, s)_K = -[(div_w s, u_0)_K + sum_F h_F <u_b, -h_F^-1 (s.n)>_F]
     mesh, sub, op = pentagon_op()
-    fan = op.fan
-    Mc = cell_mass(op.cellb, fan)
-    eru = edge_rule(3)
+    fan = sub.fans[0]
+    Mc = cell_mass(op)[0]
     for _ in range(20):
         u = RNG.standard_normal(8)
         s = RNG.standard_normal(10)
-        w = weak_gradient_coeffs(op, u)
-        lhs = w @ (op.M @ s)
-        cell_part, face_parts = weak_divergence(op, s)
-        rhs = cell_part @ (Mc @ u[5:])
-        for i in range(fan.n_edges):
-            a, b = fan.loop[i], fan.loop[(i + 1) % fan.n_edges]
-            epts, ewts = map_to_edge(eru, a, b)
-            psi = op.face_bases[i].eval(epts)
-            gram = psi.T @ (psi * ewts[:, None])
-            rhs += fan.lengths[i] * (u[i] * (gram @ face_parts[i])[0])
+        w = weak_gradient_coeffs(op, u[None])[0]
+        lhs = w @ (op.M[0] @ s)
+        cell_part, face_parts = weak_divergence(op, s[None])
+        rhs = cell_part[0] @ (Mc @ u[5:])
+        # k = 0: the face basis is 1, its Gram matrix the edge length
+        rhs += fan.lengths @ (u[:5] * fan.lengths * face_parts[0, :, 0])
         assert lhs == pytest.approx(-rhs, abs=1e-12 * max(1.0, abs(lhs)))
+
+
+def test_batched_cholesky_names_failing_cell():
+    mats = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
+    with pytest.raises(DegenerateElementError, match="cell 17: singular"):
+        batched_cholesky(mats, np.array([4, 17, 9]), DegenerateElementError,
+                         "singular flux mass matrix")
 
 
 # ---------------------------------------------------------------------------
 # face projection
 
+def edge_ends(mesh, e=0):
+    return mesh.vertices[mesh.edges[e, 0]], mesh.vertices[mesh.edges[e, 1]]
+
+
 def test_face_projection_average(tri4):
-    fb = face_basis(tri4.vertices, tri4.edges[0], 0)
+    a, b = edge_ends(tri4)
 
     def g(pts):
         pts = np.atleast_2d(pts)
         return np.cos(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
 
-    a = fb.midpoint - 0.5 * fb.length * fb.direction
-    b = fb.midpoint + 0.5 * fb.length * fb.direction
     pts, wts = map_to_edge(edge_rule(6), a, b)
-    exact_avg = (wts @ g(pts)) / fb.length
-    assert face_projection_Qb(fb, g, npoints=6)[0] == pytest.approx(exact_avg,
-                                                                    abs=1e-14)
+    exact_avg = (wts @ g(pts)) / np.linalg.norm(b - a)
+    assert face_projection_Qb(a, b, 0, g, npoints=6)[0] == pytest.approx(
+        exact_avg, abs=1e-14)
 
 
 def test_face_projection_midpoint_interpolation(tri4):
-    fb = face_basis(tri4.vertices, tri4.edges[0], 0)
+    a, b = edge_ends(tri4)
 
     def g(pts):
         pts = np.atleast_2d(pts)
         return np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2
 
-    got = face_projection_Qb(fb, g, npoints=1)[0]
-    assert got == pytest.approx(float(g(fb.midpoint[None, :])[0]), abs=1e-14)
+    got = face_projection_Qb(a, b, 0, g, npoints=1)[0]
+    assert got == pytest.approx(float(g(0.5 * (a + b))[0]), abs=1e-14)
 
 
 def test_face_projection_reproduces_polynomials(tri4):
-    fb = face_basis(tri4.vertices, tri4.edges[0], 1)
+    a, b = edge_ends(tri4)
 
     def g(pts):
         pts = np.atleast_2d(pts)
         return 2.0 + 3.0 * pts[:, 0] - pts[:, 1]
 
-    c = face_projection_Qb(fb, g, npoints=4)
-    pts = fb.midpoint[None, :] + np.linspace(-0.5, 0.5, 7)[:, None] \
-        * fb.length * fb.direction
-    assert np.allclose(fb.eval(pts) @ c, g(pts), atol=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# dump
-
-def test_dump_element_operators(tmp_path, tri4, tri4_sub):
-    path = tmp_path / "ops.txt"
-    dump_element_operators(tri4, tri4_sub, 0, identity_coefficient(), path)
-    text = path.read_text()
-    assert text.count("cell ") == 32
-    assert "A 6 6" in text
-    assert "M 6 6" in text
+    c = face_projection_Qb(a, b, 1, g, npoints=4)
+    s = np.linspace(-0.5, 0.5, 7)
+    pts = 0.5 * (a + b) + s[:, None] * (b - a)
+    assert np.allclose(c[0] + c[1] * s, g(pts), atol=1e-13)
+    # a batch of edges projects each edge on its own
+    ends = tri4.vertices[tri4.edges[:5]]
+    batch = face_projection_Qb(ends[:, 0], ends[:, 1], 1, g, npoints=4)
+    assert np.allclose(batch[0], c, atol=1e-14)
+    for (a, b), ce in zip(ends, batch):
+        assert np.allclose(ce, face_projection_Qb(a, b, 1, g, npoints=4),
+                           atol=1e-14)
