@@ -1,16 +1,24 @@
 """Polygonal meshes of planar domains.
 
 A PolyMesh is a set of simple, counter-clockwise polygonal cells glued
-along straight edges. Every cell carries a star point (an interior point
-seeing the whole cell boundary) from which it is fanned into triangles;
-the fans of all cells form the sub-triangulation that the flux space
-lives on.
+along straight edges. Cells are stored in compressed sparse row (CSR)
+form: the vertex loop of cell c fills the slots cell_ptr[c]:cell_ptr[c+1]
+of the flat array cell_verts, and the same slots of cell_edges hold the
+edges of its loop segments. Per-cell work is then a pass over the flat
+slots: a successor index gives the next slot of each loop, and one
+shoelace pass gives every cell's signed area and centroid. Every cell
+carries a star point (an interior point seeing the whole cell boundary)
+from which it is fanned into triangles; the fans of all cells form the
+sub-triangulation that the flux space lives on.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,9 +53,6 @@ __all__ = [
     "mesh_size",
 ]
 
-_WALL_TAGS = {"left": 1, "right": 2, "bottom": 3, "top": 4}
-
-
 class MeshError(Exception):
     """Base class for mesh construction and validation failures."""
 
@@ -69,35 +74,45 @@ class GenerationError(MeshError):
 
 
 class PolyMesh:
-    """Immutable polygonal mesh.
+    """Immutable polygonal mesh, cells in compressed sparse row form.
 
     Attributes
     ----------
     vertices : (V, 2) float array
-    cells : list of int arrays, CCW vertex loops
-    edges : (E, 2) int array, canonical pairs with edges[e, 0] < edges[e, 1]
+    cell_ptr : (C+1,) int array; cell c owns the loop slots
+        cell_ptr[c]:cell_ptr[c+1], N = cell_ptr[-1] slots in all
+    cell_verts : (N,) int array; every cell's CCW vertex loop, back to back
+    cell_edges : (N,) int array; the edge of the loop segment from a slot's
+        vertex to the next vertex of the same loop
+    edges : (E, 2) int array, canonical pairs with edges[e, 0] < edges[e, 1],
+        numbered in the order the loops first traverse them
     edge_cells : (E, 2) int array; column 0 is the cell traversing the edge
         in canonical direction, column 1 the other cell or -1 on the boundary
     edge_markers : (E,) int array; 0 on interior edges, generator walls get
         1/2/3/4 for left/right/bottom/top
-    cell_edges : list of int arrays; entry j is the edge id of the cell's
-        loop segment from local vertex j to j+1
     h_report : reported mesh size (grid spacing for structured families,
         max cell diameter otherwise)
+    cells : per-cell read-only views of cell_verts
     """
 
-    def __init__(self, vertices, cells, edges, edge_cells, edge_markers,
-                 cell_edges, h_report=None):
+    def __init__(self, vertices, cell_ptr, cell_verts, edges, edge_cells,
+                 edge_markers, cell_edges, h_report=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.cells = [np.asarray(c, dtype=np.intp) for c in cells]
+        self.cell_ptr = np.asarray(cell_ptr, dtype=np.intp)
+        self.cell_verts = np.asarray(cell_verts, dtype=np.intp)
+        self.cell_edges = np.asarray(cell_edges, dtype=np.intp)
         self.edges = np.asarray(edges, dtype=np.intp)
         self.edge_cells = np.asarray(edge_cells, dtype=np.intp)
         self.edge_markers = np.asarray(edge_markers, dtype=np.intp)
-        self.cell_edges = [np.asarray(ce, dtype=np.intp) for ce in cell_edges]
-        self.bbox = (self.vertices.min(axis=0), self.vertices.max(axis=0))
         self.h_report = float(h_report) if h_report is not None else None
-        for arr in (self.vertices, self.edges, self.edge_cells, self.edge_markers):
+        for arr in (self.vertices, self.cell_ptr, self.cell_verts,
+                    self.cell_edges, self.edges, self.edge_cells,
+                    self.edge_markers):
             arr.setflags(write=False)
+
+    @cached_property
+    def cells(self):
+        return np.split(self.cell_verts, self.cell_ptr[1:-1])
 
     @property
     def num_vertices(self) -> int:
@@ -105,7 +120,7 @@ class PolyMesh:
 
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_ptr) - 1
 
     @property
     def num_edges(self) -> int:
@@ -119,27 +134,114 @@ class PolyMesh:
         return self.vertices[self.cells[c]]
 
     def cell_area(self, c: int) -> float:
-        return _polygon_area(self.cell_vertices(c))
+        return float(self.areas()[c])
 
     def areas(self):
-        return np.array([self.cell_area(c) for c in range(self.num_cells)])
+        return _shoelace(self.vertices[self.cell_verts], self.cell_ptr)[0]
 
     def is_triangle_mesh(self) -> bool:
-        return all(len(c) == 3 for c in self.cells)
+        return bool(np.all(np.diff(self.cell_ptr) == 3))
 
 
-def _polygon_area(pts) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _successor(cell_ptr):
+    """Flat index of the next slot of each slot's loop, (N,)."""
+    nxt = np.arange(1, cell_ptr[-1] + 1)
+    nxt[cell_ptr[1:] - 1] = cell_ptr[:-1]
+    return nxt
 
 
-def _polygon_centroid(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    a = 0.5 * cross.sum()
-    cx = float(((x + np.roll(x, -1)) * cross).sum() / (6.0 * a))
-    cy = float(((y + np.roll(y, -1)) * cross).sum() / (6.0 * a))
-    return np.array([cx, cy])
+def _shoelace(pts, cell_ptr):
+    """Signed area (C,) and area centroid (C, 2) of the CSR loops pts (N, 2)."""
+    q = pts[_successor(cell_ptr)]
+    cross = pts[:, 0] * q[:, 1] - q[:, 0] * pts[:, 1]
+    area = 0.5 * np.add.reduceat(cross, cell_ptr[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centroid = np.add.reduceat((pts + q) * cross[:, None], cell_ptr[:-1]) \
+            / (6.0 * area[:, None])
+    return area, centroid
+
+
+def _diameters(pts, cell_ptr):
+    """Largest vertex-to-vertex distance of each CSR loop pts (N, 2)."""
+    nxt = _successor(cell_ptr)
+    far, j = np.zeros(len(pts)), nxt
+    # offsets 1..m//2 along the loop reach every vertex pair of an m-gon
+    for _ in range(int(np.diff(cell_ptr).max()) // 2):
+        far = np.maximum(far, np.sqrt(((pts - pts[j]) ** 2).sum(axis=1)))
+        j = nxt[j]
+    return np.maximum.reduceat(far, cell_ptr[:-1])
+
+
+def _csr(loops):
+    """cell_ptr and flat vertex ids of a sequence of vertex loops."""
+    sizes = np.fromiter(map(len, loops), dtype=np.intp)
+    return np.r_[0, np.cumsum(sizes)], np.fromiter(chain.from_iterable(loops),
+                                                   dtype=np.intp)
+
+
+def _first_seen(keys):
+    """Ids numbering the distinct rows of keys in order of first
+    appearance, and the position of each id's first row."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], first[order]
+
+
+def _lowest(ids, message):
+    """Raise MeshValidationError naming the lowest of the offending ids."""
+    if len(ids):
+        raise MeshValidationError(message.format(int(np.min(ids))))
+
+
+def _connect(vertices, cell_ptr, cell_verts):
+    """Validate CSR cell loops and build their edge table.
+
+    Returns edges (E, 2), edge_cells (E, 2) and cell_edges (N,); edges are
+    numbered in the order the loops first traverse them. Each check names
+    the lowest-numbered offending cell or edge.
+    """
+    nv, nc = len(vertices), len(cell_ptr) - 1
+    if nc == 0:
+        raise MeshValidationError("mesh has no cells")
+    sizes = np.diff(cell_ptr)
+    _lowest(np.flatnonzero(sizes < 3), "cell {} has fewer than 3 vertices")
+    cell = np.repeat(np.arange(nc), sizes)
+    _lowest(cell[(cell_verts < 0) | (cell_verts >= nv)],
+            "cell {} references a vertex out of range")
+    pairs = np.sort(cell * nv + cell_verts)
+    _lowest(pairs[1:][pairs[1:] == pairs[:-1]] // nv,
+            "cell {} lists a vertex twice")
+    area, _ = _shoelace(vertices[cell_verts], cell_ptr)
+    bad = np.flatnonzero(area <= 0.0)
+    if len(bad):
+        raise MeshValidationError(
+            f"cell {bad[0]} is clockwise or degenerate "
+            f"(signed area {area[bad[0]]:.3e})")
+
+    a, b = cell_verts, cell_verts[_successor(cell_ptr)]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    cell_edges, first = _first_seen(lo * nv + hi)
+    edges = np.column_stack([lo, hi])[first]
+    # side 0 runs along the canonical direction, side 1 against it
+    side = 2 * cell_edges + (a > b)
+    twice = np.flatnonzero(np.bincount(side, minlength=2 * len(edges)) > 1)
+    if len(twice):
+        raise MeshValidationError(
+            f"edge {tuple(edges[twice[0] // 2].tolist())} traversed twice in "
+            "the same direction (non-manifold or inconsistent orientation)")
+    edge_cells = np.full((len(edges), 2), -1)
+    edge_cells.reshape(-1)[side] = cell
+    # Normalize so column 0 is always a real cell.
+    swap = edge_cells[:, 0] < 0
+    edge_cells[swap] = edge_cells[swap, ::-1]
+
+    unused = np.count_nonzero(np.bincount(cell_verts, minlength=nv) == 0)
+    if unused:
+        raise MeshValidationError(f"{unused} unused (dangling) vertices")
+    return edges, edge_cells, cell_edges
 
 
 def build_polymesh(vertices, cells, boundary_markers=None, h_report=None) -> PolyMesh:
@@ -155,87 +257,51 @@ def build_polymesh(vertices, cells, boundary_markers=None, h_report=None) -> Pol
         raise MeshValidationError("vertices must be an (V, 2) array")
     if not np.all(np.isfinite(vertices)):
         raise MeshValidationError("non-finite vertex coordinates")
-    nv = len(vertices)
-
-    loops = []
-    for ci, cell in enumerate(cells):
-        loop = np.asarray(cell, dtype=np.intp)
-        if loop.ndim != 1 or len(loop) < 3:
-            raise MeshValidationError(f"cell {ci} has fewer than 3 vertices")
-        if loop.min() < 0 or loop.max() >= nv:
-            raise MeshValidationError(f"cell {ci} references a vertex out of range")
-        if len(np.unique(loop)) != len(loop):
-            raise MeshValidationError(f"cell {ci} lists a vertex twice")
-        area = _polygon_area(vertices[loop])
-        if area <= 0.0:
-            raise MeshValidationError(
-                f"cell {ci} is clockwise or degenerate (signed area {area:.3e})")
-        loops.append(loop)
-
-    # Canonical edge table from consecutive loop pairs.
-    edge_index: dict[tuple[int, int], int] = {}
-    edges = []
-    edge_cells = []
-    cell_edges = []
-    for ci, loop in enumerate(loops):
-        ids = np.empty(len(loop), dtype=np.intp)
-        for j in range(len(loop)):
-            a, b = int(loop[j]), int(loop[(j + 1) % len(loop)])
-            key = (a, b) if a < b else (b, a)
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edges)
-                edge_index[key] = e
-                edges.append(key)
-                edge_cells.append([-1, -1])
-            forward = 0 if (a, b) == key else 1
-            if edge_cells[e][forward] != -1:
-                raise MeshValidationError(
-                    f"edge {key} traversed twice in the same direction "
-                    "(non-manifold or inconsistent orientation)")
-            edge_cells[e][forward] = ci
-            ids[j] = e
-        cell_edges.append(ids)
-
-    edges = np.asarray(edges, dtype=np.intp)
-    edge_cells = np.asarray(edge_cells, dtype=np.intp)
-    # Normalize so column 0 is always a real cell.
-    swap = edge_cells[:, 0] < 0
-    edge_cells[swap] = edge_cells[swap][:, ::-1]
-    if np.any(edge_cells[:, 0] < 0):
-        raise MeshValidationError("edge with no adjacent cell")
-
-    used = np.zeros(nv, dtype=bool)
-    for loop in loops:
-        used[loop] = True
-    if not used.all():
+    try:
+        cell_ptr, cell_verts = _csr(cells)
+    except (TypeError, ValueError) as exc:
         raise MeshValidationError(
-            f"{np.count_nonzero(~used)} unused (dangling) vertices")
+            "cells must be sequences of vertex indices") from exc
+    edges, edge_cells, cell_edges = _connect(vertices, cell_ptr, cell_verts)
 
     markers = np.zeros(len(edges), dtype=np.intp)
-    if boundary_markers is not None:
-        for (v0, v1), tag in boundary_markers:
-            key = (int(v0), int(v1)) if v0 < v1 else (int(v1), int(v0))
-            e = edge_index.get(key)
-            if e is None:
-                raise MeshValidationError(f"marker references missing edge {key}")
-            if edge_cells[e, 1] >= 0:
-                raise MeshValidationError(f"marker on interior edge {key}")
-            markers[e] = int(tag)
+    if boundary_markers:
+        pairs, tags = zip(*boundary_markers)
+        pairs = np.sort(np.asarray(pairs, dtype=np.intp).reshape(-1, 2), axis=1)
+        # edges are distinct rows, so edge e keeps id e and a marker on a
+        # missing edge gets an id past the last edge
+        e = _first_seen(np.concatenate([edges, pairs]))[0][len(edges):]
+        for bad, what in ((e >= len(edges), "marker references missing edge"),
+                          (edge_cells[e % len(edges), 1] >= 0,
+                           "marker on interior edge")):
+            if bad.any():
+                raise MeshValidationError(
+                    f"{what} {tuple(pairs[bad.argmax()].tolist())}")
+        markers[e] = np.asarray(tags, dtype=np.intp)
 
-    return PolyMesh(vertices, loops, edges, edge_cells, markers, cell_edges,
-                    h_report=h_report)
+    return PolyMesh(vertices, cell_ptr, cell_verts, edges, edge_cells,
+                    markers, cell_edges, h_report=h_report)
 
 
 # ---------------------------------------------------------------------------
 # Mesh documents (JSON)
 
+def _rows_of(kinds, rows, width=None) -> bool:
+    """Whether rows is a JSON list of lists (of length width, if given)
+    whose entries all have one of the types kinds (a boolean is no int)."""
+    return (type(rows) is list and set(map(type, rows)) <= {list}
+            and (width is None or set(map(len, rows)) <= {width})
+            and set(map(type, chain.from_iterable(rows))) <= set(kinds))
+
+
 def load_mesh(document: str) -> PolyMesh:
     """Parse a mesh document.
 
     The document is JSON with keys `vertices` (array of [x, y]), `cells`
-    (array of arrays of 0-based CCW vertex indices) and optional
-    `boundary_markers` (array of {"edge": [v0, v1], "tag": int}).
+    (array of arrays of 0-based CCW vertex indices), optional
+    `boundary_markers` (array of {"edge": [v0, v1], "tag": int}) and
+    optional `h` (a number). Raises MeshFormatError when a value has the
+    wrong JSON type.
     """
     try:
         data = json.loads(document)
@@ -243,19 +309,23 @@ def load_mesh(document: str) -> PolyMesh:
         raise MeshFormatError(f"mesh document is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "cells" not in data:
         raise MeshFormatError("mesh document must contain 'vertices' and 'cells'")
-    markers = None
-    if data.get("boundary_markers"):
-        try:
-            markers = [((m["edge"][0], m["edge"][1]), m["tag"])
-                       for m in data["boundary_markers"]]
-        except (KeyError, TypeError, IndexError) as exc:
-            raise MeshFormatError("malformed boundary_markers entry") from exc
+    if not _rows_of((int,), data["cells"]):
+        raise MeshFormatError("cells must be arrays of integer vertex indices")
+    h = data.get("h")
+    if h is not None and type(h) not in (int, float):
+        raise MeshFormatError("h must be a number")
+    markers = data.get("boundary_markers") or []
     try:
-        vertices = np.asarray(data["vertices"], dtype=float)
-    except ValueError as exc:
-        raise MeshFormatError("malformed vertices array") from exc
-    return build_polymesh(vertices, data["cells"], boundary_markers=markers,
-                          h_report=data.get("h"))
+        edges = list(map(itemgetter("edge"), markers))
+        tags = list(map(itemgetter("tag"), markers))
+        if not (_rows_of((int,), edges, 2) and _rows_of((int,), [tags])):
+            raise TypeError
+    except (KeyError, TypeError) as exc:
+        raise MeshFormatError("malformed boundary_markers entry") from exc
+    if not _rows_of((int, float), data["vertices"], 2):
+        raise MeshFormatError("malformed vertices array")
+    return build_polymesh(data["vertices"], data["cells"],
+                          boundary_markers=list(zip(edges, tags)), h_report=h)
 
 
 def read_mesh(path) -> PolyMesh:
@@ -272,28 +342,19 @@ def _fmt(x: float) -> str:
 
 def mesh_document(mesh: PolyMesh) -> str:
     """Serialize to the JSON mesh document format (17 significant digits)."""
-    lines = ["{", '  "vertices": [']
-    for i, (x, y) in enumerate(mesh.vertices):
-        comma = "," if i + 1 < mesh.num_vertices else ""
-        lines.append(f"    [{_fmt(x)}, {_fmt(y)}]{comma}")
-    lines.append("  ],")
-    lines.append('  "cells": [')
-    for ci, loop in enumerate(mesh.cells):
-        comma = "," if ci + 1 < mesh.num_cells else ""
-        lines.append("    [" + ", ".join(str(int(v)) for v in loop) + "]" + comma)
-    lines.append("  ],")
-    marked = [e for e in mesh.boundary_edges if mesh.edge_markers[e] != 0]
-    lines.append('  "boundary_markers": [')
-    for j, e in enumerate(marked):
-        v0, v1 = mesh.edges[e]
-        comma = "," if j + 1 < len(marked) else ""
-        lines.append(
-            f'    {{"edge": [{int(v0)}, {int(v1)}], "tag": {int(mesh.edge_markers[e])}}}{comma}')
-    lines.append("  ]" + ("," if mesh.h_report is not None else ""))
+    marked = mesh.boundary_edges[mesh.edge_markers[mesh.boundary_edges] != 0]
+    arrays = {
+        "vertices": [f"[{_fmt(x)}, {_fmt(y)}]" for x, y in mesh.vertices.tolist()],
+        "cells": [str(loop.tolist()) for loop in mesh.cells],
+        "boundary_markers": [
+            f'{{"edge": {edge}, "tag": {tag}}}' for edge, tag in
+            zip(mesh.edges[marked].tolist(), mesh.edge_markers[marked].tolist())],
+    }
+    text = ",\n".join(f'  "{key}": [' + ",".join(f"\n    {row}" for row in rows)
+                      + "\n  ]" for key, rows in arrays.items())
     if mesh.h_report is not None:
-        lines.append(f'  "h": {_fmt(mesh.h_report)}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        text += f',\n  "h": {_fmt(mesh.h_report)}'
+    return "{\n" + text + "\n}\n"
 
 
 def write_mesh(mesh: PolyMesh, path) -> None:
@@ -304,100 +365,74 @@ def write_mesh(mesh: PolyMesh, path) -> None:
 # ---------------------------------------------------------------------------
 # Generators
 
-def _wall_markers_unit_square(mesh_vertices, edges, edge_cells, tol=1e-12):
-    markers = np.zeros(len(edges), dtype=np.intp)
-    for e in range(len(edges)):
-        if edge_cells[e, 1] >= 0:
-            continue
-        p, q = mesh_vertices[edges[e, 0]], mesh_vertices[edges[e, 1]]
-        if abs(p[0]) < tol and abs(q[0]) < tol:
-            markers[e] = _WALL_TAGS["left"]
-        elif abs(p[0] - 1) < tol and abs(q[0] - 1) < tol:
-            markers[e] = _WALL_TAGS["right"]
-        elif abs(p[1]) < tol and abs(q[1]) < tol:
-            markers[e] = _WALL_TAGS["bottom"]
-        elif abs(p[1] - 1) < tol and abs(q[1] - 1) < tol:
-            markers[e] = _WALL_TAGS["top"]
-    return markers
+def _wall_markers(vertices, edges, edge_cells, tol=1e-12):
+    """Tag of the first unit-square wall holding each boundary edge."""
+    p, q = vertices[edges[:, 0]], vertices[edges[:, 1]]
+    boundary = edge_cells[:, 1] < 0
+    # tags 1..4: left (x = 0), right (x = 1), bottom (y = 0), top (y = 1)
+    on_wall = [boundary & (np.abs(p[:, axis] - at) < tol)
+               & (np.abs(q[:, axis] - at) < tol)
+               for axis, at in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0))]
+    return np.select(on_wall, [1, 2, 3, 4], 0)
 
 
-def _finish_unit_square_mesh(vertices, cells, h_report):
-    mesh = build_polymesh(vertices, cells, h_report=h_report)
-    markers = _wall_markers_unit_square(mesh.vertices, mesh.edges, mesh.edge_cells)
-    return PolyMesh(mesh.vertices, mesh.cells, mesh.edges, mesh.edge_cells,
-                    markers, mesh.cell_edges, h_report=h_report)
+def _unit_square_mesh(vertices, cell_ptr, cell_verts, h_report=None):
+    """PolyMesh of CSR loops tiling the unit square, walls tagged; h_report
+    defaults to the largest cell diameter."""
+    cell_verts = np.asarray(cell_verts, dtype=np.intp)
+    edges, edge_cells, cell_edges = _connect(vertices, cell_ptr, cell_verts)
+    if h_report is None:
+        h_report = _diameters(vertices[cell_verts], cell_ptr).max()
+    return PolyMesh(vertices, cell_ptr, cell_verts, edges, edge_cells,
+                    _wall_markers(vertices, edges, edge_cells), cell_edges,
+                    h_report=h_report)
+
+
+def _grid(n: int):
+    """Vertices of the (n+1) x (n+1) grid on the unit square, and the lower
+    left vertex of each of its n x n squares, row i = x index."""
+    if n < 1:
+        raise GenerationError("n must be >= 1")
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xv, yv = np.meshgrid(xs, xs, indexing="ij")
+    corner = ((n + 1) * np.arange(n)[:, None] + np.arange(n)).ravel()
+    return np.column_stack([xv.ravel(), yv.ravel()]), corner
 
 
 def gen_uniform_triangles(n: int) -> PolyMesh:
     """Unit square, n x n grid, each square split into two CCW triangles."""
-    if n < 1:
-        raise GenerationError("n must be >= 1")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xv, yv = np.meshgrid(xs, xs, indexing="ij")
-    vertices = np.column_stack([xv.ravel(), yv.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append([v00, v10, v11])
-            cells.append([v00, v11, v01])
-    return _finish_unit_square_mesh(vertices, cells, h_report=1.0 / n)
+    vertices, v00 = _grid(n)
+    cells = np.column_stack([v00, v00 + n + 1, v00 + n + 2,
+                             v00, v00 + n + 2, v00 + 1])
+    return _unit_square_mesh(vertices, 3 * np.arange(2 * n * n + 1),
+                             cells.ravel(), h_report=1.0 / n)
 
 
 def gen_uniform_squares(n: int) -> PolyMesh:
     """Unit square partitioned into n x n square cells."""
-    if n < 1:
-        raise GenerationError("n must be >= 1")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xv, yv = np.meshgrid(xs, xs, indexing="ij")
-    vertices = np.column_stack([xv.ravel(), yv.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return _finish_unit_square_mesh(vertices, cells, h_report=1.0 / n)
+    vertices, v00 = _grid(n)
+    cells = np.column_stack([v00, v00 + n + 1, v00 + n + 2, v00 + 1])
+    return _unit_square_mesh(vertices, 4 * np.arange(n * n + 1),
+                             cells.ravel(), h_report=1.0 / n)
 
 
-def _mirrored_voronoi(seeds):
-    """Voronoi diagram of seeds in [0,1]^2 mirrored across all four walls.
+def _voronoi_loops(seeds):
+    """CCW Voronoi loops of seeds in [0,1]^2, mirrored across all four walls.
 
     Mirroring makes every original seed's region finite and clips the
-    diagram to the unit square exactly.
+    diagram to the unit square exactly. Returns the loops in CSR form:
+    cell_ptr (n+1,), Qhull vertex ids (N,) and Qhull's vertex coordinates.
     """
-    left = seeds * [-1.0, 1.0]
-    right = seeds * [-1.0, 1.0] + [2.0, 0.0]
-    bottom = seeds * [1.0, -1.0]
-    top = seeds * [1.0, -1.0] + [0.0, 2.0]
-    return Voronoi(np.vstack([seeds, left, right, bottom, top]))
-
-
-def _region_loop(vor, i):
-    region = vor.regions[vor.point_region[i]]
-    if -1 in region:
+    fx, fy = seeds * [-1.0, 1.0], seeds * [1.0, -1.0]
+    vor = Voronoi(np.vstack([seeds, fx, fx + [2.0, 0.0], fy, fy + [0.0, 2.0]]))
+    cell_ptr, ids = _csr(itemgetter(*vor.point_region[:len(seeds)])(vor.regions))
+    seed = np.repeat(np.arange(len(seeds)), np.diff(cell_ptr))
+    if np.any(ids < 0):
         raise GenerationError("unbounded Voronoi region survived mirroring")
-    pts = vor.vertices[region]
-    # Qhull gives no orientation guarantee; sort CCW around the seed.
-    ang = np.arctan2(pts[:, 1] - vor.points[i, 1], pts[:, 0] - vor.points[i, 0])
-    order = np.argsort(ang)
-    return [region[k] for k in order]
-
-
-def _lloyd_step(seeds):
-    vor = _mirrored_voronoi(seeds)
-    out = np.empty_like(seeds)
-    for i in range(len(seeds)):
-        loop = _region_loop(vor, i)
-        out[i] = _polygon_centroid(vor.vertices[loop])
-    return out
+    # Qhull gives no orientation guarantee; sort CCW around each seed.
+    rel = vor.vertices[ids] - seeds[seed]
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), seed))
+    return cell_ptr, ids[order], vor.vertices
 
 
 def gen_voronoi_polygons(n_seeds: int, lloyd_iters: int = 100,
@@ -407,65 +442,51 @@ def gen_voronoi_polygons(n_seeds: int, lloyd_iters: int = 100,
     Deterministic for fixed (n_seeds, lloyd_iters, rng_seed); all cells
     are convex and tile [0,1]^2 exactly.
     """
-    if n_seeds < 2:
-        raise GenerationError("n_seeds must be >= 2")
+    if n_seeds < 2 or lloyd_iters < 0 or rng_seed < 0:
+        raise GenerationError(
+            "n_seeds must be >= 2, lloyd_iters and rng_seed >= 0 (got "
+            f"{n_seeds}, {lloyd_iters}, {rng_seed})")
     rng = np.random.default_rng(rng_seed)
     seeds = rng.random((n_seeds, 2))
     if len(np.unique(seeds, axis=0)) != n_seeds:
         raise GenerationError("duplicate seeds")
     for _ in range(lloyd_iters):
-        seeds = _lloyd_step(seeds)
+        cell_ptr, ids, coords = _voronoi_loops(seeds)
+        seeds = _shoelace(coords[ids], cell_ptr)[1]
 
-    vor = _mirrored_voronoi(seeds)
+    cell_ptr, ids, coords = _voronoi_loops(seeds)
+    # Wall vertices carry reflection noise; snap them exactly.
     snap = 1e-9
-    vmap: dict[tuple[float, float], int] = {}
-    vertices: list[tuple[float, float]] = []
-    cells = []
-    for i in range(n_seeds):
-        loop = _region_loop(vor, i)
-        ids = []
-        for v in loop:
-            x, y = vor.vertices[v]
-            # Wall vertices carry reflection noise; snap them exactly.
-            x = 0.0 if abs(x) < snap else (1.0 if abs(x - 1) < snap else float(x))
-            y = 0.0 if abs(y) < snap else (1.0 if abs(y - 1) < snap else float(y))
-            key = (x, y)
-            vi = vmap.get(key)
-            if vi is None:
-                vi = len(vertices)
-                vmap[key] = vi
-                vertices.append(key)
-            if not ids or (ids[-1] != vi and ids[0] != vi):
-                ids.append(vi)
-        if len(ids) < 3:
-            raise GenerationError(f"degenerate Voronoi cell for seed {i}")
-        cells.append(ids)
-
-    mesh = _finish_unit_square_mesh(np.asarray(vertices), cells, h_report=None)
-    h = mesh_size(mesh)
-    return PolyMesh(mesh.vertices, mesh.cells, mesh.edges, mesh.edge_cells,
-                    mesh.edge_markers, mesh.cell_edges, h_report=h)
+    pts = coords[ids]
+    pts = np.where(np.abs(pts) < snap, 0.0,
+                   np.where(np.abs(pts - 1) < snap, 1.0, pts))
+    vid, first = _first_seen(pts)
+    # drop a vertex repeating its predecessor or its loop's first vertex
+    lead = np.repeat(cell_ptr[:-1], np.diff(cell_ptr))
+    keep = (vid != np.roll(vid, 1)) & (vid != vid[lead])
+    keep[cell_ptr[:-1]] = True
+    sizes = np.add.reduceat(keep.astype(np.intp), cell_ptr[:-1])
+    bad = np.flatnonzero(sizes < 3)
+    if len(bad):
+        raise GenerationError(f"degenerate Voronoi cell for seed {bad[0]}")
+    return _unit_square_mesh(pts[first], np.r_[0, np.cumsum(sizes)], vid[keep])
 
 
 def gen_delaunay_triangles(n_points: int, rng_seed: int = 0) -> PolyMesh:
     """Delaunay triangulation of seeded random points plus the unit-square corners."""
-    if n_points < 1:
-        raise GenerationError("n_points must be >= 1")
+    if n_points < 1 or rng_seed < 0:
+        raise GenerationError("n_points must be >= 1 and rng_seed >= 0 "
+                              f"(got {n_points}, {rng_seed})")
     rng = np.random.default_rng(rng_seed)
     # Keep interior points off the walls so the hull is exactly the square.
     pts = 0.05 + 0.9 * rng.random((n_points, 2))
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     allpts = np.vstack([corners, pts])
-    tri = Delaunay(allpts)
-    cells = []
-    for simplex in tri.simplices:
-        loop = [int(v) for v in simplex]
-        if _polygon_area(allpts[loop]) < 0:
-            loop.reverse()
-        cells.append(loop)
-    mesh = _finish_unit_square_mesh(allpts, cells, h_report=None)
-    return PolyMesh(mesh.vertices, mesh.cells, mesh.edges, mesh.edge_cells,
-                    mesh.edge_markers, mesh.cell_edges, h_report=mesh_size(mesh))
+    simplices = Delaunay(allpts).simplices
+    cell_ptr = 3 * np.arange(len(simplices) + 1)
+    area, _ = _shoelace(allpts[simplices.ravel()], cell_ptr)
+    cells = np.where(area[:, None] < 0, simplices[:, ::-1], simplices)
+    return _unit_square_mesh(allpts, cell_ptr, cells.ravel())
 
 
 def valence_groups(mesh: PolyMesh):
@@ -474,27 +495,18 @@ def valence_groups(mesh: PolyMesh):
     Returns a list of (cells (g,), loop vertex ids (g, m), loop edge ids
     (g, m)), one entry per m present in the mesh.
     """
-    sizes = np.fromiter(map(len, mesh.cells), dtype=np.intp,
-                        count=mesh.num_cells)
-    first = np.cumsum(sizes) - sizes
-    verts = np.concatenate(mesh.cells)
-    edges = np.concatenate(mesh.cell_edges)
+    sizes = np.diff(mesh.cell_ptr)
     out = []
     for m in np.unique(sizes):
         cells = np.flatnonzero(sizes == m)
-        idx = first[cells, None] + np.arange(m)
-        out.append((cells, verts[idx], edges[idx]))
+        idx = mesh.cell_ptr[cells, None] + np.arange(m)
+        out.append((cells, mesh.cell_verts[idx], mesh.cell_edges[idx]))
     return out
 
 
 def cell_diameters(mesh: PolyMesh):
     """Per-cell diameter: the largest distance between two vertices."""
-    diam = np.empty(mesh.num_cells)
-    for cells, verts, _ in valence_groups(mesh):
-        pts = mesh.vertices[verts]
-        d = pts[:, :, None, :] - pts[:, None, :, :]
-        diam[cells] = np.sqrt((d ** 2).sum(axis=3)).max(axis=(1, 2))
-    return diam
+    return _diameters(mesh.vertices[mesh.cell_verts], mesh.cell_ptr)
 
 
 def mesh_size(mesh: PolyMesh) -> float:
@@ -537,19 +549,15 @@ def _kernel_chebyshev(mesh: PolyMesh):
     the LP feasible for any cell; r_c <= 0 means the kernel has no interior
     and raises StarShapeError naming the cell.
     """
-    nc = mesh.num_cells
-    # every cell's loop segments as flat arrays, cell by cell
-    sizes = np.array([len(loop) for loop in mesh.cells])
-    first = np.cumsum(sizes) - sizes
-    cell = np.repeat(np.arange(nc), sizes)
-    start = mesh.vertices[np.concatenate(mesh.cells)]
-    j = np.arange(len(cell)) - first[cell]
-    d = start[first[cell] + (j + 1) % sizes[cell]] - start
+    nc, ptr = mesh.num_cells, mesh.cell_ptr
+    cell = np.repeat(np.arange(nc), np.diff(ptr))
+    start = mesh.vertices[mesh.cell_verts]
+    d = start[_successor(ptr)] - start
     lengths = np.sqrt((d ** 2).sum(axis=1))
     if np.any(lengths <= 0):
         raise MeshValidationError("zero-length edge")
     n = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    xbar = np.add.reduceat(start, first) / sizes[:, None]
+    xbar = np.add.reduceat(start, ptr[:-1]) / np.diff(ptr)[:, None]
     h = cell_diameters(mesh)
     a_ub = sp.csr_matrix(
         (np.column_stack([n, np.ones(len(cell))]).ravel(),
@@ -584,21 +592,16 @@ def compute_star_points(mesh: PolyMesh, method: str = "chebyshev"):
         return _kernel_chebyshev(mesh)[0]
     if method != "centroid":
         raise ValueError(f"unknown star point method {method!r}")
-    pts_out = np.empty((mesh.num_cells, 2))
-    for c in range(mesh.num_cells):
-        pts = mesh.cell_vertices(c)
-        pts_out[c] = _polygon_centroid(pts)
-        if _clearance_star(pts, pts_out[c]) <= 0.0:
-            raise StarShapeError(f"star point of cell {c} has nonpositive clearance")
-    return pts_out
-
-
-def _clearance_star(pts, x):
-    """Min fan-triangle height relative measure; positive iff x fans the loop."""
-    q = np.roll(pts, -1, axis=0)
-    cross = ((pts[:, 0] - x[0]) * (q[:, 1] - x[1])
-             - (pts[:, 1] - x[1]) * (q[:, 0] - x[0]))
-    return float(cross.min())
+    cell = np.repeat(np.arange(mesh.num_cells), np.diff(mesh.cell_ptr))
+    pts = mesh.vertices[mesh.cell_verts]
+    star = _shoelace(pts, mesh.cell_ptr)[1]
+    # the centroid fans its cell iff every fan triangle is positive
+    p, q = pts - star[cell], pts[_successor(mesh.cell_ptr)] - star[cell]
+    bad = cell[p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0] <= 0.0]
+    if len(bad):
+        raise StarShapeError(
+            f"star point of cell {bad[0]} has nonpositive clearance")
+    return star
 
 
 @dataclass(frozen=True)
@@ -639,7 +642,7 @@ class SubTriangulation:
 
     @property
     def num_triangles(self) -> int:
-        return sum(f.n_edges for f in self.fans)
+        return int(self.mesh.cell_ptr[-1])
 
 
 def build_subtriangulation(mesh: PolyMesh, star_points=None) -> SubTriangulation:
@@ -684,7 +687,7 @@ class MeshQualityReport:
     max_face_ratio: float
 
 
-def quality_report(mesh: PolyMesh, subtri: SubTriangulation) -> MeshQualityReport:
+def quality_report(mesh: PolyMesh) -> MeshQualityReport:
     """Shape-regularity diagnostics: all reported ratios are >= 1.
 
     rho is the radius of the largest disc inside the cell's kernel (the
@@ -693,7 +696,10 @@ def quality_report(mesh: PolyMesh, subtri: SubTriangulation) -> MeshQualityRepor
     diam = cell_diameters(mesh)
     _, rho = _kernel_chebyshev(mesh)
     chunk = diam / rho
-    face_ratio = diam / np.array([fan.lengths.min() for fan in subtri.fans])
+    d = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    lengths = np.sqrt((d ** 2).sum(axis=1))
+    face_ratio = diam / np.minimum.reduceat(lengths[mesh.cell_edges],
+                                            mesh.cell_ptr[:-1])
     return MeshQualityReport(
         chunkiness=chunk,
         face_ratio=face_ratio,

@@ -104,10 +104,8 @@ class FluxField:
         """Flux at arbitrary points of cell c (per-point home triangle)."""
         gi, r = self.system.locate(c)
         grp = self.system.groups[gi]
-        fan = self.system.subtri.fans[c]
         pts = np.asarray(pts, dtype=float)
-        tri = _home_triangles(
-            np.array([fan.triangle(i) for i in range(fan.n_edges)]), pts)
+        tri = _home_triangles(grp.triangles[r], pts)
         if np.any(tri < 0):
             raise PostprocessError(
                 f"point {pts[np.argmax(tri < 0)]} lies outside cell {c}")
@@ -439,30 +437,26 @@ def cr_equivalence(mesh: PolyMesh, star_points=None) -> float:
 
     ne, nc = mesh.num_edges, mesh.num_cells
     n_cr = ne + 3 * nc
-    n_wg = system.dofmap.total
+    (grp,) = system.groups      # a triangle mesh has one valence group
+    # CR DoFs: the primal edges, then ne + 3 c + i at the midpoint of the
+    # spoke from the star point of cell c to its loop vertex i
+    spoke = ne + 3 * grp.cells[:, None] + np.arange(3)
+    tris = grp.triangles
+    J = np.stack([tris[:, :, 1] - tris[:, :, 0],
+                  tris[:, :, 2] - tris[:, :, 0]], axis=-1)
+    Jinv = np.linalg.inv(J)
+    grads = np.concatenate([-(Jinv[..., :1, :] + Jinv[..., 1:, :]), Jinv],
+                           axis=-2)
+    S = 4.0 * grp.areas[..., None, None] * (grads @ np.swapaxes(grads, -1, -2))
+    local = np.stack([grp.edge_ids, np.roll(spoke, -1, axis=1), spoke], axis=-1)
     A_cr = np.zeros((n_cr, n_cr))
-    E = np.zeros((n_cr, n_wg))
-    for e in range(ne):
-        E[e, system.dofmap.face_dofs(e)[0]] = 1.0
-    for c in range(nc):
-        fan = subtri.fans[c]
-        cdofs = system.dofmap.cell_dofs(c)
-        for i in range(3):
-            tri = fan.triangle(i)
-            J = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-            Jinv = np.linalg.inv(J)
-            grads = np.vstack([-(Jinv[0] + Jinv[1]), Jinv[0], Jinv[1]])
-            local = np.array([fan.edge_ids[i],
-                              ne + 3 * c + (i + 1) % 3,
-                              ne + 3 * c + i])
-            S = 4.0 * fan.areas[i] * (grads @ grads.T)
-            A_cr[np.ix_(local, local)] += S
-        for i in range(3):
-            m = 0.5 * (fan.star + fan.loop[i])
-            row = ne + 3 * c + i
-            E[row, cdofs[0]] = 1.0
-            E[row, cdofs[1]] = (m[0] - fan.xbar[0]) / fan.h
-            E[row, cdofs[2]] = (m[1] - fan.xbar[1]) / fan.h
+    np.add.at(A_cr, (local[..., :, None], local[..., None, :]), S)
+    E = np.zeros((n_cr, system.dofmap.total))
+    E[np.arange(ne), system.dofmap.face_dofs(np.arange(ne))[:, 0]] = 1.0
+    mid = 0.5 * (grp.star[:, None] + grp.loop)
+    E[spoke[..., None], system.dofmap.cell_dofs(grp.cells)[:, None]] = \
+        np.concatenate([np.ones(spoke.shape + (1,)),
+                        (mid - grp.xbar[:, None]) / grp.h[:, None, None]], axis=-1)
     gap = A_wg - E.T @ A_cr @ E
     denom = float(np.abs(A_cr).sum(axis=1).max())
     return float(np.abs(gap).sum(axis=1).max()) / denom
@@ -476,11 +470,8 @@ def write_vtk(path, solution: SolutionField, flux: FluxField | None = None) -> N
     centroid. Triangles are listed cell by cell.
     """
     system = solution.system
-    sizes = np.zeros(system.mesh.num_cells, dtype=np.intp)
-    for grp in system.groups:
-        sizes[grp.cells] = grp.n_edges
-    first = np.cumsum(sizes) - sizes
-    ntri = int(sizes.sum())
+    # fan triangle t of cell c is the cell's loop slot cell_ptr[c] + t
+    first, ntri = system.mesh.cell_ptr[:-1], int(system.mesh.cell_ptr[-1])
     corners = np.zeros((ntri, 3, 2))
     u0 = np.zeros((ntri, 3))
     sigma = np.zeros((ntri, 2))

@@ -44,6 +44,30 @@ def test_mesh_info_missing_file(tmp_path, capsys):
     assert code == EXIT_MESH
 
 
+@pytest.mark.parametrize("change", [{"cells": [[0, 1.7, 2]]}, {"cells": 5},
+                                    {"h": "abc"}],
+                         ids=["float-index", "cells-int", "h-string"])
+def test_mesh_info_malformed_document(tmp_path, capsys, change):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1]],
+                                "cells": [[0, 1, 2]], **change}))
+    code, _, err = run(capsys, "mesh", "info", str(path))
+    assert code == EXIT_MESH
+    assert "mesh error" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--voronoi", "16", "--seed", "-1"],
+    ["--voronoi", "16", "--lloyd-iters", "-3"],
+    ["--delaunay", "16", "--seed", "-2"],
+], ids=["voronoi-seed", "voronoi-iters", "delaunay-seed"])
+def test_mesh_gen_negative_arguments(tmp_path, capsys, flags):
+    code, _, err = run(capsys, "mesh", "gen", *flags,
+                       "-o", str(tmp_path / "m.json"))
+    assert code == EXIT_MESH
+    assert ">= 0" in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 

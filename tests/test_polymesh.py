@@ -1,10 +1,13 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stagpoly import polymesh
 from stagpoly.polymesh import (
+    GenerationError,
     MeshFormatError,
     MeshValidationError,
     StarShapeError,
@@ -23,6 +26,8 @@ from stagpoly.polymesh import (
 )
 
 from conftest import make_single_cell, subtriangulate
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -45,30 +50,75 @@ def test_single_pentagon_cell(pentagon_cell):
 
 
 def test_repeated_vertex_rejected():
-    with pytest.raises(MeshValidationError):
+    with pytest.raises(MeshValidationError, match="cell 0 lists a vertex twice"):
         build_polymesh([(0, 0), (1, 0), (1, 1), (0, 1)], [[0, 1, 1, 2]])
 
 
 def test_clockwise_cell_rejected():
-    with pytest.raises(MeshValidationError):
+    with pytest.raises(MeshValidationError, match="cell 0 is clockwise"):
         build_polymesh([(0, 0), (1, 0), (1, 1)], [[0, 2, 1]])
 
 
 def test_dangling_vertex_rejected():
-    with pytest.raises(MeshValidationError):
+    with pytest.raises(MeshValidationError, match="1 unused .dangling."):
         build_polymesh([(0, 0), (1, 0), (1, 1), (5, 5)], [[0, 1, 2]])
 
 
 def test_out_of_range_index_rejected():
-    with pytest.raises(MeshValidationError):
+    with pytest.raises(MeshValidationError,
+                       match="cell 0 references a vertex out of range"):
         build_polymesh([(0, 0), (1, 0), (1, 1)], [[0, 1, 7]])
 
 
 def test_nonmanifold_edge_rejected():
     # two cells on the same side of a shared edge traverse it identically
     verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    with pytest.raises(MeshValidationError):
+    with pytest.raises(MeshValidationError,
+                       match=r"edge \(0, 1\) traversed twice"):
         build_polymesh(verts, [[0, 1, 2], [0, 1, 3]])
+
+
+# a 2 x 2 square grid whose cells 1 and 3 carry the same defect
+GRID = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([[0, 1, 4, 3], [1, 2], [3, 4, 7, 6], [4, 5]],
+     "cell 1 has fewer than 3 vertices"),
+    ([[0, 1, 4, 3], [1, 2, 9, 4], [3, 4, 7, 6], [4, 5, 9, 7]],
+     "cell 1 references a vertex out of range"),
+    ([[0, 1, 4, 3], [1, 2, 2, 4], [3, 4, 7, 6], [4, 5, 5, 7]],
+     "cell 1 lists a vertex twice"),
+    ([[0, 1, 4, 3], [1, 4, 5, 2], [3, 4, 7, 6], [4, 7, 8, 5]],
+     "cell 1 is clockwise or degenerate"),
+    ([[0, 1, 4, 3], [1, 2, 5, 4], [3, 4, 7, 6], [4, 5, 8, 7], [0, 1, 4]],
+     r"edge \(0, 1\) traversed twice"),
+], ids=["short", "range", "repeat", "clockwise", "manifold"])
+def test_validation_names_lowest_offender(cells, message):
+    with pytest.raises(MeshValidationError, match=message):
+        build_polymesh(GRID, cells)
+
+
+def test_csr_layout():
+    m = gen_uniform_squares(2)
+    assert m.cell_ptr.tolist() == [0, 4, 8, 12, 16]
+    assert np.array_equal(np.concatenate(m.cells), m.cell_verts)
+    assert all(np.shares_memory(c, m.cell_verts) for c in m.cells)
+    with pytest.raises(ValueError):
+        m.cells[0][0] = 1
+
+
+def test_edge_numbering_first_seen():
+    # edges are numbered in the order the cell loops first traverse them
+    m = gen_uniform_squares(2)
+    assert m.edges.tolist() == [[0, 3], [3, 4], [1, 4], [0, 1], [4, 5],
+                                [2, 5], [1, 2], [3, 6], [6, 7], [4, 7],
+                                [7, 8], [5, 8]]
+    assert m.cell_edges.tolist() == [0, 1, 2, 3, 2, 4, 5, 6, 7, 8, 9, 1,
+                                     9, 10, 11, 4]
+    assert m.edge_cells.tolist() == [[0, -1], [0, 2], [1, 0], [0, -1],
+                                     [1, 3], [1, -1], [1, -1], [2, -1],
+                                     [2, -1], [3, 2], [3, -1], [3, -1]]
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +191,26 @@ def test_voronoi_basic(voronoi64):
         assert np.all(cross > -1e-12), f"cell {c} is not convex"
 
 
+def test_flat_geometry_matches_per_cell_loops(voronoi64):
+    # per-cell reference loops; the flat passes add the same terms in
+    # another order, so they may differ by the summation error bound
+    m = voronoi64
+    areas = m.areas()
+    centroids = compute_star_points(m, method="centroid")
+    diameters = polymesh.cell_diameters(m)
+    for c in range(m.num_cells):
+        p = m.cell_vertices(c)
+        q = np.roll(p, -1, axis=0)
+        cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+        # bound on the rounding of sum(cross) in any order; |p + q| <= 2
+        bound = len(p) * np.finfo(float).eps * np.abs(cross).sum()
+        assert abs(areas[c] - 0.5 * cross.sum()) <= bound
+        centroid = ((p + q) * cross[:, None]).sum(axis=0) / (3 * cross.sum())
+        assert np.abs(centroids[c] - centroid).max() <= 4 * bound / cross.sum()
+        assert diameters[c] == max(np.sqrt(((a - b) ** 2).sum())
+                                   for a in p for b in p)
+
+
 def test_voronoi_two_seeds_bisector():
     m = gen_voronoi_polygons(2, lloyd_iters=0, rng_seed=5)
     assert m.num_cells == 2
@@ -152,6 +222,45 @@ def test_voronoi_deterministic():
     b = gen_voronoi_polygons(16, lloyd_iters=10, rng_seed=9)
     assert np.array_equal(a.vertices, b.vertices)
     assert all(np.array_equal(x, y) for x, y in zip(a.cells, b.cells))
+
+
+def _topology_sha256(m):
+    text = json.dumps([[c.tolist() for c in m.cells], m.edges.tolist(),
+                       m.edge_cells.tolist(), m.edge_markers.tolist()])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_voronoi_matches_recorded_mesh(voronoi64):
+    # data/voronoi64.json and the fingerprint were written by the per-cell
+    # implementation that preceded the flat CSR front end
+    ref = read_mesh(DATA / "voronoi64.json")
+    assert _topology_sha256(voronoi64) == \
+        "9bb7fb02a6eef843ebc36945391595c0f62c0e0809987a805cc8794dab08b8e1"
+    assert _topology_sha256(ref) == _topology_sha256(voronoi64)
+    assert np.abs(voronoi64.vertices - ref.vertices).max() <= 1e-9
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: gen_uniform_triangles(4),
+     "a0db38afe75788d9000ffff86b9f7de558b05b406b965e68e8131a110a9cf793"),
+    (lambda: gen_uniform_squares(3),
+     "2a546e23ef0baeee7b0659ec52798a2d0db9943b6ecf245790cffa049af2746d"),
+    (lambda: gen_delaunay_triangles(40, rng_seed=3),
+     "6c2e64c89cfc016f54c00c409edff1f83f0f7dfc286705526e71d4faf186c9bb"),
+], ids=["tri4", "squares3", "delaunay40"])
+def test_document_digest(make, digest):
+    # recorded from the per-cell implementation: documents stay byte-identical
+    assert hashlib.sha256(mesh_document(make()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_voronoi_polygons(16, lloyd_iters=10, rng_seed=-1),
+    lambda: gen_voronoi_polygons(16, lloyd_iters=-3, rng_seed=0),
+    lambda: gen_delaunay_triangles(16, rng_seed=-2),
+], ids=["voronoi-seed", "voronoi-iters", "delaunay-seed"])
+def test_generator_rejects_negative_arguments(make):
+    with pytest.raises(GenerationError, match=">= 0"):
+        make()
 
 
 def test_voronoi_h_decreases():
@@ -284,19 +393,18 @@ def test_fan_geometry_fields(voronoi64_sub):
 # quality report
 
 def test_quality_unit_square(unit_square_cell):
-    sub = subtriangulate(unit_square_cell)
-    rep = quality_report(unit_square_cell, sub)
+    rep = quality_report(unit_square_cell)
     assert rep.chunkiness[0] == pytest.approx(np.sqrt(2.0) / 0.5, abs=1e-6)
 
 
 def test_quality_equilateral():
     m = make_single_cell([(0, 0), (1, 0), (0.5, np.sqrt(3) / 2)])
-    rep = quality_report(m, subtriangulate(m))
+    rep = quality_report(m)
     assert rep.chunkiness[0] == pytest.approx(2 * np.sqrt(3), abs=1e-6)
 
 
-def test_quality_voronoi_bounded(voronoi64, voronoi64_sub):
-    rep = quality_report(voronoi64, voronoi64_sub)
+def test_quality_voronoi_bounded(voronoi64):
+    rep = quality_report(voronoi64)
     assert rep.max_chunkiness < 20.0
     assert np.all(rep.chunkiness >= 1.0)
 
@@ -340,3 +448,37 @@ def test_load_propagates_validation():
                       "cells": [[0, 1, 1]]})
     with pytest.raises(MeshValidationError):
         load_mesh(doc)
+
+
+TRIANGLE = {"vertices": [[0, 0], [1, 0], [0, 1]], "cells": [[0, 1, 2]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"cells": [[0, 1.7, 2]]},
+    {"cells": [["0", "1", "2"]]},
+    {"cells": [[False, True, 2]]},
+    {"cells": 5},
+    {"cells": [5]},
+    {"vertices": [["0", 0], [1, 0], [0, 1]]},
+    {"h": "abc"},
+    {"h": True},
+    {"boundary_markers": [{"edge": [0, 1], "tag": "x"}]},
+    {"boundary_markers": [{"edge": [0, 1], "tag": 2.9}]},
+    {"boundary_markers": [{"edge": [0, 1.0], "tag": 1}]},
+    {"boundary_markers": [{"edge": [0], "tag": 1}]},
+    {"boundary_markers": [{"tag": 1}]},
+    {"boundary_markers": 7},
+], ids=["float-index", "string-index", "bool-index", "cells-int",
+        "cell-int", "string-coordinate", "h-string", "h-bool", "tag-string",
+        "tag-float", "edge-float", "edge-short", "edge-missing",
+        "markers-int"])
+def test_load_rejects_wrong_types(change):
+    with pytest.raises(MeshFormatError):
+        load_mesh(json.dumps({**TRIANGLE, **change}))
+
+
+def test_load_accepts_integral_h_and_markers():
+    m = load_mesh(json.dumps({**TRIANGLE, "h": 1, "boundary_markers": [
+        {"edge": [1, 0], "tag": 3}]}))
+    assert m.h_report == 1.0
+    assert m.edge_markers.tolist() == [3, 0, 0]
