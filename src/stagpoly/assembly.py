@@ -105,10 +105,11 @@ class BoundarySpec:
 class GlobalSystem:
     """Assembled system, before and after Dirichlet elimination.
 
-    A_full / b_full cover every DoF; A / b, built on first use, are
-    restricted to the free set. fixed_dofs and fixed_values record the
-    eliminated Dirichlet data; groups hold the element operators, one
-    ElementGroup per cell valence.
+    A_full / b_full cover every DoF; A / b are restricted to the free
+    set. A_full, A and b, which the condensed solve never reads, are
+    built on first use. fixed_dofs and fixed_values record the eliminated
+    Dirichlet data; groups hold the element operators, one ElementGroup
+    per cell valence.
     """
     mesh: PolyMesh
     subtri: SubTriangulation
@@ -116,13 +117,17 @@ class GlobalSystem:
     k: int
     coeff: CoefficientField
     flux_sign: int
-    A_full: sp.csr_matrix
     b_full: np.ndarray
     free: np.ndarray
     fixed_dofs: np.ndarray
     fixed_values: np.ndarray
     groups: list = field(repr=False, default_factory=list)
     rhs_degree: int = 2
+
+    @cached_property
+    def A_full(self) -> sp.csr_matrix:
+        triplets = [_block_triplets(grp.dofs, grp.A) for grp in self.groups]
+        return _symmetric_csr(self.dofmap.total, *zip(*triplets))
 
     @cached_property
     def A(self) -> sp.csr_matrix:
@@ -180,28 +185,19 @@ def _block_triplets(dofs, blocks):
 
 def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
                     coeff: CoefficientField, f: Callable, bc: BoundarySpec,
-                    flux_sign: int = 1, rhs_degree: int | None = None,
-                    dirichlet_npoints: int | None = None) -> GlobalSystem:
+                    flux_sign: int = 1) -> GlobalSystem:
     """Assemble stiffness and load for (G_w u, G_w v) = (f, v_0).
 
     The load integrates f against the cell basis with a fan-triangle rule
-    of degree `rhs_degree` (default 2(k+1)); Neumann faces add
-    flux_sign * <g_N, v_b>; Dirichlet faces are projected with
-    face_projection_Qb and eliminated.  The default dirichlet_npoints of
-    k+1 makes the boundary values interpolatory at the Gauss points of
-    each face (the face midpoint at k = 0); pass 6 for the near-exact
-    L2 projection instead.
+    of degree 2(k+1); Neumann faces add flux_sign * <g_N, v_b>; Dirichlet
+    faces are projected with face_projection_Qb on k+1 Gauss points, which
+    makes the boundary values interpolatory there (the face midpoint at
+    k = 0), and eliminated.
     """
     dofmap = build_dof_map(mesh, k)
-    if rhs_degree is None:
-        rhs_degree = 2 * (k + 1)
-    if dirichlet_npoints is None:
-        dirichlet_npoints = k + 1
-    rhs_rule = triangle_rule(rhs_degree)
+    rhs_rule = triangle_rule(2 * (k + 1))
     groups = element_groups(mesh, subtri, k, coeff)
 
-    triplets = [_block_triplets(grp.dofs, grp.A) for grp in groups]
-    A_full = _symmetric_csr(dofmap.total, *zip(*triplets))
     b = np.zeros(dofmap.total)
     for grp in groups:
         pts, wts = grp.fan_quadrature(rhs_rule)
@@ -222,8 +218,7 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
         a, bb = ends[sel, 0], ends[sel, 1]
         if kind == "dirichlet":
             dirichlet[sel] = True
-            values[sel] = face_projection_Qb(a, bb, k, g,
-                                             npoints=dirichlet_npoints)
+            values[sel] = face_projection_Qb(a, bb, k, g, npoints=k + 1)
         else:
             pts, wts = map_to_edge(erule, a, bb)
             gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(
@@ -234,11 +229,10 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
     mask = np.ones(dofmap.total, dtype=bool)
     mask[fixed_dofs] = False
     return GlobalSystem(mesh=mesh, subtri=subtri, dofmap=dofmap, k=k,
-                        coeff=coeff, flux_sign=flux_sign, A_full=A_full,
-                        b_full=b, free=np.flatnonzero(mask),
-                        fixed_dofs=fixed_dofs,
+                        coeff=coeff, flux_sign=flux_sign, b_full=b,
+                        free=np.flatnonzero(mask), fixed_dofs=fixed_dofs,
                         fixed_values=values[dirichlet].ravel(),
-                        groups=groups, rhs_degree=rhs_degree)
+                        groups=groups, rhs_degree=rhs_rule.degree)
 
 
 @dataclass

@@ -15,7 +15,7 @@ sub-triangulation that the flux space lives on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -258,10 +258,13 @@ def build_polymesh(vertices, cells, boundary_markers=None, h_report=None) -> Pol
     if not np.all(np.isfinite(vertices)):
         raise MeshValidationError("non-finite vertex coordinates")
     try:
+        kinds = set(map(type, chain.from_iterable(cells)))
         cell_ptr, cell_verts = _csr(cells)
     except (TypeError, ValueError) as exc:
         raise MeshValidationError(
             "cells must be sequences of vertex indices") from exc
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in kinds):
+        raise MeshValidationError("vertex indices must be integers")
     edges, edge_cells, cell_edges = _connect(vertices, cell_ptr, cell_verts)
 
     markers = np.zeros(len(edges), dtype=np.intp)
@@ -638,11 +641,29 @@ class CellFan:
 class SubTriangulation:
     mesh: PolyMesh
     star: np.ndarray
-    fans: list[CellFan] = field(repr=False)
 
     @property
     def num_triangles(self) -> int:
         return int(self.mesh.cell_ptr[-1])
+
+    @cached_property
+    def fans(self) -> list[CellFan]:
+        """One CellFan per cell, built on first use."""
+        fans = [None] * self.mesh.num_cells
+        for cells, verts, edge_ids in valence_groups(self.mesh):
+            loop = self.mesh.vertices[verts]
+            areas, n, t, lengths = fan_geometry(loop, self.star[cells])
+            area = areas.sum(axis=1)
+            mid = 0.5 * (loop + np.roll(loop, -1, axis=1))
+            xbar = loop.mean(axis=1)
+            for r, c in enumerate(cells.tolist()):
+                fans[c] = CellFan(
+                    cell=c, star=self.star[c].copy(), loop=loop[r],
+                    edge_ids=edge_ids[r], areas=areas[r], normals=n[r],
+                    tangents=t[r], midpoints=mid[r], lengths=lengths[r],
+                    xbar=xbar[r], h=float(np.sqrt(area[r])),
+                    area=float(area[r]))
+        return fans
 
 
 def build_subtriangulation(mesh: PolyMesh, star_points=None) -> SubTriangulation:
@@ -655,28 +676,15 @@ def build_subtriangulation(mesh: PolyMesh, star_points=None) -> SubTriangulation
     star_points = np.asarray(star_points, dtype=float)
     if star_points.shape != (mesh.num_cells, 2):
         raise ValueError("star_points must be (num_cells, 2)")
-    fans = [None] * mesh.num_cells
     degenerate = []
-    for cells, verts, edge_ids in valence_groups(mesh):
-        loop = mesh.vertices[verts]
-        areas, n, t, lengths = fan_geometry(loop, star_points[cells])
-        cell_area = areas.sum(axis=1)
-        degenerate.extend(
-            cells[np.any(areas <= 1e-12 * cell_area[:, None], axis=1)])
-        mid = 0.5 * (loop + np.roll(loop, -1, axis=1))
-        xbar = loop.mean(axis=1)
-        h = np.sqrt(cell_area)
-        for r, c in enumerate(cells.tolist()):
-            fans[c] = CellFan(cell=c, star=star_points[c].copy(),
-                              loop=loop[r], edge_ids=edge_ids[r],
-                              areas=areas[r], normals=n[r], tangents=t[r],
-                              midpoints=mid[r], lengths=lengths[r],
-                              xbar=xbar[r], h=float(h[r]),
-                              area=float(cell_area[r]))
+    for cells, verts, _ in valence_groups(mesh):
+        areas = fan_geometry(mesh.vertices[verts], star_points[cells])[0]
+        degenerate.extend(cells[np.any(
+            areas <= 1e-12 * areas.sum(axis=1)[:, None], axis=1)])
     if degenerate:
         raise StarShapeError(f"cell {min(degenerate)}: star point yields a "
                              "degenerate fan triangle")
-    return SubTriangulation(mesh=mesh, star=star_points, fans=fans)
+    return SubTriangulation(mesh=mesh, star=star_points)
 
 
 @dataclass(frozen=True)

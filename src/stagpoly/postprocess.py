@@ -124,7 +124,7 @@ def _home_triangles(tris, pts, tol=1e-12):
 
 
 def recover_flux(solution: SolutionField, sign: int | None = None) -> FluxField:
-    """Per-cell flux sign*K*(weak gradient), exact from the mass solve."""
+    """Per-cell flux sign*K*(weak gradient): G times the local DoFs."""
     system = solution.system
     if sign is None:
         sign = system.flux_sign

@@ -1,22 +1,25 @@
 """Element operators of the weak Galerkin discretization.
 
 For a cell fanned into triangles, the flux space is spanned by frame
-vectors (outward normal / tangent of each fan triangle's outer edge)
-times scaled monomials supported on that triangle. The weak gradient of
-a pair (u_0, u_b) is the flux-space field G_w u with
+vectors F = (outward normal, tangent) of each fan triangle's outer edge
+times a P_k basis on that triangle, orthonormal in the mean inner product
+(1/|T|) int_T and led by the constant 1. The flux of a pair (u_0, u_b)
+is the field sigma (K G_w u for a cellwise-constant K) with
 
-    (G_w u, tau)_K = (grad u_0, tau)_K + <u_b - u_0, tau . n>_dK
+    (K^{-1} sigma, tau)_K = (grad u_0, tau)_K + <u_b - u_0, tau . n>_dK
 
-for every flux test field tau. In matrix form its coefficients are
-M^{-1} [D_b, D_0] u and the local stiffness is
-A_K = [D_b, D_0]^T M^{-1} [D_b, D_0].
+for every flux test field tau. Its coefficients are G u with
+G = M^{-1} [D_b, D_0], M the K^{-1}-weighted flux Gram matrix, and the
+local stiffness is A_K = [D_b, D_0]^T G. M is block-diagonal by fan
+triangle; for a cellwise-constant K its block |T| (F K^{-1} F^T (x) I)
+gives G_T = (F K F^T (x) I) [D_b, D_0]_T / |T| without a factorisation.
 
 Cells with the same number of edges m share one array layout, so the
 operators of such a valence group are built and stored as stacks over its
 g cells (one ElementGroup per m). Local DoFs are [face DoFs | cell DoFs];
-flux coefficients are ordered (frame, fan triangle, monomial) with the
-normal frame first, and functions on distinct fan triangles have disjoint
-supports.
+flux coefficients are ordered (frame, fan triangle, basis function) with
+the normal frame first, and functions on distinct fan triangles have
+disjoint supports.
 """
 
 from __future__ import annotations
@@ -79,14 +82,7 @@ class CoefficientField:
         return K
 
     def inv_at(self, points):
-        K = self.at(points)
-        det = K[:, 0, 0] * K[:, 1, 1] - K[:, 0, 1] * K[:, 1, 0]
-        inv = np.empty_like(K)
-        inv[:, 0, 0] = K[:, 1, 1] / det
-        inv[:, 1, 1] = K[:, 0, 0] / det
-        inv[:, 0, 1] = -K[:, 0, 1] / det
-        inv[:, 1, 0] = -K[:, 1, 0] / det
-        return inv
+        return np.linalg.inv(self.at(points))
 
 
 def _check_spd(K, tol=1e-12):
@@ -176,12 +172,12 @@ class ElementGroup:
     triangle t of row r is (star[r], loop[r, t], loop[r, t+1]) with outer
     edge edge_ids[r, t]; frames[r, t] holds its outward unit normal and CCW
     unit tangent; orient[r, t] is +1 where the cell runs along the edge's
-    canonical direction and -1 otherwise. Flux monomials on triangle t are
-    centred at its centroid, cell monomials at the vertex average xbar[r],
-    both scaled by h[r] = sqrt(|K|). Operators have shapes M and its
-    lower Cholesky factor L (g, d, d), Db (g, d, m(k+1)), D0 (g, d, nc) and
-    A (g, n, n) with d = 2 m nm flux functions, nm = dim P_k and
-    n = m(k+1) + nc local DoFs; dofs (g, n) are their global indices.
+    canonical direction and -1 otherwise. Cell monomials are centred at
+    xbar[r], flux monomials on triangle t at its centroid, both scaled by
+    h[r] = sqrt(|K|); the flux basis of triangle t is monomials @
+    ortho[r, t]. G (g, d, n) maps local DoFs to flux coefficients and A
+    (g, n, n) is the stiffness, with d = 2 m nm flux functions, nm = dim
+    P_k and n = m(k+1) + nc local DoFs; dofs (g, n) are their global ids.
     """
     k: int
     cells: np.ndarray
@@ -195,10 +191,8 @@ class ElementGroup:
     centroids: np.ndarray
     xbar: np.ndarray
     h: np.ndarray
-    M: np.ndarray
-    L: np.ndarray
-    Db: np.ndarray
-    D0: np.ndarray
+    ortho: np.ndarray
+    G: np.ndarray
     A: np.ndarray
     dofs: np.ndarray
 
@@ -212,7 +206,7 @@ class ElementGroup:
 
     @property
     def n_face_dofs(self) -> int:
-        return self.Db.shape[2]
+        return self.n_edges * (self.k + 1)
 
     @property
     def triangles(self):
@@ -264,27 +258,29 @@ def batched_cholesky(mats, cells, error, what: str):
 
 
 def cho_solve_batched(L, B):
-    """X with L L^T X = B for stacks L (g, n, n) and B (g, n, r)."""
-    return np.linalg.solve(np.swapaxes(L, 1, 2), np.linalg.solve(L, B))
+    """X with L L^T X = B for stacks L (..., n, n) and B (..., n, r)."""
+    return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, B))
 
 
 def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
                    coeff: CoefficientField) -> list:
     """One ElementGroup per cell valence, in ascending edge count.
 
-    M is the Gram matrix of the flux basis in the K^{-1}-weighted L2
-    product. D_b columns are flux moments of the face basis functions;
-    D_0 columns realize (grad phi_0, tau)_K - <phi_0, tau . n>_dK. Tangent
-    rows of D_b vanish because tau . n does. A cellwise-constant K is
-    sampled once per cell, at the star point.
+    A QR factorisation of each fan triangle's monomials, sampled by a rule
+    exact to degree 2k and with diag(R) made positive, gives its flux
+    basis. D_b columns are flux moments of the face basis functions; D_0
+    columns realize (grad phi_0, tau)_K - <phi_0, tau . n>_dK. Tangent rows
+    of D_b vanish because tau . n does. A cellwise-constant K is sampled
+    once per cell, at the star point.
     """
     dofmap = DofMap(k=k, num_faces=mesh.num_edges, num_cells=mesh.num_cells)
     nm, nf, nc = (k + 1) * (k + 2) // 2, k + 1, dofmap.cell_block
+    cellwise = coeff.cellwise_constant
+    vol_rule, erule = triangle_rule(2 * k), edge_rule(k + 1)
     groups = []
     for cells, verts, edge_ids in valence_groups(mesh):
         g, m = verts.shape
-        d = 2 * m * nm
-        slot = np.arange(m)
+        n = m * nf + nc
         loop = mesh.vertices[verts]
         star = subtri.star[cells]
         areas, normals, tangents, lengths = fan_geometry(loop, star)
@@ -296,51 +292,52 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
         orient = np.where(mesh.edges[edge_ids, 0] == verts, 1.0, -1.0)
         hq = h[:, None, None]
 
-        mass_rule = triangle_rule(2 * k if coeff.cellwise_constant
-                                  else 2 * k + 2)
-        pts, wts = map_to_triangle(mass_rule, tris)
+        pts, wts = map_to_triangle(vol_rule, tris)
         mono = monomials(pts, cent[:, :, None], hq, k)
-        if coeff.cellwise_constant:
-            Kinv = coeff.inv_at(star)
-            fprod = np.einsum("gtai,gij,gtbj->gtab", frames, Kinv, frames)
-            gram = np.einsum("gtqa,gtqb->gtab", mono * wts[..., None], mono)
-            blocks = fprod[:, :, :, None, :, None] \
-                * gram[:, :, None, :, None, :]
-        else:
-            Kinv = coeff.inv_at(pts.reshape(-1, 2)).reshape(pts.shape + (2,))
-            cprod = np.einsum("gtai,gtqij,gtbj->gtqab", frames, Kinv, frames)
-            blocks = np.einsum("gtqa,gtqfh,gtqb->gtfahb", mono,
-                               cprod * wts[..., None, None], mono)
-        M = np.zeros((g, 2, m, nm, 2, m, nm))
-        M[:, :, slot, :, :, slot, :] = blocks.transpose(1, 0, 2, 3, 4, 5)
-        M = M.reshape(g, d, d)
+        R = np.linalg.qr(np.sqrt(wts / areas[..., None])[..., None] * mono,
+                         mode="r")
+        ortho = np.linalg.inv(
+            R * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None])
 
-        erule = edge_rule(k + 1)
+        # rows (triangle, frame, basis function), columns [u_b | u_0]
         epts, ewts = map_to_edge(erule, loop, np.roll(loop, -1, axis=1))
-        emono = monomials(epts, cent[:, :, None], hq, k) * ewts[..., None]
+        ephi = (monomials(epts, cent[:, :, None], hq, k) @ ortho) \
+            * ewts[..., None]
         psi = face_monomials(orient[..., None] * (erule.points - 0.5), k)
-        ephi = monomials(epts, xbar[:, None, None], hq, k + 1)
-        Db = np.zeros((g, 2, m, nm, m, nf))
-        Db[:, 0, slot, :, slot, :] = np.einsum("gtqa,gtqp->tgap", emono, psi)
-        D0 = np.zeros((g, 2, m, nm, nc))
-        D0[:, 0] -= np.einsum("gtqa,gtqc->gtac", emono, ephi)
-        pts, wts = map_to_triangle(triangle_rule(2 * k), tris)
-        mono = monomials(pts, cent[:, :, None], hq, k) * wts[..., None]
+        B = np.zeros((g, m, 2, nm, n))
+        B[:, np.arange(m)[:, None], 0, :, np.arange(m * nf).reshape(m, nf)] = \
+            np.einsum("gtqa,gtqp->tpga", ephi, psi)
+        B[:, :, 0, :, m * nf:] = -np.einsum("gtqa,gtqc->gtac", ephi, monomials(
+            epts, xbar[:, None, None], hq, k + 1))
         gphi = monomials(pts, xbar[:, None, None], hq, k + 1, grad=True)
-        D0 += np.einsum("gtqa,gtqcx,gtfx->gftac", mono, gphi, frames)
-        Db, D0 = Db.reshape(g, d, m * nf), D0.reshape(g, d, nc)
+        B[..., m * nf:] += np.einsum("gtqa,gtqcx,gtfx->gtfac", (mono @ ortho)
+                                     * wts[..., None], gphi, frames,
+                                     optimize=True)
 
-        L = batched_cholesky(M, cells, DegenerateElementError,
-                             "singular flux mass matrix")
-        Y = np.linalg.solve(L, np.concatenate([Db, D0], axis=2))
-        A = np.swapaxes(Y, 1, 2) @ Y
+        if cellwise:
+            C = np.einsum("gtfi,gij,gtej->gtfe", frames, coeff.at(star),
+                          frames) / areas[..., None, None]
+            G = C @ B.reshape(g, m, 2, nm * n)
+        else:
+            pts, wts = map_to_triangle(triangle_rule(2 * k + 2), tris)
+            phi = monomials(pts, cent[:, :, None], hq, k) @ ortho
+            Kinv = coeff.inv_at(pts.reshape(-1, 2)).reshape(pts.shape + (2,))
+            M = np.einsum("gtqa,gtfi,gtqij,gtej,gtqb,gtq->gtfaeb", phi, frames,
+                          Kinv, frames, phi, wts, optimize=True)
+            L = batched_cholesky(M.reshape(g, m, 2 * nm, 2 * nm), cells,
+                                 DegenerateElementError,
+                                 "singular flux mass matrix")
+            G = cho_solve_batched(L, B.reshape(g, m, 2 * nm, n))
+        A = np.swapaxes(B.reshape(g, -1, n), 1, 2) @ G.reshape(g, -1, n)
         A = 0.5 * (A + np.swapaxes(A, 1, 2))
+        # flux coefficients are ordered (frame, triangle, basis function)
+        G = np.moveaxis(G.reshape(g, m, 2, nm, n), 1, 2).reshape(g, -1, n)
         dofs = np.concatenate([dofmap.face_dofs(edge_ids).reshape(g, -1),
                                dofmap.cell_dofs(cells)], axis=1)
         groups.append(ElementGroup(
             k=k, cells=cells, star=star, loop=loop, edge_ids=edge_ids,
             orient=orient, frames=frames, lengths=lengths, areas=areas,
-            centroids=cent, xbar=xbar, h=h, M=M, L=L, Db=Db, D0=D0, A=A,
+            centroids=cent, xbar=xbar, h=h, ortho=ortho, G=G, A=A,
             dofs=dofs))
     return groups
 
@@ -357,6 +354,8 @@ def flux_values(group: ElementGroup, coeffs, pts, rows=None, tris=None):
                             np.arange(group.n_edges))
     coeffs = np.asarray(coeffs, dtype=float).reshape(
         len(group.cells), 2, group.n_edges, group.n_mono)[rows, :, tris]
+    # each frame component in the monomials of its triangle
+    coeffs = coeffs @ np.swapaxes(group.ortho[rows, tris], -1, -2)
     mono = monomials(pts, group.centroids[rows, tris][..., None, :],
                      np.asarray(group.h[rows])[..., None], group.k)
     return np.einsum("...qa,...fa->...qf", mono, coeffs) \
@@ -364,12 +363,8 @@ def flux_values(group: ElementGroup, coeffs, pts, rows=None, tris=None):
 
 
 def weak_gradient_coeffs(group: ElementGroup, u_local) -> np.ndarray:
-    """Flux coefficients (g, d) of the weak gradients of rows u_local (g, n)
-    = [u_b | u_0]."""
-    u = np.asarray(u_local, dtype=float)[..., None]
-    nfl = group.n_face_dofs
-    Gu = group.Db @ u[:, :nfl] + group.D0 @ u[:, nfl:]
-    return cho_solve_batched(group.L, Gu)[..., 0]
+    """Flux coefficients (g, d) of the rows u_local (g, n) = [u_b | u_0]."""
+    return (group.G @ np.asarray(u_local, dtype=float)[..., None])[..., 0]
 
 
 def cell_mass(group: ElementGroup) -> np.ndarray:
@@ -396,8 +391,9 @@ def weak_divergence(group: ElementGroup, s) -> tuple:
     pts, wts = group.fan_quadrature(triangle_rule(min(2 * (k + 1), 10)))
     mgrad = monomials(pts, group.centroids[:, :, None], group.h[:, None, None],
                       k, grad=True)
-    div = np.einsum("gtqax,gtfx,gfta->gtq", mgrad, group.frames,
-                    s.reshape(g, 2, m, group.n_mono))
+    div = np.einsum("gtqbx,gtfx,gtba,gfta->gtq", mgrad, group.frames,
+                    group.ortho, s.reshape(g, 2, m, group.n_mono),
+                    optimize=True)
     rhs = np.einsum("gtqc,gtq->gc", group.cell_basis(pts), div * wts)
 
     # spoke i runs from the star point to loop vertex i, shared by

@@ -191,8 +191,10 @@ def test_pointwise_constant_K_matches_cellwise(voronoi64, voronoi64_sub, k):
 def test_reduced_system_built_on_demand(tri4):
     system = build(example1(), tri4)
     assert "A" not in vars(system) and "b" not in vars(system)
+    assert "A_full" not in vars(system)
     solve_system(system, method="direct", condense=True)
     assert "A" not in vars(system) and "b" not in vars(system)
+    assert "A_full" not in vars(system)
     free, fixed = system.free, system.fixed_dofs
     expected = system.b_full[free] \
         - system.A_full.toarray()[np.ix_(free, fixed)] @ system.fixed_values

@@ -78,6 +78,21 @@ def test_nonmanifold_edge_rejected():
         build_polymesh(verts, [[0, 1, 2], [0, 1, 3]])
 
 
+@pytest.mark.parametrize("cell", [[0, 1.7, 2], [0, True, 2],
+                                  np.array([0.0, 1.0, 2.0])],
+                         ids=["float", "bool", "float-array"])
+def test_non_integer_index_rejected(cell):
+    with pytest.raises(MeshValidationError,
+                       match="vertex indices must be integers"):
+        build_polymesh([(0, 0), (1, 0), (0, 1)], [cell])
+
+
+def test_numpy_integer_indices_accepted():
+    m = build_polymesh([(0, 0), (1, 0), (0, 1)],
+                       np.array([[0, 1, 2]], dtype=np.int32))
+    assert m.cell_verts.tolist() == [0, 1, 2]
+
+
 # a 2 x 2 square grid whose cells 1 and 3 carry the same defect
 GRID = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
 

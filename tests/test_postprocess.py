@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stagpoly.assembly import assemble_system
-from stagpoly.polymesh import gen_uniform_squares, gen_uniform_triangles
+from stagpoly.polymesh import (gen_uniform_squares, gen_uniform_triangles,
+                               gen_voronoi_polygons)
 from stagpoly.postprocess import (
     ConvergenceReport,
     FluxField,
@@ -18,7 +19,7 @@ from stagpoly.postprocess import (
     recover_flux,
     write_vtk,
 )
-from stagpoly.problems import example1, example3, patch_linear
+from stagpoly.problems import example1, example2, example3, patch_linear
 from stagpoly.solver import solve_system
 
 from conftest import subtriangulate
@@ -125,7 +126,7 @@ def test_flux_norm_ordering(mesh_families):
         prob = example1()
         system = assemble_system(mesh, sub, 0, prob.coeff, prob.f, prob.bc)
         for trial in range(10):
-            coeffs = [RNG.standard_normal(grp.M.shape[:2])
+            coeffs = [RNG.standard_normal(grp.G.shape[:2])
                       for grp in system.groups]
             flux = FluxField(system=system, coeffs=coeffs)
             n0h, nl2 = flux_norms(flux)
@@ -144,7 +145,7 @@ def test_random_flux_jump_large(tri4):
     prob = example1()
     sub = subtriangulate(tri4)
     system = assemble_system(tri4, sub, 0, prob.coeff, prob.f, prob.bc)
-    coeffs = [RNG.standard_normal(grp.M.shape[:2]) for grp in system.groups]
+    coeffs = [RNG.standard_normal(grp.G.shape[:2]) for grp in system.groups]
     report = flux_jump_report(FluxField(system=system, coeffs=coeffs))
     assert report["max_scaled_jump"] > 1e-3
 
@@ -222,6 +223,27 @@ def test_convergence_rates_high_order(k):
     rates = report.rows[-1].rates
     assert rates["e_sigma_L2"] >= k + 1 - 0.1
     assert rates["e_L2"] >= k + 2 - 0.2
+
+
+@pytest.fixture(scope="module")
+def voronoi_ladder(voronoi64):
+    return [gen_voronoi_polygons(16, lloyd_iters=100, rng_seed=1), voronoi64,
+            gen_voronoi_polygons(256, lloyd_iters=100, rng_seed=1)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_voronoi_rates_high_order(voronoi_ladder, k):
+    # h = N^(-1/2); measured rates over the two refinements are
+    # e_1h 2.95, 2.97 / 4.19, 4.08, e_sigma_L2 3.36, 3.15 / 4.21, 4.16 and
+    # e_L2 4.20, 4.08 / 5.24, 5.15 at k = 2 / 3
+    report = convergence_study(example2(), voronoi_ladder, k=k,
+                               columns=["e_1h", "e_sigma_L2", "e_L2"])
+    for coarse, fine in zip(report.rows, report.rows[1:]):
+        log_h = 0.5 * np.log(fine.n_cells / coarse.n_cells)
+        for key, order in (("e_1h", k + 0.8), ("e_sigma_L2", k + 0.8),
+                           ("e_L2", k + 1.8)):
+            rate = np.log(coarse.errors[key] / fine.errors[key]) / log_h
+            assert rate >= order, (key, fine.n_cells, rate)
 
 
 def test_convergence_study_needs_meshes():

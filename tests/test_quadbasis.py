@@ -154,7 +154,7 @@ def test_cell_basis_k0_ordering(unit_square_cell):
 def test_cell_basis_k1_dim(unit_square_cell):
     [grp] = groups_of(unit_square_cell, 1)
     assert grp.cell_basis(grp.loop).shape == (1, 4, 6)
-    assert grp.D0.shape[2] == 6
+    assert grp.G.shape[2] - grp.n_face_dofs == 6
 
 
 @settings(max_examples=25, deadline=None)
@@ -209,7 +209,8 @@ def test_face_basis_param_endpoints(tri4):
 
 def test_flux_basis_square_k0(unit_square_cell):
     [grp] = groups_of(unit_square_cell, 0)
-    assert grp.M.shape == (1, 8, 8)
+    assert grp.G.shape[:2] == (1, 8)
+    assert grp.ortho.shape == (1, 4, 1, 1)
     assert grp.n_mono == 1
 
 
@@ -238,16 +239,17 @@ def test_flux_basis_frames(pentagon_cell):
 def test_flux_basis_index_layout(pentagon_cell):
     [grp] = groups_of(pentagon_cell, 1)
     assert grp.n_mono == 3
-    assert grp.M.shape[1] == 2 * 5 * 3
-    # (frame, triangle, monomial), normal frame first: the mass matrix
-    # couples functions on one triangle only, and D_b has no tangent rows
-    M = grp.M[0].reshape(2, 5, 3, 2, 5, 3)
+    assert grp.G.shape[1] == 2 * 5 * 3
+    # (frame, triangle, basis function), normal frame first: a face DoF
+    # moves the flux on its own fan triangle only, and with K = I only its
+    # normal component
+    Gb = grp.G[0, :, :grp.n_face_dofs].reshape(2, 5, 3, 5, 2)
     for t in range(5):
         for u in range(5):
-            block = M[:, t, :, :, u, :]
+            block = Gb[:, t, :, u, :]
             assert (np.abs(block).max() > 0) == (t == u)
-    assert np.abs(grp.Db[0, 15:]).max() == 0.0
-    assert np.abs(grp.Db[0, :15]).max() > 0.0
+    assert np.abs(Gb[1]).max() == 0.0
+    assert np.abs(Gb[0]).max() > 0.0
 
 
 def test_flux_basis_home_triangle(pentagon_cell):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from stagpoly.quadbasis import (edge_rule, map_to_edge, map_to_triangle,
-                                monomials, triangle_rule)
+from stagpoly.quadbasis import (edge_rule, face_monomials, map_to_edge,
+                                map_to_triangle, monomials, triangle_rule)
 from stagpoly.weakgrad import (
     CoefficientError,
     DegenerateElementError,
@@ -10,6 +12,7 @@ from stagpoly.weakgrad import (
     cell_mass,
     element_groups,
     face_projection_Qb,
+    flux_values,
     identity_coefficient,
     matrix_coefficient,
     scalar_coefficient,
@@ -69,44 +72,63 @@ def test_matrix_coefficient_spd_check():
 
 
 # ---------------------------------------------------------------------------
-# mass matrix
+# flux mass matrix, by quadrature of the flux basis
+
+def flux_gram(op, r=0):
+    """Plain L2 Gram matrix of the flux basis of group row r, from
+    flux_values on a rule exact for the products."""
+    d = op.G.shape[1]
+    pts, wts = op.fan_quadrature(triangle_rule(max(2 * op.k, 2)))
+    rows, tris = np.full(op.n_edges, r), np.arange(op.n_edges)
+    vals = np.stack([flux_values(op, np.eye(d)[j].reshape(1, d), pts[r],
+                                 rows, tris) for j in range(d)])
+    return np.einsum("jtqx,ltqx,tq->jl", vals, vals, wts[r])
+
 
 def test_mass_unit_square_identity():
     _, _, op = square_op()
-    assert np.allclose(op.M[0], 0.25 * np.eye(8), atol=1e-15)
+    assert np.allclose(flux_gram(op), 0.25 * np.eye(8), atol=1e-15)
 
 
 def test_mass_pentagon_diag_areas():
     _, sub, op = pentagon_op()
     areas = sub.fans[0].areas
-    assert np.allclose(op.M[0], np.diag(np.concatenate([areas, areas])),
+    assert np.allclose(flux_gram(op), np.diag(np.concatenate([areas, areas])),
                        atol=1e-14)
 
 
 def test_mass_scalar_scaling():
+    # G = M^{-1} B with M the K^{-1}-weighted Gram matrix, so G(kappa K) =
+    # kappa G(K); a callable kappa takes the pointwise path
     kappa = 1e-3
-    _, _, op1 = square_op()
-    _, _, opk = square_op(coeff=scalar_coefficient(
-        lambda pts: np.full(len(np.atleast_2d(pts)), kappa)))
-    assert np.allclose(opk.M[0], op1.M[0] / kappa, rtol=1e-13)
+    for k in (0, 2):
+        _, _, op1 = square_op(k)
+        _, _, opk = square_op(k, coeff=scalar_coefficient(
+            lambda pts: np.full(len(np.atleast_2d(pts)), kappa)))
+        assert np.allclose(opk.G, kappa * op1.G, rtol=1e-13,
+                           atol=1e-13 * np.abs(kappa * op1.G).max())
 
 
 def test_mass_k1_spd(pentagon_cell):
+    # the k = 1 basis is orthonormal in the mean inner product of each fan
+    # triangle: M = |T_t| delta for K = I
     sub = subtriangulate(pentagon_cell)
     [grp] = element_groups(pentagon_cell, sub, 1, identity_coefficient())
-    M = grp.M[0]
+    M = flux_gram(grp)
     assert M.shape == (30, 30)
-    assert np.allclose(M, M.T, atol=1e-15)
+    areas = np.repeat(np.tile(sub.fans[0].areas, 2), 3)
+    assert np.allclose(M, np.diag(areas), atol=1e-15)
     assert np.linalg.eigvalsh(M).min() > 0
 
 
 # ---------------------------------------------------------------------------
-# difference matrices, closed forms on the unit square
+# weak-gradient operator G = [G_b | G_0], closed forms on the unit square;
+# at k = 0 with K = I it is [D_b | D_0] / |T| row by row
 
 def test_db_closed_form():
     _, _, op = square_op()
-    expected = np.vstack([np.eye(4), np.zeros((4, 4))])
-    assert np.allclose(op.Db[0], expected, atol=1e-14)
+    expected = np.vstack([4.0 * np.eye(4), np.zeros((4, 4))])
+    assert np.allclose(op.G[0, :, :4], expected, atol=1e-14)
 
 
 def test_d0_closed_form():
@@ -115,17 +137,17 @@ def test_d0_closed_form():
     # bottom edge is the one with midpoint (0.5, 0)
     i = int(np.argmin(np.abs(fan.midpoints[:, 1])))
     assert np.allclose(fan.normals[i], [0.0, -1.0], atol=1e-14)
-    assert np.allclose(op.D0[0, i], [-1.0, 0.0, 0.25], atol=1e-14)
-    assert np.allclose(op.D0[0, 4 + i], [0.0, 0.25, 0.0], atol=1e-14)
+    assert np.allclose(op.G[0, i, 4:], [-4.0, 0.0, 1.0], atol=1e-14)
+    assert np.allclose(op.G[0, 4 + i, 4:], [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_d0_tangent_rows_general():
     _, sub, op = pentagon_op()
     fan = sub.fans[0]
     for i in range(5):
-        row = op.D0[0, 5 + i]
-        expected = [0.0, fan.areas[i] * fan.tangents[i, 0] / fan.h,
-                    fan.areas[i] * fan.tangents[i, 1] / fan.h]
+        row = op.G[0, 5 + i, 5:]
+        expected = [0.0, fan.tangents[i, 0] / fan.h,
+                    fan.tangents[i, 1] / fan.h]
         assert np.allclose(row, expected, atol=1e-13)
 
 
@@ -201,12 +223,13 @@ def test_weak_gradient_defining_identity():
     eru = edge_rule(4)
     for _ in range(20):
         u = RNG.standard_normal(8)
-        s = weak_gradient_coeffs(op, u[None])[0]
-        lhs = op.M[0] @ s  # identity coefficient: M is the plain Gram matrix
+        s = weak_gradient_coeffs(op, u[None])
+        lhs = np.zeros(10)  # identity coefficient: the plain L2 product
         rhs = np.zeros(10)
         ub, u0 = u[:5], u[5:]
         for i in range(fan.n_edges):
             pts, wts = map_to_triangle(vol, fan.triangle(i))
+            sig = flux_values(op, s, pts, 0, i)
             gphi = np.einsum("pid,i->pd",
                              monomials(pts, fan.xbar, fan.h, 1, grad=True), u0)
             a, b = fan.loop[i], fan.loop[(i + 1) % fan.n_edges]
@@ -214,6 +237,7 @@ def test_weak_gradient_defining_identity():
             trace = ub[i] - monomials(epts, fan.xbar, fan.h, 1) @ u0
             for frame, zeta in enumerate((fan.normals[i], fan.tangents[i])):
                 j = frame * 5 + i  # the constant on triangle i, k = 0
+                lhs[j] += wts @ (sig @ zeta)
                 rhs[j] += wts @ (gphi @ zeta)
                 rhs[j] += ewts @ (trace * (zeta @ fan.normals[i]))
         assert np.allclose(lhs, rhs, atol=1e-12)
@@ -239,8 +263,10 @@ def test_weak_divergence_adjointness():
     for _ in range(20):
         u = RNG.standard_normal(8)
         s = RNG.standard_normal(10)
-        w = weak_gradient_coeffs(op, u[None])[0]
-        lhs = w @ (op.M[0] @ s)
+        w = weak_gradient_coeffs(op, u[None])
+        pts, wts = op.fan_quadrature(triangle_rule(2))
+        lhs = np.sum(wts * np.sum(flux_values(op, w, pts)
+                                  * flux_values(op, s[None], pts), axis=-1))
         cell_part, face_parts = weak_divergence(op, s[None])
         rhs = cell_part[0] @ (Mc @ u[5:])
         # k = 0: the face basis is 1, its Gram matrix the edge length
@@ -304,3 +330,96 @@ def test_face_projection_reproduces_polynomials(tri4):
     for (a, b), ce in zip(ends, batch):
         assert np.allclose(ce, face_projection_Qb(a, b, 1, g, npoints=4),
                            atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# property test: the orthonormal flux basis against the dense monomial
+# formula on random star-shaped cells
+
+def monomial_reference_stiffness(grp, coeff):
+    """A = B^T M^{-1} B of row 0 in scaled monomials about each fan
+    triangle's centroid, with the dense (d, d) flux mass matrix M."""
+    k, m, nm = grp.k, grp.n_edges, grp.n_mono
+    nf, nc = k + 1, (k + 2) * (k + 3) // 2
+    xbar, h = grp.xbar[0], grp.h[0]
+    vol, erule = triangle_rule(2 * k + 2), edge_rule(k + 1)
+    M = np.zeros((2, m, nm, 2, m, nm))
+    B = np.zeros((2, m, nm, m * nf + nc))
+    for t in range(m):
+        F, cent = grp.frames[0, t], grp.centroids[0, t]
+        pts, wts = map_to_triangle(vol, grp.triangles[0, t])
+        mono = monomials(pts, cent, h, k)
+        Kinv = np.broadcast_to(coeff.inv_at(
+            grp.star[:1] if coeff.cellwise_constant else pts), (len(pts), 2, 2))
+        M[:, t, :, :, t, :] = np.einsum("fi,qij,ej,qa,qb,q->faeb", F, Kinv, F,
+                                        mono, mono, wts)
+        gphi = monomials(pts, xbar, h, k + 1, grad=True)
+        B[:, t, :, m * nf:] += np.einsum("qa,qcx,fx,q->fac", mono, gphi, F,
+                                         wts)
+        epts, ewts = map_to_edge(erule, grp.loop[0, t],
+                                 grp.loop[0, (t + 1) % m])
+        emono = monomials(epts, cent, h, k) * ewts[:, None]
+        psi = face_monomials(grp.orient[0, t] * (erule.points - 0.5), k)
+        B[0, t, :, t * nf:(t + 1) * nf] = emono.T @ psi
+        B[0, t, :, m * nf:] -= emono.T @ monomials(epts, xbar, h, k + 1)
+    B = B.reshape(2 * m * nm, -1)
+    return B.T @ np.linalg.solve(M.reshape(len(B), len(B)), B)
+
+
+def fan_min_angle(tris):
+    """Smallest interior angle (degrees) of triangles (..., 3, 2)."""
+    a = np.roll(tris, -1, axis=-2) - tris
+    b = np.roll(tris, 1, axis=-2) - tris
+    cos = (a * b).sum(-1) / np.sqrt((a * a).sum(-1) * (b * b).sum(-1))
+    return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).min())
+
+
+def convex_cell(gaps, ratio, turn, scale):
+    ang = turn + 2.0 * np.pi * np.cumsum(gaps) / np.sum(gaps)
+    return scale * np.column_stack([np.cos(ang), ratio * np.sin(ang)])
+
+
+def l_shaped_cell(a, b, c, d, scale):
+    # (0,0), (1,0), (1,b), (c,b), (c,1), (0,1) with b, c in (0, 1),
+    # stretched by (a, d); the kernel is [0, c a] x [0, b d]
+    return scale * np.array([(0, 0), (a, 0), (a, b * d), (c * a, b * d),
+                             (c * a, d), (0, d)], dtype=float)
+
+
+CELLS = st.one_of(
+    st.builds(convex_cell,
+              st.lists(st.floats(1.0, 3.0), min_size=3, max_size=8),
+              st.floats(0.5, 1.0), st.floats(0.0, 2.0 * np.pi),
+              st.floats(0.1, 10.0)),
+    st.builds(l_shaped_cell, st.floats(0.5, 2.0), st.floats(0.3, 0.7),
+              st.floats(0.3, 0.7), st.floats(0.5, 2.0), st.floats(0.1, 10.0)))
+
+ANISOTROPIC = matrix_coefficient(lambda p: np.stack([
+    np.stack([2.0 + p[:, 0] ** 2, 0.5 * p[:, 1]], axis=-1),
+    np.stack([0.5 * p[:, 1], 1.0 + p[:, 1] ** 2], axis=-1)], axis=-2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(CELLS, st.integers(0, 3), st.booleans())
+def test_orthonormal_basis_matches_monomial_formula(vertices, k, pointwise):
+    mesh = make_single_cell(vertices)
+    sub = subtriangulate(mesh)
+    coeff = ANISOTROPIC if pointwise else identity_coefficient()
+    [grp] = element_groups(mesh, sub, k, coeff)
+    assume(fan_min_angle(grp.triangles) >= 10.0)
+    A = grp.A[0]
+    assert np.array_equal(A, A.T)
+    const = np.zeros(len(A))
+    const[:grp.n_face_dofs:k + 1] = 1.0
+    const[grp.n_face_dofs] = 1.0
+    assert np.abs(A @ const).max() <= 1e-12 * np.abs(A).max()
+    # (1/|T|) int_T phi_a phi_b = delta_ab on a rule exact to degree 2k+2
+    pts, wts = grp.fan_quadrature(triangle_rule(2 * k + 2))
+    phi = monomials(pts, grp.centroids[:, :, None], grp.h[:, None, None],
+                    k) @ grp.ortho
+    gram = np.einsum("gtqa,gtqb,gtq->gtab", phi, phi, wts) \
+        / grp.areas[..., None, None]
+    assert np.abs(gram - np.eye(grp.n_mono)).max() <= 1e-11
+    if k <= 2:
+        ref = monomial_reference_stiffness(grp, coeff)
+        assert np.abs(A - ref).max() <= 1e-10 * np.abs(ref).max()
