@@ -26,7 +26,8 @@ from .polymesh import (MeshError, PolyMesh, build_subtriangulation,
 from .postprocess import (PostprocessError, SolutionField, ConvergenceReport,
                           conservation_residuals, convergence_study,
                           cr_equivalence, error_norms, flux_jump_report,
-                          recover_flux, write_vtk)
+                          recover_flux, scaled_conservation_residuals,
+                          write_vtk)
 from .problems import get_problem
 from .solver import SolverError, solve_system
 
@@ -245,6 +246,7 @@ def cmd_conserve(args) -> int:
     system, sol, flux, report = _solve_problem(problem, mesh, args)
     res = conservation_residuals(flux, problem.f)
     worst = int(np.abs(res).argmax())
+    scaled = scaled_conservation_residuals(flux, problem.f)
     ts = _timestamp_line(args)
     lines = [ts.rstrip()] if ts else []
     lines += [
@@ -253,6 +255,8 @@ def cmd_conserve(args) -> int:
         f"solver    {report.method} (condensed = {report.condensed})",
         f"max |r_K| {np.abs(res).max():.6e}  (cell {worst})",
         f"mean |r_K| {np.abs(res).mean():.6e}",
+        f"max scaled {scaled.max():.6e}  (cell {int(scaled.argmax())})",
+        f"mean scaled {scaled.mean():.6e}",
         f"tolerance {args.tol:.1e}",
     ]
     ok = np.abs(res).max() <= args.tol

@@ -419,20 +419,47 @@ def gen_uniform_squares(n: int) -> PolyMesh:
                              cells.ravel(), h_report=1.0 / n)
 
 
-def _voronoi_loops(seeds):
-    """CCW Voronoi loops of seeds in [0,1]^2, mirrored across all four walls.
+def _wall_distances(pts):
+    """Signed distance (N, 4) of points to the left, right, bottom and top
+    walls of the unit square, positive inside."""
+    return np.column_stack([pts[:, 0], 1.0 - pts[:, 0],
+                            pts[:, 1], 1.0 - pts[:, 1]])
 
-    Mirroring makes every original seed's region finite and clips the
-    diagram to the unit square exactly. Returns the loops in CSR form:
-    cell_ptr (n+1,), Qhull vertex ids (N,) and Qhull's vertex coordinates.
+
+def _voronoi_loops(seeds, mirror):
+    """CCW Voronoi loops of seeds in [0,1]^2, clipped to the unit square.
+
+    mirror (n, 4) marks the (seed, wall) pairs whose reflection joins the
+    diagram, walls ordered left, right, bottom, top. A missing reflection
+    can only bound its own seed's region: on the square's side of a wall a
+    seed is closer than its reflection. So a region that is bounded and has
+    every vertex strictly inside its unmirrored walls is exactly the region
+    of full mirroring. Pairs that fail this check are mirrored and Qhull
+    reruns; the mask only grows, so the worst case is full mirroring.
+    Returns the loops in CSR form: cell_ptr (n+1,), Qhull vertex ids (N,)
+    and Qhull's vertex coordinates.
     """
-    fx, fy = seeds * [-1.0, 1.0], seeds * [1.0, -1.0]
-    vor = Voronoi(np.vstack([seeds, fx, fx + [2.0, 0.0], fy, fy + [0.0, 2.0]]))
-    cell_ptr, ids = _csr(itemgetter(*vor.point_region[:len(seeds)])(vor.regions))
-    seed = np.repeat(np.arange(len(seeds)), np.diff(cell_ptr))
+    mirror = np.array(mirror, dtype=bool)
+    axis, at = np.array([0, 0, 1, 1]), np.array([0.0, 1.0, 0.0, 1.0])
+    while True:
+        # reflections wall by wall, in seed order within a wall
+        w, s = np.nonzero(mirror.T)
+        images = seeds[s]
+        row = np.arange(len(s))
+        images[row, axis[w]] = 2.0 * at[w] - images[row, axis[w]]
+        vor = Voronoi(np.vstack([seeds, images]))
+        cell_ptr, ids = _csr(itemgetter(*vor.point_region[:len(seeds)])(vor.regions))
+        # a vertex within round-off of a wall counts as on it
+        reach = (_wall_distances(vor.vertices[ids]) <= 1e-12) \
+            | (ids < 0)[:, None]
+        fail = np.logical_or.reduceat(reach, cell_ptr[:-1]) & ~mirror
+        if not fail.any():
+            break
+        mirror |= fail
     if np.any(ids < 0):
         raise GenerationError("unbounded Voronoi region survived mirroring")
     # Qhull gives no orientation guarantee; sort CCW around each seed.
+    seed = np.repeat(np.arange(len(seeds)), np.diff(cell_ptr))
     rel = vor.vertices[ids] - seeds[seed]
     order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), seed))
     return cell_ptr, ids[order], vor.vertices
@@ -453,11 +480,18 @@ def gen_voronoi_polygons(n_seeds: int, lloyd_iters: int = 100,
     seeds = rng.random((n_seeds, 2))
     if len(np.unique(seeds, axis=0)) != n_seeds:
         raise GenerationError("duplicate seeds")
+    # The first diagram mirrors every seed (Qhull needs at least 4 points);
+    # later ones mirror a seed across a wall closer than the farthest
+    # seed-to-vertex distance of the last diagram.
+    mirror = np.ones((n_seeds, 4), dtype=bool)
     for _ in range(lloyd_iters):
-        cell_ptr, ids, coords = _voronoi_loops(seeds)
-        seeds = _shoelace(coords[ids], cell_ptr)[1]
+        cell_ptr, ids, coords = _voronoi_loops(seeds, mirror)
+        pts = coords[ids]
+        rel = pts - np.repeat(seeds, np.diff(cell_ptr), axis=0)
+        seeds = _shoelace(pts, cell_ptr)[1]
+        mirror = _wall_distances(seeds) < np.sqrt((rel ** 2).sum(axis=1)).max()
 
-    cell_ptr, ids, coords = _voronoi_loops(seeds)
+    cell_ptr, ids, coords = _voronoi_loops(seeds, mirror)
     # Wall vertices carry reflection noise; snap them exactly.
     snap = 1e-9
     pts = coords[ids]

@@ -43,6 +43,7 @@ __all__ = [
     "recover_flux",
     "error_norms",
     "conservation_residuals",
+    "scaled_conservation_residuals",
     "flux_jump_report",
     "flux_norms",
     "h1h_distance",
@@ -240,25 +241,49 @@ def _exact_flux(coeff, grad_u_exact, pts) -> np.ndarray:
     return np.einsum("...ij,...j->...i", K, grads)
 
 
-def conservation_residuals(flux: FluxField, f: Callable) -> np.ndarray:
-    """Per-cell residual (int_K f + sign * int_dK sigma.n) / |K|.
+def _balance(flux: FluxField, f: Callable):
+    """Per element group: the group, the cell loads int_K f (g,) and the
+    weighted normal flux w sigma.n at the edge quadrature points (g, m, q).
 
-    With the Darcy sign baked into sigma this is the balance defect
-    (int f - int sigma.n)/|K|; the cell load uses the assembly's rule on
-    the same fan quadrature, so the discrete identity is reproduced
-    exactly.
+    The load uses the assembly's rule on the same fan quadrature, so the
+    discrete balance identity is reproduced exactly.
     """
     system = flux.system
     rhs_rule = triangle_rule(system.rhs_degree)
     erule = edge_rule(system.k + 1)
-    out = np.zeros(system.mesh.num_cells)
     for gi, grp in enumerate(system.groups):
         pts, wts = grp.fan_quadrature(rhs_rule)
         load = np.sum(wts * _at(f, pts), axis=(1, 2))
         pts, wts = grp.edge_quadrature(erule)
         sn = _normal_part(flux_values(grp, flux.coeffs[gi], pts), grp)
-        out[grp.cells] = (load + flux.sign * np.sum(wts * sn, axis=(1, 2))) \
+        yield grp, load, wts * sn
+
+
+def conservation_residuals(flux: FluxField, f: Callable) -> np.ndarray:
+    """Per-cell residual (int_K f + sign * int_dK sigma.n) / |K|.
+
+    With the Darcy sign baked into sigma this is the balance defect
+    (int f - int sigma.n)/|K|.
+    """
+    out = np.zeros(flux.system.mesh.num_cells)
+    for grp, load, wsn in _balance(flux, f):
+        out[grp.cells] = (load + flux.sign * np.sum(wsn, axis=(1, 2))) \
             / grp.areas.sum(axis=1)
+    return out
+
+
+def scaled_conservation_residuals(flux: FluxField, f: Callable) -> np.ndarray:
+    """Per-cell |K| |r_K| / (|int_K f| + int_dK |sigma.n|).
+
+    The balance defect relative to the terms it balances: round-off reads
+    near machine epsilon whatever the size of f, K or the cell, where the
+    raw residual is divided by |K|.
+    """
+    out = np.zeros(flux.system.mesh.num_cells)
+    for grp, load, wsn in _balance(flux, f):
+        defect = np.abs(load + flux.sign * np.sum(wsn, axis=(1, 2)))
+        out[grp.cells] = defect / np.maximum(
+            np.abs(load) + np.sum(np.abs(wsn), axis=(1, 2)), 1e-300)
     return out
 
 

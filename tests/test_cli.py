@@ -178,6 +178,15 @@ def test_conserve_passes_at_default_tol(capsys):
     assert "status    PASS" in out
 
 
+def test_conserve_reports_scaled_residual(capsys):
+    code, out, _ = run(capsys, "conserve", "--squares", "8", "--no-timestamp")
+    assert code == 0
+    scaled = [line for line in out.splitlines()
+              if line.startswith(("max scaled", "mean scaled"))]
+    assert len(scaled) == 2
+    assert all(float(line.split()[2]) < 1e-12 for line in scaled)
+
+
 def test_conserve_fails_at_tiny_tol(capsys):
     code, out, _ = run(capsys, "conserve", "--squares", "8",
                        "--tol", "1e-30", "--no-timestamp")

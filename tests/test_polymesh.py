@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Voronoi
 
 from stagpoly import polymesh
 from stagpoly.polymesh import (
@@ -253,6 +256,56 @@ def test_voronoi_matches_recorded_mesh(voronoi64):
         "9bb7fb02a6eef843ebc36945391595c0f62c0e0809987a805cc8794dab08b8e1"
     assert _topology_sha256(ref) == _topology_sha256(voronoi64)
     assert np.abs(voronoi64.vertices - ref.vertices).max() <= 1e-9
+
+
+def _full_mirror_loops(seeds):
+    """Reference: CCW Voronoi loops of the seeds, each seed reflected
+    across all four walls of the unit square (5n Qhull points)."""
+    fx, fy = seeds * [-1.0, 1.0], seeds * [1.0, -1.0]
+    vor = Voronoi(np.vstack([seeds, fx, fx + [2.0, 0.0], fy, fy + [0.0, 2.0]]))
+    loops = []
+    for s, r in zip(seeds, vor.point_region[:len(seeds)]):
+        assert -1 not in vor.regions[r]
+        pts = vor.vertices[vor.regions[r]]
+        rel = pts - s
+        loops.append(pts[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]),
+                                    kind="stable")])
+    return loops
+
+
+def _assert_full_mirror_regions(seeds, mirror):
+    cell_ptr, ids, coords = polymesh._voronoi_loops(seeds, mirror)
+    ref = _full_mirror_loops(seeds)
+    assert np.array_equal(np.diff(cell_ptr), [len(loop) for loop in ref])
+    assert np.abs(coords[ids] - np.concatenate(ref)).max() <= 1e-12
+
+
+def _check_every_start(seeds):
+    # no reflection (every pair goes through check-then-add) and all of them
+    n = len(seeds)
+    _assert_full_mirror_regions(seeds, np.zeros((n, 4), dtype=bool))
+    _assert_full_mirror_regions(seeds, np.ones((n, 4), dtype=bool))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 200), st.integers(0, 2**32 - 1),
+       st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+def test_partial_mirroring_matches_full(n, rng_seed, px, py):
+    # powers of uniform seeds crowd them against a wall (or spread them);
+    # nearer than ~1e-13, Qhull cannot tell a seed from its reflection
+    u = np.random.default_rng(rng_seed).random((n, 2)) ** [px, py]
+    seeds = 1e-9 + (1.0 - 2e-9) * u
+    _check_every_start(seeds)
+
+
+@pytest.mark.parametrize("rng_seed", [1, 2, 3, 4, 5])
+def test_partial_mirroring_matches_full_on_lloyd_seeds(rng_seed):
+    seeds = np.random.default_rng(rng_seed).random((256, 2))
+    for _ in range(100):
+        cell_ptr, ids, coords = polymesh._voronoi_loops(
+            seeds, np.zeros((256, 4), dtype=bool))
+        seeds = polymesh._shoelace(coords[ids], cell_ptr)[1]
+    _check_every_start(seeds)
 
 
 @pytest.mark.parametrize("make, digest", [

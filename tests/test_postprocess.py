@@ -17,9 +17,12 @@ from stagpoly.postprocess import (
     flux_norms,
     h1h_distance,
     recover_flux,
+    scaled_conservation_residuals,
     write_vtk,
 )
 from stagpoly.problems import example1, example2, example3, patch_linear
+from stagpoly.quadbasis import (edge_rule, map_to_edge, map_to_triangle,
+                                triangle_rule)
 from stagpoly.solver import solve_system
 
 from conftest import subtriangulate
@@ -168,6 +171,49 @@ def test_conservation_detects_wrong_flux(squares4):
     flux.coeffs = [c + RNG.standard_normal(c.shape) for c in flux.coeffs]
     resid = conservation_residuals(flux, prob.f)
     assert np.abs(resid).max() > 1e-3
+
+
+def _scaled_conservation_per_cell(flux, f):
+    """Reference: |K| |r_K| / (|int_K f| + int_dK |sigma.n|), one cell and
+    one fan triangle at a time, with the rules of conservation_residuals."""
+    system = flux.system
+    rhs_rule = triangle_rule(system.rhs_degree)
+    erule = edge_rule(system.k + 1)
+    raw = conservation_residuals(flux, f)
+    out = np.empty(system.mesh.num_cells)
+    for c, fan in enumerate(system.subtri.fans):
+        load = boundary = 0.0
+        for i in range(fan.n_edges):
+            pts, wts = map_to_triangle(rhs_rule, fan.triangle(i))
+            load += wts @ f(pts)
+            pts, wts = map_to_edge(erule, fan.loop[i],
+                                   fan.loop[(i + 1) % fan.n_edges])
+            boundary += wts @ np.abs(flux.tri_values(c, i, pts)
+                                     @ fan.normals[i])
+        out[c] = fan.area * abs(raw[c]) / (abs(load) + boundary)
+    return out
+
+
+@pytest.mark.parametrize("name, k", [("tri8", 0), ("tri8", 1), ("tri8", 2),
+                                     ("tri8", 3), ("voronoi64", 1)])
+def test_scaled_conservation_matches_per_cell_loop(request, name, k):
+    mesh = gen_uniform_triangles(8) if name == "tri8" \
+        else request.getfixturevalue(name)
+    prob = example1()
+    flux = recover_flux(solved(prob, mesh, k))
+    scaled = scaled_conservation_residuals(flux, prob.f)
+    # the solved flux balances to round-off, and the metric is already
+    # relative to the terms it balances
+    assert np.abs(scaled - _scaled_conservation_per_cell(flux, prob.f)).max() \
+        <= 1e-12
+    assert scaled.max() <= 1e-10
+    # a perturbed flux does not balance: compare cell by cell
+    wrong = FluxField(flux.system, [c + RNG.standard_normal(c.shape)
+                                    for c in flux.coeffs], flux.sign)
+    ref = _scaled_conservation_per_cell(wrong, prob.f)
+    assert ref.min() > 1e-6
+    assert np.all(np.abs(scaled_conservation_residuals(wrong, prob.f) - ref)
+                  <= 1e-12 * ref)
 
 
 # ---------------------------------------------------------------------------
