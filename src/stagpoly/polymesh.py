@@ -17,12 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from operator import itemgetter
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 from scipy.spatial import Delaunay, Voronoi
 
 __all__ = [
@@ -426,6 +424,9 @@ def _wall_distances(pts):
                             pts[:, 1], 1.0 - pts[:, 1]])
 
 
+_WALL_GAP = 1e-6
+
+
 def _voronoi_loops(seeds, mirror):
     """CCW Voronoi loops of seeds in [0,1]^2, clipped to the unit square.
 
@@ -438,7 +439,15 @@ def _voronoi_loops(seeds, mirror):
     reruns; the mask only grows, so the worst case is full mirroring.
     Returns the loops in CSR form: cell_ptr (n+1,), Qhull vertex ids (N,)
     and Qhull's vertex coordinates.
+
+    Raises GenerationError for a seed nearer a wall than _WALL_GAP: with
+    its reflection it makes slivers whose Voronoi vertices Qhull places
+    off by more than 1e-12, or drops.
     """
+    close = np.flatnonzero(_wall_distances(seeds).min(axis=1) < _WALL_GAP)
+    if len(close):
+        raise GenerationError(f"seed {close[0]} is within {_WALL_GAP:g} of "
+                              "a wall of the unit square")
     mirror = np.array(mirror, dtype=bool)
     axis, at = np.array([0, 0, 1, 1]), np.array([0.0, 1.0, 0.0, 1.0])
     while True:
@@ -458,11 +467,62 @@ def _voronoi_loops(seeds, mirror):
         mirror |= fail
     if np.any(ids < 0):
         raise GenerationError("unbounded Voronoi region survived mirroring")
+    cell_ptr, ids, coords = _mend_corners(seeds, cell_ptr, ids, vor.vertices)
     # Qhull gives no orientation guarantee; sort CCW around each seed.
     seed = np.repeat(np.arange(len(seeds)), np.diff(cell_ptr))
-    rel = vor.vertices[ids] - seeds[seed]
+    rel = coords[ids] - seeds[seed]
     order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), seed))
-    return cell_ptr, ids[order], vor.vertices
+    return cell_ptr, ids[order], coords
+
+
+_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def _mend_corners(seeds, cell_ptr, ids, coords):
+    """Rebuild the regions that lost a corner of the square.
+
+    Each corner is a vertex of its nearest seed's region. When that seed is
+    near a wall it makes a sliver with its two reflections, and Qhull can
+    move the corner by more than tol = 1e-12 or drop it. Such a region is
+    rebuilt by _clip_region; a rebuilt vertex within tol of one of
+    Qhull's keeps Qhull's id, so the neighbors still share it.
+    """
+    tol = 1e-12
+    nearest = np.argmin(((seeds[:, None] - _CORNERS) ** 2).sum(axis=2), axis=0)
+    lost = {c for c, corner in zip(nearest.tolist(), _CORNERS)
+            if np.abs(coords[ids[cell_ptr[c]:cell_ptr[c + 1]]]
+                      - corner).max(axis=1).min() > tol}
+    if not lost:
+        return cell_ptr, ids, coords
+    loops = np.split(ids, cell_ptr[1:-1])
+    for c in sorted(lost):
+        exact = _clip_region(seeds, c)
+        gap = np.abs(exact[:, None] - coords[loops[c]]).max(axis=2)
+        hit = gap.min(axis=1) <= tol
+        loops[c] = np.where(hit, loops[c][gap.argmin(axis=1)],
+                            len(coords) + np.cumsum(~hit) - 1)
+        coords = np.vstack([coords, exact[~hit]])
+    return *_csr(loops), coords
+
+
+def _clip_region(seeds, i):
+    """Voronoi region of seeds[i] among the seeds, clipped to the unit
+    square: the square cut by the bisector of seed i and every seed close
+    enough to reach it. On the square's side of a wall a seed is nearer
+    than its reflection, so this is the region full mirroring gives."""
+    s, poly = seeds[i], _CORNERS
+    dist = np.sqrt(((seeds - s) ** 2).sum(axis=1))
+    for j in np.argsort(dist)[1:]:
+        if dist[j] > 2.0 * np.sqrt(((poly - s) ** 2).sum(axis=1)).max():
+            break
+        # f > 0 on seed j's side of the bisector
+        f = (poly - 0.5 * (s + seeds[j])) @ (seeds[j] - s)
+        f_next, nxt = np.roll(f, -1), np.roll(poly, -1, axis=0)
+        cut = ((f < 0) & (f_next > 0)) | ((f > 0) & (f_next < 0))
+        t = np.where(cut, f, 0.0) / np.where(cut, f - f_next, 1.0)
+        both = np.stack([poly, poly + t[:, None] * (nxt - poly)], axis=1)
+        poly = both[np.stack([f <= 0, cut], axis=1)]
+    return poly
 
 
 def gen_voronoi_polygons(n_seeds: int, lloyd_iters: int = 100,
@@ -477,7 +537,9 @@ def gen_voronoi_polygons(n_seeds: int, lloyd_iters: int = 100,
             "n_seeds must be >= 2, lloyd_iters and rng_seed >= 0 (got "
             f"{n_seeds}, {lloyd_iters}, {rng_seed})")
     rng = np.random.default_rng(rng_seed)
-    seeds = rng.random((n_seeds, 2))
+    # a seed nearer a wall than _voronoi_loops accepts moves out to that
+    # distance; Lloyd moves every seed anyway
+    seeds = np.clip(rng.random((n_seeds, 2)), _WALL_GAP, 1.0 - _WALL_GAP)
     if len(np.unique(seeds, axis=0)) != n_seeds:
         raise GenerationError("duplicate seeds")
     # The first diagram mirrors every seed (Qhull needs at least 4 points);
@@ -576,42 +638,68 @@ def fan_geometry(loop, star):
 def _kernel_chebyshev(mesh: PolyMesh):
     """Center and radius of the largest disc inside each cell's kernel.
 
-    The kernel of a cell is the intersection of the inner half-planes of its
-    edges, i.e. the points that see the whole cell boundary. One
-    block-diagonal LP over all cells maximises sum_c r_c subject to
-    n_i . x_c + r_c <= n_i . p_i for every edge i of cell c (outward unit
-    normal n_i, start vertex p_i). Each cell is posed in its own frame,
-    centered at its vertex mean and scaled by its diameter, so the solver's
-    absolute tolerances act relative to the cell. r_c is free, which keeps
-    the LP feasible for any cell; r_c <= 0 means the kernel has no interior
-    and raises StarShapeError naming the cell.
+    The kernel, the points that see the whole cell boundary, is where
+    n_i . x <= b_i for every edge i (outward unit normal n_i, b_i = n_i .
+    p_i at its start vertex). Its Chebyshev center solves the LP max r s.t.
+    n_i . x + r <= b_i, posed in the cell's frame (vertex mean, diameter).
+    With r free the LP is feasible, and the normals of a closed loop span
+    the plane, so the optimum is attained at a vertex: three active
+    constraints. Each valence group (m edges) solves all C(m, 3) triples of
+    its cells at once, skips the singular ones (two equal normals), keeps
+    the vertices whose slacks are all >= -1e-12 and takes the largest r;
+    the enumeration is exact. The center is the bounding-box midpoint of
+    the vertices within 1e-12 of that r: the optimum when it is unique,
+    else the midpoint of the optimal segment, whatever the numbering.
+    Slacks are formed at most _CHEBYSHEV_BUDGET at a time. Raises
+    StarShapeError naming the lowest cell whose r <= 0.
     """
-    nc, ptr = mesh.num_cells, mesh.cell_ptr
-    cell = np.repeat(np.arange(nc), np.diff(ptr))
-    start = mesh.vertices[mesh.cell_verts]
-    d = start[_successor(ptr)] - start
-    lengths = np.sqrt((d ** 2).sum(axis=1))
-    if np.any(lengths <= 0):
-        raise MeshValidationError("zero-length edge")
-    n = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    xbar = np.add.reduceat(start, ptr[:-1]) / np.diff(ptr)[:, None]
     h = cell_diameters(mesh)
-    a_ub = sp.csr_matrix(
-        (np.column_stack([n, np.ones(len(cell))]).ravel(),
-         (np.repeat(np.arange(len(cell)), 3),
-          (3 * cell[:, None] + np.arange(3)).ravel())),
-        shape=(len(cell), 3 * nc))
-    b_ub = np.einsum("ij,ij->i", n, start - xbar[cell]) / h[cell]
-    res = linprog(np.tile([0.0, 0.0, -1.0], nc), A_ub=a_ub, b_ub=b_ub,
-                  bounds=(None, None), method="highs")
-    if not res.success:
-        raise StarShapeError(f"star-point LP failed: {res.message}")
-    sol = res.x.reshape(nc, 3)
-    bad = np.flatnonzero(sol[:, 2] <= 0.0)
+    center, radius = np.empty((mesh.num_cells, 2)), np.empty(mesh.num_cells)
+    for cells, verts, _ in valence_groups(mesh):
+        loop = mesh.vertices[verts]
+        xbar = loop.mean(axis=1)
+        n = fan_geometry(loop, xbar)[1]
+        b = np.einsum("gik,gik->gi", n, loop - xbar[:, None]) / h[cells, None]
+        triples = np.array(list(combinations(range(verts.shape[1]), 3)))
+        step = max(1, _CHEBYSHEV_BUDGET // triples.shape[0] // b.shape[1])
+        for rows in (slice(i, i + step) for i in range(0, len(cells), step)):
+            x, r = _best_vertices(n[rows], b[rows], triples)
+            c = cells[rows]
+            center[c], radius[c] = xbar[rows] + h[c, None] * x, h[c] * r
+    bad = np.flatnonzero(radius <= 0.0)
     if len(bad):
         raise StarShapeError(
             f"cell {bad[0]} is not star-shaped (its kernel has no interior)")
-    return xbar + h[:, None] * sol[:, :2], h * sol[:, 2]
+    return center, radius
+
+
+_CHEBYSHEV_BUDGET = 1 << 18
+
+
+def _best_vertices(n, b, triples):
+    """Bounding-box midpoint (g, 2) of the optimal vertices of max r s.t.
+    n . x + r <= b, n (g, m, 2), b (g, m), and the optimal r (g,), trying
+    the constraint triples (T, 3)."""
+    tol = 1e-12
+    nt, bt = n[:, triples], b[:, triples]
+    # rows 1 and 2 minus row 0 eliminate r; Cramer's rule gives x
+    u, v = nt[..., 1, :] - nt[..., 0, :], nt[..., 2, :] - nt[..., 0, :]
+    bu, bv = bt[..., 1] - bt[..., 0], bt[..., 2] - bt[..., 0]
+    det = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    ok = det != 0.0
+    x = np.stack([bu * v[..., 1] - bv * u[..., 1],
+                  bv * u[..., 0] - bu * v[..., 0]], axis=-1) \
+        / np.where(ok, det, 1.0)[..., None]
+    r = bt[..., 0] - np.einsum("gtk,gtk->gt", nt[..., 0, :], x)
+    span = max(1, _CHEBYSHEV_BUDGET // b.size)
+    for t in (slice(i, i + span) for i in range(0, len(triples), span)):
+        slack = b[:, None] - x[:, t] @ n.transpose(0, 2, 1) - r[:, t, None]
+        ok[:, t] &= np.all(slack >= -tol, axis=-1)
+    r = np.where(ok, r, -np.inf)
+    best = r.max(axis=1)
+    tie = (r >= best[:, None] - tol)[..., None]
+    return 0.5 * (np.where(tie, x, np.inf).min(axis=1)
+                  + np.where(tie, x, -np.inf).max(axis=1)), best
 
 
 def compute_star_points(mesh: PolyMesh, method: str = "chebyshev"):
@@ -621,9 +709,11 @@ def compute_star_points(mesh: PolyMesh, method: str = "chebyshev"):
     center: the center of the largest disc inside the cell's kernel, the
     set of points that see the whole cell boundary. On a triangle this is
     the incenter, on a convex cell the center of the largest inscribed
-    disc. All cells are solved together in one LP. "centroid" returns the
-    area centroid, valid for convex cells. Raises StarShapeError when a
-    cell has no star point.
+    disc. Each cell's 3-variable LP is solved exactly by enumerating its
+    vertices, valence group by valence group, not as one block LP; where
+    the largest disc can slide along a segment, the star point is the
+    segment's midpoint. "centroid" returns the area centroid, valid for
+    convex cells. Raises StarShapeError when a cell has no star point.
     """
     if method == "chebyshev":
         return _kernel_chebyshev(mesh)[0]

@@ -115,8 +115,6 @@ def monomial_exponents(degree: int):
     return [(d - i, i) for d in range(degree + 1) for i in range(d + 1)]
 
 
-
-
 def monomials(points, center, h, degree: int, grad: bool = False):
     """Scaled monomials ((x, y) - center) / h of total degree <= degree.
 
@@ -129,14 +127,22 @@ def monomials(points, center, h, degree: int, grad: bool = False):
     xi = (pts[..., 0] - center[..., 0]) / h
     eta = (pts[..., 1] - center[..., 1]) / h
     exps = monomial_exponents(degree)
+    # each coordinate's powers, computed once; gradients need none above
+    # degree - 1. A scalar exponent keeps numpy's exact x ** 2 = x * x.
+    top = degree - 1 if grad and degree else degree
+    xp, ep = ([t ** p for p in range(top + 1)] for t in (xi, eta))
     if not grad:
-        return np.stack([xi ** a * eta ** b for a, b in exps], axis=-1)
-    zero = np.zeros_like(xi)
-    return np.stack([
-        np.stack([a * xi ** (a - 1) * eta ** b / h if a > 0 else zero,
-                  b * xi ** a * eta ** (b - 1) / h if b > 0 else zero],
-                 axis=-1)
-        for a, b in exps], axis=-2)
+        out = np.empty(xi.shape + (len(exps),))
+        for j, (a, b) in enumerate(exps):
+            np.multiply(xp[a], ep[b], out=out[..., j])
+        return out
+    out = np.zeros(xi.shape + (len(exps), 2))
+    for j, (a, b) in enumerate(exps):
+        if a:
+            out[..., j, 0] = a * xp[a - 1] * ep[b] / h
+        if b:
+            out[..., j, 1] = b * xp[a] * ep[b - 1] / h
+    return out
 
 
 def face_monomials(s, degree: int):

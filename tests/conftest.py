@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stagpoly import polymesh
+
+# `pytest --hypothesis-profile=ci` prints the blob that reproduces a
+# failing example; every other setting stays at its default
+settings.register_profile("ci", print_blob=True)
 
 
 def make_single_cell(vertices):

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Voronoi
+from scipy.optimize import linprog
 
 from stagpoly import polymesh
 from stagpoly.polymesh import (
@@ -258,24 +261,41 @@ def test_voronoi_matches_recorded_mesh(voronoi64):
     assert np.abs(voronoi64.vertices - ref.vertices).max() <= 1e-9
 
 
-def _full_mirror_loops(seeds):
-    """Reference: CCW Voronoi loops of the seeds, each seed reflected
-    across all four walls of the unit square (5n Qhull points)."""
-    fx, fy = seeds * [-1.0, 1.0], seeds * [1.0, -1.0]
-    vor = Voronoi(np.vstack([seeds, fx, fx + [2.0, 0.0], fy, fy + [0.0, 2.0]]))
+def _clipped_loops(seeds):
+    """Reference: each seed's Voronoi region among the seeds, the unit
+    square cut by the seed's bisector with every other seed near enough
+    (Sutherland-Hodgman), CCW from the angle -pi. On the square's side of a
+    wall a seed is nearer than its reflection, so these are the regions of
+    full mirroring, with no Qhull roundoff at the walls."""
     loops = []
-    for s, r in zip(seeds, vor.point_region[:len(seeds)]):
-        assert -1 not in vor.regions[r]
-        pts = vor.vertices[vor.regions[r]]
-        rel = pts - s
-        loops.append(pts[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]),
-                                    kind="stable")])
+    for s in seeds:
+        dist = np.sqrt(((seeds - s) ** 2).sum(axis=1))
+        poly = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        for j in np.argsort(dist)[1:]:
+            reach = max(np.hypot(x - s[0], y - s[1]) for x, y in poly)
+            if dist[j] > 2.0 * reach:
+                break
+            nx, ny = seeds[j] - s
+            mx, my = 0.5 * (s + seeds[j])
+            f = [nx * (x - mx) + ny * (y - my) for x, y in poly]
+            cut = []
+            for i, (p, fp) in enumerate(zip(poly, f)):
+                q, fq = poly[(i + 1) % len(poly)], f[(i + 1) % len(poly)]
+                if fp <= 0.0:
+                    cut.append(p)
+                if min(fp, fq) < 0.0 < max(fp, fq):
+                    t = fp / (fp - fq)
+                    cut.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            poly = cut
+        rel = np.array(poly) - s
+        loops.append(np.array(poly)[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]),
+                                               kind="stable")])
     return loops
 
 
 def _assert_full_mirror_regions(seeds, mirror):
     cell_ptr, ids, coords = polymesh._voronoi_loops(seeds, mirror)
-    ref = _full_mirror_loops(seeds)
+    ref = _clipped_loops(seeds)
     assert np.array_equal(np.diff(cell_ptr), [len(loop) for loop in ref])
     assert np.abs(coords[ids] - np.concatenate(ref)).max() <= 1e-12
 
@@ -287,15 +307,47 @@ def _check_every_start(seeds):
     _assert_full_mirror_regions(seeds, np.ones((n, 4), dtype=bool))
 
 
+def _crowded_seeds(n, rng_seed, px, py, gap):
+    # powers of uniform seeds crowd them against a wall (or spread them)
+    u = np.random.default_rng(rng_seed).random((n, 2)) ** [px, py]
+    return gap + (1.0 - 2.0 * gap) * u
+
+
+# draws with seeds within 1e-9 of a wall: Qhull puts a corner 3.7e-12,
+# 1.8e-12 and 1e-9 off, or drops it
+NEAR_WALL_DRAWS = [(119, 16556, 4.5, 2.0), (8, 0, 1.5, 5.0),
+                   (48, 3272050, 5.0, 5.0),
+                   (195, 3983255442, 4.846045711638303, 0.2705902638337726)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(8, 200), st.integers(0, 2**32 - 1),
        st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+@example(*NEAR_WALL_DRAWS[0])
+@example(*NEAR_WALL_DRAWS[1])
+@example(*NEAR_WALL_DRAWS[2])
+# Qhull moves a corner by 1.7e-12 and 1.4e-12; _mend_corners rebuilds it
+@example(173, 3383647872, 4.631552931712127, 0.45713488961254284)
+@example(26, 67348919, 4.715990001508593, 1.2536419226521593)
 def test_partial_mirroring_matches_full(n, rng_seed, px, py):
-    # powers of uniform seeds crowd them against a wall (or spread them);
-    # nearer than ~1e-13, Qhull cannot tell a seed from its reflection
-    u = np.random.default_rng(rng_seed).random((n, 2)) ** [px, py]
-    seeds = 1e-9 + (1.0 - 2e-9) * u
-    _check_every_start(seeds)
+    # _voronoi_loops rejects seeds nearer a wall than 1e-6
+    _check_every_start(_crowded_seeds(n, rng_seed, px, py, 1e-6))
+
+
+@pytest.mark.parametrize("draw", NEAR_WALL_DRAWS)
+def test_voronoi_rejects_seeds_near_walls(draw):
+    seeds = _crowded_seeds(*draw, 1e-9)
+    with pytest.raises(GenerationError, match="within 1e-06 of a wall"):
+        polymesh._voronoi_loops(seeds, np.ones((len(seeds), 4), dtype=bool))
+
+
+def test_voronoi_wall_gap_boundary():
+    seeds = np.array([[1e-6, 0.5], [0.5, 0.5], [0.7, 0.2], [0.4, 0.75]])
+    mirror = np.ones((4, 4), dtype=bool)
+    assert np.diff(polymesh._voronoi_loops(seeds, mirror)[0]).min() >= 3
+    seeds[0, 0] = 0.99e-6
+    with pytest.raises(GenerationError, match="seed 0 is within"):
+        polymesh._voronoi_loops(seeds, mirror)
 
 
 @pytest.mark.parametrize("rng_seed", [1, 2, 3, 4, 5])
@@ -400,6 +452,119 @@ def test_star_points_are_incenters_on_triangles(make):
     star = compute_star_points(m)
     ref = np.array([_incenter(m.cell_vertices(c)) for c in range(m.num_cells)])
     assert np.abs(star - ref).max() <= 1e-13
+
+
+def _kernel_lp_reference(pts):
+    """HiGHS solution of the kernel LP max r s.t. n_i . x + r <= b_i: the
+    center, the radius, the cell diameter h and the extent of the points
+    within 1e-9 h of the optimal radius (a bound on how far apart two
+    optimal centers can be). The LP is posed about the vertex mean with the
+    cell 1e4 long, so HiGHS's absolute tolerances (>= 1e-10) stay below
+    1e-12 h."""
+    xbar = pts.mean(axis=0)
+    h = max(np.hypot(*(p - q)) for p in pts for q in pts)
+    h_lp = h / 1e4
+    q = (pts - xbar) / h_lp
+    d = np.roll(q, -1, axis=0) - q
+    n = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    a_ub, b_ub = np.column_stack([n, np.ones(len(q))]), (n * q).sum(axis=1)
+    options = {"primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+    best = linprog([0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub, bounds=(None, None),
+                   method="highs", options=options).x
+    ends = [linprog(np.eye(3)[axis] * sign, A_ub=np.vstack([a_ub, [0, 0, -1]]),
+                    b_ub=np.r_[b_ub, 1e-5 - best[2]], bounds=(None, None),
+                    method="highs", options=options).x[axis]
+            for axis in (0, 1) for sign in (1.0, -1.0)]
+    extent = max(ends[1] - ends[0], ends[3] - ends[2])
+    return xbar + h_lp * best[:2], h_lp * best[2], h, h_lp * extent
+
+
+@st.composite
+def kernel_cells(draw):
+    """Vertex loops of cells with a kernel: convex polygons with 3-12 edges,
+    radial star-shaped polygons, L-shaped hexagons; optionally a vertex of
+    interior angle pi - 1e-8; scaled by 1e-9..1e3 and shifted."""
+    kind = draw(st.sampled_from(["convex", "star", "L"]))
+    if kind == "L":
+        a, b = draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95))
+        pts = np.array([(0, 0), (1, 0), (1, b), (a, b), (a, 1), (0, 1)], float)
+    else:
+        m = draw(st.integers(3, 12))
+        gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m,
+                                      max_size=m)))
+        gaps *= 2.0 * np.pi / gaps.sum()
+        # every gap below pi: the origin sees the whole loop
+        assume(gaps.max() < 0.95 * np.pi)
+        ang = np.cumsum(gaps)
+        if kind == "convex":
+            radii = np.ones(m), draw(st.floats(0.2, 1.0)) * np.ones(m)
+        else:
+            radii = (np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=m,
+                                            max_size=m))),) * 2
+        pts = np.column_stack([radii[0] * np.cos(ang), radii[1] * np.sin(ang)])
+    if draw(st.booleans()):
+        # the first edge's midpoint pushed out by 2.5e-9 of its length
+        t = pts[1] - pts[0]
+        pts = np.insert(pts, 1, 0.5 * (pts[0] + pts[1])
+                        + 2.5e-9 * np.array([t[1], -t[0]]), axis=0)
+    scale = 10.0 ** draw(st.floats(-9.0, 3.0))
+    shift = np.array([draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))])
+    return scale * (pts + shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cells())
+def test_kernel_chebyshev_matches_lp_reference(pts):
+    center, radius = polymesh._kernel_chebyshev(make_single_cell(pts))
+    ref_center, ref_radius, h, extent = _kernel_lp_reference(pts)
+    assert abs(radius[0] - ref_radius) <= 1e-12 * h
+    # the disc of that radius about the center lies in every inner half-plane
+    d = np.roll(pts, -1, axis=0) - pts
+    n = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    assert ((pts - center[0]) * n).sum(axis=1).min() >= ref_radius - 1e-12 * h
+    if extent <= 1e-6 * h:
+        # a unique optimum: both centers lie within the near-optimal extent
+        assert np.abs(center[0] - ref_center).max() <= extent + 1e-12 * h
+
+
+@pytest.mark.parametrize("shift", range(4))
+def test_star_point_rectangle_is_segment_midpoint(shift):
+    # every point of the segment y = 0.5, 0.5 <= x <= 1.5 is a center of a
+    # largest disc; the star point is its midpoint whatever the numbering
+    rect = np.roll([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)], -shift,
+                   axis=0)
+    center, radius = polymesh._kernel_chebyshev(make_single_cell(rect))
+    assert center.tolist() == [[1.0, 0.5]]
+    assert radius.tolist() == [0.5]
+
+
+def test_star_point_64gon_bounded_memory():
+    # C(64, 3) = 41,664 vertices of 64 slacks each: 21 MB in one array
+    ang = 2.0 * np.pi * np.arange(64) / 64.0
+    cell = make_single_cell(np.column_stack([np.cos(ang), np.sin(ang)]))
+    tracemalloc.start()
+    try:
+        center, radius = polymesh._kernel_chebyshev(cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(center).max() <= 1e-12
+    assert abs(radius[0] - np.cos(np.pi / 64.0)) <= 2e-12
+    assert peak < 32e6
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    src = Path(polymesh.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import stagpoly.cli; "
+            "sys.exit(int('scipy.optimize' in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code, str(src)]).returncode == 0
+
+
+def test_star_point_zero_length_edge_rejected():
+    m = build_polymesh([(0, 0), (1, 0), (1, 0), (0, 1)], [[0, 1, 2, 3]])
+    with pytest.raises(MeshValidationError, match="zero-length edge"):
+        compute_star_points(m)
 
 
 def test_star_point_centroid_method(pentagon_cell):
