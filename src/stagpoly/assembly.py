@@ -54,38 +54,22 @@ def build_dof_map(mesh: PolyMesh, k: int) -> DofMap:
     return DofMap(k=k, num_faces=mesh.num_edges, num_cells=mesh.num_cells)
 
 
-def boundary_face_dofs_by_marker(mesh: PolyMesh, dofmap: DofMap) -> dict:
-    """Marker tag -> array of face DoF indices on that part of the boundary."""
-    out: dict[int, list] = {}
-    for e in mesh.boundary_edges:
-        tag = int(mesh.edge_markers[e])
-        out.setdefault(tag, []).extend(dofmap.face_dofs(e).tolist())
-    return {tag: np.asarray(v, dtype=np.intp) for tag, v in out.items()}
-
-
 class BoundarySpec:
     """Boundary conditions keyed by edge marker.
 
     dirichlet / neumann map marker tags to callables on (n, 2) point
-    arrays; all_dirichlet / all_neumann act as catch-alls for unlisted
-    tags. Every boundary face must be covered by exactly one condition.
+    arrays; all_dirichlet, if given, covers every unlisted tag. Every
+    boundary face must be covered by exactly one condition.
     """
 
     def __init__(self, dirichlet=None, neumann=None,
-                 all_dirichlet: Callable | None = None,
-                 all_neumann: Callable | None = None):
-        if all_dirichlet is not None and all_neumann is not None:
-            raise AssemblyError("two catch-all boundary conditions")
+                 all_dirichlet: Callable | None = None):
         self.dirichlet = dict(dirichlet or {})
         self.neumann = dict(neumann or {})
         overlap = set(self.dirichlet) & set(self.neumann)
         if overlap:
             raise AssemblyError(f"markers {sorted(overlap)} listed twice")
-        self.catch_all = None
-        if all_dirichlet is not None:
-            self.catch_all = ("dirichlet", all_dirichlet)
-        elif all_neumann is not None:
-            self.catch_all = ("neumann", all_neumann)
+        self.all_dirichlet = all_dirichlet
 
     @classmethod
     def dirichlet_everywhere(cls, g) -> "BoundarySpec":
@@ -96,8 +80,8 @@ class BoundarySpec:
             return "dirichlet", self.dirichlet[tag]
         if tag in self.neumann:
             return "neumann", self.neumann[tag]
-        if self.catch_all is not None:
-            return self.catch_all
+        if self.all_dirichlet is not None:
+            return "dirichlet", self.all_dirichlet
         raise AssemblyError(f"boundary marker {tag} has no boundary condition")
 
 
@@ -105,11 +89,12 @@ class BoundarySpec:
 class GlobalSystem:
     """Assembled system, before and after Dirichlet elimination.
 
-    A_full / b_full cover every DoF; A / b are restricted to the free
-    set. A_full, A and b, which the condensed solve never reads, are
-    built on first use. fixed_dofs and fixed_values record the eliminated
-    Dirichlet data; groups hold the element operators, one ElementGroup
-    per cell valence.
+    A_full / b_full cover every DoF; A / b are restricted to the free set,
+    as the reference the tests check the condensed solve against and as
+    the matrix --matrix-market writes. The condensed solve reads none of
+    A_full, A and b, which are built on first use. fixed_dofs and
+    fixed_values record the eliminated Dirichlet data; groups hold the
+    element operators, one ElementGroup per cell valence.
     """
     mesh: PolyMesh
     subtri: SubTriangulation
@@ -248,10 +233,6 @@ class CondensedSystem:
     free_faces: np.ndarray      # free face DoF ids (global numbering)
     factors: list = field(repr=False, default_factory=list)
 
-    @property
-    def dim(self) -> int:
-        return self.S.shape[0]
-
     def recover(self, x_faces) -> np.ndarray:
         """Full DoF vector from the free-face solution.
 
@@ -305,8 +286,8 @@ def static_condensation(system: GlobalSystem) -> CondensedSystem:
                            free_faces=free_faces, factors=factors)
 
 
-def write_matrix_market(system: GlobalSystem, path, reduced: bool = True) -> None:
-    """Export the (reduced by default) matrix in Matrix Market format."""
+def write_matrix_market(system: GlobalSystem, path) -> None:
+    """Export the reduced matrix A in Matrix Market format."""
     # write through a handle: mmwrite appends .mtx to bare path names
     with open(path, "wb") as fh:
-        mmwrite(fh, system.A if reduced else system.A_full, symmetry="symmetric")
+        mmwrite(fh, system.A, symmetry="symmetric")

@@ -9,7 +9,6 @@ place so a failure never leaves a partial file.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -23,7 +22,7 @@ from .assembly import (AssemblyError, CondensationError, assemble_system,
 from .polymesh import (MeshError, PolyMesh, build_subtriangulation,
                        compute_star_points, quality_report, read_mesh,
                        mesh_document)
-from .postprocess import (PostprocessError, SolutionField, ConvergenceReport,
+from .postprocess import (PostprocessError, SolutionField,
                           conservation_residuals, convergence_study,
                           cr_equivalence, error_norms, flux_jump_report,
                           recover_flux, scaled_conservation_residuals,
@@ -111,8 +110,6 @@ def _add_solve_flags(p):
                    help="error-norm quadrature mode")
     p.add_argument("--method", choices=["direct", "cg"], default="direct")
     p.add_argument("--cg-tol", type=float, default=1e-10, help="cg tolerance")
-    p.add_argument("--no-condense", action="store_true",
-                   help="solve the full system instead of the face system")
 
 
 def cmd_mesh(args) -> int:
@@ -143,8 +140,7 @@ def _solve_problem(problem, mesh, args):
     system = assemble_system(mesh, subtri, args.degree, problem.coeff,
                              problem.f, problem.bc,
                              flux_sign=problem.flux_sign)
-    dofs, report = solve_system(system, method=args.method,
-                                condense=not args.no_condense, tol=args.cg_tol)
+    dofs, report = solve_system(system, method=args.method, tol=args.cg_tol)
     sol = SolutionField(system, dofs)
     flux = recover_flux(sol)
     return system, sol, flux, report
@@ -166,7 +162,7 @@ def cmd_solve(args) -> int:
         f"dofs        {system.dofmap.total} "
         f"({len(system.free)} free after elimination)",
         f"solver      {report.method}, {report.iterations} iterations, "
-        f"residual {report.residual:.3e}, condensed = {report.condensed}",
+        f"residual {report.residual:.3e}",
         f"time        {elapsed:.2f} s",
     ]
     if problem.has_exact:
@@ -213,8 +209,7 @@ def cmd_convergence(args) -> int:
     report = convergence_study(problem, meshes, k=args.degree, star=args.star,
                                mode=args.quadrature,
                                solver_opts={"method": args.method,
-                                            "tol": args.cg_tol,
-                                            "condense": not args.no_condense})
+                                            "tol": args.cg_tol})
     print(report.format_table())
     if args.compare_paper:
         if args.problem != "example1":
@@ -252,7 +247,7 @@ def cmd_conserve(args) -> int:
     lines += [
         f"problem   {problem.name}",
         f"mesh      {mesh.num_cells} cells",
-        f"solver    {report.method} (condensed = {report.condensed})",
+        f"solver    {report.method}",
         f"max |r_K| {np.abs(res).max():.6e}  (cell {worst})",
         f"mean |r_K| {np.abs(res).mean():.6e}",
         f"max scaled {scaled.max():.6e}  (cell {int(scaled.argmax())})",
@@ -287,7 +282,6 @@ def _make_parser() -> argparse.ArgumentParser:
         prog="stagpoly",
         description="Hybridized staggered DG solver for elliptic problems "
                     "on polygonal meshes")
-    ap.add_argument("--config", help="JSON file of default option values")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     pm = sub.add_parser("mesh", help="generate or inspect meshes")
@@ -355,23 +349,8 @@ def _int_list(text: str):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    ap = _make_parser()
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            with open(argv[idx + 1]) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError, IndexError) as exc:
-            print(f"error: bad config file: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        if not isinstance(defaults, dict):
-            print("error: config file must hold a JSON object",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        ap.set_defaults(**{k.replace("-", "_"): v for k, v in defaults.items()})
     try:
-        args = ap.parse_args(argv)
+        args = _make_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
 

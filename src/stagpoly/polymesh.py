@@ -37,7 +37,6 @@ __all__ = [
     "load_mesh",
     "read_mesh",
     "mesh_document",
-    "write_mesh",
     "gen_uniform_triangles",
     "gen_uniform_squares",
     "gen_voronoi_polygons",
@@ -127,12 +126,6 @@ class PolyMesh:
     @property
     def boundary_edges(self):
         return np.flatnonzero(self.edge_cells[:, 1] < 0)
-
-    def cell_vertices(self, c: int):
-        return self.vertices[self.cells[c]]
-
-    def cell_area(self, c: int) -> float:
-        return float(self.areas()[c])
 
     def areas(self):
         return _shoelace(self.vertices[self.cell_verts], self.cell_ptr)[0]
@@ -356,11 +349,6 @@ def mesh_document(mesh: PolyMesh) -> str:
     if mesh.h_report is not None:
         text += f',\n  "h": {_fmt(mesh.h_report)}'
     return "{\n" + text + "\n}\n"
-
-
-def write_mesh(mesh: PolyMesh, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(mesh_document(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -765,10 +753,6 @@ class CellFan:
 class SubTriangulation:
     mesh: PolyMesh
     star: np.ndarray
-
-    @property
-    def num_triangles(self) -> int:
-        return int(self.mesh.cell_ptr[-1])
 
     @cached_property
     def fans(self) -> list[CellFan]:

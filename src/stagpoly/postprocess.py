@@ -45,7 +45,6 @@ __all__ = [
     "conservation_residuals",
     "scaled_conservation_residuals",
     "flux_jump_report",
-    "flux_norms",
     "h1h_distance",
     "ConvergenceReport",
     "convergence_study",
@@ -71,18 +70,11 @@ class SolutionField:
     def cell_coeffs(self, c: int) -> np.ndarray:
         return self.dofs[self.system.dofmap.cell_dofs(c)]
 
-    def face_coeffs(self, e: int) -> np.ndarray:
-        return self.dofs[self.system.dofmap.face_dofs(e)]
-
     def u0_values(self, c: int, pts) -> np.ndarray:
         gi, r = self.system.locate(c)
         grp = self.system.groups[gi]
         return monomials(pts, grp.xbar[r], grp.h[r], grp.k + 1) \
             @ self.cell_coeffs(c)
-
-    def local_vector(self, c: int) -> np.ndarray:
-        gi, r = self.system.locate(c)
-        return self.dofs[self.system.groups[gi].dofs[r]]
 
 
 @dataclass
@@ -93,7 +85,6 @@ class FluxField:
     """
     system: GlobalSystem
     coeffs: list = field(repr=False, default_factory=list)
-    sign: int = 1
 
     def tri_values(self, c: int, i: int, pts) -> np.ndarray:
         """Flux values on fan triangle i of cell c at physical points."""
@@ -124,14 +115,13 @@ def _home_triangles(tris, pts, tol=1e-12):
     return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
-def recover_flux(solution: SolutionField, sign: int | None = None) -> FluxField:
-    """Per-cell flux sign*K*(weak gradient): G times the local DoFs."""
+def recover_flux(solution: SolutionField) -> FluxField:
+    """Per-cell flux flux_sign*K*(weak gradient): G times the local DoFs."""
     system = solution.system
-    if sign is None:
-        sign = system.flux_sign
+    sign = system.flux_sign
     coeffs = [sign * weak_gradient_coeffs(grp, solution.dofs[grp.dofs])
               for grp in system.groups]
-    return FluxField(system=system, coeffs=coeffs, sign=sign)
+    return FluxField(system=system, coeffs=coeffs)
 
 
 def _norm_rules(system: GlobalSystem, mode: str):
@@ -192,6 +182,7 @@ def error_norms(solution: SolutionField, u_exact: Callable,
     # face rule must determine the P_k projection; the flux face term is raw
     jump_rule = edge_rule(max(len(face_rule.points), system.k + 1))
     coeff = system.coeff
+    sign = system.flux_sign
     if flux is not None and grad_u_exact is None:
         raise PostprocessError("flux norms need the exact gradient")
 
@@ -214,11 +205,11 @@ def error_norms(solution: SolutionField, u_exact: Callable,
             e1h_sq += float(np.sum(_face_jump_sq(grp, uc, ub, jump_rule)
                                    / hK))
         if flux is not None:
-            ds = flux.sign * _exact_flux(coeff, grad_u_exact, pts) \
+            ds = sign * _exact_flux(coeff, grad_u_exact, pts) \
                 - flux_values(grp, flux.coeffs[gi], pts)
             s_vol_sq += float(np.sum(wts * (ds ** 2).sum(axis=-1)))
             pts, wts = grp.edge_quadrature(face_rule)
-            ds = flux.sign * _exact_flux(coeff, grad_u_exact, pts) \
+            ds = sign * _exact_flux(coeff, grad_u_exact, pts) \
                 - flux_values(grp, flux.coeffs[gi], pts)
             s_0h_sq += float(np.sum(hK * np.sum(
                 wts * _normal_part(ds, grp) ** 2, axis=(1, 2))))
@@ -266,8 +257,9 @@ def conservation_residuals(flux: FluxField, f: Callable) -> np.ndarray:
     (int f - int sigma.n)/|K|.
     """
     out = np.zeros(flux.system.mesh.num_cells)
+    sign = flux.system.flux_sign
     for grp, load, wsn in _balance(flux, f):
-        out[grp.cells] = (load + flux.sign * np.sum(wsn, axis=(1, 2))) \
+        out[grp.cells] = (load + sign * np.sum(wsn, axis=(1, 2))) \
             / grp.areas.sum(axis=1)
     return out
 
@@ -280,8 +272,9 @@ def scaled_conservation_residuals(flux: FluxField, f: Callable) -> np.ndarray:
     raw residual is divided by |K|.
     """
     out = np.zeros(flux.system.mesh.num_cells)
+    sign = flux.system.flux_sign
     for grp, load, wsn in _balance(flux, f):
-        defect = np.abs(load + flux.sign * np.sum(wsn, axis=(1, 2)))
+        defect = np.abs(load + sign * np.sum(wsn, axis=(1, 2)))
         out[grp.cells] = defect / np.maximum(
             np.abs(load) + np.sum(np.abs(wsn), axis=(1, 2)), 1e-300)
     return out
@@ -319,26 +312,6 @@ def flux_jump_report(flux: FluxField) -> dict:
         return {"max_scaled_jump": 0.0, "face": -1}
     worst = int(np.argmax(rel))
     return {"max_scaled_jump": float(rel[worst]), "face": int(inner[worst])}
-
-
-def flux_norms(flux: FluxField) -> tuple:
-    """(augmented 0h-norm, plain L2 norm) of a flux field."""
-    system = flux.system
-    k = system.k
-    vol_rule = triangle_rule(max(2 * k, 2))
-    erule = edge_rule(k + 1)
-    vol_sq = 0.0
-    face_sq = 0.0
-    diam = cell_diameters(system.mesh)
-    for gi, grp in enumerate(system.groups):
-        pts, wts = grp.fan_quadrature(vol_rule)
-        sv = flux_values(grp, flux.coeffs[gi], pts)
-        vol_sq += float(np.sum(wts * (sv ** 2).sum(axis=-1)))
-        pts, wts = grp.edge_quadrature(erule)
-        sn = _normal_part(flux_values(grp, flux.coeffs[gi], pts), grp)
-        face_sq += float(np.sum(diam[grp.cells]
-                                * np.sum(wts * sn ** 2, axis=(1, 2))))
-    return float(np.sqrt(vol_sq + face_sq)), float(np.sqrt(vol_sq))
 
 
 def h1h_distance(system: GlobalSystem, dofs_a: np.ndarray,
@@ -427,8 +400,7 @@ def convergence_study(problem, meshes, k: int = 0, star: str = "chebyshev",
         columns = list(problem.table_columns)
     report = ConvergenceReport(problem=problem.name, k=k, columns=columns)
     for level, mesh in enumerate(meshes):
-        subtri = build_subtriangulation(mesh, star_points=None if star is None
-                                        else compute_star_points(mesh, star))
+        subtri = build_subtriangulation(mesh, compute_star_points(mesh, star))
         system = assemble_system(mesh, subtri, k, problem.coeff, problem.f,
                                  problem.bc, flux_sign=problem.flux_sign)
         try:

@@ -37,7 +37,6 @@ class Problem:
     grad_u: Callable | None = None
     flux_sign: int = 1
     table_columns: tuple = ("e_sigma_L2", "e_L2")
-    mesh_family: str = "triangles"
 
     @property
     def has_exact(self) -> bool:
@@ -71,7 +70,6 @@ def example1() -> Problem:
         grad_u=_grad_cospi,
         flux_sign=1,
         table_columns=("e_sigma_L2", "e_L2"),
-        mesh_family="triangles",
     )
 
 
@@ -88,7 +86,6 @@ def example2() -> Problem:
         grad_u=_grad_cospi,
         flux_sign=1,
         table_columns=("e_1h", "e_L2", "e_sigma_0h"),
-        mesh_family="voronoi",
     )
 
 
@@ -118,7 +115,6 @@ def example3() -> Problem:
         bc=bc,
         flux_sign=-1,
         table_columns=(),
-        mesh_family="squares",
     )
 
 

@@ -1,11 +1,11 @@
-"""Linear solvers for the assembled SPD systems.
+"""Linear solvers for the condensed face system.
 
-The default is a sparse direct solve: SuperLU with a symmetric fill-reducing
-ordering and diagonal pivots, which is a symmetric factorization whose
-pivots prove the matrix SPD. A hand-rolled preconditioned conjugate
-gradient is the alternative; it checks curvature at every step and records
-its residual history. Both operate on the reduced (Dirichlet-eliminated)
-matrices, which are SPD once at least one face DoF is pinned.
+solve_system eliminates the cell DoFs by static condensation, solves the
+reduced face-only Schur system, SPD once a face DoF is pinned, and recovers
+the cell DoFs cell by cell. The default face solver is SuperLU with a
+symmetric ordering and diagonal pivots, whose pivots prove the matrix SPD;
+the alternative is a hand-rolled Jacobi-preconditioned conjugate gradient
+that checks curvature at every step and records its residual history.
 """
 
 from __future__ import annotations
@@ -43,13 +43,11 @@ class SolveReport:
     iterations: int
     residual: float
     converged: bool
-    condensed: bool = False
     residual_history: np.ndarray = field(default=None, repr=False)
 
 
-def solve_cg(A, b, tol: float = 1e-10, maxiter: int | None = None,
-             precond: str = "jacobi", x0=None) -> tuple:
-    """Preconditioned CG for SPD A; returns (x, SolveReport).
+def solve_cg(A, b, tol: float = 1e-10, maxiter: int | None = None) -> tuple:
+    """Jacobi-preconditioned CG for SPD A; returns (x, SolveReport).
 
     Convergence is ||r||_2 <= tol * ||b||_2. A nonpositive curvature
     p^T A p flags a non-SPD matrix. Raises SolverError if the iteration
@@ -62,19 +60,13 @@ def solve_cg(A, b, tol: float = 1e-10, maxiter: int | None = None,
     if maxiter is None:
         maxiter = int(10 * np.sqrt(n)) + 1000
 
-    if precond == "jacobi":
-        d = A.diagonal() if sp.issparse(A) else np.diag(A).copy()
-        if np.any(d <= 0):
-            raise NotSPDError("nonpositive diagonal entry")
-        apply_m = lambda r: r / d
-    elif precond in (None, "none"):
-        apply_m = lambda r: r
-    else:
-        raise SolverError(f"unknown preconditioner {precond!r}")
+    d = A.diagonal() if sp.issparse(A) else np.diag(A).copy()
+    if np.any(d <= 0):
+        raise NotSPDError("nonpositive diagonal entry")
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = b - A @ x
-    z = apply_m(r)
+    x = np.zeros(n)
+    r = b.copy()
+    z = r / d
     p = z.copy()
     rz = float(r @ z)
     bnorm = float(np.linalg.norm(b))
@@ -98,7 +90,7 @@ def solve_cg(A, b, tol: float = 1e-10, maxiter: int | None = None,
         if rnorm <= target:
             return x, SolveReport("cg", n, it, rnorm, True,
                                   residual_history=np.asarray(history))
-        z = apply_m(r)
+        z = r / d
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
@@ -135,29 +127,18 @@ def solve_direct(A, b) -> tuple:
 
 
 def solve_system(system: GlobalSystem, method: str = "direct",
-                 condense: bool = True, tol: float = 1e-10,
-                 maxiter: int | None = None, precond: str = "jacobi") -> tuple:
+                 tol: float = 1e-10) -> tuple:
     """Solve an assembled system; returns (full DoF vector, SolveReport).
 
-    With condense=True (default) the face-only Schur system is solved
-    and interior DoFs are recovered exactly cell by cell. method "direct"
-    (default) is the sparse LU of solve_direct, "cg" is solve_cg with
-    tol, maxiter and precond.
+    The face-only Schur system is solved, and interior DoFs are recovered
+    exactly cell by cell. method "direct" (default) is the sparse LU of
+    solve_direct, "cg" is solve_cg to tol.
     """
-    if condense:
-        cond = static_condensation(system)
-        A, b = cond.S, cond.b
-    else:
-        cond = None
-        A, b = system.A, system.b
-
+    cond = static_condensation(system)
     if method == "direct":
-        x, report = solve_direct(A, b)
+        x, report = solve_direct(cond.S, cond.b)
     elif method == "cg":
-        x, report = solve_cg(A, b, tol=tol, maxiter=maxiter, precond=precond)
+        x, report = solve_cg(cond.S, cond.b, tol=tol)
     else:
         raise SolverError(f"unknown method {method!r}")
-
-    full = cond.recover(x) if cond is not None else system.expand(x)
-    report.condensed = condense
-    return full, report
+    return cond.recover(x), report

@@ -9,13 +9,12 @@ from stagpoly.assembly import (
     CondensationError,
     DofMap,
     assemble_system,
-    boundary_face_dofs_by_marker,
     build_dof_map,
     static_condensation,
     write_matrix_market,
 )
 from stagpoly.problems import example1, example3, patch_linear
-from stagpoly.solver import solve_system
+from stagpoly.solver import solve_direct, solve_system
 from stagpoly.weakgrad import matrix_coefficient
 
 from conftest import subtriangulate
@@ -67,13 +66,6 @@ def test_dofmap_blocks_disjoint(squares4):
     for c in range(squares4.num_cells):
         seen.extend(dm.cell_dofs(c).tolist())
     assert sorted(seen) == list(range(dm.total))
-
-
-def test_boundary_dofs_by_marker(squares4):
-    dm = build_dof_map(squares4, 0)
-    groups = boundary_face_dofs_by_marker(squares4, dm)
-    assert set(groups) == {1, 2, 3, 4}
-    assert sum(len(v) for v in groups.values()) == len(squares4.boundary_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +156,12 @@ def test_neumann_loads_enter_rhs(squares4):
     sub = subtriangulate(squares4)
     system = assemble_system(squares4, sub, 0, prob.coeff, zero, bc)
     dm = system.dofmap
-    groups = boundary_face_dofs_by_marker(squares4, dm)
     top = np.concatenate([dm.face_dofs(e) for e in range(squares4.num_edges)
                           if squares4.edge_markers[e] == 4
                           and squares4.edge_cells[e, 1] < 0])
     assert np.allclose(system.b_full[top], 0.25)  # face length 1/4, g = 1
     others = np.setdiff1d(np.arange(dm.n_face_dofs), top)
     assert np.allclose(system.b_full[others], 0.0)
-    assert set(top) <= set(groups[4])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -192,7 +182,7 @@ def test_reduced_system_built_on_demand(tri4):
     system = build(example1(), tri4)
     assert "A" not in vars(system) and "b" not in vars(system)
     assert "A_full" not in vars(system)
-    solve_system(system, method="direct", condense=True)
+    solve_system(system, method="direct")
     assert "A" not in vars(system) and "b" not in vars(system)
     assert "A_full" not in vars(system)
     free, fixed = system.free, system.fixed_dofs
@@ -207,9 +197,8 @@ def test_reduced_system_built_on_demand(tri4):
 
 def test_condensation_matches_full(tri4):
     system = build(example1(), tri4)
-    cond = static_condensation(system)
-    x_full, _ = solve_system(system, method="direct", condense=False)
-    x_cond, _ = solve_system(system, method="direct", condense=True)
+    x_full = system.expand(solve_direct(system.A, system.b)[0])
+    x_cond, _ = solve_system(system, method="direct")
     assert np.abs(x_full - x_cond).max() < 1e-11
 
 
@@ -223,7 +212,7 @@ def test_condensed_schur_spd(tri4):
 def test_condensation_cell_rows_exact(squares4):
     # interior recovery satisfies the cell equations to machine precision
     system = build(example3(), squares4)
-    dofs, _ = solve_system(system, method="direct", condense=True)
+    dofs, _ = solve_system(system, method="direct")
     resid = system.A_full @ dofs - system.b_full
     dm = system.dofmap
     cell_rows = np.concatenate([dm.cell_dofs(c)
@@ -242,11 +231,3 @@ def test_matrix_market_roundtrip(tmp_path, tri4):
     A = scipy.io.mmread(path).tocsr()
     assert A.shape == system.A.shape
     assert abs(A - system.A).max() < 1e-15
-
-
-def test_matrix_market_full(tmp_path, tri4):
-    system = build(example1(), tri4)
-    path = tmp_path / "full.mtx"
-    write_matrix_market(system, path, reduced=False)
-    A = scipy.io.mmread(path).tocsr()
-    assert A.shape == system.A_full.shape

@@ -220,28 +220,19 @@ def test_crcheck_rejects_polygon_mesh(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# config file and argument errors
+# argument errors
 
-def test_config_file_defaults(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"star": "centroid", "no-timestamp": True}))
-    code, out, _ = run(capsys, "--config", str(cfg), "cr-check",
-                       "--triangles", "2", "--tol", "1e-9")
-    assert code == 0
-
-
-def test_config_file_invalid(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("not json {")
-    code, _, err = run(capsys, "--config", str(cfg), "cr-check",
-                       "--triangles", "2")
-    assert code == EXIT_CONFIG
-    assert "bad config" in err
-
-
-def test_unknown_flag(capsys):
-    code, _, err = run(capsys, "solve", "--does-not-exist")
-    assert code == EXIT_CONFIG
+def test_unknown_flag(tmp_path, capsys):
+    # unknown options, the removed --no-condense and --config among them
+    (tmp_path / "c.json").write_text("{}")
+    out = str(tmp_path)
+    for argv in (["solve", "--does-not-exist"],
+                 ["solve", "--triangles", "2", "--no-condense",
+                  "--outdir", out],
+                 ["--config", str(tmp_path / "c.json"), "solve",
+                  "--triangles", "2", "--outdir", out]):
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_CONFIG, argv
 
 
 def test_help_exits_zero(capsys):

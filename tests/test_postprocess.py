@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stagpoly.assembly import assemble_system
-from stagpoly.polymesh import (gen_uniform_squares, gen_uniform_triangles,
-                               gen_voronoi_polygons)
+from stagpoly.polymesh import (cell_diameters, gen_uniform_squares,
+                               gen_uniform_triangles, gen_voronoi_polygons)
 from stagpoly.postprocess import (
     ConvergenceReport,
     FluxField,
@@ -14,16 +14,17 @@ from stagpoly.postprocess import (
     cr_equivalence,
     error_norms,
     flux_jump_report,
-    flux_norms,
     h1h_distance,
     recover_flux,
     scaled_conservation_residuals,
     write_vtk,
+    _normal_part,
 )
 from stagpoly.problems import example1, example2, example3, patch_linear
 from stagpoly.quadbasis import (edge_rule, map_to_edge, map_to_triangle,
                                 triangle_rule)
 from stagpoly.solver import solve_system
+from stagpoly.weakgrad import flux_values
 
 from conftest import subtriangulate
 
@@ -47,15 +48,6 @@ def test_solution_field_length_check(tri4):
         SolutionField(sol.system, sol.dofs[:-1])
 
 
-def test_local_vector_layout(tri4):
-    sol = solved(example1(), tri4)
-    loc = sol.local_vector(0)
-    fan = sol.system.subtri.fans[0]
-    assert len(loc) == fan.n_edges * (sol.system.k + 1) + 3
-    assert np.array_equal(loc[-3:], sol.cell_coeffs(0))
-    assert np.array_equal(loc[:3], sol.dofs[fan.edge_ids])
-
-
 def test_patch_flux_is_constant(mesh_families):
     prob = patch_linear()
     for name, mesh in mesh_families.items():
@@ -67,17 +59,9 @@ def test_patch_flux_is_constant(mesh_families):
             assert np.abs(vals - [2.0, -3.0]).max() < 1e-10, name
 
 
-def test_flux_sign_flips_values(tri4):
-    sol = solved(example1(), tri4)
-    plus = recover_flux(sol, sign=1)
-    minus = recover_flux(sol, sign=-1)
-    pts = sol.system.subtri.fans[0].xbar[None, :]
-    assert np.allclose(plus.cell_values(0, pts), -minus.cell_values(0, pts))
-
-
 def test_cell_values_outside_cell_raises(tri4):
     flux = recover_flux(solved(example1(), tri4))
-    inside = tri4.cell_vertices(0).mean(axis=0)
+    inside = tri4.vertices[tri4.cells[0]].mean(axis=0)
     with pytest.raises(PostprocessError, match="outside cell 0"):
         flux.cell_values(0, np.array([inside, [0.9, 0.9]]))
 
@@ -120,6 +104,26 @@ def test_error_norm_keys(tri4):
 
 # ---------------------------------------------------------------------------
 # flux norms and norm equivalence
+
+def flux_norms(flux: FluxField) -> tuple:
+    """(augmented 0h-norm, plain L2 norm) of a flux field."""
+    system = flux.system
+    k = system.k
+    vol_rule = triangle_rule(max(2 * k, 2))
+    erule = edge_rule(k + 1)
+    vol_sq = 0.0
+    face_sq = 0.0
+    diam = cell_diameters(system.mesh)
+    for gi, grp in enumerate(system.groups):
+        pts, wts = grp.fan_quadrature(vol_rule)
+        sv = flux_values(grp, flux.coeffs[gi], pts)
+        vol_sq += float(np.sum(wts * (sv ** 2).sum(axis=-1)))
+        pts, wts = grp.edge_quadrature(erule)
+        sn = _normal_part(flux_values(grp, flux.coeffs[gi], pts), grp)
+        face_sq += float(np.sum(diam[grp.cells]
+                                * np.sum(wts * sn ** 2, axis=(1, 2))))
+    return float(np.sqrt(vol_sq + face_sq)), float(np.sqrt(vol_sq))
+
 
 def test_flux_norm_ordering(mesh_families):
     # the 0h norm dominates the L2 norm and stays within a mesh-quality
@@ -209,7 +213,7 @@ def test_scaled_conservation_matches_per_cell_loop(request, name, k):
     assert scaled.max() <= 1e-10
     # a perturbed flux does not balance: compare cell by cell
     wrong = FluxField(flux.system, [c + RNG.standard_normal(c.shape)
-                                    for c in flux.coeffs], flux.sign)
+                                    for c in flux.coeffs])
     ref = _scaled_conservation_per_cell(wrong, prob.f)
     assert ref.min() > 1e-6
     assert np.all(np.abs(scaled_conservation_residuals(wrong, prob.f) - ref)

@@ -55,7 +55,6 @@ def test_example1_load_identity():
 def test_example1_table_columns():
     prob = example1()
     assert prob.table_columns == ("e_sigma_L2", "e_L2")
-    assert prob.mesh_family == "triangles"
     assert prob.has_exact
 
 

@@ -65,9 +65,10 @@ def test_cg_zero_rhs():
 
 
 def test_cg_indefinite_raises():
-    A = np.diag([1.0, -1.0, 2.0])
-    with pytest.raises(NotSPDError):
-        solve_cg(A, np.array([1.0, 1.0, 1.0]), precond="none")
+    # a positive diagonal passes the Jacobi check; the curvature guard fires
+    A = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(NotSPDError, match="curvature"):
+        solve_cg(A, np.array([1.0, -1.0]))
 
 
 def test_cg_nonpositive_diagonal_raises():
@@ -80,19 +81,6 @@ def test_cg_maxiter_exhausted():
     A = random_spd(60, seed=5)
     with pytest.raises(SolverError, match="converge"):
         solve_cg(A, RNG.standard_normal(60), tol=1e-14, maxiter=2)
-
-
-def test_cg_unknown_preconditioner():
-    with pytest.raises(SolverError):
-        solve_cg(np.eye(3), np.ones(3), precond="ilu")
-
-
-def test_cg_warm_start():
-    A = random_spd(20, seed=6)
-    b = RNG.standard_normal(20)
-    x_exact = np.linalg.solve(A, b)
-    x, report = solve_cg(A, b, tol=1e-10, x0=x_exact)
-    assert report.iterations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +119,8 @@ def test_direct_zero_diagonal_raises():
 
 def test_solve_system_condensed_vs_full(tri4):
     system = wg_system(tri4)
-    x_c, rep_c = solve_system(system, method="direct", condense=True)
-    x_f, rep_f = solve_system(system, method="direct", condense=False)
-    assert rep_c.condensed and not rep_f.condensed
+    x_c, _ = solve_system(system, method="direct")
+    x_f = system.expand(solve_direct(system.A, system.b)[0])
     assert np.abs(x_c - x_f).max() < 1e-10
 
 
