@@ -60,7 +60,7 @@ def _atomic_write(path, text: str) -> None:
 
 
 def _timestamp_line(args) -> str:
-    if getattr(args, "no_timestamp", False):
+    if args.no_timestamp:
         return ""
     now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     return f"# generated {now}\n"
@@ -70,7 +70,7 @@ def _build_mesh(args) -> PolyMesh:
     """Mesh from --mesh FILE or one of the generator flags."""
     sources = [args.mesh is not None, args.triangles is not None,
                args.squares is not None, args.voronoi is not None,
-               getattr(args, "delaunay", None) is not None]
+               args.delaunay is not None]
     if sum(sources) != 1:
         raise ConfigError("give exactly one of --mesh, --triangles, "
                           "--squares, --voronoi, --delaunay")
@@ -87,7 +87,7 @@ def _build_mesh(args) -> PolyMesh:
     return polymesh.gen_delaunay_triangles(args.delaunay, rng_seed=args.seed)
 
 
-def _add_mesh_source_flags(p, delaunay: bool = True):
+def _add_mesh_source_flags(p):
     p.add_argument("--mesh", help="mesh document to load")
     p.add_argument("--triangles", type=int, metavar="N",
                    help="structured triangle mesh on an N x N grid")
@@ -95,31 +95,38 @@ def _add_mesh_source_flags(p, delaunay: bool = True):
                    help="uniform square mesh on an N x N grid")
     p.add_argument("--voronoi", type=int, metavar="NSEEDS",
                    help="Lloyd-relaxed Voronoi mesh with NSEEDS cells")
-    if delaunay:
-        p.add_argument("--delaunay", type=int, metavar="NPTS",
-                       help="random Delaunay triangle mesh")
+    p.add_argument("--delaunay", type=int, metavar="NPTS",
+                   help="random Delaunay triangle mesh")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--lloyd-iters", type=int, default=100)
 
 
-def _add_solve_flags(p):
-    p.add_argument("-k", "--degree", type=int, default=0)
+def _add_star_flag(p):
     p.add_argument("--star", choices=["chebyshev", "centroid"],
                    default=DEFAULT_STAR, help="star point placement")
-    p.add_argument("--quadrature", choices=["paper", "high"], default="paper",
-                   help="error-norm quadrature mode")
+
+
+def _add_solve_flags(p):
+    p.add_argument("-k", "--degree", type=int, default=0)
+    _add_star_flag(p)
     p.add_argument("--method", choices=["direct", "cg"], default="direct")
     p.add_argument("--cg-tol", type=float, default=1e-10, help="cg tolerance")
 
 
-def cmd_mesh(args) -> int:
-    if args.mesh_cmd == "gen":
-        mesh = _build_mesh(args)
-        _atomic_write(args.output, mesh_document(mesh))
-        print(f"wrote {args.output}: {mesh.num_cells} cells, "
-              f"{mesh.num_vertices} vertices, {mesh.num_edges} edges")
-        return 0
+def _add_quadrature_flag(p):
+    p.add_argument("--quadrature", choices=["paper", "high"], default="paper",
+                   help="error-norm quadrature mode")
 
+
+def cmd_mesh_gen(args) -> int:
+    mesh = _build_mesh(args)
+    _atomic_write(args.output, mesh_document(mesh))
+    print(f"wrote {args.output}: {mesh.num_cells} cells, "
+          f"{mesh.num_vertices} vertices, {mesh.num_edges} edges")
+    return 0
+
+
+def cmd_mesh_info(args) -> int:
     mesh = read_mesh(args.file)
     # fanning every cell is what checks the star points
     build_subtriangulation(mesh, compute_star_points(mesh, method=args.star))
@@ -153,9 +160,7 @@ def cmd_solve(args) -> int:
     system, sol, flux, report = _solve_problem(problem, mesh, args)
     elapsed = time.perf_counter() - t0
 
-    ts = _timestamp_line(args)
-    lines = [ts.rstrip()] if ts else []
-    lines += [
+    lines = [
         f"problem     {problem.name}",
         f"mesh        {mesh.num_cells} cells, h = {mesh.h_report}",
         f"degree      k = {args.degree}",
@@ -174,7 +179,7 @@ def cmd_solve(args) -> int:
     lines.append(f"conservation max|r_K|  {np.abs(res).max():.3e}")
     jump = flux_jump_report(flux)
     lines.append(f"flux jump (scaled)     {jump['max_scaled_jump']:.3e}")
-    text = "\n".join(lines) + "\n"
+    text = _timestamp_line(args) + "\n".join(lines) + "\n"
     print(text, end="")
 
     os.makedirs(args.outdir, exist_ok=True)
@@ -234,17 +239,12 @@ def cmd_convergence(args) -> int:
 
 def cmd_conserve(args) -> int:
     problem = get_problem(args.problem)
-    if args.mesh is None and args.squares is None and args.triangles is None \
-            and args.voronoi is None:
-        args.squares = 32
     mesh = _build_mesh(args)
     system, sol, flux, report = _solve_problem(problem, mesh, args)
     res = conservation_residuals(flux, problem.f)
     worst = int(np.abs(res).argmax())
     scaled = scaled_conservation_residuals(flux, problem.f)
-    ts = _timestamp_line(args)
-    lines = [ts.rstrip()] if ts else []
-    lines += [
+    lines = [
         f"problem   {problem.name}",
         f"mesh      {mesh.num_cells} cells",
         f"solver    {report.method}",
@@ -256,7 +256,7 @@ def cmd_conserve(args) -> int:
     ]
     ok = np.abs(res).max() <= args.tol
     lines.append("status    PASS" if ok else "status    FAIL")
-    text = "\n".join(lines) + "\n"
+    text = _timestamp_line(args) + "\n".join(lines) + "\n"
     print(text, end="")
     if args.output:
         _atomic_write(args.output, text)
@@ -264,12 +264,9 @@ def cmd_conserve(args) -> int:
 
 
 def cmd_crcheck(args) -> int:
-    args.squares = None
     mesh = _build_mesh(args)
     if not mesh.is_triangle_mesh():
-        print("error: equivalence check requires a triangle mesh",
-              file=sys.stderr)
-        return EXIT_MESH
+        raise MeshError("equivalence check requires a triangle mesh")
     stars = compute_star_points(mesh, method=args.star)
     disc = cr_equivalence(mesh, star_points=stars)
     print(f"cells {mesh.num_cells}  discrepancy {disc:.3e}  "
@@ -289,20 +286,23 @@ def _make_parser() -> argparse.ArgumentParser:
     pg = msub.add_parser("gen", help="generate a mesh document")
     _add_mesh_source_flags(pg)
     pg.add_argument("-o", "--output", required=True)
+    pg.set_defaults(run=cmd_mesh_gen)
     pi = msub.add_parser("info", help="counts, quality, star validity")
     pi.add_argument("file")
-    pi.add_argument("--star", choices=["chebyshev", "centroid"],
-                    default=DEFAULT_STAR)
+    _add_star_flag(pi)
+    pi.set_defaults(run=cmd_mesh_info)
 
     ps = sub.add_parser("solve", help="solve one problem instance")
     ps.add_argument("--problem", default="example1")
     _add_mesh_source_flags(ps)
     _add_solve_flags(ps)
+    _add_quadrature_flag(ps)
     ps.add_argument("--outdir", default="out")
     ps.add_argument("--vtk", action="store_true", help="write solution.vtk")
     ps.add_argument("--matrix-market", action="store_true",
                     help="write the reduced system matrix")
     ps.add_argument("--no-timestamp", action="store_true")
+    ps.set_defaults(run=cmd_solve)
 
     pc = sub.add_parser("convergence", help="mesh refinement study")
     pc.add_argument("--problem", default="example1")
@@ -313,31 +313,29 @@ def _make_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=int, default=1)
     pc.add_argument("--lloyd-iters", type=int, default=100)
     _add_solve_flags(pc)
+    _add_quadrature_flag(pc)
     pc.add_argument("--compare-paper", action="store_true",
                     help="diff example1 results against published values")
     pc.add_argument("-o", "--output", help="CSV output path")
     pc.add_argument("--no-timestamp", action="store_true")
+    pc.set_defaults(run=cmd_convergence)
 
     po = sub.add_parser("conserve", help="local conservation report")
     po.add_argument("--problem", default="example3")
-    _add_mesh_source_flags(po, delaunay=False)
+    _add_mesh_source_flags(po)
     _add_solve_flags(po)
     po.add_argument("--tol", type=float, default=1e-10,
                     help="pass threshold on max |r_K|")
     po.add_argument("-o", "--output", help="report output path")
     po.add_argument("--no-timestamp", action="store_true")
+    po.set_defaults(run=cmd_conserve)
 
     pr = sub.add_parser("cr-check",
                         help="compare against the nonconforming P1 matrix")
-    pr.add_argument("--mesh", help="mesh document to load")
-    pr.add_argument("--triangles", type=int, metavar="N")
-    pr.add_argument("--delaunay", type=int, metavar="NPTS")
-    pr.add_argument("--voronoi", type=int, help=argparse.SUPPRESS)
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--lloyd-iters", type=int, default=100)
-    pr.add_argument("--star", choices=["chebyshev", "centroid"],
-                    default=DEFAULT_STAR)
+    _add_mesh_source_flags(pr)
+    _add_star_flag(pr)
     pr.add_argument("--tol", type=float, default=1e-10)
+    pr.set_defaults(run=cmd_crcheck)
     return ap
 
 
@@ -355,17 +353,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
 
     try:
-        if args.cmd == "mesh":
-            return cmd_mesh(args)
-        if args.cmd == "solve":
-            return cmd_solve(args)
-        if args.cmd == "convergence":
-            return cmd_convergence(args)
-        if args.cmd == "conserve":
-            return cmd_conserve(args)
-        if args.cmd == "cr-check":
-            return cmd_crcheck(args)
-        raise ConfigError(f"unknown command {args.cmd!r}")
+        return args.run(args)
     except (ConfigError, AssemblyError, PostprocessError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

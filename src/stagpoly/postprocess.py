@@ -28,8 +28,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import BoundarySpec, GlobalSystem, assemble_system
+from .assembly import (BoundarySpec, CondensationError, GlobalSystem,
+                       _block_triplets, _symmetric_csr, assemble_system)
 from .polymesh import (PolyMesh, build_subtriangulation, cell_diameters,
                        compute_star_points, mesh_size)
 from .quadbasis import (edge_rule, face_monomials, map_to_edge, monomials,
@@ -91,28 +93,6 @@ class FluxField:
         gi, r = self.system.locate(c)
         return flux_values(self.system.groups[gi], self.coeffs[gi],
                            np.asarray(pts, dtype=float), r, i)
-
-    def cell_values(self, c: int, pts) -> np.ndarray:
-        """Flux at arbitrary points of cell c (per-point home triangle)."""
-        gi, r = self.system.locate(c)
-        grp = self.system.groups[gi]
-        pts = np.asarray(pts, dtype=float)
-        tri = _home_triangles(grp.triangles[r], pts)
-        if np.any(tri < 0):
-            raise PostprocessError(
-                f"point {pts[np.argmax(tri < 0)]} lies outside cell {c}")
-        return flux_values(grp, self.coeffs[gi], pts[:, None, :], r, tri)[:, 0]
-
-
-def _home_triangles(tris, pts, tol=1e-12):
-    """Index of the first of triangles (m, 3, 2) containing each point of
-    pts (P, 2), or -1."""
-    edge = np.roll(tris, -1, axis=1) - tris
-    rel = pts[:, None, None, :] - tris
-    cross = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
-    scale = np.maximum(1.0, np.abs(cross).max(axis=2, keepdims=True))
-    inside = np.all(cross >= -tol * scale, axis=2)
-    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
 def recover_flux(solution: SolutionField) -> FluxField:
@@ -199,17 +179,19 @@ def error_norms(solution: SolutionField, u_exact: Callable,
             - np.einsum("gtqc,gc->gtq", grp.cell_basis(pts), uc)
         l2_sq += float(np.sum(wts * du ** 2))
         if grad_u_exact is not None:
-            dg = _at(grad_u_exact, pts, (2,)) - np.einsum(
+            grads = _at(grad_u_exact, pts, (2,))
+            dg = grads - np.einsum(
                 "gtqcx,gc->gtqx", grp.cell_basis(pts, grad=True), uc)
             e1h_sq += float(np.sum(wts * (dg ** 2).sum(axis=-1)))
             e1h_sq += float(np.sum(_face_jump_sq(grp, uc, ub, jump_rule)
                                    / hK))
         if flux is not None:
-            ds = sign * _exact_flux(coeff, grad_u_exact, pts) \
+            ds = sign * _exact_flux(coeff, grads, pts) \
                 - flux_values(grp, flux.coeffs[gi], pts)
             s_vol_sq += float(np.sum(wts * (ds ** 2).sum(axis=-1)))
             pts, wts = grp.edge_quadrature(face_rule)
-            ds = sign * _exact_flux(coeff, grad_u_exact, pts) \
+            grads = _at(grad_u_exact, pts, (2,))
+            ds = sign * _exact_flux(coeff, grads, pts) \
                 - flux_values(grp, flux.coeffs[gi], pts)
             s_0h_sq += float(np.sum(hK * np.sum(
                 wts * _normal_part(ds, grp) ** 2, axis=(1, 2))))
@@ -223,9 +205,8 @@ def error_norms(solution: SolutionField, u_exact: Callable,
     return out
 
 
-def _exact_flux(coeff, grad_u_exact, pts) -> np.ndarray:
-    """K grad u at points (..., 2)."""
-    grads = _at(grad_u_exact, pts, (2,))
+def _exact_flux(coeff, grads, pts) -> np.ndarray:
+    """K grad u at points (..., 2) from grad u there, grads (..., 2)."""
     if coeff.is_identity:
         return grads
     K = coeff.at(pts.reshape(-1, 2)).reshape(pts.shape + (2,))
@@ -392,7 +373,7 @@ def convergence_study(problem, meshes, k: int = 0, star: str = "chebyshev",
                       mode: str = "paper", solver_opts: dict | None = None,
                       columns: list | None = None) -> ConvergenceReport:
     """Solve a problem on a mesh family and tabulate errors with rates."""
-    from .solver import solve_system
+    from .solver import SolverError, solve_system
 
     if len(meshes) < 1:
         raise PostprocessError("need at least one mesh level")
@@ -405,8 +386,9 @@ def convergence_study(problem, meshes, k: int = 0, star: str = "chebyshev",
                                  problem.bc, flux_sign=problem.flux_sign)
         try:
             dofs, _ = solve_system(system, **(solver_opts or {}))
-        except Exception as exc:
-            raise PostprocessError(f"solve failed at level {level}: {exc}") from exc
+        except (SolverError, CondensationError) as exc:
+            # same type, so the CLI still reports a solver failure
+            raise type(exc)(f"solve failed at level {level}: {exc}") from exc
         sol = SolutionField(system, dofs)
         flux = recover_flux(sol)
         errs = error_norms(sol, problem.u, problem.grad_u, flux=flux, mode=mode)
@@ -430,10 +412,7 @@ def cr_equivalence(mesh: PolyMesh, star_points=None) -> float:
         mesh, subtri, 0, identity_coefficient(),
         f=lambda pts: np.zeros(len(pts)),
         bc=BoundarySpec.dirichlet_everywhere(lambda pts: np.zeros(len(pts))))
-    A_wg = system.A_full.toarray()
-
     ne, nc = mesh.num_edges, mesh.num_cells
-    n_cr = ne + 3 * nc
     (grp,) = system.groups      # a triangle mesh has one valence group
     # CR DoFs: the primal edges, then ne + 3 c + i at the midpoint of the
     # spoke from the star point of cell c to its loop vertex i
@@ -446,17 +425,21 @@ def cr_equivalence(mesh: PolyMesh, star_points=None) -> float:
                            axis=-2)
     S = 4.0 * grp.areas[..., None, None] * (grads @ np.swapaxes(grads, -1, -2))
     local = np.stack([grp.edge_ids, np.roll(spoke, -1, axis=1), spoke], axis=-1)
-    A_cr = np.zeros((n_cr, n_cr))
-    np.add.at(A_cr, (local[..., :, None], local[..., None, :]), S)
-    E = np.zeros((n_cr, system.dofmap.total))
-    E[np.arange(ne), system.dofmap.face_dofs(np.arange(ne))[:, 0]] = 1.0
+    triplets = [_block_triplets(local.reshape(-1, 3), S.reshape(-1, 3, 3))]
+    A_cr = _symmetric_csr(ne + 3 * nc, *zip(*triplets))
+    # both numberings put the faces first and then 3 DoFs per cell, cell by
+    # cell, so E is block diagonal: the identity on the faces, and per cell
+    # the 3 x 3 map from its P1 coefficients to its spoke-midpoint values
     mid = 0.5 * (grp.star[:, None] + grp.loop)
-    E[spoke[..., None], system.dofmap.cell_dofs(grp.cells)[:, None]] = \
-        np.concatenate([np.ones(spoke.shape + (1,)),
-                        (mid - grp.xbar[:, None]) / grp.h[:, None, None]], axis=-1)
-    gap = A_wg - E.T @ A_cr @ E
-    denom = float(np.abs(A_cr).sum(axis=1).max())
-    return float(np.abs(gap).sum(axis=1).max()) / denom
+    blocks = np.empty((nc, 3, 3))
+    blocks[grp.cells] = np.concatenate(
+        [np.ones((len(mid), 3, 1)),
+         (mid - grp.xbar[:, None]) / grp.h[:, None, None]], axis=-1)
+    E = sp.block_diag([sp.identity(ne), sp.bsr_matrix(
+        (blocks, np.arange(nc), np.arange(nc + 1)))], format="csr")
+    gap = system.A_full - E.T @ A_cr @ E
+    denom = float(abs(A_cr).sum(axis=1).max())
+    return float(abs(gap).sum(axis=1).max()) / denom
 
 
 def write_vtk(path, solution: SolutionField, flux: FluxField | None = None) -> None:

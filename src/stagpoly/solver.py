@@ -50,8 +50,9 @@ def solve_cg(A, b, tol: float = 1e-10, maxiter: int | None = None) -> tuple:
     """Jacobi-preconditioned CG for SPD A; returns (x, SolveReport).
 
     Convergence is ||r||_2 <= tol * ||b||_2. A nonpositive curvature
-    p^T A p flags a non-SPD matrix. Raises SolverError if the iteration
-    budget (10 sqrt(n) + 1000 by default) runs out.
+    p^T A p flags a non-SPD matrix (NotSPDError), unless r^T z has
+    underflowed first, when tol is out of reach. Raises SolverError if the
+    iteration budget (10 sqrt(n) + 1000 by default) runs out.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -81,6 +82,12 @@ def solve_cg(A, b, tol: float = 1e-10, maxiter: int | None = None) -> tuple:
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
+            if rz < np.finfo(float).tiny:
+                # r and p have underflowed, so their curvature says nothing
+                # about A: the target lies below what floating point reaches
+                raise SolverError(
+                    f"cg cannot reach tol {tol:.1e}: the residual underflows "
+                    f"at {history[-1]:.3e} in iteration {it}")
             raise NotSPDError(f"nonpositive curvature at iteration {it}")
         alpha = rz / pAp
         x += alpha * p

@@ -39,7 +39,6 @@ __all__ = [
     "CoefficientField",
     "identity_coefficient",
     "scalar_coefficient",
-    "matrix_coefficient",
     "DofMap",
     "ElementGroup",
     "element_groups",
@@ -96,37 +95,25 @@ def _check_spd(K, tol=1e-12):
 
 
 def identity_coefficient() -> CoefficientField:
-    def fn(pts):
-        K = np.zeros((len(pts), 2, 2))
-        K[:, 0, 0] = 1.0
-        K[:, 1, 1] = 1.0
-        return K
-    return CoefficientField(fn=fn, cellwise_constant=True, is_identity=True)
+    return scalar_coefficient(1.0)
 
 
 def scalar_coefficient(kappa, cellwise_constant: bool = False) -> CoefficientField:
-    """kappa may be a number or a callable on (n, 2) point arrays."""
-    if callable(kappa):
-        def fn(pts):
-            vals = np.asarray(kappa(pts), dtype=float).reshape(len(pts))
-            K = np.zeros((len(pts), 2, 2))
-            K[:, 0, 0] = vals
-            K[:, 1, 1] = vals
-            return K
-        return CoefficientField(fn=fn, cellwise_constant=cellwise_constant)
-    val = float(kappa)
+    """K = kappa I; kappa may be a number, which is cellwise constant, or a
+    callable on (n, 2) point arrays."""
+    const = not callable(kappa)
+    if const:
+        kappa = float(kappa)
 
-    def fn_const(pts):
+    def fn(pts):
+        vals = kappa if const else \
+            np.asarray(kappa(pts), dtype=float).reshape(len(pts))
         K = np.zeros((len(pts), 2, 2))
-        K[:, 0, 0] = val
-        K[:, 1, 1] = val
+        K[:, 0, 0] = vals
+        K[:, 1, 1] = vals
         return K
-    return CoefficientField(fn=fn_const, cellwise_constant=True,
-                            is_identity=(val == 1.0))
-
-
-def matrix_coefficient(fn, cellwise_constant: bool = False) -> CoefficientField:
-    return CoefficientField(fn=fn, cellwise_constant=cellwise_constant)
+    return CoefficientField(fn=fn, cellwise_constant=const or cellwise_constant,
+                            is_identity=const and kappa == 1.0)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from stagpoly.assembly import (
 )
 from stagpoly.problems import example1, example3, patch_linear
 from stagpoly.solver import solve_direct, solve_system
-from stagpoly.weakgrad import matrix_coefficient
+from stagpoly.weakgrad import CoefficientField
 
 from conftest import subtriangulate
 
@@ -172,7 +172,7 @@ def test_pointwise_constant_K_matches_cellwise(voronoi64, voronoi64_sub, k):
         return np.tile([[2.0, 0.5], [0.5, 1.0]], (len(pts), 1, 1))
     bc = BoundarySpec.dirichlet_everywhere(zero)
     A = [assemble_system(voronoi64, voronoi64_sub, k,
-                         matrix_coefficient(K, cellwise_constant=cw),
+                         CoefficientField(K, cellwise_constant=cw),
                          zero, bc).A_full for cw in (False, True)]
     assert len({len(c) for c in voronoi64.cells}) >= 4
     assert abs(A[0] - A[1]).max() <= 1e-13 * abs(A[1]).max()

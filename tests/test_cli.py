@@ -162,6 +162,14 @@ def test_convergence_compare_paper_wrong_problem(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_convergence_solver_failure_exits_solver(capsys):
+    # tol 0 is out of reach at level 1: a solver failure, not a config error
+    code, _, err = run(capsys, "convergence", "--levels", "2,4",
+                       "--method", "cg", "--cg-tol", "0")
+    assert code == EXIT_SOLVER
+    assert "level 1" in err and "cannot reach tol" in err
+
+
 def test_convergence_without_exact_solution(capsys):
     code, _, err = run(capsys, "convergence", "--problem", "example3",
                        "--levels", "4")
@@ -194,6 +202,19 @@ def test_conserve_fails_at_tiny_tol(capsys):
     assert "status    FAIL" in out
 
 
+def test_conserve_delaunay(capsys):
+    code, out, _ = run(capsys, "conserve", "--delaunay", "40",
+                       "--no-timestamp")
+    assert code == 0
+    assert "status    PASS" in out
+
+
+def test_conserve_needs_mesh_source(capsys):
+    code, _, err = run(capsys, "conserve")
+    assert code == EXIT_CONFIG
+    assert "exactly one" in err
+
+
 def test_conserve_report_file(tmp_path, capsys):
     path = tmp_path / "conserve.txt"
     code, out, _ = run(capsys, "conserve", "--squares", "8",
@@ -209,6 +230,12 @@ def test_crcheck_triangles(capsys):
     code, out, _ = run(capsys, "cr-check", "--triangles", "4")
     assert code == 0
     assert "discrepancy" in out
+
+
+def test_crcheck_rejects_squares(capsys):
+    code, _, err = run(capsys, "cr-check", "--squares", "2")
+    assert code == EXIT_MESH
+    assert "triangle mesh" in err
 
 
 def test_crcheck_rejects_polygon_mesh(tmp_path, capsys):

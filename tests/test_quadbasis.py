@@ -261,9 +261,10 @@ def test_flux_basis_home_triangle(pentagon_cell):
                              lambda p: np.zeros(len(p)),
                              BoundarySpec.dirichlet_everywhere(
                                  lambda p: np.zeros(len(p))))
-    # normal component i on triangle i tells which triangle a point is in
+    # normal component i on triangle i tells which triangle was evaluated
     coeffs = np.concatenate([np.arange(5.0), np.zeros(5)])[None, :]
     flux = FluxField(system=system, coeffs=[coeffs])
     cents = np.array([fan.triangle(i).mean(axis=0) for i in range(5)])
-    vals = flux.cell_values(0, cents)
+    vals = np.concatenate([flux.tri_values(0, i, cents[i:i + 1])
+                           for i in range(5)])
     assert np.allclose(vals, np.arange(5.0)[:, None] * fan.normals)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stagpoly.assembly import assemble_system
+from stagpoly.assembly import assemble_system, static_condensation
 from stagpoly.problems import example1
 from stagpoly.solver import (
     NotSPDError,
@@ -81,6 +81,16 @@ def test_cg_maxiter_exhausted():
     A = random_spd(60, seed=5)
     with pytest.raises(SolverError, match="converge"):
         solve_cg(A, RNG.standard_normal(60), tol=1e-14, maxiter=2)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300])
+def test_cg_unreachable_tol_is_not_spd_error(tri4, tol):
+    # the SPD tri4 face system: its residual underflows near 1e-162, where
+    # p^T A p and r^T z round to 0 and say nothing about the matrix
+    cond = static_condensation(wg_system(tri4))
+    with pytest.raises(SolverError, match="cannot reach tol") as info:
+        solve_cg(cond.S, cond.b, tol=tol)
+    assert not isinstance(info.value, NotSPDError)
 
 
 # ---------------------------------------------------------------------------

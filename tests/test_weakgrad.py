@@ -7,6 +7,7 @@ from stagpoly.quadbasis import (edge_rule, face_monomials, map_to_edge,
                                 map_to_triangle, monomials, triangle_rule)
 from stagpoly.weakgrad import (
     CoefficientError,
+    CoefficientField,
     DegenerateElementError,
     batched_cholesky,
     cell_mass,
@@ -14,7 +15,6 @@ from stagpoly.weakgrad import (
     face_projection_Qb,
     flux_values,
     identity_coefficient,
-    matrix_coefficient,
     scalar_coefficient,
     weak_divergence,
     weak_gradient_coeffs,
@@ -66,7 +66,7 @@ def test_matrix_coefficient_spd_check():
     def bad(pts):
         pts = np.atleast_2d(pts)
         return np.tile(np.diag([1.0, -1.0]), (len(pts), 1, 1))
-    c = matrix_coefficient(bad)
+    c = CoefficientField(bad)
     with pytest.raises(CoefficientError):
         c.at(np.zeros((1, 2)))
 
@@ -179,7 +179,7 @@ def test_stiffness_with_matrix_coefficient():
     def K(pts):
         pts = np.atleast_2d(pts)
         return np.tile([[2.0, 0.5], [0.5, 1.0]], (len(pts), 1, 1))
-    _, _, op = pentagon_op(coeff=matrix_coefficient(K))
+    _, _, op = pentagon_op(coeff=CoefficientField(K))
     A = op.A[0]
     w = np.linalg.eigvalsh(A)
     assert w[0] >= -1e-12 * np.abs(w).max()
@@ -394,7 +394,7 @@ CELLS = st.one_of(
     st.builds(l_shaped_cell, st.floats(0.5, 2.0), st.floats(0.3, 0.7),
               st.floats(0.3, 0.7), st.floats(0.5, 2.0), st.floats(0.1, 10.0)))
 
-ANISOTROPIC = matrix_coefficient(lambda p: np.stack([
+ANISOTROPIC = CoefficientField(lambda p: np.stack([
     np.stack([2.0 + p[:, 0] ** 2, 0.5 * p[:, 1]], axis=-1),
     np.stack([0.5 * p[:, 1], 1.0 + p[:, 1] ** 2], axis=-1)], axis=-2))
 
