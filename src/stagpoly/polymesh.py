@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from operator import itemgetter
 
 import numpy as np
@@ -413,6 +413,44 @@ def _wall_distances(pts):
 
 
 _WALL_GAP = 1e-6
+# walls left, right, bottom, top: the coordinate each fixes and its value
+_AXIS, _AT = np.array([0, 0, 1, 1]), np.array([0.0, 1.0, 0.0, 1.0])
+
+
+def _reflect(seeds, mirror):
+    """Seeds followed by their reflections across the walls marked in
+    mirror (n, 4), wall by wall and in seed order within a wall. Also
+    returns, for every point, the seed it reflects and the wall it is
+    reflected across, both -1 for the seeds themselves.
+
+    Raises GenerationError for a seed nearer a wall than _WALL_GAP: with
+    its reflection it makes slivers whose Voronoi vertices Qhull places
+    off by more than 1e-12, or drops.
+    """
+    near = np.minimum(seeds, 1.0 - seeds)
+    close = np.flatnonzero(np.minimum(near[:, 0], near[:, 1]) < _WALL_GAP)
+    if len(close):
+        raise GenerationError(f"seed {close[0]} is within {_WALL_GAP:g} of "
+                              "a wall of the unit square")
+    w, s = np.nonzero(mirror.T)
+    images = seeds[s]
+    row = np.arange(len(s))
+    images[row, _AXIS[w]] = 2.0 * _AT[w] - images[row, _AXIS[w]]
+    none = np.full(len(seeds), -1)
+    return np.vstack([seeds, images]), np.concatenate([none, s]), \
+        np.concatenate([none, w])
+
+
+def _wall_pairs(mate, wall, groups):
+    """Rows of the point-id groups (P, k) holding a seed and its own
+    reflection, and the wall between the two, once per reflection; mate
+    and wall are _reflect's per-point arrays."""
+    rows, walls = [], []
+    for j, i in permutations(range(groups.shape[1]), 2):
+        hit = np.flatnonzero(mate[groups[:, j]] == groups[:, i])
+        rows.append(hit)
+        walls.append(wall[groups[hit, j]])
+    return np.concatenate(rows), np.concatenate(walls)
 
 
 def _voronoi_loops(seeds, mirror):
@@ -425,42 +463,259 @@ def _voronoi_loops(seeds, mirror):
     every vertex strictly inside its unmirrored walls is exactly the region
     of full mirroring. Pairs that fail this check are mirrored and Qhull
     reruns; the mask only grows, so the worst case is full mirroring.
+    The ridge of a seed and its reflection lies on their wall, so both of
+    its vertices are put there exactly.
     Returns the loops in CSR form: cell_ptr (n+1,), Qhull vertex ids (N,)
-    and Qhull's vertex coordinates.
+    and the vertex coordinates.
 
-    Raises GenerationError for a seed nearer a wall than _WALL_GAP: with
-    its reflection it makes slivers whose Voronoi vertices Qhull places
-    off by more than 1e-12, or drops.
+    Raises GenerationError for a seed nearer a wall than _WALL_GAP.
     """
-    close = np.flatnonzero(_wall_distances(seeds).min(axis=1) < _WALL_GAP)
-    if len(close):
-        raise GenerationError(f"seed {close[0]} is within {_WALL_GAP:g} of "
-                              "a wall of the unit square")
     mirror = np.array(mirror, dtype=bool)
-    axis, at = np.array([0, 0, 1, 1]), np.array([0.0, 1.0, 0.0, 1.0])
     while True:
-        # reflections wall by wall, in seed order within a wall
-        w, s = np.nonzero(mirror.T)
-        images = seeds[s]
-        row = np.arange(len(s))
-        images[row, axis[w]] = 2.0 * at[w] - images[row, axis[w]]
-        vor = Voronoi(np.vstack([seeds, images]))
+        pts, mate, wall = _reflect(seeds, mirror)
+        vor = Voronoi(pts)
+        coords = vor.vertices.copy()
+        rows, w = _wall_pairs(mate, wall, vor.ridge_points)
+        for end in np.asarray(vor.ridge_vertices)[rows].T:
+            on = end >= 0
+            coords[end[on], _AXIS[w[on]]] = _AT[w[on]]
         cell_ptr, ids = _csr(itemgetter(*vor.point_region[:len(seeds)])(vor.regions))
         # a vertex within round-off of a wall counts as on it
-        reach = (_wall_distances(vor.vertices[ids]) <= 1e-12) \
-            | (ids < 0)[:, None]
+        reach = (_wall_distances(coords[ids]) <= 1e-12) | (ids < 0)[:, None]
         fail = np.logical_or.reduceat(reach, cell_ptr[:-1]) & ~mirror
         if not fail.any():
             break
         mirror |= fail
     if np.any(ids < 0):
         raise GenerationError("unbounded Voronoi region survived mirroring")
-    cell_ptr, ids, coords = _mend_corners(seeds, cell_ptr, ids, vor.vertices)
+    cell_ptr, ids, coords = _mend_corners(seeds, cell_ptr, ids, coords)
     # Qhull gives no orientation guarantee; sort CCW around each seed.
     seed = np.repeat(np.arange(len(seeds)), np.diff(cell_ptr))
     rel = coords[ids] - seeds[seed]
     order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), seed))
     return cell_ptr, ids[order], coords
+
+
+# Corners that fix the convex hull of every Lloyd triangulation: every
+# point of the unit square is nearer a seed (at most sqrt 2 away) than a
+# corner, and every reflection lies inside them. A seed whose region is
+# unbounded without them then has a region vertex beyond a wall.
+_BOX = np.array([[-2.0, -2.0], [3.0, -2.0], [3.0, 3.0], [-2.0, 3.0]])
+# A flip needs the fourth point inside the circle by this much relative
+# to the incircle determinant's rounding scale, so near-cocircular quads
+# are left alone instead of flipping back and forth.
+_INCIRCLE_TOL = 1e-12
+# Flip rounds before the repair gives up and Qhull triangulates afresh.
+_FLIP_ROUNDS = 32
+
+
+def _corners(pts, tri):
+    """Coordinates (T, 2) of each corner column of the triangles tri."""
+    return [np.take(pts, tri[:, k], axis=0) for k in range(3)]
+
+
+def _orientation(pts, tri):
+    """Twice the signed area of each triangle (T, 3) of pts."""
+    a, b, c = _corners(pts, tri)
+    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) \
+        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+
+
+def _circumcenters(pts, tri):
+    """Circumcenters (T, 2) of the CCW triangles tri (T, 3) of pts, each
+    taken from the corner opposite its longest edge: from the corner
+    opposite the short edge of a sliver, the two edge vectors are nearly
+    parallel and their cross product loses digits."""
+    a, b, c = _corners(pts, tri)
+    # squared length of the edge opposite each corner
+    la, lb, lc = ((q - p)[:, 0] ** 2 + (q - p)[:, 1] ** 2
+                  for p, q in ((b, c), (c, a), (a, b)))
+    k = np.where((la >= lb) & (la >= lc), 0, np.where(lb >= lc, 1, 2))
+    o, p, q = (np.take(pts, tri.ravel()[3 * np.arange(len(tri)) + (k + i) % 3], axis=0)
+               for i in range(3))
+    u, v = p - o, q - o
+    uu, vv = u[:, 0] ** 2 + u[:, 1] ** 2, v[:, 0] ** 2 + v[:, 1] ** 2
+    den = 2.0 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    return o + np.column_stack([v[:, 1] * uu - u[:, 1] * vv,
+                                u[:, 0] * vv - v[:, 0] * uu]) / den[:, None]
+
+
+def _twins(tri):
+    """Half-edge across each half-edge of the triangles tri (T, 3), -1 on
+    the hull; half-edge 3t + k runs from tri[t, k] to tri[t, (k+1) % 3]."""
+    a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    key = np.minimum(a, b) * (tri.max() + 1) + np.maximum(a, b)
+    order = np.argsort(key)
+    pair = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    twin = np.full(len(a), -1)
+    twin[order[pair]] = order[pair + 1]
+    twin[order[pair + 1]] = order[pair]
+    return twin
+
+
+def _delaunay(pts):
+    """CCW Delaunay triangles (T, 3) of pts and their _twins: Qhull's, with
+    what its round-off left out, inverted or illegal mended by flips."""
+    qhull = Delaunay(pts)
+    # scipy orders each simplex counterclockwise; its ids are 32-bit
+    tri = qhull.simplices.astype(np.intp)
+    # Qhull drops a point within its round-off of another; split the
+    # triangle holding it, and the flips below make the fan Delaunay
+    for p in qhull.coplanar[:, 0]:
+        # the triangle with p farthest inside all three of its edges
+        side = [_orientation(pts, np.column_stack(
+            [tri[:, k], tri[:, (k + 1) % 3], np.full(len(tri), p)])) for k in range(3)]
+        t = np.minimum(np.minimum(side[0], side[1]), side[2]).argmax()
+        a, b, c = tri[t]
+        tri = np.vstack([np.delete(tri, t, axis=0), [[a, b, p], [b, c, p], [c, a, p]]])
+    repaired = _flip_to_delaunay(pts, tri, _twins(tri))
+    if repaired is None:
+        raise GenerationError("degenerate Delaunay triangulation of the seeds")
+    return repaired
+
+
+def _incircle(a, b, c):
+    """Incircle determinant of the origin against the CCW triangles (a, b,
+    c), each (E, 2), positive when the origin is inside the circle; and
+    the scale its rounding error is bounded by."""
+    lift = [p[:, 0] ** 2 + p[:, 1] ** 2 for p in (a, b, c)]
+    minor = [b[:, 0] * c[:, 1] - c[:, 0] * b[:, 1],
+             c[:, 0] * a[:, 1] - a[:, 0] * c[:, 1],
+             a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]]
+    scale = [np.abs(b[:, 0] * c[:, 1]) + np.abs(c[:, 0] * b[:, 1]),
+             np.abs(c[:, 0] * a[:, 1]) + np.abs(a[:, 0] * c[:, 1]),
+             np.abs(a[:, 0] * b[:, 1]) + np.abs(b[:, 0] * a[:, 1])]
+    return sum(x * y for x, y in zip(lift, minor)), \
+        sum(x * y for x, y in zip(lift, scale))
+
+
+def _flip_to_delaunay(pts, tri, twin):
+    """Repair the CCW triangulation tri (T, 3), with its _twins, of moved
+    points pts by edge flips; None when a flip would leave a triangle
+    that is not CCW, a folded sliver lies on the hull, or the flips do not
+    settle within _FLIP_ROUNDS.
+
+    A triangle that is no longer CCW is a sliver whose middle corner
+    crossed its longest edge, and that edge is flipped. Otherwise an edge
+    is flipped when it is illegal (Lawson): the far point of the triangle
+    across it lies inside its triangle's circle. The first round tests
+    every interior edge, later ones the edges of the flipped triangles and
+    the edges left to flip. Each round flips an independent set: an edge
+    flips when its lower half-edge id is the largest among the edges to
+    flip of both of its triangles.
+    """
+    tri, twin = tri.copy(), twin.copy()
+    flat, he = tri.ravel(), np.arange(tri.size)
+    nxt, prv = (he.reshape(-1, 3)[:, k].ravel() for k in ([1, 2, 0], [2, 0, 1]))
+    crossed = np.flatnonzero(_orientation(pts, tri) <= 0)
+    test = he[twin > he]
+    for _ in range(_FLIP_ROUNDS):
+        # is d, across edge (a, b), inside the circle of the triangle (a, b, c)?
+        d = np.take(pts, flat[prv[twin[test]]], axis=0)
+        det, scale = _incircle(*(np.take(pts, flat[h], axis=0) - d
+                                 for h in (test, nxt[test], prv[test])))
+        e = test[det > _INCIRCLE_TOL * scale]
+        if len(crossed):
+            h = 3 * crossed[:, None] + np.arange(3)
+            edge = np.take(pts, flat[nxt[h]], axis=0) - np.take(pts, flat[h], axis=0)
+            h = h[np.arange(len(h)), (edge ** 2).sum(axis=2).argmax(axis=1)]
+            if (twin[h] < 0).any():
+                return None
+            e = np.union1d(e, np.minimum(h, twin[h]))
+        if not len(e):
+            return tri, twin
+        top = np.full(tri.size, -1)
+        top[e] = top[twin[e]] = e
+        top = np.maximum(np.maximum(top[0::3], top[1::3]), top[2::3])
+        go = (top[e // 3] == e) & (top[twin[e] // 3] == e)
+        f1 = e[go]
+        f2 = twin[f1]
+        t1, t2 = f1 // 3, f2 // 3
+        # (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c)
+        a, b, c, d = flat[f1], flat[nxt[f1]], flat[prv[f1]], flat[prv[f2]]
+        new = np.concatenate([np.column_stack([a, d, c]),
+                              np.column_stack([d, b, c])])
+        if (_orientation(pts, new) <= 0).any():
+            return None
+        # the new position of every half-edge
+        move = he.copy()
+        move[nxt[f2]], move[f1], move[prv[f1]] = 3 * t1, 3 * t1 + 1, 3 * t1 + 2
+        move[prv[f2]], move[nxt[f1]], move[f2] = 3 * t2, 3 * t2 + 1, 3 * t2 + 2
+        tri[np.concatenate([t1, t2])] = new
+        twin[move] = np.where(twin < 0, -1, move[twin])
+        crossed = np.setdiff1d(crossed, np.concatenate([t1, t2]))
+        test = np.concatenate([move[e[~go]], 3 * t1, 3 * t1 + 1, 3 * t1 + 2,
+                               3 * t2, 3 * t2 + 1, 3 * t2 + 2])
+        test = np.unique(np.where(twin[test] < test, twin[test], test))
+        test = test[twin[test] >= 0]
+    return None
+
+
+def _lloyd_step(seeds, mirror, kept=None):
+    """One Lloyd step: the centroid (n, 2) of every seed's Voronoi region
+    clipped to the unit square, the largest seed-to-vertex distance, and
+    the triangulation to pass on to the next step.
+
+    The regions come from a Delaunay triangulation of the seeds, their
+    reflections across the walls marked in mirror (n, 4) and the _BOX
+    corners. A seed's region is the sum over its triangles (v, a, b) of the
+    signed quads (v, mid(v, a), circumcenter, mid(v, b)). Regions are
+    checked as in _voronoi_loops: a region vertex on or beyond a wall its
+    seed was not reflected across gets that reflection, and the circumcenter
+    of a triangle holding a seed and its reflection is put exactly on their
+    wall.
+
+    kept is what the previous step returned. Extra reflections leave the
+    regions unchanged, so its triangulation serves any mask it covers,
+    unless it carries over twice the reflections asked for (the first,
+    fully reflected step). Lawson flips repair it after the seeds moved;
+    Qhull triangulates only a new point set or a repair that fails.
+    """
+    n = len(seeds)
+    mirror = np.array(mirror, dtype=bool)
+    if kept is not None and not (mirror & ~kept[0]).any() \
+            and kept[0].sum() <= 2 * mirror.sum():
+        mirror = kept[0].copy()
+    else:
+        kept = None
+    while True:
+        pts, mate, wall = _reflect(seeds, mirror)
+        pts = np.vstack([pts, _BOX])
+        mate, wall = (np.concatenate([v, np.full(len(_BOX), -1)]) for v in (mate, wall))
+        repaired = None if kept is None else _flip_to_delaunay(pts, *kept[1:])
+        tri, twin = _delaunay(pts) if repaired is None else repaired
+        cc = _circumcenters(pts, tri)
+        rows, w = _wall_pairs(mate, wall, tri)
+        cc[rows, _AXIS[w]] = _AT[w]
+        # a vertex within round-off of a wall counts as on it
+        near = np.minimum(cc, 1.0 - cc)
+        out = np.flatnonzero(np.minimum(near[:, 0], near[:, 1]) <= 1e-12)
+        rows, w = np.nonzero(_wall_distances(cc[out]) <= 1e-12)
+        corner = tri[out[rows]]
+        at = corner < n
+        fail = np.zeros((n, 4), dtype=bool)
+        fail[corner[at], np.repeat(w, 3)[at.ravel()]] = True
+        fail &= ~mirror
+        if not fail.any():
+            break
+        mirror |= fail
+        kept = None
+    # every corner at a seed o, with the next corners p and q of its triangle
+    corner = np.flatnonzero(tri.ravel() < n)
+    k = corner % 3
+    s = tri.ravel()[corner]
+    o = np.take(pts, s, axis=0)
+    p, q = (0.5 * (np.take(pts, tri.ravel()[corner - k + (k + i) % 3], axis=0) - o)
+            for i in (1, 2))
+    m = np.take(cc, corner // 3, axis=0) - o
+    pm = p[:, 0] * m[:, 1] - p[:, 1] * m[:, 0]
+    mq = m[:, 0] * q[:, 1] - m[:, 1] * q[:, 0]
+    area = np.bincount(s, pm + mq, minlength=n)
+    moment = [np.bincount(s, pm * (p[:, i] + m[:, i]) + mq * (m[:, i] + q[:, i]),
+                          minlength=n) for i in (0, 1)]
+    centroid = seeds + np.column_stack(moment) / (3.0 * area[:, None])
+    radius = np.sqrt((m[:, 0] ** 2 + m[:, 1] ** 2).max())
+    return centroid, radius, (mirror, tri, twin)
 
 
 _CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -530,16 +785,14 @@ def gen_voronoi_polygons(n_seeds: int, lloyd_iters: int = 100,
     seeds = np.clip(rng.random((n_seeds, 2)), _WALL_GAP, 1.0 - _WALL_GAP)
     if len(np.unique(seeds, axis=0)) != n_seeds:
         raise GenerationError("duplicate seeds")
-    # The first diagram mirrors every seed (Qhull needs at least 4 points);
-    # later ones mirror a seed across a wall closer than the farthest
-    # seed-to-vertex distance of the last diagram.
-    mirror = np.ones((n_seeds, 4), dtype=bool)
+    # The first step mirrors every seed (with lloyd_iters = 0 that is the
+    # Voronoi diagram, and Qhull needs at least 4 points); later ones
+    # mirror a seed across a wall closer than the farthest seed-to-vertex
+    # distance of the last step.
+    mirror, kept = np.ones((n_seeds, 4), dtype=bool), None
     for _ in range(lloyd_iters):
-        cell_ptr, ids, coords = _voronoi_loops(seeds, mirror)
-        pts = coords[ids]
-        rel = pts - np.repeat(seeds, np.diff(cell_ptr), axis=0)
-        seeds = _shoelace(pts, cell_ptr)[1]
-        mirror = _wall_distances(seeds) < np.sqrt((rel ** 2).sum(axis=1)).max()
+        seeds, radius, kept = _lloyd_step(seeds, mirror, kept)
+        mirror = _wall_distances(seeds) < radius
 
     cell_ptr, ids, coords = _voronoi_loops(seeds, mirror)
     # Wall vertices carry reflection noise; snap them exactly.

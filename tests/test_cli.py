@@ -96,6 +96,19 @@ def test_solve_no_exact_solution(tmp_path, capsys):
     assert "conservation" in out
 
 
+def test_solve_no_timestamp_report_is_reproducible(tmp_path, capsys):
+    # the wall time is left out, so two runs write the same bytes
+    reports = []
+    for name in ("a", "b"):
+        outdir = tmp_path / name
+        code, _, _ = run(capsys, "solve", "--triangles", "8",
+                         "--outdir", str(outdir), "--no-timestamp")
+        assert code == 0
+        reports.append((outdir / "report.txt").read_bytes())
+    assert reports[0] == reports[1]
+    assert b"time" not in reports[0]
+
+
 def test_solve_unknown_problem(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--problem", "example9",
                        "--triangles", "2", "--outdir", str(tmp_path / "o"))
@@ -229,6 +242,13 @@ def test_conserve_report_file(tmp_path, capsys):
 def test_crcheck_triangles(capsys):
     code, out, _ = run(capsys, "cr-check", "--triangles", "4")
     assert code == 0
+    assert "discrepancy" in out
+
+
+def test_crcheck_fails_at_tiny_tol(capsys):
+    # a discrepancy above --tol is a failed check, like conserve's
+    code, out, _ = run(capsys, "cr-check", "--triangles", "4", "--tol", "1e-30")
+    assert code == EXIT_SOLVER
     assert "discrepancy" in out
 
 

@@ -260,6 +260,17 @@ def test_voronoi_matches_recorded_mesh(voronoi64):
     assert np.abs(voronoi64.vertices - ref.vertices).max() <= 1e-9
 
 
+def test_voronoi256_matches_recorded_mesh():
+    # data/voronoi256.json and the fingerprint were written by the
+    # Qhull-Voronoi Lloyd loop that preceded the kept triangulation
+    mesh = gen_voronoi_polygons(256, lloyd_iters=100, rng_seed=1)
+    ref = read_mesh(DATA / "voronoi256.json")
+    assert _topology_sha256(mesh) == \
+        "a982214a368f9ce05f0f01de52d4a31dbb5f947743154b5b7b72a7d74c6cac52"
+    assert _topology_sha256(ref) == _topology_sha256(mesh)
+    assert np.abs(mesh.vertices - ref.vertices).max() <= 1e-9
+
+
 def _clipped_loops(seeds):
     """Reference: each seed's Voronoi region among the seeds, the unit
     square cut by the seed's bisector with every other seed near enough
@@ -328,6 +339,9 @@ NEAR_WALL_DRAWS = [(119, 16556, 4.5, 2.0), (8, 0, 1.5, 5.0),
 # Qhull moves a corner by 1.7e-12 and 1.4e-12; _mend_corners rebuilds it
 @example(173, 3383647872, 4.631552931712127, 0.45713488961254284)
 @example(26, 67348919, 4.715990001508593, 1.2536419226521593)
+# two seeds 1.4e-6 above the bottom wall: Qhull put their shared wall
+# vertex 2.5e-12 below it until seed-reflection ridges were snapped
+@example(17, 2186120673, 0.752, 3.209)
 def test_partial_mirroring_matches_full(n, rng_seed, px, py):
     # _voronoi_loops rejects seeds nearer a wall than 1e-6
     _check_every_start(_crowded_seeds(n, rng_seed, px, py, 1e-6))
@@ -357,6 +371,64 @@ def test_partial_mirroring_matches_full_on_lloyd_seeds(rng_seed):
             seeds, np.zeros((256, 4), dtype=bool))
         seeds = polymesh._shoelace(coords[ids], cell_ptr)[1]
     _check_every_start(seeds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 200), st.integers(0, 2**32 - 1),
+       st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+@example(*NEAR_WALL_DRAWS[0])
+@example(17, 2186120673, 0.752, 3.209)
+# Qhull drops a seed 3e-8 from another; the triangulation inserts it
+@example(189, 2815109495, 4.116609342219171, 5.0)
+@example(158, 1168134100, 4.974017455991089, 4.425023318382549)
+def test_lloyd_step_matches_clipped_regions(n, rng_seed, px, py):
+    # the clipping reference, not _voronoi_loops: on rare draws Qhull's
+    # Voronoi diagram gives two seeds about 3e-8 apart one region
+    seeds = _crowded_seeds(n, rng_seed, px, py, 1e-6)
+    ref = _clipped_loops(seeds)
+    pts = np.concatenate(ref)
+    cell_ptr = np.r_[0, np.cumsum([len(loop) for loop in ref])]
+    rel = pts - np.repeat(seeds, np.diff(cell_ptr), axis=0)
+    for mirror in (np.zeros((n, 4), dtype=bool), np.ones((n, 4), dtype=bool)):
+        centroid, radius, _ = polymesh._lloyd_step(seeds, mirror)
+        assert np.abs(centroid - polymesh._shoelace(pts, cell_ptr)[1]).max() <= 1e-12
+        assert abs(radius - np.sqrt((rel ** 2).sum(axis=1)).max()) <= 1e-12
+
+
+def _incircle_excess(pts, tri, twin):
+    """For every interior edge: the incircle determinant of the far point
+    of the triangle across against the edge's own triangle, over the
+    determinant's permanent (its rounding scale); positive = inside."""
+    h = np.flatnonzero(twin >= 0)
+    a, b, c = (tri.ravel()[3 * (h // 3) + (h + i) % 3] for i in range(3))
+    d = pts[tri.ravel()[3 * (twin[h] // 3) + (twin[h] + 2) % 3]]
+    x, y = np.stack([pts[v] - d for v in (a, b, c)], axis=1).transpose(2, 0, 1)
+    m = np.stack([x, y, x ** 2 + y ** 2], axis=2)
+    permanent = sum(m[:, i, 2] * (np.abs(x[:, j] * y[:, k]) + np.abs(x[:, k] * y[:, j]))
+                    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    return np.linalg.det(m) / permanent
+
+
+def test_flip_repair_restores_delaunay():
+    rng = np.random.default_rng(3)
+    seeds, mirror, kept = rng.random((256, 2)), np.ones((256, 4), dtype=bool), None
+    for _ in range(100):
+        seeds, radius, kept = polymesh._lloyd_step(seeds, mirror, kept)
+        mirror = polymesh._wall_distances(seeds) < radius
+    mask, tri, twin = kept
+    # a jitter of a tenth of the spacing makes the kept triangulation illegal
+    moved = seeds + rng.normal(scale=0.1 / 16, size=seeds.shape)
+    pts = np.vstack([polymesh._reflect(moved, mask)[0], polymesh._BOX])
+    assert _incircle_excess(pts, tri, twin).max() > 1e-3
+    repaired = polymesh._flip_to_delaunay(pts, tri, twin)
+    assert repaired is not None
+    assert (polymesh._orientation(pts, repaired[0]) > 0).all()
+    assert _incircle_excess(pts, *repaired).max() <= 1e-10
+    # a seed and a neighbour make a cocircular quad with their reflections,
+    # so the triangles may differ from Qhull's but not the regions
+    centroid, _, kept = polymesh._lloyd_step(moved, mask, (mask, *repaired))
+    assert np.array_equal(kept[1], repaired[0])
+    assert np.abs(centroid - polymesh._lloyd_step(moved, mask)[0]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("make, digest", [
