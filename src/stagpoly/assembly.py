@@ -21,7 +21,7 @@ from .polymesh import PolyMesh, SubTriangulation
 from .quadbasis import (MAX_TRIANGLE_DEGREE, edge_rule, face_monomials,
                         map_to_edge, triangle_rule)
 from .weakgrad import (CoefficientField, DofMap, batched_cholesky,
-                       cho_solve_batched, element_groups, face_projection_Qb)
+                       element_groups, face_projection_Qb, lower_inverse)
 
 __all__ = [
     "AssemblyError",
@@ -148,12 +148,13 @@ def _symmetric_csr(n, rows, cols, vals) -> sp.csr_matrix:
     """Exactly symmetric CSR from triplets of symmetric local blocks.
 
     Only the upper triangle is accumulated and then mirrored, so
-    A == A.T holds bitwise regardless of summation order.
+    A == A.T holds bitwise regardless of summation order. Triplets with a
+    negative index are dropped.
     """
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    keep = rows <= cols
+    keep = (0 <= rows) & (rows <= cols)
     upper = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
                           shape=(n, n)).tocsr()
     upper.sum_duplicates()
@@ -224,8 +225,8 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
 class CondensedSystem:
     """Face-only Schur complement system with exact interior recovery.
 
-    factors holds, per element group, the lower Cholesky factors
-    (g, nc, nc) of the interior blocks of its cell matrices.
+    factors holds, per element group, L^{-1} (g, nc, nc) for the interior
+    blocks A_cc = L L^T of its cell matrices, L their Cholesky factors.
     """
     system: GlobalSystem
     S: sp.csr_matrix            # reduced to free face DoFs
@@ -244,46 +245,50 @@ class CondensedSystem:
         full = np.zeros(sys.dofmap.total)
         full[self.free_faces] = x_faces
         full[sys.fixed_dofs] = sys.fixed_values
-        for grp, L in zip(sys.groups, self.factors):
+        for grp, Linv in zip(sys.groups, self.factors):
             nfl = grp.n_face_dofs
             fdofs, cdofs = grp.dofs[:, :nfl], grp.dofs[:, nfl:]
-            rhs = sys.b_full[cdofs] - np.einsum(
-                "gfc,gf->gc", grp.A[:, :nfl, nfl:], full[fdofs])
-            full[cdofs] = cho_solve_batched(L, rhs[..., None])[..., 0]
+            rhs = sys.b_full[cdofs][..., None] \
+                - grp.A[:, nfl:, :nfl] @ full[fdofs][..., None]
+            full[cdofs] = (np.swapaxes(Linv, 1, 2) @ (Linv @ rhs))[..., 0]
         return full
 
 
 def static_condensation(system: GlobalSystem) -> CondensedSystem:
-    """Eliminate the cell block by per-cell Schur complements."""
+    """Eliminate the cell block by per-cell Schur complements.
+
+    With Y = L^{-1} [A_cf | b_c], cell K adds S_K = A_ff - Y_f^T Y_f on the
+    free face DoFs and -Y_f^T Y_b - S_K u_fixed to their load.
+    """
     nf = system.dofmap.n_face_dofs
+    free_faces = system.free[system.free < nf]
+    row = np.full(nf, -1)       # row in S, -1 on Dirichlet DoFs
+    row[free_faces] = np.arange(len(free_faces))
+    fixed = np.zeros(nf)
+    fixed[system.fixed_dofs] = system.fixed_values
     triplets = []
     b_s = system.b_full[:nf].copy()
     factors = []
     for grp in system.groups:
         nfl = grp.n_face_dofs
         fdofs, cdofs = grp.dofs[:, :nfl], grp.dofs[:, nfl:]
-        Aff, Afc = grp.A[:, :nfl, :nfl], grp.A[:, :nfl, nfl:]
-        L = batched_cholesky(grp.A[:, nfl:, nfl:], grp.cells,
-                             CondensationError, "singular interior block")
-        X = cho_solve_batched(L, np.concatenate(
-            [np.swapaxes(Afc, 1, 2), system.b_full[cdofs][..., None]],
-            axis=2))
-        S_local = Aff - Afc @ X[:, :, :nfl]
+        Linv = lower_inverse(batched_cholesky(
+            grp.A[:, nfl:, nfl:], grp.cells, CondensationError,
+            "singular interior block"))
+        Y = Linv @ np.concatenate([grp.A[:, nfl:, :nfl],
+                                   system.b_full[cdofs][..., None]], axis=2)
+        Z = np.swapaxes(Y[:, :, :nfl], 1, 2) @ Y
+        S_local = grp.A[:, :nfl, :nfl] - Z[:, :, :nfl]
         S_local = 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
-        triplets.append(_block_triplets(fdofs, S_local))
-        b_s -= np.bincount(fdofs.ravel(), (Afc @ X[:, :, nfl:]).ravel(),
-                           minlength=nf)
-        factors.append(L)
+        triplets.append(_block_triplets(row[fdofs], S_local))
+        load = Z[:, :, nfl] + (S_local @ fixed[fdofs][..., None])[..., 0]
+        b_s -= np.bincount(fdofs.ravel(), load.ravel(), minlength=nf)
+        factors.append(Linv)
 
-    S_full = _symmetric_csr(nf, *zip(*triplets))
-    mask = np.ones(nf, dtype=bool)
-    mask[system.fixed_dofs] = False
-    free_faces = np.flatnonzero(mask)
-    S_red = S_full[free_faces][:, free_faces].tocsr()
-    b_red = b_s[free_faces] \
-        - S_full[free_faces][:, system.fixed_dofs] @ system.fixed_values
-    return CondensedSystem(system=system, S=S_red, b=b_red,
-                           free_faces=free_faces, factors=factors)
+    return CondensedSystem(system=system,
+                           S=_symmetric_csr(len(free_faces), *zip(*triplets)),
+                           b=b_s[free_faces], free_faces=free_faces,
+                           factors=factors)
 
 
 def write_matrix_market(system: GlobalSystem, path) -> None:

@@ -123,15 +123,15 @@ def _at(fn, pts, shape=()) -> np.ndarray:
 
 def _face_jump_sq(grp, uc, ub, rule) -> np.ndarray:
     """Per row of a group, sum over its faces of |Q_b(u_0) - u_b|_F^2 for
-    cell coefficients uc (g, nc) and face coefficients ub (g, m, k+1)."""
-    pts, wts = grp.edge_quadrature(rule)
-    psi = grp.face_basis(rule.points)
+    cell coefficients uc (g, nc) and face coefficients ub (g, m, k+1); the
+    signs orient^p of the face basis cancel, so one reference Gram serves."""
+    pts, _ = grp.edge_quadrature(rule)
     dub = np.einsum("gtqc,gc->gtq", grp.cell_basis(pts), uc) \
-        - np.einsum("gtqp,gtp->gtq", psi, ub)
-    gram = np.einsum("gtqa,gtqb->gtab", psi * wts[..., None], psi)
-    mom = np.einsum("gtqa,gtq->gta", psi, dub * wts)
-    return np.einsum("gta,gta->g", mom,
-                     np.linalg.solve(gram, mom[..., None])[..., 0])
+        - np.einsum("gtqp,gtp->gtq", grp.face_basis(rule.points), ub)
+    psi = face_monomials(rule.points - 0.5, grp.k)
+    wpsi = psi * rule.weights[:, None]
+    proj = wpsi @ np.linalg.solve(psi.T @ wpsi, wpsi.T)
+    return np.sum(((dub @ proj) * dub).sum(axis=-1) * grp.lengths, axis=1)
 
 
 def _split(grp, dofs):
@@ -380,7 +380,7 @@ def convergence_study(problem, meshes, k: int = 0, star: str = "chebyshev",
     if columns is None:
         columns = list(problem.table_columns)
     report = ConvergenceReport(problem=problem.name, k=k, columns=columns)
-    for level, mesh in enumerate(meshes):
+    for level, mesh in enumerate(meshes, start=1):
         subtri = build_subtriangulation(mesh, compute_star_points(mesh, star))
         system = assemble_system(mesh, subtri, k, problem.coeff, problem.f,
                                  problem.bc, flux_sign=problem.flux_sign)

@@ -12,6 +12,7 @@ all cells of a valence group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -37,12 +38,18 @@ class QuadratureError(Exception):
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Points and weights on a reference domain (triangle or unit interval)."""
+    """Points and weights on a reference domain (triangle or unit interval),
+    read-only: every caller shares one cached rule."""
     points: np.ndarray
     weights: np.ndarray
     degree: int
 
+    def __post_init__(self):
+        self.points.flags.writeable = False
+        self.weights.flags.writeable = False
 
+
+@lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadRule:
     """Rule exact to `degree` on the reference triangle.
 
@@ -67,18 +74,12 @@ def triangle_rule(degree: int) -> QuadRule:
     ju, jw = roots_jacobi(m, 1.0, 0.0)
     eta = 0.5 * (ju + 1.0)
     weta = 0.25 * jw
-    pts = np.empty((m * m, 2))
-    wts = np.empty(m * m)
-    idx = 0
-    for a in range(m):
-        for b in range(m):
-            pts[idx, 0] = xi[a] * (1.0 - eta[b])
-            pts[idx, 1] = eta[b]
-            wts[idx] = wxi[a] * weta[b]
-            idx += 1
+    pts = np.column_stack([np.outer(xi, 1.0 - eta).ravel(), np.tile(eta, m)])
+    wts = np.outer(wxi, weta).ravel()
     return QuadRule(points=pts, weights=wts, degree=degree)
 
 
+@lru_cache(maxsize=None)
 def edge_rule(npoints: int) -> QuadRule:
     """Gauss rule with `npoints` points on [0, 1], exact to degree 2n - 1."""
     if not 1 <= npoints <= 6:
@@ -94,10 +95,9 @@ def map_to_triangle(rule: QuadRule, tri):
     Returns points (..., q, 2) and weights (..., q).
     """
     tri = np.asarray(tri, dtype=float)
-    v0, v1, v2 = (tri[..., j, None, :] for j in range(3))
-    x, y = rule.points[:, 0, None], rule.points[:, 1, None]
-    pts = v0 + x * (v1 - v0) + y * (v2 - v0)
-    e1, e2 = v1[..., 0, :] - v0[..., 0, :], v2[..., 0, :] - v0[..., 0, :]
+    x, y = rule.points.T
+    pts = np.stack([1.0 - x - y, x, y], axis=1) @ tri
+    e1, e2 = tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :]
     jac = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
     return pts, rule.weights * jac[..., None]
 

@@ -49,10 +49,11 @@ class SolveReport:
 def solve_cg(A, b, tol: float = 1e-10, maxiter: int | None = None) -> tuple:
     """Jacobi-preconditioned CG for SPD A; returns (x, SolveReport).
 
-    Convergence is ||r||_2 <= tol * ||b||_2. A nonpositive curvature
-    p^T A p flags a non-SPD matrix (NotSPDError), unless r^T z has
-    underflowed first, when tol is out of reach. Raises SolverError if the
-    iteration budget (10 sqrt(n) + 1000 by default) runs out.
+    Convergence is ||b - A x||_2 <= tol * ||b||_2, confirmed on the true
+    residual once the updated one meets it. A nonpositive curvature p^T A p
+    flags a non-SPD matrix (NotSPDError). Raises SolverError when tol is
+    out of reach (r^T z underflows, or the true residual misses tol) or
+    when the iteration budget (10 sqrt(n) + 1000 by default) runs out.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -79,15 +80,15 @@ def solve_cg(A, b, tol: float = 1e-10, maxiter: int | None = None) -> tuple:
                               residual_history=np.asarray(history))
 
     for it in range(1, maxiter + 1):
+        if rz < np.finfo(float).tiny:
+            # r has underflowed, so the steps built from it say nothing
+            # about A: tol lies below what floating point reaches
+            raise SolverError(
+                f"cg cannot reach tol {tol:.1e}: the residual underflows "
+                f"at {history[-1]:.3e} in iteration {it}")
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
-            if rz < np.finfo(float).tiny:
-                # r and p have underflowed, so their curvature says nothing
-                # about A: the target lies below what floating point reaches
-                raise SolverError(
-                    f"cg cannot reach tol {tol:.1e}: the residual underflows "
-                    f"at {history[-1]:.3e} in iteration {it}")
             raise NotSPDError(f"nonpositive curvature at iteration {it}")
         alpha = rz / pAp
         x += alpha * p
@@ -95,7 +96,13 @@ def solve_cg(A, b, tol: float = 1e-10, maxiter: int | None = None) -> tuple:
         rnorm = float(np.linalg.norm(r))
         history.append(rnorm)
         if rnorm <= target:
-            return x, SolveReport("cg", n, it, rnorm, True,
+            # the updated r drifts from b - A x by round-off
+            true = float(np.linalg.norm(b - A @ x))
+            if true > target:
+                raise SolverError(
+                    f"cg cannot reach tol {tol:.1e}: the true residual is "
+                    f"{true:.3e} in iteration {it}")
+            return x, SolveReport("cg", n, it, true, True,
                                   residual_history=np.asarray(history))
         z = r / d
         rz_new = float(r @ z)

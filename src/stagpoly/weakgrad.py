@@ -43,7 +43,7 @@ __all__ = [
     "ElementGroup",
     "element_groups",
     "batched_cholesky",
-    "cho_solve_batched",
+    "lower_inverse",
     "flux_values",
     "weak_gradient_coeffs",
     "weak_divergence",
@@ -244,9 +244,16 @@ def batched_cholesky(mats, cells, error, what: str):
         raise
 
 
-def cho_solve_batched(L, B):
-    """X with L L^T X = B for stacks L (..., n, n) and B (..., n, r)."""
-    return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, B))
+def lower_inverse(L):
+    """Inverses of stacked lower triangular matrices (..., n, n), by forward
+    substitution on one row of every matrix at a time."""
+    X = np.zeros_like(L)
+    for i in range(L.shape[-1]):
+        X[..., i, i] = 1.0
+        X[..., i, :i + 1] -= (L[..., i, None, :i]
+                              @ X[..., :i, :i + 1])[..., 0, :]
+        X[..., i, :i + 1] /= L[..., i, i, None]
+    return X
 
 
 def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
@@ -283,8 +290,8 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
         mono = monomials(pts, cent[:, :, None], hq, k)
         R = np.linalg.qr(np.sqrt(wts / areas[..., None])[..., None] * mono,
                          mode="r")
-        ortho = np.linalg.inv(
-            R * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None])
+        R *= np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None]
+        ortho = np.swapaxes(lower_inverse(np.swapaxes(R, -1, -2)), -1, -2)
 
         # rows (triangle, frame, basis function), columns [u_b | u_0]
         epts, ewts = map_to_edge(erule, loop, np.roll(loop, -1, axis=1))
@@ -302,8 +309,13 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
                                      optimize=True)
 
         if cellwise:
-            C = np.einsum("gtfi,gij,gtej->gtfe", frames, coeff.at(star),
-                          frames) / areas[..., None, None]
+            # no matmul: products and sums keep n . t exactly 0 when K = I
+            K = coeff.at(star)[:, None, None]
+            FK0 = frames[..., 0] * K[..., 0, 0] + frames[..., 1] * K[..., 1, 0]
+            FK1 = frames[..., 0] * K[..., 0, 1] + frames[..., 1] * K[..., 1, 1]
+            C = (FK0[..., :, None] * frames[..., None, :, 0]
+                 + FK1[..., :, None] * frames[..., None, :, 1]) \
+                / areas[..., None, None]
             G = C @ B.reshape(g, m, 2, nm * n)
         else:
             pts, wts = map_to_triangle(triangle_rule(2 * k + 2), tris)
@@ -311,10 +323,10 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
             Kinv = coeff.inv_at(pts.reshape(-1, 2)).reshape(pts.shape + (2,))
             M = np.einsum("gtqa,gtfi,gtqij,gtej,gtqb,gtq->gtfaeb", phi, frames,
                           Kinv, frames, phi, wts, optimize=True)
-            L = batched_cholesky(M.reshape(g, m, 2 * nm, 2 * nm), cells,
-                                 DegenerateElementError,
-                                 "singular flux mass matrix")
-            G = cho_solve_batched(L, B.reshape(g, m, 2 * nm, n))
+            Linv = lower_inverse(batched_cholesky(
+                M.reshape(g, m, 2 * nm, 2 * nm), cells,
+                DegenerateElementError, "singular flux mass matrix"))
+            G = np.swapaxes(Linv, -1, -2) @ (Linv @ B.reshape(g, m, 2 * nm, n))
         A = np.swapaxes(B.reshape(g, -1, n), 1, 2) @ G.reshape(g, -1, n)
         A = 0.5 * (A + np.swapaxes(A, 1, 2))
         # flux coefficients are ordered (frame, triangle, basis function)

@@ -221,6 +221,53 @@ def test_condensation_cell_rows_exact(squares4):
         1.0, np.abs(system.b_full).max())
 
 
+def _pointwise_K_system(mesh, k):
+    # a K that varies inside each cell takes the element layer's
+    # flux-mass Cholesky branch
+    def K(pts):
+        return (1.0 + pts[:, 0] ** 2)[:, None, None] \
+            * np.array([[2.0, 0.5], [0.5, 1.0]])
+    bc = BoundarySpec.dirichlet_everywhere(lambda p: p[:, 0] + p[:, 1] ** 2)
+    return assemble_system(mesh, subtriangulate(mesh), k, CoefficientField(K),
+                           lambda p: np.ones(len(p)), bc)
+
+
+def _condensation_cases(voronoi64):
+    for k in range(4):
+        yield f"k={k}", build(example1(), voronoi64, k)
+    yield "pointwise K, k=1", _pointwise_K_system(voronoi64, 1)
+
+
+def test_condensed_system_is_dense_schur_complement(voronoi64):
+    # mixed valence 4-8 at k = 0..3, and a K that is not cellwise constant
+    assert len({len(c) for c in voronoi64.cells}) >= 4
+    for name, system in _condensation_cases(voronoi64):
+        cond = static_condensation(system)
+        nF = len(cond.free_faces)
+        assert np.array_equal(system.free[:nF], cond.free_faces)
+        A, b = system.A.toarray(), system.b
+        X = np.linalg.solve(A[nF:, nF:], np.column_stack([A[nF:, :nF],
+                                                          b[nF:]]))
+        S = A[:nF, :nF] - A[:nF, nF:] @ X[:, :nF]
+        b_S = b[:nF] - A[:nF, nF:] @ X[:, nF]
+        assert abs(cond.S.toarray() - S).max() <= 1e-12 * abs(S).max(), name
+        assert abs(cond.b - b_S).max() <= 1e-12 * abs(b_S).max(), name
+
+
+def test_recover_solves_interior_equations(voronoi64):
+    # for any face values, A_cc u_c = b_c - A_cf u_f in every cell
+    rng = np.random.default_rng(3)
+    for name, system in _condensation_cases(voronoi64):
+        cond = static_condensation(system)
+        full = cond.recover(rng.standard_normal(len(cond.free_faces)))
+        assert np.array_equal(full[system.fixed_dofs], system.fixed_values)
+        cells = np.arange(system.dofmap.n_face_dofs, system.dofmap.total)
+        A = system.A_full[cells]
+        resid = A @ full - system.b_full[cells]
+        scale = abs(A) @ abs(full) + abs(system.b_full[cells])
+        assert abs(resid).max() <= 1e-13 * scale.max(), name
+
+
 # ---------------------------------------------------------------------------
 # matrix market export
 

@@ -136,6 +136,14 @@ def test_solve_cg_path(tmp_path, capsys):
     assert "cg" in out
 
 
+def test_solve_cg_unreachable_tol_exits_solver(tmp_path, capsys):
+    code, _, err = run(capsys, "solve", "--triangles", "4", "-k", "2",
+                       "--method", "cg", "--cg-tol", "0",
+                       "--outdir", str(tmp_path / "o"))
+    assert code == EXIT_SOLVER
+    assert "cannot reach tol" in err
+
+
 # ---------------------------------------------------------------------------
 # convergence
 

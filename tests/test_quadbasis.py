@@ -72,6 +72,16 @@ def test_triangle_rule_points_inside():
 # ---------------------------------------------------------------------------
 # edge rules
 
+def test_cached_rules_are_read_only():
+    # one rule object serves every caller, so no caller may change it
+    for rule in (triangle_rule(4), triangle_rule(2), edge_rule(3)):
+        for arr in (rule.points, rule.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+    assert triangle_rule(4) is triangle_rule(4)
+    assert edge_rule(3) is edge_rule(3)
+
+
 def test_edge_rule_one_point():
     rule = edge_rule(1)
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-15)

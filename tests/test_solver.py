@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stagpoly import polymesh
 from stagpoly.assembly import assemble_system, static_condensation
 from stagpoly.problems import example1
 from stagpoly.solver import (
@@ -91,6 +92,41 @@ def test_cg_unreachable_tol_is_not_spd_error(tri4, tol):
     with pytest.raises(SolverError, match="cannot reach tol") as info:
         solve_cg(cond.S, cond.b, tol=tol)
     assert not isinstance(info.value, NotSPDError)
+
+
+MESHES = {
+    "tri3": lambda: polymesh.gen_uniform_triangles(3),
+    "sq4": lambda: polymesh.gen_uniform_squares(4),
+    "sq8": lambda: polymesh.gen_uniform_squares(8),
+    "vor8": lambda: polymesh.gen_voronoi_polygons(8, rng_seed=1),
+}
+
+
+@pytest.mark.parametrize("mesh, k", [
+    ("tri3", 2), ("sq4", 2), ("sq8", 2), ("vor8", 2)])
+def test_cg_tol_zero_is_unreachable(mesh, k):
+    # r^T z underflows to 0 on these face systems, which must end in a
+    # solver error that names the tolerance, not a division by zero
+    mesh = MESHES[mesh]()
+    cond = static_condensation(wg_system(mesh, k))
+    with pytest.raises(SolverError, match="cannot reach tol") as info:
+        solve_cg(cond.S, cond.b, tol=0.0)
+    assert not isinstance(info.value, NotSPDError)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-14, 1e-15, 1e-16])
+def test_cg_converged_on_true_residual(tri4, tol):
+    # a converged report is a statement about b - A x, not about the
+    # updated residual, which drifts from it by round-off
+    cond = static_condensation(wg_system(tri4, 1))
+    try:
+        x, report = solve_cg(cond.S, cond.b, tol=tol)
+    except SolverError as exc:
+        assert "cannot reach tol" in str(exc)
+        return
+    true = np.linalg.norm(cond.b - cond.S @ x)
+    assert report.converged and report.residual == true
+    assert true <= tol * np.linalg.norm(cond.b)
 
 
 # ---------------------------------------------------------------------------
