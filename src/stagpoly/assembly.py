@@ -19,7 +19,7 @@ from scipy.io import mmwrite
 
 from .polymesh import PolyMesh, SubTriangulation
 from .quadbasis import (MAX_TRIANGLE_DEGREE, edge_rule, face_monomials,
-                        map_to_edge, triangle_rule)
+                        map_to_edge, map_to_triangle, triangle_rule)
 from .weakgrad import (CoefficientField, DofMap, batched_cholesky,
                        element_groups, face_projection_Qb, lower_inverse)
 
@@ -186,7 +186,9 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
 
     b = np.zeros(dofmap.total)
     for grp in groups:
-        pts, wts = grp.fan_quadrature(rhs_rule)
+        # not grp.fan_quadrature: points kept from here on would stay alive
+        # through the solve, where memory peaks
+        pts, wts = map_to_triangle(rhs_rule, grp.triangles)
         fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(wts.shape)
         b[dofmap.cell_dofs(grp.cells)] += np.einsum(
             "gtqc,gtq->gc", grp.cell_basis(pts), fv * wts)

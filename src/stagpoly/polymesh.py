@@ -90,6 +90,8 @@ class PolyMesh:
     h_report : reported mesh size (grid spacing for structured families,
         max cell diameter otherwise)
     cells : per-cell read-only views of cell_verts
+    diameters : (C,) float array; each cell's largest distance between two
+        of its vertices, computed once with the mesh
     """
 
     def __init__(self, vertices, cell_ptr, cell_verts, edges, edge_cells,
@@ -102,9 +104,11 @@ class PolyMesh:
         self.edge_cells = np.asarray(edge_cells, dtype=np.intp)
         self.edge_markers = np.asarray(edge_markers, dtype=np.intp)
         self.h_report = float(h_report) if h_report is not None else None
+        self.diameters = _diameters(self.vertices[self.cell_verts],
+                                    self.cell_ptr)
         for arr in (self.vertices, self.cell_ptr, self.cell_verts,
                     self.cell_edges, self.edges, self.edge_cells,
-                    self.edge_markers):
+                    self.edge_markers, self.diameters):
             arr.setflags(write=False)
 
     @cached_property
@@ -370,11 +374,12 @@ def _unit_square_mesh(vertices, cell_ptr, cell_verts, h_report=None):
     defaults to the largest cell diameter."""
     cell_verts = np.asarray(cell_verts, dtype=np.intp)
     edges, edge_cells, cell_edges = _connect(vertices, cell_ptr, cell_verts)
-    if h_report is None:
-        h_report = _diameters(vertices[cell_verts], cell_ptr).max()
-    return PolyMesh(vertices, cell_ptr, cell_verts, edges, edge_cells,
+    mesh = PolyMesh(vertices, cell_ptr, cell_verts, edges, edge_cells,
                     _wall_markers(vertices, edges, edge_cells), cell_edges,
                     h_report=h_report)
+    if h_report is None:
+        mesh.h_report = mesh_size(mesh)
+    return mesh
 
 
 def _grid(n: int):
@@ -845,8 +850,9 @@ def valence_groups(mesh: PolyMesh):
 
 
 def cell_diameters(mesh: PolyMesh):
-    """Per-cell diameter: the largest distance between two vertices."""
-    return _diameters(mesh.vertices[mesh.cell_verts], mesh.cell_ptr)
+    """Per-cell diameter: the largest distance between two vertices (the
+    mesh's read-only array)."""
+    return mesh.diameters
 
 
 def mesh_size(mesh: PolyMesh) -> float:

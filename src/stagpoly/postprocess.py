@@ -34,8 +34,7 @@ from .assembly import (BoundarySpec, CondensationError, GlobalSystem,
                        _block_triplets, _symmetric_csr, assemble_system)
 from .polymesh import (PolyMesh, build_subtriangulation, cell_diameters,
                        compute_star_points, mesh_size)
-from .quadbasis import (edge_rule, face_monomials, map_to_edge, monomials,
-                        triangle_rule)
+from .quadbasis import edge_rule, face_monomials, monomials, triangle_rule
 from .weakgrad import flux_values, identity_coefficient, weak_gradient_coeffs
 
 __all__ = [
@@ -131,7 +130,9 @@ def _face_jump_sq(grp, uc, ub, rule) -> np.ndarray:
     psi = face_monomials(rule.points - 0.5, grp.k)
     wpsi = psi * rule.weights[:, None]
     proj = wpsi @ np.linalg.solve(psi.T @ wpsi, wpsi.T)
-    return np.sum(((dub @ proj) * dub).sum(axis=-1) * grp.lengths, axis=1)
+    # one product over all faces: a stack of (q, q) products costs a call each
+    pdub = (dub.reshape(-1, len(proj)) @ proj).reshape(dub.shape)
+    return np.sum((pdub * dub).sum(axis=-1) * grp.lengths, axis=1)
 
 
 def _split(grp, dofs):
@@ -141,9 +142,25 @@ def _split(grp, dofs):
     return local[:, nfl:], local[:, :nfl].reshape(len(local), grp.n_edges, -1)
 
 
+def _cell_grad(grp, uc, pts) -> np.ndarray:
+    """grad u_0 (g, m, q, 2) at points (g, m, q, 2) of each row of a group
+    from its cell coefficients uc (g, nc)."""
+    phi = np.swapaxes(grp.cell_basis(pts, grad=True), -1, -2)
+    # one product per row, 3x faster than an einsum over the basis axis
+    return (phi.reshape(len(uc), -1, phi.shape[-1])
+            @ uc[:, :, None]).reshape(phi.shape[:-1])
+
+
+def _sq(v) -> np.ndarray:
+    """|v|^2 of vectors v (..., 2), by components: numpy reduces a short
+    last axis slowly."""
+    return v[..., 0] ** 2 + v[..., 1] ** 2
+
+
 def _normal_part(values, grp) -> np.ndarray:
     """sigma . n on the outer edges from values (g, m, q, 2)."""
-    return np.einsum("gtqx,gtx->gtq", values, grp.frames[:, :, 0])
+    n = grp.frames[:, :, None, 0]
+    return values[..., 0] * n[..., 0] + values[..., 1] * n[..., 1]
 
 
 def error_norms(solution: SolutionField, u_exact: Callable,
@@ -180,15 +197,14 @@ def error_norms(solution: SolutionField, u_exact: Callable,
         l2_sq += float(np.sum(wts * du ** 2))
         if grad_u_exact is not None:
             grads = _at(grad_u_exact, pts, (2,))
-            dg = grads - np.einsum(
-                "gtqcx,gc->gtqx", grp.cell_basis(pts, grad=True), uc)
-            e1h_sq += float(np.sum(wts * (dg ** 2).sum(axis=-1)))
+            dg = grads - _cell_grad(grp, uc, pts)
+            e1h_sq += float(np.sum(wts * _sq(dg)))
             e1h_sq += float(np.sum(_face_jump_sq(grp, uc, ub, jump_rule)
                                    / hK))
         if flux is not None:
             ds = sign * _exact_flux(coeff, grads, pts) \
                 - flux_values(grp, flux.coeffs[gi], pts)
-            s_vol_sq += float(np.sum(wts * (ds ** 2).sum(axis=-1)))
+            s_vol_sq += float(np.sum(wts * _sq(ds)))
             pts, wts = grp.edge_quadrature(face_rule)
             grads = _at(grad_u_exact, pts, (2,))
             ds = sign * _exact_flux(coeff, grads, pts) \
@@ -270,22 +286,24 @@ def flux_jump_report(flux: FluxField) -> dict:
     system = flux.system
     mesh = system.mesh
     erule = edge_rule(system.k + 1)
-    ends = mesh.vertices[mesh.edges]
-    pts, wts = map_to_edge(erule, ends[:, 0], ends[:, 1])
     # flux of edge_cells[e, 0] and of edge_cells[e, 1] at the points of e
-    sides = np.zeros((mesh.num_edges, 2) + pts.shape[1:])
+    # in canonical order; a cell with orient -1 meets them in reverse
+    sides = np.zeros((mesh.num_edges, 2, len(erule.points), 2))
     for gi, grp in enumerate(system.groups):
-        side = (mesh.edge_cells[grp.edge_ids, 0] != grp.cells[:, None])
-        sides[grp.edge_ids, side.astype(np.intp)] = flux_values(
-            grp, flux.coeffs[gi], pts[grp.edge_ids])
+        vals = flux_values(grp, flux.coeffs[gi],
+                           grp.edge_quadrature(erule)[0])
+        back = grp.orient < 0
+        vals[back] = vals[back, ::-1]
+        sides[grp.edge_ids, back.astype(np.intp)] = vals
     inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
     s0, s1 = sides[inner, 0], sides[inner, 1]
-    t = ends[inner, 1] - ends[inner, 0]
+    ends = mesh.vertices[mesh.edges[inner]]
+    t = ends[:, 1] - ends[:, 0]
     length = np.sqrt((t ** 2).sum(axis=1))
     n = np.column_stack([t[:, 1], -t[:, 0]]) / length[:, None]
     jump_n = np.einsum("eqx,ex->eq", s0 - s1, n)
-    moments = (jump_n * wts[inner]) @ face_monomials(erule.points - 0.5,
-                                                     system.k)
+    moments = (jump_n * erule.weights * length[:, None]) \
+        @ face_monomials(erule.points - 0.5, system.k)
     scale = np.maximum(np.maximum(np.abs(s0).max(axis=(1, 2)),
                                   np.abs(s1).max(axis=(1, 2))), 1e-30)
     rel = np.abs(moments).max(axis=1) / (length * scale)
@@ -307,8 +325,7 @@ def h1h_distance(system: GlobalSystem, dofs_a: np.ndarray,
     for grp in system.groups:
         uc, ub = _split(grp, delta)
         pts, wts = grp.fan_quadrature(vol_rule)
-        g = np.einsum("gtqcx,gc->gtqx", grp.cell_basis(pts, grad=True), uc)
-        total += float(np.sum(wts * (g ** 2).sum(axis=-1)))
+        total += float(np.sum(wts * _sq(_cell_grad(grp, uc, pts))))
         total += float(np.sum(_face_jump_sq(grp, uc, ub, erule)
                               / diam[grp.cells]))
     return float(np.sqrt(total))

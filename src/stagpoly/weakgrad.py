@@ -24,7 +24,7 @@ disjoint supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -165,6 +165,12 @@ class ElementGroup:
     ortho[r, t]. G (g, d, n) maps local DoFs to flux coefficients and A
     (g, n, n) is the stiffness, with d = 2 m nm flux functions, nm = dim
     P_k and n = m(k+1) + nc local DoFs; dofs (g, n) are their global ids.
+
+    fan_quadrature and edge_quadrature keep the physical points of each
+    rule they are asked for, one read-only table per kind and degree
+    (triangle_rule and edge_rule give one rule per degree), for as long
+    as the group lives; the weights are rebuilt from areas and lengths on
+    each call, and nothing that depends on coefficients is kept.
     """
     k: int
     cells: np.ndarray
@@ -182,6 +188,8 @@ class ElementGroup:
     G: np.ndarray
     A: np.ndarray
     dofs: np.ndarray
+    _points: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def n_edges(self) -> int:
@@ -202,12 +210,22 @@ class ElementGroup:
 
     def fan_quadrature(self, rule):
         """A reference triangle rule on every fan triangle: points
-        (g, m, q, 2) and weights (g, m, q)."""
-        return map_to_triangle(rule, self.triangles)
+        (g, m, q, 2), kept read-only, and weights (g, m, q)."""
+        key = ("fan", rule.degree)
+        if key not in self._points:
+            self._points[key] = _read_only(
+                map_to_triangle(rule, self.triangles)[0])
+        # the fan triangles are positive, so |Jacobian| = 2 |T|
+        return self._points[key], rule.weights * (2.0 * self.areas)[..., None]
 
     def edge_quadrature(self, rule):
-        """A reference edge rule on every outer edge in loop direction."""
-        return map_to_edge(rule, self.loop, np.roll(self.loop, -1, axis=1))
+        """A reference edge rule on every outer edge in loop direction:
+        points (g, m, q, 2), kept read-only, and weights (g, m, q)."""
+        key = ("edge", rule.degree)
+        if key not in self._points:
+            self._points[key] = _read_only(map_to_edge(
+                rule, self.loop, np.roll(self.loop, -1, axis=1))[0])
+        return self._points[key], rule.weights * self.lengths[..., None]
 
     def face_basis(self, t):
         """Face basis (g, m, len(t), k+1) at reference points t of every
@@ -221,6 +239,11 @@ class ElementGroup:
         shape = (len(self.cells),) + (1,) * (np.ndim(pts) - 2)
         return monomials(pts, self.xbar.reshape(shape + (2,)),
                          self.h.reshape(shape), self.k + 1, grad)
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def _fan_triangles(star, loop):
@@ -279,7 +302,7 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
         star = subtri.star[cells]
         areas, normals, tangents, lengths = fan_geometry(loop, star)
         tris = _fan_triangles(star, loop)
-        cent = tris.mean(axis=2)
+        cent = (tris[:, :, 0] + tris[:, :, 1] + tris[:, :, 2]) / 3.0
         xbar = loop.mean(axis=1)
         h = np.sqrt(areas.sum(axis=1))
         frames = np.stack([normals, tangents], axis=2)
@@ -348,17 +371,28 @@ def flux_values(group: ElementGroup, coeffs, pts, rows=None, tris=None):
     tris broadcast to pts.shape[:-2]. By default they cover every row and
     triangle, pts (g, m, q, 2). Returns (..., q, 2).
     """
+    g, m, nm = len(group.cells), group.n_edges, group.n_mono
+    coeffs = np.asarray(coeffs, dtype=float).reshape(g, 2, m, nm)
     if rows is None:
-        rows, tris = np.ix_(np.arange(len(group.cells)),
-                            np.arange(group.n_edges))
-    coeffs = np.asarray(coeffs, dtype=float).reshape(
-        len(group.cells), 2, group.n_edges, group.n_mono)[rows, :, tris]
-    # each frame component in the monomials of its triangle
-    coeffs = coeffs @ np.swapaxes(group.ortho[rows, tris], -1, -2)
-    mono = monomials(pts, group.centroids[rows, tris][..., None, :],
-                     np.asarray(group.h[rows])[..., None], group.k)
-    return np.einsum("...qa,...fa->...qf", mono, coeffs) \
-        @ group.frames[rows, tris]
+        c0, c1 = coeffs[:, 0], coeffs[:, 1]
+        ortho, frames = group.ortho, group.frames
+        cent, h = group.centroids, group.h[:, None]
+    else:
+        c0, c1 = coeffs[rows, 0, tris], coeffs[rows, 1, tris]
+        ortho, frames = group.ortho[rows, tris], group.frames[rows, tris]
+        cent, h = group.centroids[rows, tris], np.asarray(group.h[rows])
+    # physical monomial coefficients (..., nm, 2) of sigma on its triangle
+    # are ortho @ (c0 (x) n + c1 (x) t): the frames go in while the
+    # coefficients are O(1), before ortho scales them
+    n, t = frames[..., None, 0, :], frames[..., None, 1, :]
+    W = np.stack([c0 * n[..., x] + c1 * t[..., x] for x in (0, 1)], axis=-1)
+    if nm == 1:
+        # the one monomial is 1, so sigma is constant on each triangle; a
+        # batched matmul would cost a call per 1 x 1 matrix
+        return np.repeat(np.broadcast_to(
+            ortho * W, pts.shape[:-2] + (1, 2)), pts.shape[-2], axis=-2)
+    return monomials(pts, cent[..., None, :], h[..., None], group.k) \
+        @ (ortho @ W)
 
 
 def weak_gradient_coeffs(group: ElementGroup, u_local) -> np.ndarray:

@@ -26,7 +26,7 @@ from stagpoly.problems import example1, example2, example3, patch_linear
 from stagpoly.quadbasis import (edge_rule, map_to_edge, map_to_triangle,
                                 triangle_rule)
 from stagpoly.solver import solve_system
-from stagpoly.weakgrad import flux_values
+from stagpoly.weakgrad import ElementGroup, flux_values
 
 from conftest import subtriangulate
 
@@ -345,3 +345,103 @@ def test_write_vtk_without_flux(tmp_path, tri4):
     path = tmp_path / "plain.vtk"
     write_vtk(path, sol)
     assert "VECTORS" not in path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# the post stage on the quadrature points the groups keep
+
+def fresh_quadrature(monkeypatch):
+    """Map every fan and edge rule anew on each call, keeping nothing."""
+    monkeypatch.setattr(ElementGroup, "fan_quadrature", lambda self, rule:
+                        map_to_triangle(rule, self.triangles))
+    monkeypatch.setattr(ElementGroup, "edge_quadrature", lambda self, rule:
+                        map_to_edge(rule, self.loop,
+                                    np.roll(self.loop, -1, axis=1)))
+
+
+def reference_jump_report(flux):
+    """flux_jump_report from the canonical points of every edge, each side
+    evaluated on the points of the edge itself."""
+    system = flux.system
+    mesh = system.mesh
+    erule = edge_rule(system.k + 1)
+    ends = mesh.vertices[mesh.edges]
+    pts, wts = map_to_edge(erule, ends[:, 0], ends[:, 1])
+    sides = np.zeros((mesh.num_edges, 2) + pts.shape[1:])
+    for gi, grp in enumerate(system.groups):
+        side = (grp.orient < 0).astype(np.intp)
+        sides[grp.edge_ids, side] = flux_values(grp, flux.coeffs[gi],
+                                                pts[grp.edge_ids])
+    inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
+    s0, s1 = sides[inner, 0], sides[inner, 1]
+    t = ends[inner, 1] - ends[inner, 0]
+    length = np.linalg.norm(t, axis=1)
+    n = np.column_stack([t[:, 1], -t[:, 0]]) / length[:, None]
+    jump_n = np.einsum("eqx,ex->eq", s0 - s1, n)
+    psi = (erule.points - 0.5)[:, None] ** np.arange(system.k + 1)
+    moments = (jump_n * wts[inner]) @ psi
+    scale = np.maximum(np.abs(s0).max(axis=(1, 2)),
+                       np.abs(s1).max(axis=(1, 2)))
+    rel = np.abs(moments).max(axis=1) / (length * scale)
+    return {"max_scaled_jump": float(rel.max()),
+            "face": int(inner[np.argmax(rel)])}
+
+
+def post_reports(sol, flux, prob):
+    norms = [error_norms(sol, prob.u, prob.grad_u, flux=flux, mode=mode)
+             for mode in ("paper", "high", "exact")]
+    return (norms, conservation_residuals(flux, prob.f),
+            scaled_conservation_residuals(flux, prob.f))
+
+
+def test_post_stage_on_kept_points_matches_fresh_quadrature(voronoi64,
+                                                           monkeypatch):
+    prob = example2()
+    sol = solved(prob, voronoi64, k=2)
+    flux = recover_flux(sol)
+    kept = post_reports(sol, flux, prob)
+    kept_again = post_reports(sol, flux, prob)
+    with monkeypatch.context() as patch:
+        fresh_quadrature(patch)
+        fresh = post_reports(sol, flux, prob)
+    # the load, the outflow and their defect scale with max |f| per area
+    load = np.abs(prob.f(sol.system.subtri.star)).max()
+    for norms, raw, scaled in (kept, kept_again):
+        for mine, ref in zip(norms, fresh[0]):
+            assert mine.keys() == ref.keys()
+            for key in ref:
+                assert abs(mine[key] - ref[key]) <= 1e-13 * ref[key], key
+        assert np.abs(raw - fresh[1]).max() <= 1e-13 * load
+        assert np.abs(scaled - fresh[2]).max() <= 1e-13
+
+    # each side reads its own loop-direction points, reversed where it runs
+    # against the edge: the solved flux keeps its P_k normal moments across
+    # faces, and points out of step at k = 2 would break that
+    mine, ref = flux_jump_report(flux), reference_jump_report(flux)
+    assert mine["max_scaled_jump"] <= 1e-11
+    assert abs(mine["max_scaled_jump"] - ref["max_scaled_jump"]) <= 1e-13
+    # the jump of a random flux is O(1) on every face
+    rng = np.random.default_rng(5)
+    rough = FluxField(sol.system, [rng.standard_normal(c.shape)
+                                   for c in flux.coeffs])
+    mine, ref = flux_jump_report(rough), reference_jump_report(rough)
+    assert mine["face"] == ref["face"]
+    assert abs(mine["max_scaled_jump"] - ref["max_scaled_jump"]) \
+        <= 1e-13 * ref["max_scaled_jump"]
+
+
+def test_reassigned_flux_coefficients_are_read(voronoi64):
+    prob = example2()
+    sol = solved(prob, voronoi64, k=1)
+    flux = recover_flux(sol)
+
+    def no_load(pts):
+        return np.zeros(len(pts))
+
+    before = conservation_residuals(flux, no_load)
+    grp = sol.system.groups[0]
+    pts, _ = grp.edge_quadrature(edge_rule(2))
+    vals = flux_values(grp, flux.coeffs[0], pts)
+    flux.coeffs = [2.0 * c for c in flux.coeffs]
+    assert np.array_equal(conservation_residuals(flux, no_load), 2.0 * before)
+    assert np.array_equal(flux_values(grp, flux.coeffs[0], pts), 2.0 * vals)

@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stagpoly.quadbasis import (edge_rule, face_monomials, map_to_edge,
-                                map_to_triangle, monomials, triangle_rule)
+                                map_to_triangle, monomial_exponents,
+                                monomials, triangle_rule)
 from stagpoly.weakgrad import (
     CoefficientError,
     CoefficientField,
@@ -423,3 +424,85 @@ def test_orthonormal_basis_matches_monomial_formula(vertices, k, pointwise):
     if k <= 2:
         ref = monomial_reference_stiffness(grp, coeff)
         assert np.abs(A - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# flux evaluation, and the quadrature points a group keeps
+
+def reference_flux_values(grp, s, pts, shift=0):
+    """Per fan triangle: the field of triangle t - shift at its points pts
+    (g, m, q, 2), as sum_f (monomials @ ortho @ s_f) frame_f, in extended
+    precision: at k = 3 ortho has entries near 1e3, and a double precision
+    reference is off by 1.6e-13 of the largest value."""
+    g, m, nm = len(grp.cells), grp.n_edges, grp.n_mono
+    ld = np.longdouble
+    s = s.reshape(g, 2, m, nm).astype(ld)
+    out = np.empty(pts.shape, dtype=ld)
+    for r in range(g):
+        for t in range(m):
+            u = (t - shift) % m
+            x = (pts[r, t].astype(ld) - grp.centroids[r, u]) / grp.h[r]
+            xi, eta = x.T
+            mono = np.stack([xi ** a * eta ** b
+                             for a, b in monomial_exponents(grp.k)], axis=-1)
+            phi = mono @ grp.ortho[r, u].astype(ld)
+            out[r, t] = sum(np.outer(phi @ s[r, f, u], grp.frames[r, u, f])
+                            for f in (0, 1))
+    return out
+
+
+def max_rel(a, ref):
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_flux_values_paths_match_per_triangle_reference(voronoi64,
+                                                        voronoi64_sub, k):
+    groups = element_groups(voronoi64, voronoi64_sub, k,
+                            identity_coefficient())
+    assert len(groups) >= 3     # mixed valence
+    rng = np.random.default_rng(k)
+    for grp in groups:
+        g, m = len(grp.cells), grp.n_edges
+        s = rng.standard_normal(grp.G.shape[:2])
+        pts, _ = grp.fan_quadrature(triangle_rule(2 * k + 1))
+        ref = reference_flux_values(grp, s, pts)
+        vals = flux_values(grp, s, pts)
+        assert vals.shape == pts.shape
+        assert max_rel(vals, ref) <= 1e-13
+        rows, tris = np.ix_(np.arange(g), np.arange(m))
+        assert max_rel(flux_values(grp, s, pts, rows, tris), vals) <= 1e-13
+        # the field of the previous triangle at these points, as the spoke
+        # jumps of weak_divergence read it
+        assert max_rel(flux_values(grp, s, pts, rows, (tris - 1) % m),
+                       reference_flux_values(grp, s, pts, 1)) <= 1e-13
+        # one triangle of one row at its own points
+        assert max_rel(flux_values(grp, s, pts[g - 1, 1], g - 1, 1),
+                       vals[g - 1, 1]) <= 1e-13
+
+
+def test_group_keeps_read_only_quadrature_points(voronoi64, voronoi64_sub):
+    grp = element_groups(voronoi64, voronoi64_sub, 1,
+                         identity_coefficient())[0]
+    pts, wts = grp.fan_quadrature(triangle_rule(0))
+    again, wts_again = grp.fan_quadrature(triangle_rule(2))
+    # triangle_rule(0..2) is one rule, so one table
+    assert again is pts
+    assert np.array_equal(wts_again, wts)
+    # the same points and weights as a fresh map of the rule
+    fresh_pts, fresh_wts = map_to_triangle(triangle_rule(2), grp.triangles)
+    assert np.array_equal(pts, fresh_pts)
+    assert np.array_equal(wts, fresh_wts)
+    with pytest.raises(ValueError):
+        pts[0, 0, 0, 0] = 0.0
+    assert grp.fan_quadrature(triangle_rule(4))[0].shape[2] == 9
+
+    epts, ewts = grp.edge_quadrature(edge_rule(2))
+    assert grp.edge_quadrature(edge_rule(2))[0] is epts
+    fresh_pts, fresh_wts = map_to_edge(edge_rule(2), grp.loop,
+                                       np.roll(grp.loop, -1, axis=1))
+    assert np.array_equal(epts, fresh_pts)
+    assert np.array_equal(ewts, fresh_wts)
+    with pytest.raises(ValueError):
+        epts[...] = 0.0
+    assert grp.edge_quadrature(edge_rule(3))[0].shape[2] == 3
