@@ -21,7 +21,7 @@ from itertools import chain, combinations, permutations
 from operator import itemgetter
 
 import numpy as np
-from scipy.spatial import Delaunay, Voronoi
+from scipy.spatial import Delaunay
 
 __all__ = [
     "MeshError",
@@ -428,9 +428,9 @@ def _reflect(seeds, mirror):
     returns, for every point, the seed it reflects and the wall it is
     reflected across, both -1 for the seeds themselves.
 
-    Raises GenerationError for a seed nearer a wall than _WALL_GAP: with
-    its reflection it makes slivers whose Voronoi vertices Qhull places
-    off by more than 1e-12, or drops.
+    Raises GenerationError for a seed nearer a wall than _WALL_GAP: the
+    gap keeps a seed, its reflection and their slivers far above the 1e-12
+    within which the region checks take a vertex to be on a wall.
     """
     near = np.minimum(seeds, 1.0 - seeds)
     close = np.flatnonzero(np.minimum(near[:, 0], near[:, 1]) < _WALL_GAP)
@@ -458,49 +458,6 @@ def _wall_pairs(mate, wall, groups):
     return np.concatenate(rows), np.concatenate(walls)
 
 
-def _voronoi_loops(seeds, mirror):
-    """CCW Voronoi loops of seeds in [0,1]^2, clipped to the unit square.
-
-    mirror (n, 4) marks the (seed, wall) pairs whose reflection joins the
-    diagram, walls ordered left, right, bottom, top. A missing reflection
-    can only bound its own seed's region: on the square's side of a wall a
-    seed is closer than its reflection. So a region that is bounded and has
-    every vertex strictly inside its unmirrored walls is exactly the region
-    of full mirroring. Pairs that fail this check are mirrored and Qhull
-    reruns; the mask only grows, so the worst case is full mirroring.
-    The ridge of a seed and its reflection lies on their wall, so both of
-    its vertices are put there exactly.
-    Returns the loops in CSR form: cell_ptr (n+1,), Qhull vertex ids (N,)
-    and the vertex coordinates.
-
-    Raises GenerationError for a seed nearer a wall than _WALL_GAP.
-    """
-    mirror = np.array(mirror, dtype=bool)
-    while True:
-        pts, mate, wall = _reflect(seeds, mirror)
-        vor = Voronoi(pts)
-        coords = vor.vertices.copy()
-        rows, w = _wall_pairs(mate, wall, vor.ridge_points)
-        for end in np.asarray(vor.ridge_vertices)[rows].T:
-            on = end >= 0
-            coords[end[on], _AXIS[w[on]]] = _AT[w[on]]
-        cell_ptr, ids = _csr(itemgetter(*vor.point_region[:len(seeds)])(vor.regions))
-        # a vertex within round-off of a wall counts as on it
-        reach = (_wall_distances(coords[ids]) <= 1e-12) | (ids < 0)[:, None]
-        fail = np.logical_or.reduceat(reach, cell_ptr[:-1]) & ~mirror
-        if not fail.any():
-            break
-        mirror |= fail
-    if np.any(ids < 0):
-        raise GenerationError("unbounded Voronoi region survived mirroring")
-    cell_ptr, ids, coords = _mend_corners(seeds, cell_ptr, ids, coords)
-    # Qhull gives no orientation guarantee; sort CCW around each seed.
-    seed = np.repeat(np.arange(len(seeds)), np.diff(cell_ptr))
-    rel = coords[ids] - seeds[seed]
-    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), seed))
-    return cell_ptr, ids[order], coords
-
-
 # Corners that fix the convex hull of every Lloyd triangulation: every
 # point of the unit square is nearer a seed (at most sqrt 2 away) than a
 # corner, and every reflection lies inside them. A seed whose region is
@@ -508,7 +465,8 @@ def _voronoi_loops(seeds, mirror):
 _BOX = np.array([[-2.0, -2.0], [3.0, -2.0], [3.0, 3.0], [-2.0, 3.0]])
 # A flip needs the fourth point inside the circle by this much relative
 # to the incircle determinant's rounding scale, so near-cocircular quads
-# are left alone instead of flipping back and forth.
+# are left alone instead of flipping back and forth; _voronoi_loops gives
+# the two triangles of such a quad one vertex.
 _INCIRCLE_TOL = 1e-12
 # Flip rounds before the repair gives up and Qhull triangulates afresh.
 _FLIP_ROUNDS = 32
@@ -594,6 +552,14 @@ def _incircle(a, b, c):
         sum(x * y for x, y in zip(lift, scale))
 
 
+def _edge_incircle(pts, flat, nxt, prv, twin, h):
+    """_incircle of the far point of the triangle across each interior
+    half-edge h against h's own triangle; flat holds the raveled triangles,
+    nxt and prv the next and previous half-edge in each triangle."""
+    d = np.take(pts, flat[prv[twin[h]]], axis=0)
+    return _incircle(*(np.take(pts, flat[e], axis=0) - d for e in (h, nxt[h], prv[h])))
+
+
 def _flip_to_delaunay(pts, tri, twin):
     """Repair the CCW triangulation tri (T, 3), with its _twins, of moved
     points pts by edge flips; None when a flip would leave a triangle
@@ -616,9 +582,7 @@ def _flip_to_delaunay(pts, tri, twin):
     test = he[twin > he]
     for _ in range(_FLIP_ROUNDS):
         # is d, across edge (a, b), inside the circle of the triangle (a, b, c)?
-        d = np.take(pts, flat[prv[twin[test]]], axis=0)
-        det, scale = _incircle(*(np.take(pts, flat[h], axis=0) - d
-                                 for h in (test, nxt[test], prv[test])))
+        det, scale = _edge_incircle(pts, flat, nxt, prv, twin, test)
         e = test[det > _INCIRCLE_TOL * scale]
         if len(crossed):
             h = 3 * crossed[:, None] + np.arange(3)
@@ -656,22 +620,22 @@ def _flip_to_delaunay(pts, tri, twin):
     return None
 
 
-def _lloyd_step(seeds, mirror, kept=None):
-    """One Lloyd step: the centroid (n, 2) of every seed's Voronoi region
-    clipped to the unit square, the largest seed-to-vertex distance, and
-    the triangulation to pass on to the next step.
+def _diagram(seeds, mirror, kept=None):
+    """Delaunay triangulation of the seeds, their reflections across the
+    walls marked in mirror (n, 4) and the _BOX corners, whose circumcenters
+    at a seed are the vertices of its Voronoi region in the unit square.
+    Returns the points, the CCW triangles, their _twins, the circumcenters
+    and the mask used.
 
-    The regions come from a Delaunay triangulation of the seeds, their
-    reflections across the walls marked in mirror (n, 4) and the _BOX
-    corners. A seed's region is the sum over its triangles (v, a, b) of the
-    signed quads (v, mid(v, a), circumcenter, mid(v, b)). Regions are
-    checked as in _voronoi_loops: a region vertex on or beyond a wall its
-    seed was not reflected across gets that reflection, and the circumcenter
-    of a triangle holding a seed and its reflection is put exactly on their
-    wall.
+    A missing reflection can only bound its own seed's region: on the
+    square's side of a wall a seed is closer than its reflection. So a
+    region with every vertex strictly inside its unmirrored walls is that
+    of full mirroring; a vertex on or beyond such a wall adds the
+    reflection, and the mask only grows. The circumcenter of a triangle
+    holding a seed and its reflection is put exactly on their wall.
 
-    kept is what the previous step returned. Extra reflections leave the
-    regions unchanged, so its triangulation serves any mask it covers,
+    kept is an earlier (mask, triangles, twins). Extra reflections leave
+    the regions unchanged, so its triangulation serves any mask it covers,
     unless it carries over twice the reflections asked for (the first,
     fully reflected step). Lawson flips repair it after the seeds moved;
     Qhull triangulates only a new point set or a repair that fails.
@@ -702,9 +666,23 @@ def _lloyd_step(seeds, mirror, kept=None):
         fail[corner[at], np.repeat(w, 3)[at.ravel()]] = True
         fail &= ~mirror
         if not fail.any():
-            break
+            return pts, tri, twin, cc, mirror
         mirror |= fail
         kept = None
+
+
+def _lloyd_step(seeds, mirror, kept=None):
+    """One Lloyd step: the centroid (n, 2) of every seed's Voronoi region
+    clipped to the unit square, the largest seed-to-vertex distance, and
+    the triangulation to pass on as kept to the next step or to
+    _voronoi_loops.
+
+    The regions are those of _diagram(seeds, mirror, kept). A seed's region
+    is the sum over its triangles (v, a, b) of the signed quads (v,
+    mid(v, a), circumcenter, mid(v, b)).
+    """
+    n = len(seeds)
+    pts, tri, twin, cc, mirror = _diagram(seeds, mirror, kept)
     # every corner at a seed o, with the next corners p and q of its triangle
     corner = np.flatnonzero(tri.ravel() < n)
     k = corner % 3
@@ -723,54 +701,45 @@ def _lloyd_step(seeds, mirror, kept=None):
     return centroid, radius, (mirror, tri, twin)
 
 
-_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+def _voronoi_loops(seeds, mirror, kept=None):
+    """CCW Voronoi loops of seeds in [0,1]^2 clipped to the unit square,
+    the regions of _diagram(seeds, mirror, kept), in CSR form: cell_ptr
+    (n+1,), vertex ids (N,) and the vertex coordinates. mirror (n, 4)
+    marks the reflected (seed, wall) pairs, walls ordered left, right,
+    bottom, top.
 
+    A seed's region vertices are the circumcenters of its triangles,
+    sorted by their angle about the seed. Triangles across an edge that
+    the incircle test calls cocircular share one vertex, numbered by the
+    lowest of them: a seed, a neighbour and their two reflections are
+    cocircular about a wall point, and either diagonal may split them.
 
-def _mend_corners(seeds, cell_ptr, ids, coords):
-    """Rebuild the regions that lost a corner of the square.
-
-    Each corner is a vertex of its nearest seed's region. When that seed is
-    near a wall it makes a sliver with its two reflections, and Qhull can
-    move the corner by more than tol = 1e-12 or drop it. Such a region is
-    rebuilt by _clip_region; a rebuilt vertex within tol of one of
-    Qhull's keeps Qhull's id, so the neighbors still share it.
+    Raises GenerationError for a seed nearer a wall than _WALL_GAP.
     """
-    tol = 1e-12
-    nearest = np.argmin(((seeds[:, None] - _CORNERS) ** 2).sum(axis=2), axis=0)
-    lost = {c for c, corner in zip(nearest.tolist(), _CORNERS)
-            if np.abs(coords[ids[cell_ptr[c]:cell_ptr[c + 1]]]
-                      - corner).max(axis=1).min() > tol}
-    if not lost:
-        return cell_ptr, ids, coords
-    loops = np.split(ids, cell_ptr[1:-1])
-    for c in sorted(lost):
-        exact = _clip_region(seeds, c)
-        gap = np.abs(exact[:, None] - coords[loops[c]]).max(axis=2)
-        hit = gap.min(axis=1) <= tol
-        loops[c] = np.where(hit, loops[c][gap.argmin(axis=1)],
-                            len(coords) + np.cumsum(~hit) - 1)
-        coords = np.vstack([coords, exact[~hit]])
-    return *_csr(loops), coords
-
-
-def _clip_region(seeds, i):
-    """Voronoi region of seeds[i] among the seeds, clipped to the unit
-    square: the square cut by the bisector of seed i and every seed close
-    enough to reach it. On the square's side of a wall a seed is nearer
-    than its reflection, so this is the region full mirroring gives."""
-    s, poly = seeds[i], _CORNERS
-    dist = np.sqrt(((seeds - s) ** 2).sum(axis=1))
-    for j in np.argsort(dist)[1:]:
-        if dist[j] > 2.0 * np.sqrt(((poly - s) ** 2).sum(axis=1)).max():
+    n = len(seeds)
+    pts, tri, twin, cc, _ = _diagram(seeds, mirror, kept)
+    flat, he = tri.ravel(), np.arange(tri.size)
+    nxt, prv = (he.reshape(-1, 3)[:, k].ravel() for k in ([1, 2, 0], [2, 0, 1]))
+    h = he[twin > he]
+    det, scale = _edge_incircle(pts, flat, nxt, prv, twin, h)
+    h = h[np.abs(det) <= _INCIRCLE_TOL * scale]
+    a, b = h // 3, twin[h] // 3
+    # each triangle takes the lowest label across its cocircular edges,
+    # then the label of its label, until every group has one label
+    root = np.arange(len(tri))
+    while True:
+        low = root.copy()
+        np.minimum.at(low, a, root[b])
+        np.minimum.at(low, b, root[a])
+        low = low[low]
+        if np.array_equal(low, root):
             break
-        # f > 0 on seed j's side of the bisector
-        f = (poly - 0.5 * (s + seeds[j])) @ (seeds[j] - s)
-        f_next, nxt = np.roll(f, -1), np.roll(poly, -1, axis=0)
-        cut = ((f < 0) & (f_next > 0)) | ((f > 0) & (f_next < 0))
-        t = np.where(cut, f, 0.0) / np.where(cut, f - f_next, 1.0)
-        both = np.stack([poly, poly + t[:, None] * (nxt - poly)], axis=1)
-        poly = both[np.stack([f <= 0, cut], axis=1)]
-    return poly
+        root = low
+    corner = np.flatnonzero(flat < n)
+    s, v = np.divmod(np.unique(flat[corner] * len(tri) + root[corner // 3]), len(tri))
+    rel = cc[v] - seeds[s]
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), s))
+    return np.r_[0, np.cumsum(np.bincount(s, minlength=n))], v[order], cc
 
 
 def gen_voronoi_polygons(n_seeds: int, lloyd_iters: int = 100,
@@ -790,31 +759,20 @@ def gen_voronoi_polygons(n_seeds: int, lloyd_iters: int = 100,
     seeds = np.clip(rng.random((n_seeds, 2)), _WALL_GAP, 1.0 - _WALL_GAP)
     if len(np.unique(seeds, axis=0)) != n_seeds:
         raise GenerationError("duplicate seeds")
-    # The first step mirrors every seed (with lloyd_iters = 0 that is the
-    # Voronoi diagram, and Qhull needs at least 4 points); later ones
-    # mirror a seed across a wall closer than the farthest seed-to-vertex
-    # distance of the last step.
+    # The first step mirrors every seed, and so does the diagram when
+    # lloyd_iters = 0; later ones mirror a seed across a wall closer than
+    # the farthest seed-to-vertex distance of the last step. The final
+    # diagram repairs the last step's triangulation for the moved seeds.
     mirror, kept = np.ones((n_seeds, 4), dtype=bool), None
     for _ in range(lloyd_iters):
         seeds, radius, kept = _lloyd_step(seeds, mirror, kept)
         mirror = _wall_distances(seeds) < radius
-
-    cell_ptr, ids, coords = _voronoi_loops(seeds, mirror)
-    # Wall vertices carry reflection noise; snap them exactly.
-    snap = 1e-9
-    pts = coords[ids]
-    pts = np.where(np.abs(pts) < snap, 0.0,
-                   np.where(np.abs(pts - 1) < snap, 1.0, pts))
-    vid, first = _first_seen(pts)
-    # drop a vertex repeating its predecessor or its loop's first vertex
-    lead = np.repeat(cell_ptr[:-1], np.diff(cell_ptr))
-    keep = (vid != np.roll(vid, 1)) & (vid != vid[lead])
-    keep[cell_ptr[:-1]] = True
-    sizes = np.add.reduceat(keep.astype(np.intp), cell_ptr[:-1])
-    bad = np.flatnonzero(sizes < 3)
+    cell_ptr, ids, coords = _voronoi_loops(seeds, mirror, kept)
+    bad = np.flatnonzero(np.diff(cell_ptr) < 3)
     if len(bad):
         raise GenerationError(f"degenerate Voronoi cell for seed {bad[0]}")
-    return _unit_square_mesh(pts[first], np.r_[0, np.cumsum(sizes)], vid[keep])
+    vid, first = _first_seen(ids)
+    return _unit_square_mesh(coords[ids[first]], cell_ptr, vid)
 
 
 def gen_delaunay_triangles(n_points: int, rng_seed: int = 0) -> PolyMesh:

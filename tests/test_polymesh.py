@@ -323,8 +323,8 @@ def _crowded_seeds(n, rng_seed, px, py, gap):
     return gap + (1.0 - 2.0 * gap) * u
 
 
-# draws with seeds within 1e-9 of a wall: Qhull puts a corner 3.7e-12,
-# 1.8e-12 and 1e-9 off, or drops it
+# draws that crowd seeds against a wall or into a corner: at a gap of
+# 1e-9 they are rejected, at 1e-6 accepted
 NEAR_WALL_DRAWS = [(119, 16556, 4.5, 2.0), (8, 0, 1.5, 5.0),
                    (48, 3272050, 5.0, 5.0),
                    (195, 3983255442, 4.846045711638303, 0.2705902638337726)]
@@ -336,12 +336,16 @@ NEAR_WALL_DRAWS = [(119, 16556, 4.5, 2.0), (8, 0, 1.5, 5.0),
 @example(*NEAR_WALL_DRAWS[0])
 @example(*NEAR_WALL_DRAWS[1])
 @example(*NEAR_WALL_DRAWS[2])
-# Qhull moves a corner by 1.7e-12 and 1.4e-12; _mend_corners rebuilds it
+# a seed near a corner, which is the circumcenter of the seed and its
+# two reflections
 @example(173, 3383647872, 4.631552931712127, 0.45713488961254284)
 @example(26, 67348919, 4.715990001508593, 1.2536419226521593)
-# two seeds 1.4e-6 above the bottom wall: Qhull put their shared wall
-# vertex 2.5e-12 below it until seed-reflection ridges were snapped
+# two seeds 1.4e-6 above the bottom wall share a vertex exactly on it
 @example(17, 2186120673, 0.752, 3.209)
+# two seeds about 3e-8 apart keep a region each
+@example(189, 2815109495, 4.116609342219171, 5.0)
+@example(158, 1168134100, 4.974017455991089, 4.425023318382549)
+@example(181, 3585485709, 4.952, 4.728)
 def test_partial_mirroring_matches_full(n, rng_seed, px, py):
     # _voronoi_loops rejects seeds nearer a wall than 1e-6
     _check_every_start(_crowded_seeds(n, rng_seed, px, py, 1e-6))
@@ -363,6 +367,31 @@ def test_voronoi_wall_gap_boundary():
         polymesh._voronoi_loops(seeds, mirror)
 
 
+def _assert_exact_walls(mesh):
+    # every boundary edge lies on a wall, both ends carrying its
+    # coordinate exactly, and the four corners of the square are vertices
+    ends = mesh.vertices[mesh.edges[mesh.boundary_edges]]
+    assert np.logical_or.reduce([(ends[:, :, axis] == at).all(axis=1)
+                                 for axis in (0, 1) for at in (0.0, 1.0)]).all()
+    for corner in ([0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]):
+        assert (mesh.vertices == corner).all(axis=1).any()
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_voronoi_walls_are_exact(n):
+    _assert_exact_walls(gen_voronoi_polygons(n, rng_seed=1))
+
+
+@pytest.mark.parametrize("draw", NEAR_WALL_DRAWS)
+@pytest.mark.parametrize("full", [False, True])
+def test_voronoi_loops_walls_are_exact(draw, full):
+    seeds = _crowded_seeds(*draw, 1e-6)
+    cell_ptr, ids, coords = polymesh._voronoi_loops(
+        seeds, np.full((len(seeds), 4), full))
+    vid, first = polymesh._first_seen(ids)
+    _assert_exact_walls(polymesh._unit_square_mesh(coords[ids[first]], cell_ptr, vid))
+
+
 @pytest.mark.parametrize("rng_seed", [1, 2, 3, 4, 5])
 def test_partial_mirroring_matches_full_on_lloyd_seeds(rng_seed):
     seeds = np.random.default_rng(rng_seed).random((256, 2))
@@ -378,12 +407,12 @@ def test_partial_mirroring_matches_full_on_lloyd_seeds(rng_seed):
        st.floats(0.2, 5.0), st.floats(0.2, 5.0))
 @example(*NEAR_WALL_DRAWS[0])
 @example(17, 2186120673, 0.752, 3.209)
-# Qhull drops a seed 3e-8 from another; the triangulation inserts it
+# two seeds about 3e-8 apart: the triangulation splits a triangle for
+# the point Qhull drops
 @example(189, 2815109495, 4.116609342219171, 5.0)
 @example(158, 1168134100, 4.974017455991089, 4.425023318382549)
 def test_lloyd_step_matches_clipped_regions(n, rng_seed, px, py):
-    # the clipping reference, not _voronoi_loops: on rare draws Qhull's
-    # Voronoi diagram gives two seeds about 3e-8 apart one region
+    # against the clipping reference, which shares no code with _diagram
     seeds = _crowded_seeds(n, rng_seed, px, py, 1e-6)
     ref = _clipped_loops(seeds)
     pts = np.concatenate(ref)
@@ -626,11 +655,14 @@ def test_star_point_64gon_bounded_memory():
     assert peak < 32e6
 
 
-def test_cli_import_leaves_scipy_optimize_out():
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.sparse.csgraph"])
+def test_cli_import_leaves_scipy_optimize_out(module):
+    # modules the program does not use stay out of it: each costs resident
+    # memory in every run, scipy.sparse.csgraph alone about 1 MB
     src = Path(polymesh.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import stagpoly.cli; "
-            "sys.exit(int('scipy.optimize' in sys.modules))")
-    assert subprocess.run([sys.executable, "-c", code, str(src)]).returncode == 0
+            "sys.exit(int(sys.argv[2] in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code, str(src), module]).returncode == 0
 
 
 def test_star_point_zero_length_edge_rejected():
