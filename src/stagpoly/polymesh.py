@@ -360,13 +360,10 @@ def mesh_document(mesh: PolyMesh) -> str:
 
 def _wall_markers(vertices, edges, edge_cells, tol=1e-12):
     """Tag of the first unit-square wall holding each boundary edge."""
-    p, q = vertices[edges[:, 0]], vertices[edges[:, 1]]
-    boundary = edge_cells[:, 1] < 0
     # tags 1..4: left (x = 0), right (x = 1), bottom (y = 0), top (y = 1)
-    on_wall = [boundary & (np.abs(p[:, axis] - at) < tol)
-               & (np.abs(q[:, axis] - at) < tol)
-               for axis, at in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0))]
-    return np.select(on_wall, [1, 2, 3, 4], 0)
+    near = np.abs(_wall_distances(vertices)) < tol
+    on = (edge_cells[:, 1, None] < 0) & near[edges[:, 0]] & near[edges[:, 1]]
+    return np.select(list(on.T), [1, 2, 3, 4], 0)
 
 
 def _unit_square_mesh(vertices, cell_ptr, cell_verts, h_report=None):
@@ -432,8 +429,7 @@ def _reflect(seeds, mirror):
     gap keeps a seed, its reflection and their slivers far above the 1e-12
     within which the region checks take a vertex to be on a wall.
     """
-    near = np.minimum(seeds, 1.0 - seeds)
-    close = np.flatnonzero(np.minimum(near[:, 0], near[:, 1]) < _WALL_GAP)
+    close = np.flatnonzero(_wall_distances(seeds).min(axis=1) < _WALL_GAP)
     if len(close):
         raise GenerationError(f"seed {close[0]} is within {_WALL_GAP:g} of "
                               "a wall of the unit square")
@@ -657,10 +653,8 @@ def _diagram(seeds, mirror, kept=None):
         rows, w = _wall_pairs(mate, wall, tri)
         cc[rows, _AXIS[w]] = _AT[w]
         # a vertex within round-off of a wall counts as on it
-        near = np.minimum(cc, 1.0 - cc)
-        out = np.flatnonzero(np.minimum(near[:, 0], near[:, 1]) <= 1e-12)
-        rows, w = np.nonzero(_wall_distances(cc[out]) <= 1e-12)
-        corner = tri[out[rows]]
+        rows, w = np.nonzero(_wall_distances(cc) <= 1e-12)
+        corner = tri[rows]
         at = corner < n
         fail = np.zeros((n, 4), dtype=bool)
         fail[corner[at], np.repeat(w, 3)[at.ravel()]] = True

@@ -35,7 +35,8 @@ from .assembly import (BoundarySpec, CondensationError, GlobalSystem,
 from .polymesh import (PolyMesh, build_subtriangulation, cell_diameters,
                        compute_star_points, mesh_size)
 from .quadbasis import edge_rule, face_monomials, monomials, triangle_rule
-from .weakgrad import flux_values, identity_coefficient, weak_gradient_coeffs
+from .weakgrad import (flux_basis, flux_values, identity_coefficient,
+                       outer_edge, weak_gradient_coeffs)
 
 __all__ = [
     "PostprocessError",
@@ -90,8 +91,12 @@ class FluxField:
     def tri_values(self, c: int, i: int, pts) -> np.ndarray:
         """Flux values on fan triangle i of cell c at physical points."""
         gi, r = self.system.locate(c)
-        return flux_values(self.system.groups[gi], self.coeffs[gi],
-                           np.asarray(pts, dtype=float), r, i)
+        grp = self.system.groups[gi]
+        star, m = grp.star[r], grp.n_edges
+        J = (grp.loop[r, [i, (i + 1) % m]] - star).T
+        ref = np.linalg.solve(J, (np.asarray(pts, dtype=float) - star).T).T
+        coeffs = self.coeffs[gi].reshape(len(grp.cells), 2, m, -1)[r, :, i]
+        return flux_basis(ref, grp.k) @ (coeffs.T @ grp.frames[r, i])
 
 
 def recover_flux(solution: SolutionField) -> FluxField:
@@ -203,12 +208,12 @@ def error_norms(solution: SolutionField, u_exact: Callable,
                                    / hK))
         if flux is not None:
             ds = sign * _exact_flux(coeff, grads, pts) \
-                - flux_values(grp, flux.coeffs[gi], pts)
+                - flux_values(grp, flux.coeffs[gi], vol_rule.points)
             s_vol_sq += float(np.sum(wts * _sq(ds)))
             pts, wts = grp.edge_quadrature(face_rule)
             grads = _at(grad_u_exact, pts, (2,))
             ds = sign * _exact_flux(coeff, grads, pts) \
-                - flux_values(grp, flux.coeffs[gi], pts)
+                - flux_values(grp, flux.coeffs[gi], outer_edge(face_rule))
             s_0h_sq += float(np.sum(hK * np.sum(
                 wts * _normal_part(ds, grp) ** 2, axis=(1, 2))))
 
@@ -242,9 +247,9 @@ def _balance(flux: FluxField, f: Callable):
     for gi, grp in enumerate(system.groups):
         pts, wts = grp.fan_quadrature(rhs_rule)
         load = np.sum(wts * _at(f, pts), axis=(1, 2))
-        pts, wts = grp.edge_quadrature(erule)
-        sn = _normal_part(flux_values(grp, flux.coeffs[gi], pts), grp)
-        yield grp, load, wts * sn
+        sn = _normal_part(flux_values(grp, flux.coeffs[gi],
+                                      outer_edge(erule)), grp)
+        yield grp, load, erule.weights * grp.lengths[..., None] * sn
 
 
 def conservation_residuals(flux: FluxField, f: Callable) -> np.ndarray:
@@ -290,8 +295,7 @@ def flux_jump_report(flux: FluxField) -> dict:
     # in canonical order; a cell with orient -1 meets them in reverse
     sides = np.zeros((mesh.num_edges, 2, len(erule.points), 2))
     for gi, grp in enumerate(system.groups):
-        vals = flux_values(grp, flux.coeffs[gi],
-                           grp.edge_quadrature(erule)[0])
+        vals = flux_values(grp, flux.coeffs[gi], outer_edge(erule))
         back = grp.orient < 0
         vals[back] = vals[back, ::-1]
         sides[grp.edge_ids, back.astype(np.intp)] = vals
@@ -387,16 +391,15 @@ class ConvergenceReport:
 
 
 def convergence_study(problem, meshes, k: int = 0, star: str = "chebyshev",
-                      mode: str = "paper", solver_opts: dict | None = None,
-                      columns: list | None = None) -> ConvergenceReport:
+                      mode: str = "paper",
+                      solver_opts: dict | None = None) -> ConvergenceReport:
     """Solve a problem on a mesh family and tabulate errors with rates."""
     from .solver import SolverError, solve_system
 
     if len(meshes) < 1:
         raise PostprocessError("need at least one mesh level")
-    if columns is None:
-        columns = list(problem.table_columns)
-    report = ConvergenceReport(problem=problem.name, k=k, columns=columns)
+    report = ConvergenceReport(problem=problem.name, k=k,
+                               columns=list(problem.table_columns))
     for level, mesh in enumerate(meshes, start=1):
         subtri = build_subtriangulation(mesh, compute_star_points(mesh, star))
         system = assemble_system(mesh, subtri, k, problem.coeff, problem.f,
@@ -434,10 +437,7 @@ def cr_equivalence(mesh: PolyMesh, star_points=None) -> float:
     # CR DoFs: the primal edges, then ne + 3 c + i at the midpoint of the
     # spoke from the star point of cell c to its loop vertex i
     spoke = ne + 3 * grp.cells[:, None] + np.arange(3)
-    tris = grp.triangles
-    J = np.stack([tris[:, :, 1] - tris[:, :, 0],
-                  tris[:, :, 2] - tris[:, :, 0]], axis=-1)
-    Jinv = np.linalg.inv(J)
+    Jinv = np.linalg.inv(grp.jacobians)
     grads = np.concatenate([-(Jinv[..., :1, :] + Jinv[..., 1:, :]), Jinv],
                            axis=-2)
     S = 4.0 * grp.areas[..., None, None] * (grads @ np.swapaxes(grads, -1, -2))
@@ -480,7 +480,7 @@ def write_vtk(path, solution: SolutionField, flux: FluxField | None = None) -> N
                               _split(grp, solution.dofs)[0])
         if flux is not None:
             sigma[slots] = flux_values(grp, flux.coeffs[gi],
-                                       grp.centroids[:, :, None])[:, :, 0]
+                                       np.full((1, 2), 1.0 / 3.0))[:, :, 0]
 
     npts = 3 * ntri
     tmp = str(path) + ".tmp"

@@ -3,16 +3,16 @@
 Reference triangle is {x, y >= 0, x + y <= 1}, reference edge is [0, 1].
 Cell bases are scaled monomials in ((x, y) - xbar) / h; face bases are 1D
 monomials in the centered arclength parameter of the edge's canonical
-direction; flux bases attach the (normal, tangent) frame of each fan
-triangle to scaled monomials supported on that triangle only. Every
-function here works on arrays of any leading shape, so one call covers
-all cells of a valence group.
+direction; the flux basis (weakgrad.flux_basis) is monomials about the
+reference centroid times one table. Every function here works on arrays
+of any leading shape, so one call covers all cells of a valence group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -127,10 +127,11 @@ def monomials(points, center, h, degree: int, grad: bool = False):
     xi = (pts[..., 0] - center[..., 0]) / h
     eta = (pts[..., 1] - center[..., 1]) / h
     exps = monomial_exponents(degree)
-    # each coordinate's powers, computed once; gradients need none above
-    # degree - 1. A scalar exponent keeps numpy's exact x ** 2 = x * x.
+    # each coordinate's powers by products, as pow is slow; gradients need
+    # none above degree - 1
     top = degree - 1 if grad and degree else degree
-    xp, ep = ([t ** p for p in range(top + 1)] for t in (xi, eta))
+    xp, ep = (list(accumulate([t] * top, np.multiply,
+                              initial=np.ones_like(t))) for t in (xi, eta))
     if not grad:
         out = np.empty(xi.shape + (len(exps),))
         for j, (a, b) in enumerate(exps):

@@ -2,8 +2,9 @@
 
 For a cell fanned into triangles, the flux space is spanned by frame
 vectors F = (outward normal, tangent) of each fan triangle's outer edge
-times a P_k basis on that triangle, orthonormal in the mean inner product
-(1/|T|) int_T and led by the constant 1. The flux of a pair (u_0, u_b)
+times a P_k basis on that triangle: one basis on the reference triangle,
+orthonormal in its mean inner product and led by the constant 1, mapped
+affinely, so orthonormal in (1/|T|) int_T. The flux of a pair (u_0, u_b)
 is the field sigma (K G_w u for a cellwise-constant K) with
 
     (K^{-1} sigma, tau)_K = (grad u_0, tau)_K + <u_b - u_0, tau . n>_dK
@@ -25,6 +26,7 @@ disjoint supports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -44,6 +46,8 @@ __all__ = [
     "element_groups",
     "batched_cholesky",
     "lower_inverse",
+    "flux_basis",
+    "outer_edge",
     "flux_values",
     "weak_gradient_coeffs",
     "weak_divergence",
@@ -156,15 +160,14 @@ class ElementGroup:
     """Fan geometry and local operators of the g cells with m edges.
 
     Geometry is stacked over the cells (rows) and their fan triangles:
-    triangle t of row r is (star[r], loop[r, t], loop[r, t+1]) with outer
-    edge edge_ids[r, t]; frames[r, t] holds its outward unit normal and CCW
-    unit tangent; orient[r, t] is +1 where the cell runs along the edge's
-    canonical direction and -1 otherwise. Cell monomials are centred at
-    xbar[r], flux monomials on triangle t at its centroid, both scaled by
-    h[r] = sqrt(|K|); the flux basis of triangle t is monomials @
-    ortho[r, t]. G (g, d, n) maps local DoFs to flux coefficients and A
-    (g, n, n) is the stiffness, with d = 2 m nm flux functions, nm = dim
-    P_k and n = m(k+1) + nc local DoFs; dofs (g, n) are their global ids.
+    triangle t of row r is (star[r], loop[r, t], loop[r, t+1]), the image
+    of the reference (0, 0), (1, 0), (0, 1), with outer edge edge_ids[r, t];
+    frames[r, t] holds its outward unit normal and CCW unit tangent;
+    orient[r, t] is +1 where the cell runs along the edge's canonical
+    direction and -1 otherwise. Cell monomials are centred at xbar[r] and
+    scaled by h[r] = sqrt(|K|). G (g, d, n) maps local DoFs to coefficients
+    in flux_basis and A (g, n, n) is the stiffness, with d = 2 m nm, nm =
+    dim P_k and n = m(k+1) + nc local DoFs; dofs (g, n) are their global ids.
 
     fan_quadrature and edge_quadrature keep the physical points of each
     rule they are asked for, one read-only table per kind and degree
@@ -181,10 +184,8 @@ class ElementGroup:
     frames: np.ndarray
     lengths: np.ndarray
     areas: np.ndarray
-    centroids: np.ndarray
     xbar: np.ndarray
     h: np.ndarray
-    ortho: np.ndarray
     G: np.ndarray
     A: np.ndarray
     dofs: np.ndarray
@@ -207,6 +208,12 @@ class ElementGroup:
     def triangles(self):
         """Fan triangle vertices (g, m, 3, 2)."""
         return _fan_triangles(self.star, self.loop)
+
+    @property
+    def jacobians(self):
+        """Jacobians (g, m, 2, 2) of the maps from the reference triangle."""
+        return np.swapaxes(self.triangles[:, :, 1:] - self.star[:, None, None],
+                           -1, -2)
 
     def fan_quadrature(self, rule):
         """A reference triangle rule on every fan triangle: points
@@ -246,6 +253,34 @@ def _read_only(a):
     return a
 
 
+_REF_CENTROID = np.full(2, 1.0 / 3.0)
+
+
+@lru_cache(maxsize=None)
+def _flux_coefficients(k: int) -> np.ndarray:
+    """Read-only monomial coefficients (nm, nm), about the reference
+    centroid, of the P_k basis orthonormal in the reference triangle's
+    mean product, from one QR on a rule exact to degree 2k."""
+    rule = triangle_rule(2 * k)
+    R = np.linalg.qr(np.sqrt(2.0 * rule.weights)[:, None]
+                     * monomials(rule.points, _REF_CENTROID, 1.0, k), mode="r")
+    # R[0, 0] is 1 in exact arithmetic: make the first function exactly 1
+    R *= (np.sign(np.diagonal(R)) / abs(R[0, 0]))[:, None]
+    return _read_only(np.linalg.inv(R))
+
+
+def flux_basis(ref, k: int) -> np.ndarray:
+    """P_k flux basis (..., nm) at reference points ref (..., 2). An affine
+    map has a constant Jacobian, so it is orthonormal on every triangle."""
+    return monomials(ref, _REF_CENTROID, 1.0, k) @ _flux_coefficients(k)
+
+
+def outer_edge(rule) -> np.ndarray:
+    """Reference points (q, 2) of an edge rule on the edge (1, 0) -> (0, 1),
+    which every fan triangle maps onto its outer edge in loop direction."""
+    return np.column_stack([1.0 - rule.points, rule.points])
+
+
 def _fan_triangles(star, loop):
     star = np.broadcast_to(star[:, None, :], loop.shape)
     return np.stack([star, loop, np.roll(loop, -1, axis=1)], axis=2)
@@ -283,17 +318,19 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
                    coeff: CoefficientField) -> list:
     """One ElementGroup per cell valence, in ascending edge count.
 
-    A QR factorisation of each fan triangle's monomials, sampled by a rule
-    exact to degree 2k and with diag(R) made positive, gives its flux
-    basis. D_b columns are flux moments of the face basis functions; D_0
-    columns realize (grad phi_0, tau)_K - <phi_0, tau . n>_dK. Tangent rows
-    of D_b vanish because tau . n does. A cellwise-constant K is sampled
-    once per cell, at the star point.
+    D_b columns are flux moments of the face basis functions; D_0 columns
+    realize (grad phi_0, tau)_K - <phi_0, tau . n>_dK. Every outer edge is
+    the image of one reference edge, so D_b is the edge length times
+    orient^p times one table; its tangent rows vanish because tau . n does.
+    A cellwise-constant K is sampled once per cell, at the star point.
     """
     dofmap = DofMap(k=k, num_faces=mesh.num_edges, num_cells=mesh.num_cells)
     nm, nf, nc = (k + 1) * (k + 2) // 2, k + 1, dofmap.cell_block
     cellwise = coeff.cellwise_constant
     vol_rule, erule = triangle_rule(2 * k), edge_rule(k + 1)
+    wphi = flux_basis(vol_rule.points, k) * vol_rule.weights[:, None]
+    ephi = flux_basis(outer_edge(erule), k) * erule.weights[:, None]
+    Db = ephi.T @ face_monomials(erule.points - 0.5, k)
     groups = []
     for cells, verts, edge_ids in valence_groups(mesh):
         g, m = verts.shape
@@ -302,34 +339,26 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
         star = subtri.star[cells]
         areas, normals, tangents, lengths = fan_geometry(loop, star)
         tris = _fan_triangles(star, loop)
-        cent = (tris[:, :, 0] + tris[:, :, 1] + tris[:, :, 2]) / 3.0
         xbar = loop.mean(axis=1)
         h = np.sqrt(areas.sum(axis=1))
         frames = np.stack([normals, tangents], axis=2)
         orient = np.where(mesh.edges[edge_ids, 0] == verts, 1.0, -1.0)
         hq = h[:, None, None]
 
-        pts, wts = map_to_triangle(vol_rule, tris)
-        mono = monomials(pts, cent[:, :, None], hq, k)
-        R = np.linalg.qr(np.sqrt(wts / areas[..., None])[..., None] * mono,
-                         mode="r")
-        R *= np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None]
-        ortho = np.swapaxes(lower_inverse(np.swapaxes(R, -1, -2)), -1, -2)
-
         # rows (triangle, frame, basis function), columns [u_b | u_0]
-        epts, ewts = map_to_edge(erule, loop, np.roll(loop, -1, axis=1))
-        ephi = (monomials(epts, cent[:, :, None], hq, k) @ ortho) \
-            * ewts[..., None]
-        psi = face_monomials(orient[..., None] * (erule.points - 0.5), k)
         B = np.zeros((g, m, 2, nm, n))
+        scale = lengths[..., None] * orient[..., None] ** np.arange(nf)
         B[:, np.arange(m)[:, None], 0, :, np.arange(m * nf).reshape(m, nf)] = \
-            np.einsum("gtqa,gtqp->tpga", ephi, psi)
-        B[:, :, 0, :, m * nf:] = -np.einsum("gtqa,gtqc->gtac", ephi, monomials(
-            epts, xbar[:, None, None], hq, k + 1))
-        gphi = monomials(pts, xbar[:, None, None], hq, k + 1, grad=True)
-        B[..., m * nf:] += np.einsum("gtqa,gtqcx,gtfx->gtfac", (mono @ ortho)
-                                     * wts[..., None], gphi, frames,
-                                     optimize=True)
+            np.moveaxis(scale, 0, -1)[..., None] * Db.T[:, None, :]
+        epts, _ = map_to_edge(erule, loop, np.roll(loop, -1, axis=1))
+        B[:, :, 0, :, m * nf:] = -lengths[..., None, None] * np.einsum(
+            "qa,gtqc->gtac", ephi, monomials(epts, xbar[:, None, None], hq,
+                                             k + 1))
+        # the fan triangles are positive, so |Jacobian| = 2 |T|
+        gphi = monomials(map_to_triangle(vol_rule, tris)[0],
+                         xbar[:, None, None], hq, k + 1, grad=True)
+        B[..., m * nf:] += (2.0 * areas)[..., None, None, None] * np.einsum(
+            "qa,gtqcx,gtfx->gtfac", wphi, gphi, frames, optimize=True)
 
         if cellwise:
             # no matmul: products and sums keep n . t exactly 0 when K = I
@@ -341,10 +370,11 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
                 / areas[..., None, None]
             G = C @ B.reshape(g, m, 2, nm * n)
         else:
-            pts, wts = map_to_triangle(triangle_rule(2 * k + 2), tris)
-            phi = monomials(pts, cent[:, :, None], hq, k) @ ortho
+            rule = triangle_rule(2 * k + 2)
+            pts, wts = map_to_triangle(rule, tris)
+            phi = flux_basis(rule.points, k)
             Kinv = coeff.inv_at(pts.reshape(-1, 2)).reshape(pts.shape + (2,))
-            M = np.einsum("gtqa,gtfi,gtqij,gtej,gtqb,gtq->gtfaeb", phi, frames,
+            M = np.einsum("qa,gtfi,gtqij,gtej,qb,gtq->gtfaeb", phi, frames,
                           Kinv, frames, phi, wts, optimize=True)
             Linv = lower_inverse(batched_cholesky(
                 M.reshape(g, m, 2 * nm, 2 * nm), cells,
@@ -359,40 +389,23 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
         groups.append(ElementGroup(
             k=k, cells=cells, star=star, loop=loop, edge_ids=edge_ids,
             orient=orient, frames=frames, lengths=lengths, areas=areas,
-            centroids=cent, xbar=xbar, h=h, ortho=ortho, G=G, A=A,
-            dofs=dofs))
+            xbar=xbar, h=h, G=G, A=A, dofs=dofs))
     return groups
 
 
-def flux_values(group: ElementGroup, coeffs, pts, rows=None, tris=None):
-    """Flux field with coefficients coeffs (g, d) at points on fan triangles.
-
-    pts (..., q, 2) lie on fan triangle tris of group row rows; rows and
-    tris broadcast to pts.shape[:-2]. By default they cover every row and
-    triangle, pts (g, m, q, 2). Returns (..., q, 2).
-    """
+def flux_values(group: ElementGroup, coeffs, ref):
+    """Flux field with coefficients coeffs (g, d) at reference points ref
+    (q, 2), mapped onto every fan triangle. Returns (g, m, q, 2)."""
     g, m, nm = len(group.cells), group.n_edges, group.n_mono
-    coeffs = np.asarray(coeffs, dtype=float).reshape(g, 2, m, nm)
-    if rows is None:
-        c0, c1 = coeffs[:, 0], coeffs[:, 1]
-        ortho, frames = group.ortho, group.frames
-        cent, h = group.centroids, group.h[:, None]
-    else:
-        c0, c1 = coeffs[rows, 0, tris], coeffs[rows, 1, tris]
-        ortho, frames = group.ortho[rows, tris], group.frames[rows, tris]
-        cent, h = group.centroids[rows, tris], np.asarray(group.h[rows])
-    # physical monomial coefficients (..., nm, 2) of sigma on its triangle
-    # are ortho @ (c0 (x) n + c1 (x) t): the frames go in while the
-    # coefficients are O(1), before ortho scales them
-    n, t = frames[..., None, 0, :], frames[..., None, 1, :]
-    W = np.stack([c0 * n[..., x] + c1 * t[..., x] for x in (0, 1)], axis=-1)
-    if nm == 1:
-        # the one monomial is 1, so sigma is constant on each triangle; a
-        # batched matmul would cost a call per 1 x 1 matrix
-        return np.repeat(np.broadcast_to(
-            ortho * W, pts.shape[:-2] + (1, 2)), pts.shape[-2], axis=-2)
-    return monomials(pts, cent[..., None, :], h[..., None], group.k) \
-        @ (ortho @ W)
+    c = np.asarray(coeffs, dtype=float).reshape(-1, nm)
+    # each frame's scalar field (g, 2, m, q), by one product with the table;
+    # at k = 0 the one function is exactly 1, so none is needed
+    s = (c if nm == 1 else c @ flux_basis(ref, group.k).T).reshape(g, 2, m, -1)
+    n, t = group.frames[..., 0, :], group.frames[..., 1, :]
+    out = np.empty((g, m, len(ref), 2))
+    for x in (0, 1):
+        out[..., x] = s[:, 0] * n[..., x, None] + s[:, 1] * t[..., x, None]
+    return out
 
 
 def weak_gradient_coeffs(group: ElementGroup, u_local) -> np.ndarray:
@@ -421,12 +434,13 @@ def weak_divergence(group: ElementGroup, s) -> tuple:
     """
     s = np.asarray(s, dtype=float)
     k, g, m = group.k, len(group.cells), group.n_edges
-    pts, wts = group.fan_quadrature(triangle_rule(min(2 * (k + 1), 10)))
-    mgrad = monomials(pts, group.centroids[:, :, None], group.h[:, None, None],
-                      k, grad=True)
-    div = np.einsum("gtqbx,gtfx,gtba,gfta->gtq", mgrad, group.frames,
-                    group.ortho, s.reshape(g, 2, m, group.n_mono),
-                    optimize=True)
+    rule = triangle_rule(min(2 * (k + 1), 10))
+    pts, wts = group.fan_quadrature(rule)
+    # flux basis gradients: reference gradients times J^-1
+    mgrad = monomials(rule.points, _REF_CENTROID, 1.0, k, grad=True)
+    div = np.einsum("qby,ba,gtyx,gtfx,gfta->gtq", mgrad, _flux_coefficients(k),
+                    np.linalg.inv(group.jacobians), group.frames,
+                    s.reshape(g, 2, m, group.n_mono), optimize=True)
     rhs = np.einsum("gtqc,gtq->gc", group.cell_basis(pts), div * wts)
 
     # spoke i runs from the star point to loop vertex i, shared by
@@ -436,17 +450,18 @@ def weak_divergence(group: ElementGroup, s) -> tuple:
     dvec = group.loop - group.star[:, None, :]
     ne = np.stack([dvec[..., 1], -dvec[..., 0]], axis=-1) \
         / np.sqrt((dvec ** 2).sum(axis=-1))[..., None]
-    rows, tris = np.ix_(np.arange(g), np.arange(m))
-    jump = flux_values(group, s, spts) \
-        - flux_values(group, s, spts, rows, (tris - 1) % m)
+    # T_i meets spoke i at reference points (t, 0), T_{i-1} at (0, t)
+    spoke = np.column_stack([srule.points, np.zeros(len(srule.points))])
+    jump = flux_values(group, s, spoke) \
+        - np.roll(flux_values(group, s, spoke[:, ::-1]), 1, axis=1)
     jump = np.einsum("gtqx,gtx->gtq", jump, ne)
     rhs -= np.einsum("gtqc,gtq->gc", group.cell_basis(spts), jump * swts)
     cell_part = np.linalg.solve(cell_mass(group), rhs[..., None])[..., 0]
 
     frule = edge_rule(k + 1)
-    fpts, fwts = group.edge_quadrature(frule)
-    sig_n = np.einsum("gtqx,gtx->gtq", flux_values(group, s, fpts),
-                      group.frames[:, :, 0])
+    fwts = frule.weights * group.lengths[..., None]
+    sig_n = np.einsum("gtqx,gtx->gtq", flux_values(
+        group, s, outer_edge(frule)), group.frames[:, :, 0])
     psi = group.face_basis(frule.points)
     gram = np.einsum("gtqa,gtqb->gtab", psi * fwts[..., None], psi)
     mom = np.einsum("gtqa,gtq->gta", psi,

@@ -214,7 +214,7 @@ def identity_residual(grp, r, fan, u):
     ub, u0 = u[:m], u[m:]
     for i in range(m):
         pts, wts = map_to_triangle(vol, fan.triangle(i))
-        sig = flux_values(grp, s, pts, r, i)
+        sig = flux_values(grp, s, vol.points)[r, i]
         gphi = np.einsum("pid,i->pd",
                          monomials(pts, fan.xbar, fan.h, 1, grad=True), u0)
         a, b = fan.loop[i], fan.loop[(i + 1) % m]
@@ -235,9 +235,11 @@ def adjointness_residual(grp, r, fan, u, s):
     S = np.zeros((len(grp.cells), len(s)))
     U[r], S[r] = u, s
     w = weak_gradient_coeffs(grp, U)
-    pts, wts = grp.fan_quadrature(triangle_rule(2))
-    lhs = np.sum(wts[r] * np.sum(flux_values(grp, w, pts)[r]
-                                 * flux_values(grp, S, pts)[r], axis=-1))
+    rule = triangle_rule(2)
+    wts = grp.fan_quadrature(rule)[1]
+    lhs = np.sum(wts[r] * np.sum(flux_values(grp, w, rule.points)[r]
+                                 * flux_values(grp, S, rule.points)[r],
+                                 axis=-1))
     cell_part, face_parts = weak_divergence(grp, S)
     rhs = cell_part[r] @ (cell_mass(grp)[r] @ u[m:])
     eru = edge_rule(3)

@@ -276,8 +276,11 @@ def _clipped_loops(seeds):
     square cut by the seed's bisector with every other seed near enough
     (Sutherland-Hodgman), CCW from the angle -pi. On the square's side of a
     wall a seed is nearer than its reflection, so these are the regions of
-    full mirroring, with no Qhull roundoff at the walls."""
+    full mirroring, with no Qhull roundoff at the walls. The clipping runs
+    in extended precision: crowded seeds have nearly parallel bisectors,
+    whose float intersections were off by 8e-13."""
     loops = []
+    seeds = seeds.astype(np.longdouble)
     for s in seeds:
         dist = np.sqrt(((seeds - s) ** 2).sum(axis=1))
         poly = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -298,8 +301,8 @@ def _clipped_loops(seeds):
                     cut.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
             poly = cut
         rel = np.array(poly) - s
-        loops.append(np.array(poly)[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]),
-                                               kind="stable")])
+        loops.append(np.array(poly, dtype=float)[np.argsort(
+            np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")])
     return loops
 
 
@@ -346,6 +349,9 @@ NEAR_WALL_DRAWS = [(119, 16556, 4.5, 2.0), (8, 0, 1.5, 5.0),
 @example(189, 2815109495, 4.116609342219171, 5.0)
 @example(158, 1168134100, 4.974017455991089, 4.425023318382549)
 @example(181, 3585485709, 4.952, 4.728)
+# crowded seeds with nearly parallel bisectors, where float clipping in
+# the reference was off by 8.2e-13
+@example(200, 4143006814, 4.966026666063994, 4.702268490293837)
 def test_partial_mirroring_matches_full(n, rng_seed, px, py):
     # _voronoi_loops rejects seeds nearer a wall than 1e-6
     _check_every_start(_crowded_seeds(n, rng_seed, px, py, 1e-6))
@@ -411,6 +417,7 @@ def test_partial_mirroring_matches_full_on_lloyd_seeds(rng_seed):
 # the point Qhull drops
 @example(189, 2815109495, 4.116609342219171, 5.0)
 @example(158, 1168134100, 4.974017455991089, 4.425023318382549)
+@example(200, 4143006814, 4.966026666063994, 4.702268490293837)
 def test_lloyd_step_matches_clipped_regions(n, rng_seed, px, py):
     # against the clipping reference, which shares no code with _diagram
     seeds = _crowded_seeds(n, rng_seed, px, py, 1e-6)

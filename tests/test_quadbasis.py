@@ -15,7 +15,8 @@ from stagpoly.quadbasis import (
     monomials,
     triangle_rule,
 )
-from stagpoly.weakgrad import cell_mass, element_groups, identity_coefficient
+from stagpoly.weakgrad import (cell_mass, element_groups, flux_basis,
+                               identity_coefficient)
 
 from conftest import make_single_cell, subtriangulate
 
@@ -215,12 +216,26 @@ def test_face_basis_param_endpoints(tri4):
 
 
 # ---------------------------------------------------------------------------
-# flux basis: frame vectors times monomials on one fan triangle each
+# flux basis: frame vectors times one reference P_k basis on each fan
+# triangle
+
+@pytest.mark.parametrize("k", range(5))
+def test_flux_basis_reference_orthonormal(k):
+    # (1/|T^|) int_T^ phi_a phi_b = delta_ab on a rule the basis was not
+    # built from, and the first function is the constant 1
+    rule = triangle_rule(2 * k + 2)
+    phi = flux_basis(rule.points, k)
+    assert phi.shape == (len(rule.points), (k + 1) * (k + 2) // 2)
+    gram = 2.0 * (phi * rule.weights[:, None]).T @ phi
+    assert np.abs(gram - np.eye(phi.shape[1])).max() <= 1e-13
+    assert np.array_equal(phi[:, 0], np.ones(len(phi)))
+
 
 def test_flux_basis_square_k0(unit_square_cell):
     [grp] = groups_of(unit_square_cell, 0)
     assert grp.G.shape[:2] == (1, 8)
-    assert grp.ortho.shape == (1, 4, 1, 1)
+    assert np.array_equal(flux_basis(triangle_rule(0).points, 0),
+                          np.ones((3, 1)))
     assert grp.n_mono == 1
 
 
@@ -228,14 +243,15 @@ def test_flux_basis_disjoint_support(unit_square_cell):
     from stagpoly.weakgrad import flux_values
     fan = subtriangulate(unit_square_cell).fans[0]
     [grp] = groups_of(unit_square_cell, 0)
-    # a point inside triangle T_3 evaluates frame functions of T_1 to zero
-    x = fan.triangle(2).mean(axis=0)[None, :]
+    # at the centroid of triangle T_3, the image of the reference
+    # centroid, frame functions of T_1 evaluate to zero
+    x = np.full((1, 2), 1 / 3)
     other = np.zeros((1, 8))
     other[0, 0] = 1.0
-    assert np.allclose(flux_values(grp, other, x, 0, 2), 0.0)
+    assert np.allclose(flux_values(grp, other, x)[0, 2], 0.0)
     home = np.zeros((1, 8))
     home[0, 2] = 1.0
-    assert np.allclose(flux_values(grp, home, x, 0, 2), fan.normals[2])
+    assert np.allclose(flux_values(grp, home, x)[0, 2], fan.normals[2])
 
 
 def test_flux_basis_frames(pentagon_cell):

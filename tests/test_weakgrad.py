@@ -6,14 +6,18 @@ from hypothesis import strategies as st
 from stagpoly.quadbasis import (edge_rule, face_monomials, map_to_edge,
                                 map_to_triangle, monomial_exponents,
                                 monomials, triangle_rule)
+from stagpoly.assembly import BoundarySpec, assemble_system
+from stagpoly.postprocess import FluxField
 from stagpoly.weakgrad import (
     CoefficientError,
     CoefficientField,
     DegenerateElementError,
+    _flux_coefficients,
     batched_cholesky,
     cell_mass,
     element_groups,
     face_projection_Qb,
+    flux_basis,
     flux_values,
     identity_coefficient,
     scalar_coefficient,
@@ -79,10 +83,11 @@ def flux_gram(op, r=0):
     """Plain L2 Gram matrix of the flux basis of group row r, from
     flux_values on a rule exact for the products."""
     d = op.G.shape[1]
-    pts, wts = op.fan_quadrature(triangle_rule(max(2 * op.k, 2)))
-    rows, tris = np.full(op.n_edges, r), np.arange(op.n_edges)
-    vals = np.stack([flux_values(op, np.eye(d)[j].reshape(1, d), pts[r],
-                                 rows, tris) for j in range(d)])
+    rule = triangle_rule(max(2 * op.k, 2))
+    wts = op.fan_quadrature(rule)[1]
+    unit = np.zeros((d, len(op.cells), d))
+    unit[:, r] = np.eye(d)
+    vals = np.stack([flux_values(op, u, rule.points)[r] for u in unit])
     return np.einsum("jtqx,ltqx,tq->jl", vals, vals, wts[r])
 
 
@@ -230,7 +235,7 @@ def test_weak_gradient_defining_identity():
         ub, u0 = u[:5], u[5:]
         for i in range(fan.n_edges):
             pts, wts = map_to_triangle(vol, fan.triangle(i))
-            sig = flux_values(op, s, pts, 0, i)
+            sig = flux_values(op, s, vol.points)[0, i]
             gphi = np.einsum("pid,i->pd",
                              monomials(pts, fan.xbar, fan.h, 1, grad=True), u0)
             a, b = fan.loop[i], fan.loop[(i + 1) % fan.n_edges]
@@ -258,21 +263,30 @@ def test_weak_divergence_constant_flux():
 
 def test_weak_divergence_adjointness():
     # (grad_w u, s)_K = -[(div_w s, u_0)_K + sum_F h_F <u_b, -h_F^-1 (s.n)>_F]
-    mesh, sub, op = pentagon_op()
-    fan = sub.fans[0]
-    Mc = cell_mass(op)[0]
-    for _ in range(20):
-        u = RNG.standard_normal(8)
-        s = RNG.standard_normal(10)
-        w = weak_gradient_coeffs(op, u[None])
-        pts, wts = op.fan_quadrature(triangle_rule(2))
-        lhs = np.sum(wts * np.sum(flux_values(op, w, pts)
-                                  * flux_values(op, s[None], pts), axis=-1))
-        cell_part, face_parts = weak_divergence(op, s[None])
-        rhs = cell_part[0] @ (Mc @ u[5:])
-        # k = 0: the face basis is 1, its Gram matrix the edge length
-        rhs += fan.lengths @ (u[:5] * fan.lengths * face_parts[0, :, 0])
-        assert lhs == pytest.approx(-rhs, abs=1e-12 * max(1.0, abs(lhs)))
+    for k in range(4):
+        mesh, sub, op = pentagon_op(k)
+        fan = sub.fans[0]
+        Mc = cell_mass(op)[0]
+        nfd = op.n_face_dofs
+        rule = triangle_rule(max(2 * k, 2))
+        wts = op.fan_quadrature(rule)[1]
+        # Gram matrices of the face bases; at k = 0 the edge lengths
+        erule = edge_rule(k + 1)
+        psi = op.face_basis(erule.points)[0]
+        gram = np.einsum("tqa,tqb,q,t->tab", psi, psi, erule.weights,
+                         fan.lengths)
+        for _ in range(20):
+            u = RNG.standard_normal(op.A.shape[1])
+            s = RNG.standard_normal(op.G.shape[1])
+            w = weak_gradient_coeffs(op, u[None])
+            lhs = np.sum(wts * np.sum(flux_values(op, w, rule.points)
+                                      * flux_values(op, s[None], rule.points),
+                                      axis=-1))
+            cell_part, face_parts = weak_divergence(op, s[None])
+            rhs = cell_part[0] @ (Mc @ u[nfd:])
+            rhs += np.einsum("t,ta,tab,tb->", fan.lengths,
+                             u[:nfd].reshape(5, k + 1), gram, face_parts[0])
+            assert lhs == pytest.approx(-rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
 
 def test_batched_cholesky_names_failing_cell():
@@ -347,7 +361,7 @@ def monomial_reference_stiffness(grp, coeff):
     M = np.zeros((2, m, nm, 2, m, nm))
     B = np.zeros((2, m, nm, m * nf + nc))
     for t in range(m):
-        F, cent = grp.frames[0, t], grp.centroids[0, t]
+        F, cent = grp.frames[0, t], grp.triangles[0, t].mean(axis=0)
         pts, wts = map_to_triangle(vol, grp.triangles[0, t])
         mono = monomials(pts, cent, h, k)
         Kinv = np.broadcast_to(coeff.inv_at(
@@ -415,10 +429,10 @@ def test_orthonormal_basis_matches_monomial_formula(vertices, k, pointwise):
     const[grp.n_face_dofs] = 1.0
     assert np.abs(A @ const).max() <= 1e-12 * np.abs(A).max()
     # (1/|T|) int_T phi_a phi_b = delta_ab on a rule exact to degree 2k+2
-    pts, wts = grp.fan_quadrature(triangle_rule(2 * k + 2))
-    phi = monomials(pts, grp.centroids[:, :, None], grp.h[:, None, None],
-                    k) @ grp.ortho
-    gram = np.einsum("gtqa,gtqb,gtq->gtab", phi, phi, wts) \
+    rule = triangle_rule(2 * k + 2)
+    wts = grp.fan_quadrature(rule)[1]
+    phi = flux_basis(rule.points, k)
+    gram = np.einsum("qa,qb,gtq->gtab", phi, phi, wts) \
         / grp.areas[..., None, None]
     assert np.abs(gram - np.eye(grp.n_mono)).max() <= 1e-11
     if k <= 2:
@@ -429,26 +443,32 @@ def test_orthonormal_basis_matches_monomial_formula(vertices, k, pointwise):
 # ---------------------------------------------------------------------------
 # flux evaluation, and the quadrature points a group keeps
 
-def reference_flux_values(grp, s, pts, shift=0):
-    """Per fan triangle: the field of triangle t - shift at its points pts
-    (g, m, q, 2), as sum_f (monomials @ ortho @ s_f) frame_f, in extended
-    precision: at k = 3 ortho has entries near 1e3, and a double precision
-    reference is off by 1.6e-13 of the largest value."""
+def reference_flux_values(grp, s, ref):
+    """Per fan triangle: the field at its reference points ref (g, m, q, 2),
+    as sum_f (monomials @ table @ s_f) frame_f, in extended precision so
+    that the reference's own round-off plays no part."""
     g, m, nm = len(grp.cells), grp.n_edges, grp.n_mono
     ld = np.longdouble
-    s = s.reshape(g, 2, m, nm).astype(ld)
-    out = np.empty(pts.shape, dtype=ld)
-    for r in range(g):
-        for t in range(m):
-            u = (t - shift) % m
-            x = (pts[r, t].astype(ld) - grp.centroids[r, u]) / grp.h[r]
-            xi, eta = x.T
-            mono = np.stack([xi ** a * eta ** b
-                             for a, b in monomial_exponents(grp.k)], axis=-1)
-            phi = mono @ grp.ortho[r, u].astype(ld)
-            out[r, t] = sum(np.outer(phi @ s[r, f, u], grp.frames[r, u, f])
-                            for f in (0, 1))
-    return out
+    xi, eta = np.moveaxis(ref.astype(ld) - ld(1) / 3, -1, 0)
+    mono = np.stack([xi ** a * eta ** b
+                     for a, b in monomial_exponents(grp.k)], axis=-1)
+    phi = mono @ _flux_coefficients(grp.k).astype(ld)
+    return np.einsum("gtqa,gfta,gtfx->gtqx", phi,
+                     s.reshape(g, 2, m, nm).astype(ld),
+                     grp.frames.astype(ld))
+
+
+def reference_coordinates(grp, pts):
+    """Reference coordinates (g, m, q, 2) of the physical points pts
+    (g, m, q, 2) on their fan triangles, by Cramer's rule in extended
+    precision."""
+    tris = grp.triangles.astype(np.longdouble)[:, :, None]
+    (ax, ay), (bx, by) = np.moveaxis(tris[..., 1:, :] - tris[..., :1, :],
+                                     (-2, -1), (0, 1))
+    dx, dy = np.moveaxis(pts.astype(np.longdouble) - tris[..., 0, :], -1, 0)
+    det = ax * by - ay * bx
+    return np.stack([dx * by - dy * bx, ax * dy - ay * dx], axis=-1) \
+        / det[..., None]
 
 
 def max_rel(a, ref):
@@ -458,27 +478,55 @@ def max_rel(a, ref):
 @pytest.mark.parametrize("k", range(4))
 def test_flux_values_paths_match_per_triangle_reference(voronoi64,
                                                         voronoi64_sub, k):
-    groups = element_groups(voronoi64, voronoi64_sub, k,
-                            identity_coefficient())
-    assert len(groups) >= 3     # mixed valence
+    def zero(p):
+        return np.zeros(len(p))
+    system = assemble_system(voronoi64, voronoi64_sub, k,
+                             identity_coefficient(), zero,
+                             BoundarySpec.dirichlet_everywhere(zero))
+    assert len(system.groups) >= 3     # mixed valence
     rng = np.random.default_rng(k)
-    for grp in groups:
-        g, m = len(grp.cells), grp.n_edges
-        s = rng.standard_normal(grp.G.shape[:2])
-        pts, _ = grp.fan_quadrature(triangle_rule(2 * k + 1))
-        ref = reference_flux_values(grp, s, pts)
-        vals = flux_values(grp, s, pts)
+    flux = FluxField(system, [rng.standard_normal(grp.G.shape[:2])
+                              for grp in system.groups])
+    rule = triangle_rule(2 * k + 1)
+    for grp, s in zip(system.groups, flux.coeffs):
+        pts, _ = grp.fan_quadrature(rule)
+        vals = flux_values(grp, s, rule.points)
         assert vals.shape == pts.shape
-        assert max_rel(vals, ref) <= 1e-13
-        rows, tris = np.ix_(np.arange(g), np.arange(m))
-        assert max_rel(flux_values(grp, s, pts, rows, tris), vals) <= 1e-13
-        # the field of the previous triangle at these points, as the spoke
-        # jumps of weak_divergence read it
-        assert max_rel(flux_values(grp, s, pts, rows, (tris - 1) % m),
-                       reference_flux_values(grp, s, pts, 1)) <= 1e-13
-        # one triangle of one row at its own points
-        assert max_rel(flux_values(grp, s, pts[g - 1, 1], g - 1, 1),
-                       vals[g - 1, 1]) <= 1e-13
+        ref = np.broadcast_to(rule.points, pts.shape)
+        assert max_rel(vals, reference_flux_values(grp, s, ref)) <= 1e-13
+        # one triangle of one cell at the mapped physical points, against
+        # the field at their own reference coordinates: rounding a physical
+        # point moves its reference coordinates by up to about 1e-14 on a
+        # sliver fan triangle, where a random field changes by 1e-13 of
+        # its maximum over that distance
+        tri = np.array([[flux.tri_values(c, t, pts[r, t])
+                         for t in range(grp.n_edges)]
+                        for r, c in enumerate(grp.cells)])
+        assert max_rel(tri, reference_flux_values(
+            grp, s, reference_coordinates(grp, pts))) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_face_rows_are_one_reference_table(voronoi64, voronoi64_sub, k):
+    # every outer edge is the reference edge from (1, 0) to (0, 1), and a
+    # cell running against an edge's canonical direction sees the face
+    # basis s^p as (-s)^p: with K = I the normal rows of G on the face
+    # DoFs are |e| / |T| orient^p times one table
+    rule = edge_rule(k + 1)
+    s = rule.points
+    phi = flux_basis(np.column_stack([1.0 - s, s]), k)
+    table = (phi * rule.weights[:, None]).T @ (s[:, None] - 0.5) \
+        ** np.arange(k + 1)
+    for grp in element_groups(voronoi64, voronoi64_sub, k,
+                              identity_coefficient()):
+        g, m, nm = len(grp.cells), grp.n_edges, grp.n_mono
+        Gb = grp.G[:, :, :grp.n_face_dofs].reshape(g, 2, m, nm, m, k + 1)
+        scale = (grp.lengths / grp.areas)[..., None] \
+            * grp.orient[..., None] ** np.arange(k + 1)
+        want = np.zeros_like(Gb[:, 0])
+        for t in range(m):
+            want[:, t, :, t] = scale[:, t, None, :] * table
+        assert max_rel(Gb[:, 0], want) <= 1e-13
 
 
 def test_group_keeps_read_only_quadrature_points(voronoi64, voronoi64_sub):
