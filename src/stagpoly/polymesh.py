@@ -1,21 +1,21 @@
 """Polygonal meshes of planar domains.
 
 A PolyMesh is a set of simple, counter-clockwise polygonal cells glued
-along straight edges. Cells are stored in compressed sparse row (CSR)
-form: the vertex loop of cell c fills the slots cell_ptr[c]:cell_ptr[c+1]
-of the flat array cell_verts, and the same slots of cell_edges hold the
-edges of its loop segments. Per-cell work is then a pass over the flat
-slots: a successor index gives the next slot of each loop, and one
-shoelace pass gives every cell's signed area and centroid. Every cell
-carries a star point (an interior point seeing the whole cell boundary)
-from which it is fanned into triangles; the fans of all cells form the
-sub-triangulation that the flux space lives on.
+along straight edges, in compressed sparse row (CSR) form: cell c's
+vertex loop fills the slots cell_ptr[c]:cell_ptr[c+1] of cell_verts, and
+the same slots of cell_edges hold the edges of its loop segments. Flat
+passes over the slots give areas, centroids and diameters; mesh.groups
+stacks the cells of each edge count into one CellGroup of edge geometry,
+built once for the star points, the fans and the element layer. Each
+cell is fanned into triangles from its star point, an interior point
+seeing its whole boundary; the fans form the sub-triangulation that the
+flux space lives on.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, combinations, permutations
 from operator import itemgetter
@@ -30,6 +30,7 @@ __all__ = [
     "StarShapeError",
     "GenerationError",
     "PolyMesh",
+    "CellGroup",
     "CellFan",
     "SubTriangulation",
     "MeshQualityReport",
@@ -44,10 +45,7 @@ __all__ = [
     "compute_star_points",
     "build_subtriangulation",
     "quality_report",
-    "valence_groups",
-    "fan_geometry",
-    "cell_diameters",
-    "mesh_size",
+    "fan_areas",
 ]
 
 class MeshError(Exception):
@@ -92,6 +90,8 @@ class PolyMesh:
     cells : per-cell read-only views of cell_verts
     diameters : (C,) float array; each cell's largest distance between two
         of its vertices, computed once with the mesh
+    groups : one CellGroup per edge count m, ascending, built on first use
+        and shared by star points, fans and element operators
     """
 
     def __init__(self, vertices, cell_ptr, cell_verts, edges, edge_cells,
@@ -136,6 +136,56 @@ class PolyMesh:
 
     def is_triangle_mesh(self) -> bool:
         return bool(np.all(np.diff(self.cell_ptr) == 3))
+
+    @cached_property
+    def groups(self) -> tuple:
+        sizes = np.diff(self.cell_ptr)
+        return tuple(_cell_group(self, np.flatnonzero(sizes == m), m)
+                     for m in np.unique(sizes))
+
+
+@dataclass(frozen=True)
+class CellGroup:
+    """The g cells with m edges in rows, every array read-only: cell
+    cells[r] has CCW vertex ids verts[r] (g, m) at loop[r] (g, m, 2); its
+    edge t, from loop[r, t] to loop[r, t+1], is mesh edge edge_ids[r, t],
+    of length lengths[r, t], with outward unit normal frames[r, t, 0] and
+    CCW unit tangent frames[r, t, 1]; orient[r, t] is +1 where the loop
+    runs along the edge's canonical direction, else -1; xbar[r] is the
+    vertex mean."""
+    cells: np.ndarray
+    verts: np.ndarray
+    edge_ids: np.ndarray
+    loop: np.ndarray
+    frames: np.ndarray
+    lengths: np.ndarray
+    xbar: np.ndarray
+    orient: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(CellGroup):
+            getattr(self, f.name).setflags(write=False)
+
+    @property
+    def n_edges(self) -> int:
+        return self.verts.shape[1]
+
+
+def _cell_group(mesh, cells, m) -> CellGroup:
+    """CellGroup of the cells (g,) with m edges; raises MeshValidationError
+    on a zero-length edge."""
+    idx = mesh.cell_ptr[cells, None] + np.arange(m)
+    verts, edge_ids = mesh.cell_verts[idx], mesh.cell_edges[idx]
+    loop = mesh.vertices[verts]
+    d = np.roll(loop, -1, axis=1) - loop
+    lengths = np.sqrt((d ** 2).sum(axis=-1))
+    if np.any(lengths <= 0):
+        raise MeshValidationError("zero-length edge")
+    t = d / lengths[..., None]
+    frames = np.stack([np.stack([t[..., 1], -t[..., 0]], axis=-1), t], axis=2)
+    return CellGroup(cells, verts, edge_ids, loop, frames, lengths,
+                     loop.mean(axis=1),
+                     np.where(mesh.edges[edge_ids, 0] == verts, 1.0, -1.0))
 
 
 def _successor(cell_ptr):
@@ -375,7 +425,7 @@ def _unit_square_mesh(vertices, cell_ptr, cell_verts, h_report=None):
                     _wall_markers(vertices, edges, edge_cells), cell_edges,
                     h_report=h_report)
     if h_report is None:
-        mesh.h_report = mesh_size(mesh)
+        mesh.h_report = float(mesh.diameters.max())
     return mesh
 
 
@@ -786,52 +836,16 @@ def gen_delaunay_triangles(n_points: int, rng_seed: int = 0) -> PolyMesh:
     return _unit_square_mesh(allpts, cell_ptr, cells.ravel())
 
 
-def valence_groups(mesh: PolyMesh):
-    """Cells grouped by edge count m, ascending.
-
-    Returns a list of (cells (g,), loop vertex ids (g, m), loop edge ids
-    (g, m)), one entry per m present in the mesh.
-    """
-    sizes = np.diff(mesh.cell_ptr)
-    out = []
-    for m in np.unique(sizes):
-        cells = np.flatnonzero(sizes == m)
-        idx = mesh.cell_ptr[cells, None] + np.arange(m)
-        out.append((cells, mesh.cell_verts[idx], mesh.cell_edges[idx]))
-    return out
-
-
-def cell_diameters(mesh: PolyMesh):
-    """Per-cell diameter: the largest distance between two vertices (the
-    mesh's read-only array)."""
-    return mesh.diameters
-
-
-def mesh_size(mesh: PolyMesh) -> float:
-    """Max cell diameter."""
-    return float(cell_diameters(mesh).max())
-
-
 # ---------------------------------------------------------------------------
 # Star points and fans
 
-def fan_geometry(loop, star):
-    """Fan of CCW loops (..., m, 2) around star points (..., 2).
-
-    Returns the fan triangle areas (..., m) and the outward unit normals,
-    CCW unit tangents (..., m, 2) and lengths (..., m) of the outer edges.
-    """
+def fan_areas(loop, star):
+    """Areas (..., m) of the fan triangles (star, loop[i], loop[i+1]) of
+    CCW loops (..., m, 2) around star points (..., 2)."""
     x = np.asarray(star)[..., None, :]
     q = np.roll(loop, -1, axis=-2)
-    cross = ((loop[..., 0] - x[..., 0]) * (q[..., 1] - x[..., 1])
-             - (loop[..., 1] - x[..., 1]) * (q[..., 0] - x[..., 0]))
-    d = q - loop
-    lengths = np.sqrt((d ** 2).sum(axis=-1))
-    if np.any(lengths <= 0):
-        raise MeshValidationError("zero-length edge")
-    t = d / lengths[..., None]
-    n = np.stack([t[..., 1], -t[..., 0]], axis=-1)
-    return 0.5 * cross, n, t, lengths
+    return 0.5 * ((loop[..., 0] - x[..., 0]) * (q[..., 1] - x[..., 1])
+                  - (loop[..., 1] - x[..., 1]) * (q[..., 0] - x[..., 0]))
 
 
 def _kernel_chebyshev(mesh: PolyMesh):
@@ -852,14 +866,13 @@ def _kernel_chebyshev(mesh: PolyMesh):
     Slacks are formed at most _CHEBYSHEV_BUDGET at a time. Raises
     StarShapeError naming the lowest cell whose r <= 0.
     """
-    h = cell_diameters(mesh)
+    h = mesh.diameters
     center, radius = np.empty((mesh.num_cells, 2)), np.empty(mesh.num_cells)
-    for cells, verts, _ in valence_groups(mesh):
-        loop = mesh.vertices[verts]
-        xbar = loop.mean(axis=1)
-        n = fan_geometry(loop, xbar)[1]
-        b = np.einsum("gik,gik->gi", n, loop - xbar[:, None]) / h[cells, None]
-        triples = np.array(list(combinations(range(verts.shape[1]), 3)))
+    for grp in mesh.groups:
+        cells, xbar, n = grp.cells, grp.xbar, grp.frames[:, :, 0]
+        b = np.einsum("gik,gik->gi", n, grp.loop - xbar[:, None]) \
+            / h[cells, None]
+        triples = np.array(list(combinations(range(grp.n_edges), 3)))
         step = max(1, _CHEBYSHEV_BUDGET // triples.shape[0] // b.shape[1])
         for rows in (slice(i, i + step) for i in range(0, len(cells), step)):
             x, r = _best_vertices(n[rows], b[rows], triples)
@@ -918,15 +931,13 @@ def compute_star_points(mesh: PolyMesh, method: str = "chebyshev"):
         return _kernel_chebyshev(mesh)[0]
     if method != "centroid":
         raise ValueError(f"unknown star point method {method!r}")
-    cell = np.repeat(np.arange(mesh.num_cells), np.diff(mesh.cell_ptr))
-    pts = mesh.vertices[mesh.cell_verts]
-    star = _shoelace(pts, mesh.cell_ptr)[1]
+    star = _shoelace(mesh.vertices[mesh.cell_verts], mesh.cell_ptr)[1]
     # the centroid fans its cell iff every fan triangle is positive
-    p, q = pts - star[cell], pts[_successor(mesh.cell_ptr)] - star[cell]
-    bad = cell[p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0] <= 0.0]
-    if len(bad):
+    bad = [c for grp in mesh.groups for c in grp.cells[np.any(
+        fan_areas(grp.loop, star[grp.cells]) <= 0.0, axis=1)]]
+    if bad:
         raise StarShapeError(
-            f"star point of cell {bad[0]} has nonpositive clearance")
+            f"star point of cell {min(bad)} has nonpositive clearance")
     return star
 
 
@@ -962,25 +973,26 @@ class CellFan:
 
 @dataclass(frozen=True)
 class SubTriangulation:
+    """Fans of every cell around its star point star[c]; areas holds one
+    read-only (g, m) array of fan triangle areas per mesh.groups entry."""
     mesh: PolyMesh
     star: np.ndarray
+    areas: tuple
 
     @cached_property
     def fans(self) -> list[CellFan]:
-        """One CellFan per cell, built on first use."""
+        """One CellFan per cell, built on first use from the group arrays."""
         fans = [None] * self.mesh.num_cells
-        for cells, verts, edge_ids in valence_groups(self.mesh):
-            loop = self.mesh.vertices[verts]
-            areas, n, t, lengths = fan_geometry(loop, self.star[cells])
+        for grp, areas in zip(self.mesh.groups, self.areas):
             area = areas.sum(axis=1)
-            mid = 0.5 * (loop + np.roll(loop, -1, axis=1))
-            xbar = loop.mean(axis=1)
-            for r, c in enumerate(cells.tolist()):
+            mid = 0.5 * (grp.loop + np.roll(grp.loop, -1, axis=1))
+            for r, c in enumerate(grp.cells.tolist()):
                 fans[c] = CellFan(
-                    cell=c, star=self.star[c].copy(), loop=loop[r],
-                    edge_ids=edge_ids[r], areas=areas[r], normals=n[r],
-                    tangents=t[r], midpoints=mid[r], lengths=lengths[r],
-                    xbar=xbar[r], h=float(np.sqrt(area[r])),
+                    cell=c, star=self.star[c].copy(), loop=grp.loop[r],
+                    edge_ids=grp.edge_ids[r], areas=areas[r],
+                    normals=grp.frames[r, :, 0], tangents=grp.frames[r, :, 1],
+                    midpoints=mid[r], lengths=grp.lengths[r],
+                    xbar=grp.xbar[r], h=float(np.sqrt(area[r])),
                     area=float(area[r]))
         return fans
 
@@ -995,15 +1007,17 @@ def build_subtriangulation(mesh: PolyMesh, star_points=None) -> SubTriangulation
     star_points = np.asarray(star_points, dtype=float)
     if star_points.shape != (mesh.num_cells, 2):
         raise ValueError("star_points must be (num_cells, 2)")
-    degenerate = []
-    for cells, verts, _ in valence_groups(mesh):
-        areas = fan_geometry(mesh.vertices[verts], star_points[cells])[0]
-        degenerate.extend(cells[np.any(
-            areas <= 1e-12 * areas.sum(axis=1)[:, None], axis=1)])
+    areas, degenerate = [], []
+    for grp in mesh.groups:
+        a = fan_areas(grp.loop, star_points[grp.cells])
+        a.setflags(write=False)
+        areas.append(a)
+        degenerate.extend(grp.cells[np.any(
+            a <= 1e-12 * a.sum(axis=1)[:, None], axis=1)])
     if degenerate:
         raise StarShapeError(f"cell {min(degenerate)}: star point yields a "
                              "degenerate fan triangle")
-    return SubTriangulation(mesh=mesh, star=star_points)
+    return SubTriangulation(mesh=mesh, star=star_points, areas=tuple(areas))
 
 
 @dataclass(frozen=True)
@@ -1020,13 +1034,12 @@ def quality_report(mesh: PolyMesh) -> MeshQualityReport:
     rho is the radius of the largest disc inside the cell's kernel (the
     inradius for convex cells).
     """
-    diam = cell_diameters(mesh)
+    diam = mesh.diameters
     _, rho = _kernel_chebyshev(mesh)
     chunk = diam / rho
-    d = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    lengths = np.sqrt((d ** 2).sum(axis=1))
-    face_ratio = diam / np.minimum.reduceat(lengths[mesh.cell_edges],
-                                            mesh.cell_ptr[:-1])
+    face_ratio = np.empty(mesh.num_cells)
+    for grp in mesh.groups:
+        face_ratio[grp.cells] = diam[grp.cells] / grp.lengths.min(axis=1)
     return MeshQualityReport(
         chunkiness=chunk,
         face_ratio=face_ratio,

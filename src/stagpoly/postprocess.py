@@ -32,8 +32,7 @@ import scipy.sparse as sp
 
 from .assembly import (BoundarySpec, CondensationError, GlobalSystem,
                        _block_triplets, _symmetric_csr, assemble_system)
-from .polymesh import (PolyMesh, build_subtriangulation, cell_diameters,
-                       compute_star_points, mesh_size)
+from .polymesh import PolyMesh, build_subtriangulation, compute_star_points
 from .quadbasis import edge_rule, face_monomials, monomials, triangle_rule
 from .weakgrad import (flux_basis, flux_values, identity_coefficient,
                        outer_edge, weak_gradient_coeffs)
@@ -192,7 +191,7 @@ def error_norms(solution: SolutionField, u_exact: Callable,
     e1h_sq = 0.0
     s_vol_sq = 0.0
     s_0h_sq = 0.0
-    diam = cell_diameters(system.mesh)
+    diam = system.mesh.diameters
     for gi, grp in enumerate(system.groups):
         hK = diam[grp.cells]
         uc, ub = _split(grp, solution.dofs)
@@ -325,7 +324,7 @@ def h1h_distance(system: GlobalSystem, dofs_a: np.ndarray,
     erule = edge_rule(min(k + 2, 6))
     delta = np.asarray(dofs_a) - np.asarray(dofs_b)
     total = 0.0
-    diam = cell_diameters(system.mesh)
+    diam = system.mesh.diameters
     for grp in system.groups:
         uc, ub = _split(grp, delta)
         pts, wts = grp.fan_quadrature(vol_rule)
@@ -412,7 +411,8 @@ def convergence_study(problem, meshes, k: int = 0, star: str = "chebyshev",
         sol = SolutionField(system, dofs)
         flux = recover_flux(sol)
         errs = error_norms(sol, problem.u, problem.grad_u, flux=flux, mode=mode)
-        h = mesh.h_report if mesh.h_report is not None else mesh_size(mesh)
+        h = mesh.h_report if mesh.h_report is not None \
+            else float(mesh.diameters.max())
         report.add(h=h, n_cells=mesh.num_cells, errors=errs)
     return report
 

@@ -115,6 +115,12 @@ def monomial_exponents(degree: int):
     return [(d - i, i) for d in range(degree + 1) for i in range(d + 1)]
 
 
+def _powers(t, top: int) -> list:
+    """Powers t^0 .. t^top of an array t by repeated products: pow is slow,
+    and t^0 and t^1 come out exact."""
+    return list(accumulate([t] * top, np.multiply, initial=np.ones_like(t)))
+
+
 def monomials(points, center, h, degree: int, grad: bool = False):
     """Scaled monomials ((x, y) - center) / h of total degree <= degree.
 
@@ -127,11 +133,9 @@ def monomials(points, center, h, degree: int, grad: bool = False):
     xi = (pts[..., 0] - center[..., 0]) / h
     eta = (pts[..., 1] - center[..., 1]) / h
     exps = monomial_exponents(degree)
-    # each coordinate's powers by products, as pow is slow; gradients need
-    # none above degree - 1
+    # gradients need no power above degree - 1
     top = degree - 1 if grad and degree else degree
-    xp, ep = (list(accumulate([t] * top, np.multiply,
-                              initial=np.ones_like(t))) for t in (xi, eta))
+    xp, ep = _powers(xi, top), _powers(eta, top)
     if not grad:
         out = np.empty(xi.shape + (len(exps),))
         for j, (a, b) in enumerate(exps):
@@ -152,4 +156,4 @@ def face_monomials(s, degree: int):
     s runs over [-1/2, 1/2] along the edge's canonical direction (from its
     lower to its higher vertex id). Returns (..., degree + 1).
     """
-    return np.asarray(s, dtype=float)[..., None] ** np.arange(degree + 1)
+    return np.stack(_powers(np.asarray(s, dtype=float), degree), axis=-1)

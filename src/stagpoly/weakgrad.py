@@ -15,8 +15,8 @@ local stiffness is A_K = [D_b, D_0]^T G. M is block-diagonal by fan
 triangle; for a cellwise-constant K its block |T| (F K^{-1} F^T (x) I)
 gives G_T = (F K F^T (x) I) [D_b, D_0]_T / |T| without a factorisation.
 
-Cells with the same number of edges m share one array layout, so the
-operators of such a valence group are built and stored as stacks over its
+Cells with the same number of edges m share one array layout, the mesh's
+CellGroup, and the operators of such a valence group are stacks over its
 g cells (one ElementGroup per m). Local DoFs are [face DoFs | cell DoFs];
 flux coefficients are ordered (frame, fan triangle, basis function) with
 the normal frame first, and functions on distinct fan triangles have
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polymesh import PolyMesh, SubTriangulation, fan_geometry, valence_groups
+from .polymesh import CellGroup, PolyMesh, SubTriangulation
 from .quadbasis import (edge_rule, face_monomials, map_to_edge,
                         map_to_triangle, monomials, triangle_rule)
 
@@ -156,18 +156,18 @@ class DofMap:
 
 
 @dataclass(frozen=True)
-class ElementGroup:
-    """Fan geometry and local operators of the g cells with m edges.
+class ElementGroup(CellGroup):
+    """Fans and local operators of the g cells with m edges: the mesh's
+    CellGroup of these cells (its arrays, not copies) plus what depends on
+    the star points and on k.
 
-    Geometry is stacked over the cells (rows) and their fan triangles:
-    triangle t of row r is (star[r], loop[r, t], loop[r, t+1]), the image
-    of the reference (0, 0), (1, 0), (0, 1), with outer edge edge_ids[r, t];
-    frames[r, t] holds its outward unit normal and CCW unit tangent;
-    orient[r, t] is +1 where the cell runs along the edge's canonical
-    direction and -1 otherwise. Cell monomials are centred at xbar[r] and
-    scaled by h[r] = sqrt(|K|). G (g, d, n) maps local DoFs to coefficients
-    in flux_basis and A (g, n, n) is the stiffness, with d = 2 m nm, nm =
-    dim P_k and n = m(k+1) + nc local DoFs; dofs (g, n) are their global ids.
+    Triangle t of row r is (star[r], loop[r, t], loop[r, t+1]), the image
+    of the reference (0, 0), (1, 0), (0, 1), with outer edge edge_ids[r, t]
+    and area areas[r, t] (the SubTriangulation's array). Cell monomials
+    are centred at xbar[r] and scaled by h[r] = sqrt(|K|). G (g, d, n) maps
+    local DoFs to coefficients in flux_basis and A (g, n, n) is the
+    stiffness, with d = 2 m nm, nm = dim P_k and n = m(k+1) + nc local
+    DoFs; dofs (g, n) are their global ids.
 
     fan_quadrature and edge_quadrature keep the physical points of each
     rule they are asked for, one read-only table per kind and degree
@@ -176,25 +176,14 @@ class ElementGroup:
     each call, and nothing that depends on coefficients is kept.
     """
     k: int
-    cells: np.ndarray
     star: np.ndarray
-    loop: np.ndarray
-    edge_ids: np.ndarray
-    orient: np.ndarray
-    frames: np.ndarray
-    lengths: np.ndarray
     areas: np.ndarray
-    xbar: np.ndarray
     h: np.ndarray
     G: np.ndarray
     A: np.ndarray
     dofs: np.ndarray
     _points: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
-
-    @property
-    def n_edges(self) -> int:
-        return self.loop.shape[1]
 
     @property
     def n_mono(self) -> int:
@@ -332,31 +321,26 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
     ephi = flux_basis(outer_edge(erule), k) * erule.weights[:, None]
     Db = ephi.T @ face_monomials(erule.points - 0.5, k)
     groups = []
-    for cells, verts, edge_ids in valence_groups(mesh):
-        g, m = verts.shape
+    for grp, areas in zip(mesh.groups, subtri.areas):
+        loop, frames, lengths = grp.loop, grp.frames, grp.lengths
+        g, m = grp.verts.shape
         n = m * nf + nc
-        loop = mesh.vertices[verts]
-        star = subtri.star[cells]
-        areas, normals, tangents, lengths = fan_geometry(loop, star)
+        star = subtri.star[grp.cells]
         tris = _fan_triangles(star, loop)
-        xbar = loop.mean(axis=1)
         h = np.sqrt(areas.sum(axis=1))
-        frames = np.stack([normals, tangents], axis=2)
-        orient = np.where(mesh.edges[edge_ids, 0] == verts, 1.0, -1.0)
-        hq = h[:, None, None]
+        xbar, hq = grp.xbar[:, None, None], h[:, None, None]
 
         # rows (triangle, frame, basis function), columns [u_b | u_0]
         B = np.zeros((g, m, 2, nm, n))
-        scale = lengths[..., None] * orient[..., None] ** np.arange(nf)
+        scale = lengths[..., None] * grp.orient[..., None] ** np.arange(nf)
         B[:, np.arange(m)[:, None], 0, :, np.arange(m * nf).reshape(m, nf)] = \
             np.moveaxis(scale, 0, -1)[..., None] * Db.T[:, None, :]
         epts, _ = map_to_edge(erule, loop, np.roll(loop, -1, axis=1))
         B[:, :, 0, :, m * nf:] = -lengths[..., None, None] * np.einsum(
-            "qa,gtqc->gtac", ephi, monomials(epts, xbar[:, None, None], hq,
-                                             k + 1))
+            "qa,gtqc->gtac", ephi, monomials(epts, xbar, hq, k + 1))
         # the fan triangles are positive, so |Jacobian| = 2 |T|
-        gphi = monomials(map_to_triangle(vol_rule, tris)[0],
-                         xbar[:, None, None], hq, k + 1, grad=True)
+        gphi = monomials(map_to_triangle(vol_rule, tris)[0], xbar, hq,
+                         k + 1, grad=True)
         B[..., m * nf:] += (2.0 * areas)[..., None, None, None] * np.einsum(
             "qa,gtqcx,gtfx->gtfac", wphi, gphi, frames, optimize=True)
 
@@ -377,19 +361,17 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
             M = np.einsum("qa,gtfi,gtqij,gtej,qb,gtq->gtfaeb", phi, frames,
                           Kinv, frames, phi, wts, optimize=True)
             Linv = lower_inverse(batched_cholesky(
-                M.reshape(g, m, 2 * nm, 2 * nm), cells,
+                M.reshape(g, m, 2 * nm, 2 * nm), grp.cells,
                 DegenerateElementError, "singular flux mass matrix"))
             G = np.swapaxes(Linv, -1, -2) @ (Linv @ B.reshape(g, m, 2 * nm, n))
         A = np.swapaxes(B.reshape(g, -1, n), 1, 2) @ G.reshape(g, -1, n)
         A = 0.5 * (A + np.swapaxes(A, 1, 2))
         # flux coefficients are ordered (frame, triangle, basis function)
         G = np.moveaxis(G.reshape(g, m, 2, nm, n), 1, 2).reshape(g, -1, n)
-        dofs = np.concatenate([dofmap.face_dofs(edge_ids).reshape(g, -1),
-                               dofmap.cell_dofs(cells)], axis=1)
-        groups.append(ElementGroup(
-            k=k, cells=cells, star=star, loop=loop, edge_ids=edge_ids,
-            orient=orient, frames=frames, lengths=lengths, areas=areas,
-            xbar=xbar, h=h, G=G, A=A, dofs=dofs))
+        dofs = np.concatenate([dofmap.face_dofs(grp.edge_ids).reshape(g, -1),
+                               dofmap.cell_dofs(grp.cells)], axis=1)
+        groups.append(ElementGroup(**vars(grp), k=k, star=star, areas=areas,
+                                   h=h, G=G, A=A, dofs=dofs))
     return groups
 
 

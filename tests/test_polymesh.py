@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -217,7 +218,7 @@ def test_flat_geometry_matches_per_cell_loops(voronoi64):
     m = voronoi64
     areas = m.areas()
     centroids = compute_star_points(m, method="centroid")
-    diameters = polymesh.cell_diameters(m)
+    diameters = m.diameters
     for c in range(m.num_cells):
         p = m.vertices[m.cells[c]]
         q = np.roll(p, -1, axis=0)
@@ -676,6 +677,23 @@ def test_star_point_zero_length_edge_rejected():
     m = build_polymesh([(0, 0), (1, 0), (1, 0), (0, 1)], [[0, 1, 2, 3]])
     with pytest.raises(MeshValidationError, match="zero-length edge"):
         compute_star_points(m)
+
+
+def test_mesh_groups_cover_every_cell_once(voronoi64):
+    # one CellGroup per edge count, ascending, built once, read-only
+    groups = voronoi64.groups
+    assert voronoi64.groups is groups
+    sizes = [grp.n_edges for grp in groups]
+    assert len(sizes) >= 4 and sizes == sorted(set(sizes))
+    cells = np.concatenate([grp.cells for grp in groups])
+    assert np.array_equal(np.sort(cells), np.arange(voronoi64.num_cells))
+    for grp in groups:
+        assert np.array_equal(grp.verts,
+                              [voronoi64.cells[c] for c in grp.cells])
+        for f in dataclasses.fields(grp):
+            arr = getattr(grp, f.name)
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
 
 
 def test_star_point_centroid_method(pentagon_cell):

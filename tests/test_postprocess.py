@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stagpoly.assembly import assemble_system
-from stagpoly.polymesh import (cell_diameters, gen_uniform_squares,
-                               gen_uniform_triangles, gen_voronoi_polygons)
+from stagpoly.polymesh import (gen_uniform_squares, gen_uniform_triangles,
+                               gen_voronoi_polygons)
 from stagpoly.postprocess import (
     ConvergenceReport,
     FluxField,
@@ -108,7 +108,7 @@ def flux_norms(flux: FluxField) -> tuple:
     erule = edge_rule(k + 1)
     vol_sq = 0.0
     face_sq = 0.0
-    diam = cell_diameters(system.mesh)
+    diam = system.mesh.diameters
     for gi, grp in enumerate(system.groups):
         _, wts = grp.fan_quadrature(vol_rule)
         sv = flux_values(grp, flux.coeffs[gi], vol_rule.points)

@@ -203,6 +203,14 @@ def test_face_basis_k0_constant():
     assert np.allclose(face_monomials(s, 0), 1.0)
 
 
+def test_face_monomials_match_pow():
+    # powers by products: exact up to s^1, within 1e-16 of pow up to s^6
+    s = np.linspace(-0.5, 0.5, 20001)
+    table = face_monomials(s, 6)
+    assert np.array_equal(table[:, :2], s[:, None] ** np.arange(2))
+    assert np.abs(table - s[:, None] ** np.arange(7)).max() <= 1e-16
+
+
 def test_face_basis_param_endpoints(tri4):
     # both cells of an edge see the same parameter at the same point: -1/2
     # at the edge's lower vertex id, +1/2 at the higher one

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -554,3 +556,16 @@ def test_group_keeps_read_only_quadrature_points(voronoi64, voronoi64_sub):
     with pytest.raises(ValueError):
         epts[...] = 0.0
     assert grp.edge_quadrature(edge_rule(3))[0].shape[2] == 3
+
+
+def test_element_layer_and_fans_share_mesh_groups(voronoi64, voronoi64_sub):
+    # the element groups and the fans are views of the mesh's one group
+    # layout and of the subtriangulation's fan areas, not copies
+    groups = element_groups(voronoi64, voronoi64_sub, 1,
+                            identity_coefficient())
+    for grp, cg, areas in zip(groups, voronoi64.groups, voronoi64_sub.areas):
+        for f in dataclasses.fields(cg):
+            assert np.shares_memory(getattr(grp, f.name), getattr(cg, f.name))
+        assert np.shares_memory(grp.areas, areas)
+        for c in cg.cells:
+            assert np.shares_memory(voronoi64_sub.fans[c].loop, cg.loop)
