@@ -15,6 +15,7 @@ flux space lives on.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, combinations, permutations
@@ -469,33 +470,57 @@ _WALL_GAP = 1e-6
 _AXIS, _AT = np.array([0, 0, 1, 1]), np.array([0.0, 1.0, 0.0, 1.0])
 
 
-def _reflect(seeds, mirror):
-    """Seeds followed by their reflections across the walls marked in
-    mirror (n, 4), wall by wall and in seed order within a wall. Also
-    returns, for every point, the seed it reflects and the wall it is
-    reflected across, both -1 for the seeds themselves.
+def _read_only(*arrays):
+    """The arrays, each made read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
-    Raises GenerationError for a seed nearer a wall than _WALL_GAP: the
+
+def _check_wall_gap(seeds):
+    """Raise GenerationError for a seed nearer a wall than _WALL_GAP: the
     gap keeps a seed, its reflection and their slivers far above the 1e-12
-    within which the region checks take a vertex to be on a wall.
-    """
-    close = np.flatnonzero(_wall_distances(seeds).min(axis=1) < _WALL_GAP)
-    if len(close):
+    within which the region checks take a vertex to be on a wall."""
+    if seeds.min() < _WALL_GAP or (1.0 - seeds).min() < _WALL_GAP:
+        close = np.flatnonzero(_wall_distances(seeds).min(axis=1) < _WALL_GAP)
         raise GenerationError(f"seed {close[0]} is within {_WALL_GAP:g} of "
                               "a wall of the unit square")
+
+
+def _reflection(mirror):
+    """The points that _diagram triangulates for the mask mirror (n, 4), as
+    a map of the seeds: point i is seeds[src[i]] * scale[i] + off[i]. They
+    are the seeds, their reflections across the marked walls (wall by wall
+    and in seed order within a wall; -x + 2a rounds as 2a - x does), then
+    the _BOX corners (scale 0). Returns src, scale, off and, for every
+    point, the seed it reflects and the wall it is reflected across, both
+    -1 for the seeds and the corners; every array read-only."""
+    n, box = len(mirror), len(_BOX)
     w, s = np.nonzero(mirror.T)
-    images = seeds[s]
-    row = np.arange(len(s))
-    images[row, _AXIS[w]] = 2.0 * _AT[w] - images[row, _AXIS[w]]
-    none = np.full(len(seeds), -1)
-    return np.vstack([seeds, images]), np.concatenate([none, s]), \
-        np.concatenate([none, w])
+    row = n + np.arange(len(s))
+    src = np.concatenate([np.arange(n), s, np.zeros(box, dtype=np.intp)])
+    scale, off = np.ones((len(src), 2)), np.zeros((len(src), 2))
+    scale[row, _AXIS[w]] = -1.0
+    off[row, _AXIS[w]] = 2.0 * _AT[w]
+    scale[n + len(s):], off[n + len(s):] = 0.0, _BOX
+    none, pad = np.full(n, -1), np.full(box, -1)
+    return _read_only(src, scale, off, np.concatenate([none, s, pad]),
+                      np.concatenate([none, w, pad]))
+
+
+def _reflect(seeds, mirror):
+    """Seeds followed by their reflections across the walls marked in
+    mirror (n, 4): _reflection's points without the _BOX corners, with
+    their mate and wall arrays. Raises as _check_wall_gap."""
+    _check_wall_gap(seeds)
+    src, scale, off, mate, wall = (v[:-len(_BOX)] for v in _reflection(mirror))
+    return np.take(seeds, src, axis=0) * scale + off, mate, wall
 
 
 def _wall_pairs(mate, wall, groups):
     """Rows of the point-id groups (P, k) holding a seed and its own
     reflection, and the wall between the two, once per reflection; mate
-    and wall are _reflect's per-point arrays."""
+    and wall are _reflection's per-point arrays."""
     rows, walls = [], []
     for j, i in permutations(range(groups.shape[1]), 2):
         hit = np.flatnonzero(mate[groups[:, j]] == groups[:, i])
@@ -583,34 +608,44 @@ def _delaunay(pts):
     return repaired
 
 
-def _incircle(a, b, c):
+def _half_edges(tri):
+    """The raveled triangles tri (T, 3), their half-edge ids, and the next
+    and the previous half-edge in each triangle."""
+    he = np.arange(tri.size)
+    nxt, prv = he + 1, he - 1
+    nxt[2::3] -= 3
+    prv[0::3] += 3
+    return tri.ravel(), he, nxt, prv
+
+
+def _incircle(x, y):
     """Incircle determinant of the origin against the CCW triangles (a, b,
-    c), each (E, 2), positive when the origin is inside the circle; and
-    the scale its rounding error is bounded by."""
-    lift = [p[:, 0] ** 2 + p[:, 1] ** 2 for p in (a, b, c)]
-    minor = [b[:, 0] * c[:, 1] - c[:, 0] * b[:, 1],
-             c[:, 0] * a[:, 1] - a[:, 0] * c[:, 1],
-             a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]]
-    scale = [np.abs(b[:, 0] * c[:, 1]) + np.abs(c[:, 0] * b[:, 1]),
-             np.abs(c[:, 0] * a[:, 1]) + np.abs(a[:, 0] * c[:, 1]),
-             np.abs(a[:, 0] * b[:, 1]) + np.abs(b[:, 0] * a[:, 1])]
-    return sum(x * y for x, y in zip(lift, minor)), \
-        sum(x * y for x, y in zip(lift, scale))
+    c), positive when the origin is inside the circle; and the scale its
+    rounding error is bounded by. x and y (5, E) hold the coordinates of
+    the corners a, b, c, a, b."""
+    lift = x[:3] ** 2 + y[:3] ** 2
+    # the two products of each 2x2 minor, of the corners after each corner
+    p, q = x[1:4] * y[2:], x[2:] * y[1:4]
+    det, scale = lift * (p - q), lift * (np.abs(p) + np.abs(q))
+    return det[0] + det[1] + det[2], scale[0] + scale[1] + scale[2]
 
 
-def _edge_incircle(pts, flat, nxt, prv, twin, h):
-    """_incircle of the far point of the triangle across each interior
-    half-edge h against h's own triangle; flat holds the raveled triangles,
-    nxt and prv the next and previous half-edge in each triangle."""
-    d = np.take(pts, flat[prv[twin[h]]], axis=0)
-    return _incircle(*(np.take(pts, flat[e], axis=0) - d for e in (h, nxt[h], prv[h])))
+def _edge_incircle(xy, flat, nxt, prv, twin, h):
+    """_incircle of the far point d of the triangle across each interior
+    half-edge h against h's own triangle (a, b, c); xy holds the points'
+    coordinates as rows (2, N), flat the raveled triangles, nxt and prv the
+    next and previous half-edge in each triangle."""
+    ids = flat[np.stack([h, nxt[h], prv[h], h, nxt[h], prv[twin[h]]])]
+    corners = np.take(xy, ids, axis=1)
+    return _incircle(*(corners[:, :5] - corners[:, 5:]))
 
 
 def _flip_to_delaunay(pts, tri, twin):
     """Repair the CCW triangulation tri (T, 3), with its _twins, of moved
     points pts by edge flips; None when a flip would leave a triangle
     that is not CCW, a folded sliver lies on the hull, or the flips do not
-    settle within _FLIP_ROUNDS.
+    settle within _FLIP_ROUNDS. When nothing needs a flip it returns tri
+    and twin themselves; it never writes to them.
 
     A triangle that is no longer CCW is a sliver whose middle corner
     crossed its longest edge, and that edge is flipped. Otherwise an edge
@@ -621,14 +656,13 @@ def _flip_to_delaunay(pts, tri, twin):
     flips when its lower half-edge id is the largest among the edges to
     flip of both of its triangles.
     """
-    tri, twin = tri.copy(), twin.copy()
-    flat, he = tri.ravel(), np.arange(tri.size)
-    nxt, prv = (he.reshape(-1, 3)[:, k].ravel() for k in ([1, 2, 0], [2, 0, 1]))
+    flat, he, nxt, prv = _half_edges(tri)
+    xy = np.ascontiguousarray(pts.T)
     crossed = np.flatnonzero(_orientation(pts, tri) <= 0)
-    test = he[twin > he]
-    for _ in range(_FLIP_ROUNDS):
+    test = np.flatnonzero(twin > he)
+    for r in range(_FLIP_ROUNDS):
         # is d, across edge (a, b), inside the circle of the triangle (a, b, c)?
-        det, scale = _edge_incircle(pts, flat, nxt, prv, twin, test)
+        det, scale = _edge_incircle(xy, flat, nxt, prv, twin, test)
         e = test[det > _INCIRCLE_TOL * scale]
         if len(crossed):
             h = 3 * crossed[:, None] + np.arange(3)
@@ -652,13 +686,17 @@ def _flip_to_delaunay(pts, tri, twin):
                               np.column_stack([d, b, c])])
         if (_orientation(pts, new) <= 0).any():
             return None
+        if not r:
+            tri, twin = tri.copy(), twin.copy()
+            flat = tri.ravel()
         # the new position of every half-edge
         move = he.copy()
         move[nxt[f2]], move[f1], move[prv[f1]] = 3 * t1, 3 * t1 + 1, 3 * t1 + 2
         move[prv[f2]], move[nxt[f1]], move[f2] = 3 * t2, 3 * t2 + 1, 3 * t2 + 2
         tri[np.concatenate([t1, t2])] = new
         twin[move] = np.where(twin < 0, -1, move[twin])
-        crossed = np.setdiff1d(crossed, np.concatenate([t1, t2]))
+        if len(crossed):
+            crossed = np.setdiff1d(crossed, np.concatenate([t1, t2]))
         test = np.concatenate([move[e[~go]], 3 * t1, 3 * t1 + 1, 3 * t1 + 2,
                                3 * t2, 3 * t2 + 1, 3 * t2 + 2])
         test = np.unique(np.where(twin[test] < test, twin[test], test))
@@ -666,12 +704,47 @@ def _flip_to_delaunay(pts, tri, twin):
     return None
 
 
+class _Kept(namedtuple("_Kept", "mask tri twin")):
+    """A Lloyd triangulation as passed from step to step: the reflection
+    mask (n, 4), the CCW triangles (T, 3) of _reflection(mask)'s points
+    (None before they are built) and their _twins. The index arrays that
+    depend only on these three are built on first use and kept, read-only,
+    with the record: a step whose repair flips nothing reuses them all,
+    and with_triangles carries the mask's over to the flipped triangles."""
+
+    @cached_property
+    def reflection(self):
+        return _reflection(self.mask)
+
+    @cached_property
+    def wall_pairs(self):
+        """Rows of the triangles holding a seed and its own reflection, and
+        the axis and the value of the wall between the two."""
+        rows, w = _wall_pairs(*self.reflection[3:], self.tri)
+        return _read_only(rows, _AXIS[w], _AT[w])
+
+    @cached_property
+    def seed_corners(self):
+        """For every triangle corner at a seed: the triangle, the seed, and
+        the next and the previous point of the triangle."""
+        flat = self.tri.ravel()
+        corner = np.flatnonzero(flat < len(self.mask))
+        first = corner - corner % 3
+        return _read_only(corner // 3, flat[corner], flat[first + (corner + 1) % 3],
+                          flat[first + (corner + 2) % 3])
+
+    def with_triangles(self, tri, twin):
+        kept = _Kept(self.mask, *_read_only(tri, twin))
+        kept.__dict__["reflection"] = self.reflection
+        return kept
+
+
 def _diagram(seeds, mirror, kept=None):
     """Delaunay triangulation of the seeds, their reflections across the
     walls marked in mirror (n, 4) and the _BOX corners, whose circumcenters
     at a seed are the vertices of its Voronoi region in the unit square.
-    Returns the points, the CCW triangles, their _twins, the circumcenters
-    and the mask used.
+    Returns the points, the triangulation with the mask used as a _Kept
+    record, and the circumcenters.
 
     A missing reflection can only bound its own seed's region: on the
     square's side of a wall a seed is closer than its reflection. So a
@@ -680,61 +753,65 @@ def _diagram(seeds, mirror, kept=None):
     reflection, and the mask only grows. The circumcenter of a triangle
     holding a seed and its reflection is put exactly on their wall.
 
-    kept is an earlier (mask, triangles, twins). Extra reflections leave
-    the regions unchanged, so its triangulation serves any mask it covers,
-    unless it carries over twice the reflections asked for (the first,
-    fully reflected step). Lawson flips repair it after the seeds moved;
-    Qhull triangulates only a new point set or a repair that fails.
+    kept is an earlier record, or a (mask, triangles, twins) tuple. Extra
+    reflections leave the regions unchanged, so its triangulation serves
+    any mask it covers, unless it carries over twice the reflections asked
+    for (the first, fully reflected step). Lawson flips repair it after the
+    seeds moved; Qhull triangulates only a new point set or a repair that
+    fails. A repair that flips nothing returns kept itself, with every
+    index array it has built.
+
+    Raises GenerationError for a seed nearer a wall than _WALL_GAP.
     """
     n = len(seeds)
+    _check_wall_gap(seeds)
     mirror = np.array(mirror, dtype=bool)
     if kept is not None and not (mirror & ~kept[0]).any() \
             and kept[0].sum() <= 2 * mirror.sum():
-        mirror = kept[0].copy()
+        kept = kept if isinstance(kept, _Kept) else _Kept(*kept)
     else:
-        kept = None
+        kept = _Kept(*_read_only(mirror), None, None)
     while True:
-        pts, mate, wall = _reflect(seeds, mirror)
-        pts = np.vstack([pts, _BOX])
-        mate, wall = (np.concatenate([v, np.full(len(_BOX), -1)]) for v in (mate, wall))
-        repaired = None if kept is None else _flip_to_delaunay(pts, *kept[1:])
-        tri, twin = _delaunay(pts) if repaired is None else repaired
-        cc = _circumcenters(pts, tri)
-        rows, w = _wall_pairs(mate, wall, tri)
-        cc[rows, _AXIS[w]] = _AT[w]
+        src, scale, off = kept.reflection[:3]
+        pts = np.take(seeds, src, axis=0) * scale + off
+        repaired = None if kept.tri is None else _flip_to_delaunay(pts, kept.tri, kept.twin)
+        if repaired is None:
+            repaired = _delaunay(pts)
+        if repaired[0] is not kept.tri:
+            kept = kept.with_triangles(*repaired)
+        cc = _circumcenters(pts, kept.tri)
+        rows, axes, at = kept.wall_pairs
+        cc[rows, axes] = at
         # a vertex within round-off of a wall counts as on it
         rows, w = np.nonzero(_wall_distances(cc) <= 1e-12)
-        corner = tri[rows]
+        corner = kept.tri[rows]
         at = corner < n
         fail = np.zeros((n, 4), dtype=bool)
         fail[corner[at], np.repeat(w, 3)[at.ravel()]] = True
-        fail &= ~mirror
+        fail &= ~kept.mask
         if not fail.any():
-            return pts, tri, twin, cc, mirror
-        mirror |= fail
-        kept = None
+            return pts, kept, cc
+        kept = _Kept(*_read_only(kept.mask | fail), None, None)
 
 
 def _lloyd_step(seeds, mirror, kept=None):
     """One Lloyd step: the centroid (n, 2) of every seed's Voronoi region
     clipped to the unit square, the largest seed-to-vertex distance, and
-    the triangulation to pass on as kept to the next step or to
-    _voronoi_loops.
+    the _Kept record of the triangulation to pass on as kept to the next
+    step or to _voronoi_loops.
 
     The regions are those of _diagram(seeds, mirror, kept). A seed's region
     is the sum over its triangles (v, a, b) of the signed quads (v,
-    mid(v, a), circumcenter, mid(v, b)).
+    mid(v, a), circumcenter, mid(v, b)); the record keeps the corner ids
+    of these sums.
     """
     n = len(seeds)
-    pts, tri, twin, cc, mirror = _diagram(seeds, mirror, kept)
+    pts, kept, cc = _diagram(seeds, mirror, kept)
     # every corner at a seed o, with the next corners p and q of its triangle
-    corner = np.flatnonzero(tri.ravel() < n)
-    k = corner % 3
-    s = tri.ravel()[corner]
+    t, s, pid, qid = kept.seed_corners
     o = np.take(pts, s, axis=0)
-    p, q = (0.5 * (np.take(pts, tri.ravel()[corner - k + (k + i) % 3], axis=0) - o)
-            for i in (1, 2))
-    m = np.take(cc, corner // 3, axis=0) - o
+    p, q = (0.5 * (np.take(pts, i, axis=0) - o) for i in (pid, qid))
+    m = np.take(cc, t, axis=0) - o
     pm = p[:, 0] * m[:, 1] - p[:, 1] * m[:, 0]
     mq = m[:, 0] * q[:, 1] - m[:, 1] * q[:, 0]
     area = np.bincount(s, pm + mq, minlength=n)
@@ -742,7 +819,7 @@ def _lloyd_step(seeds, mirror, kept=None):
                           minlength=n) for i in (0, 1)]
     centroid = seeds + np.column_stack(moment) / (3.0 * area[:, None])
     radius = np.sqrt((m[:, 0] ** 2 + m[:, 1] ** 2).max())
-    return centroid, radius, (mirror, tri, twin)
+    return centroid, radius, kept
 
 
 def _voronoi_loops(seeds, mirror, kept=None):
@@ -761,11 +838,11 @@ def _voronoi_loops(seeds, mirror, kept=None):
     Raises GenerationError for a seed nearer a wall than _WALL_GAP.
     """
     n = len(seeds)
-    pts, tri, twin, cc, _ = _diagram(seeds, mirror, kept)
-    flat, he = tri.ravel(), np.arange(tri.size)
-    nxt, prv = (he.reshape(-1, 3)[:, k].ravel() for k in ([1, 2, 0], [2, 0, 1]))
-    h = he[twin > he]
-    det, scale = _edge_incircle(pts, flat, nxt, prv, twin, h)
+    pts, kept, cc = _diagram(seeds, mirror, kept)
+    tri, twin = kept.tri, kept.twin
+    flat, he, nxt, prv = _half_edges(tri)
+    h = np.flatnonzero(twin > he)
+    det, scale = _edge_incircle(np.ascontiguousarray(pts.T), flat, nxt, prv, twin, h)
     h = h[np.abs(det) <= _INCIRCLE_TOL * scale]
     a, b = h // 3, twin[h] // 3
     # each triangle takes the lowest label across its cocircular edges,
@@ -779,8 +856,8 @@ def _voronoi_loops(seeds, mirror, kept=None):
         if np.array_equal(low, root):
             break
         root = low
-    corner = np.flatnonzero(flat < n)
-    s, v = np.divmod(np.unique(flat[corner] * len(tri) + root[corner // 3]), len(tri))
+    t, s = kept.seed_corners[:2]
+    s, v = np.divmod(np.unique(s * len(tri) + root[t]), len(tri))
     rel = cc[v] - seeds[s]
     order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), s))
     return np.r_[0, np.cumsum(np.bincount(s, minlength=n))], v[order], cc

@@ -468,6 +468,94 @@ def test_flip_repair_restores_delaunay():
     assert np.abs(centroid - polymesh._lloyd_step(moved, mask)[0]).max() <= 1e-14
 
 
+def _lloyd_steps(n, steps, rng_seed):
+    """Seeds, mask and kept record after Lloyd steps as gen_voronoi_polygons
+    runs them, from uniform seeds."""
+    seeds = np.random.default_rng(rng_seed).random((n, 2))
+    mirror, kept = np.ones((n, 4), dtype=bool), None
+    for _ in range(steps):
+        seeds, radius, kept = polymesh._lloyd_step(seeds, mirror, kept)
+        mirror = polymesh._wall_distances(seeds) < radius
+    return seeds, mirror, kept
+
+
+def test_flip_repair_returns_or_spares_its_inputs():
+    seeds, mirror, kept = _lloyd_steps(256, 20, rng_seed=3)
+    pts, kept, _ = polymesh._diagram(seeds, mirror, kept)
+    tri, twin = polymesh._flip_to_delaunay(pts, kept.tri, kept.twin)
+    assert tri is kept.tri and twin is kept.twin
+    moved = seeds + np.random.default_rng(4).normal(scale=0.1 / 16, size=seeds.shape)
+    pts = np.vstack([polymesh._reflect(moved, kept.mask)[0], polymesh._BOX])
+    tri, twin = kept.tri.copy(), kept.twin.copy()
+    repaired = polymesh._flip_to_delaunay(pts, tri, twin)
+    assert repaired is not None and not np.array_equal(repaired[0], tri)
+    assert np.array_equal(tri, kept.tri) and np.array_equal(twin, kept.twin)
+
+
+def _seed_corners(tri, n):
+    flat = tri.ravel()
+    corner = np.flatnonzero(flat < n)
+    return (corner // 3, flat[corner], flat[3 * (corner // 3) + (corner + 1) % 3],
+            flat[3 * (corner // 3) + (corner + 2) % 3])
+
+
+def _voronoi_mesh(seeds, mirror, kept):
+    cell_ptr, ids, coords = polymesh._voronoi_loops(seeds, mirror, kept)
+    vid, first = polymesh._first_seen(ids)
+    return polymesh._unit_square_mesh(coords[ids[first]], cell_ptr, vid)
+
+
+def test_lloyd_record_follows_qhull_fallback(monkeypatch):
+    # a repair that fails mid-run hands the step to Qhull, whose triangles
+    # come in another order: the record must index those, not the old ones
+    ref = _lloyd_steps(64, 20, rng_seed=5)
+    seeds, mirror, kept = _lloyd_steps(64, 10, rng_seed=5)
+    flip, delaunay, failed, qhull = polymesh._flip_to_delaunay, polymesh._delaunay, [], []
+
+    def fail_once(pts, tri, twin):
+        if failed:
+            return flip(pts, tri, twin)
+        failed.append(tri)
+        return None
+
+    monkeypatch.setattr(polymesh, "_flip_to_delaunay", fail_once)
+    monkeypatch.setattr(polymesh, "_delaunay", lambda pts: qhull.append(1) or delaunay(pts))
+    for step in range(10):
+        seeds, radius, kept = polymesh._lloyd_step(seeds, mirror, kept)
+        mirror = polymesh._wall_distances(seeds) < radius
+        if step == 0:
+            # one Qhull call, and the mask of the unpatched step: stale wall
+            # pairs would misplace vertices and grow the mask
+            assert len(failed) == len(qhull) == 1
+            assert np.array_equal(kept.mask, _lloyd_steps(64, 11, rng_seed=5)[2].mask)
+            assert not np.array_equal(kept.tri, failed[0])
+            rows, w = polymesh._wall_pairs(*polymesh._reflection(kept.mask)[3:], kept.tri)
+            for got, want in zip(kept.wall_pairs, (rows, polymesh._AXIS[w], polymesh._AT[w])):
+                assert np.array_equal(got, want)
+            for got, want in zip(kept.seed_corners, _seed_corners(kept.tri, 64)):
+                assert np.array_equal(got, want)
+    assert np.abs(seeds - ref[0]).max() <= 1e-12
+    mesh, ref_mesh = _voronoi_mesh(seeds, mirror, kept), _voronoi_mesh(*ref)
+    assert np.array_equal(mesh.cell_ptr, ref_mesh.cell_ptr)
+    assert np.array_equal(mesh.cell_verts, ref_mesh.cell_verts)
+    assert np.abs(mesh.vertices - ref_mesh.vertices).max() <= 1e-12
+
+
+def test_lloyd_record_is_read_only_and_reflects_exactly():
+    seeds, mirror, kept = _lloyd_steps(64, 5, rng_seed=2)
+    src, scale, off, mate, wall = kept.reflection
+    for a in (*kept, *kept.reflection, *kept.wall_pairs, *kept.seed_corners):
+        assert not a.flags.writeable
+    # the map's points are the seeds, the reflections 2a - x and the box
+    w, s = np.nonzero(kept.mask.T)
+    images = seeds[s]
+    images[np.arange(len(s)), polymesh._AXIS[w]] = \
+        2.0 * polymesh._AT[w] - images[np.arange(len(s)), polymesh._AXIS[w]]
+    assert np.array_equal(np.take(seeds, src, axis=0) * scale + off,
+                          np.vstack([seeds, images, polymesh._BOX]))
+    assert np.array_equal(mate[len(seeds):-4], s) and np.array_equal(wall[len(seeds):-4], w)
+
+
 @pytest.mark.parametrize("make, digest", [
     (lambda: gen_uniform_triangles(4),
      "a0db38afe75788d9000ffff86b9f7de558b05b406b965e68e8131a110a9cf793"),
@@ -475,9 +563,15 @@ def test_flip_repair_restores_delaunay():
      "2a546e23ef0baeee7b0659ec52798a2d0db9943b6ecf245790cffa049af2746d"),
     (lambda: gen_delaunay_triangles(40, rng_seed=3),
      "6c2e64c89cfc016f54c00c409edff1f83f0f7dfc286705526e71d4faf186c9bb"),
-], ids=["tri4", "squares3", "delaunay40"])
+    (lambda: gen_voronoi_polygons(64, rng_seed=1),
+     "ae31a9710b3afa4c69e80418a2b12fa5f5ab832d410f239fa8ce258958aa7199"),
+    (lambda: gen_voronoi_polygons(256, rng_seed=1),
+     "90fe488a44491f6cef7112ca232533322299c00576f32d0c0ffba230c0959e71"),
+], ids=["tri4", "squares3", "delaunay40", "voronoi64", "voronoi256"])
 def test_document_digest(make, digest):
-    # recorded from the per-cell implementation: documents stay byte-identical
+    # recorded from the per-cell implementation (the Voronoi meshes from the
+    # Lloyd loop that rebuilt its index arrays every step): documents stay
+    # byte-identical
     assert hashlib.sha256(mesh_document(make()).encode()).hexdigest() == digest
 
 
