@@ -19,7 +19,7 @@ from scipy.io import mmwrite
 
 from .polymesh import PolyMesh, SubTriangulation
 from .quadbasis import (MAX_TRIANGLE_DEGREE, edge_rule, face_monomials,
-                        map_to_edge, map_to_triangle, triangle_rule)
+                        map_to_edge, triangle_rule)
 from .weakgrad import (CoefficientField, DofMap, batched_cholesky,
                        element_groups, face_projection_Qb, lower_inverse)
 
@@ -148,18 +148,18 @@ def _symmetric_csr(n, rows, cols, vals) -> sp.csr_matrix:
     """Exactly symmetric CSR from triplets of symmetric local blocks.
 
     Only the upper triangle is accumulated and then mirrored, so
-    A == A.T holds bitwise regardless of summation order. Triplets with a
-    negative index are dropped.
+    A == A.T holds bitwise regardless of summation order; the diagonal
+    triplets are halved, which is exact, so that the mirror adds each
+    diagonal sum to itself. Triplets with a negative index are dropped.
     """
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     keep = (0 <= rows) & (rows <= cols)
-    upper = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                          shape=(n, n)).tocsr()
-    upper.sum_duplicates()
-    diag = sp.diags(upper.diagonal())
-    return (upper + upper.T - diag).tocsr()
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    vals[rows == cols] *= 0.5
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return upper + upper.T.tocsr()
 
 
 def _block_triplets(dofs, blocks):
@@ -186,9 +186,9 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
 
     b = np.zeros(dofmap.total)
     for grp in groups:
-        # not grp.fan_quadrature: points kept from here on would stay alive
-        # through the solve, where memory peaks
-        pts, wts = map_to_triangle(rhs_rule, grp.triangles)
+        # the group keeps these points through the solve for _balance; at
+        # k = 0 they are element_groups' own volume points
+        pts, wts = grp.fan_quadrature(rhs_rule)
         fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(wts.shape)
         b[dofmap.cell_dofs(grp.cells)] += np.einsum(
             "gtqc,gtq->gc", grp.cell_basis(pts), fv * wts)

@@ -33,7 +33,8 @@ import scipy.sparse as sp
 from .assembly import (BoundarySpec, CondensationError, GlobalSystem,
                        _block_triplets, _symmetric_csr, assemble_system)
 from .polymesh import PolyMesh, build_subtriangulation, compute_star_points
-from .quadbasis import edge_rule, face_monomials, monomials, triangle_rule
+from .quadbasis import (derivative_table, edge_rule, face_monomials,
+                        monomials, triangle_rule)
 from .weakgrad import (flux_basis, flux_values, identity_coefficient,
                        outer_edge, weak_gradient_coeffs)
 
@@ -146,13 +147,16 @@ def _split(grp, dofs):
     return local[:, nfl:], local[:, :nfl].reshape(len(local), grp.n_edges, -1)
 
 
-def _cell_grad(grp, uc, pts) -> np.ndarray:
-    """grad u_0 (g, m, q, 2) at points (g, m, q, 2) of each row of a group
-    from its cell coefficients uc (g, nc)."""
-    phi = np.swapaxes(grp.cell_basis(pts, grad=True), -1, -2)
-    # one product per row, 3x faster than an einsum over the basis axis
-    return (phi.reshape(len(uc), -1, phi.shape[-1])
-            @ uc[:, :, None]).reshape(phi.shape[:-1])
+def _u0_grad(grp, uc, phi) -> np.ndarray:
+    """grad u_0 (g, m, q, 2) of each row of a group from its cell
+    coefficients uc (g, nc) and its cell basis phi (g, m, q, nc) at the
+    points: the first n_mono columns of phi, P_k, over h times
+    derivative_table(k + 1) uc."""
+    g, nm = len(uc), grp.n_mono
+    pk = phi[..., :nm] / grp.h[:, None, None, None]
+    duc = np.einsum("bcx,gc->gbx", derivative_table(grp.k + 1), uc)
+    # one product per row, 1.4-2x faster than an einsum over the basis axis
+    return (pk.reshape(g, -1, nm) @ duc).reshape(phi.shape[:-1] + (2,))
 
 
 def _sq(v) -> np.ndarray:
@@ -196,12 +200,12 @@ def error_norms(solution: SolutionField, u_exact: Callable,
         hK = diam[grp.cells]
         uc, ub = _split(grp, solution.dofs)
         pts, wts = grp.fan_quadrature(vol_rule)
-        du = _at(u_exact, pts) \
-            - np.einsum("gtqc,gc->gtq", grp.cell_basis(pts), uc)
+        phi = grp.cell_basis(pts)
+        du = _at(u_exact, pts) - np.einsum("gtqc,gc->gtq", phi, uc)
         l2_sq += float(np.sum(wts * du ** 2))
         if grad_u_exact is not None:
             grads = _at(grad_u_exact, pts, (2,))
-            dg = grads - _cell_grad(grp, uc, pts)
+            dg = grads - _u0_grad(grp, uc, phi)
             e1h_sq += float(np.sum(wts * _sq(dg)))
             e1h_sq += float(np.sum(_face_jump_sq(grp, uc, ub, jump_rule)
                                    / hK))
@@ -328,7 +332,8 @@ def h1h_distance(system: GlobalSystem, dofs_a: np.ndarray,
     for grp in system.groups:
         uc, ub = _split(grp, delta)
         pts, wts = grp.fan_quadrature(vol_rule)
-        total += float(np.sum(wts * _sq(_cell_grad(grp, uc, pts))))
+        total += float(np.sum(wts * _sq(_u0_grad(grp, uc,
+                                                 grp.cell_basis(pts)))))
         total += float(np.sum(_face_jump_sq(grp, uc, ub, erule)
                               / diam[grp.cells]))
     return float(np.sqrt(total))

@@ -26,6 +26,7 @@ __all__ = [
     "map_to_edge",
     "monomial_exponents",
     "monomials",
+    "derivative_table",
     "face_monomials",
 ]
 
@@ -126,28 +127,41 @@ def monomials(points, center, h, degree: int, grad: bool = False):
 
     points (..., 2); center and h broadcast against points (..., 2) and
     points[..., 0]. Returns values (..., n) in the graded ordering of
-    monomial_exponents, or with grad their gradients (..., n, 2).
+    monomial_exponents, or with grad their gradients (..., n, 2): the
+    degree - 1 values over h times derivative_table(degree).
     """
+    if grad:
+        D = derivative_table(degree)
+        low = monomials(points, center, h, degree - 1) \
+            / np.asarray(h, dtype=float)[..., None]
+        n = D.shape[1]
+        return (low @ D.reshape(-1, 2 * n)).reshape(low.shape[:-1] + (n, 2))
     pts = np.asarray(points, dtype=float)
     h = np.asarray(h, dtype=float)
     xi = (pts[..., 0] - center[..., 0]) / h
     eta = (pts[..., 1] - center[..., 1]) / h
     exps = monomial_exponents(degree)
-    # gradients need no power above degree - 1
-    top = degree - 1 if grad and degree else degree
-    xp, ep = _powers(xi, top), _powers(eta, top)
-    if not grad:
-        out = np.empty(xi.shape + (len(exps),))
-        for j, (a, b) in enumerate(exps):
-            np.multiply(xp[a], ep[b], out=out[..., j])
-        return out
-    out = np.zeros(xi.shape + (len(exps), 2))
+    xp, ep = _powers(xi, degree), _powers(eta, degree)
+    out = np.empty(xi.shape + (len(exps),))
     for j, (a, b) in enumerate(exps):
-        if a:
-            out[..., j, 0] = a * xp[a - 1] * ep[b] / h
-        if b:
-            out[..., j, 1] = b * xp[a] * ep[b - 1] / h
+        np.multiply(xp[a], ep[b], out=out[..., j])
     return out
+
+
+def derivative_table(degree: int) -> np.ndarray:
+    """Exponent table D (n_{degree-1}, n_degree, 2) of the scaled monomials:
+    d m_c / dx_x = sum_b D[b, c, x] m_b / h, so D[b, c, 0] = a where
+    m_c = xi^a eta^e and m_b = xi^(a-1) eta^e, and likewise along y. Every
+    other entry is 0, and at degree 0 the table is empty."""
+    lower = {e: b for b, e in enumerate(monomial_exponents(degree - 1))}
+    exps = monomial_exponents(degree)
+    D = np.zeros((len(lower), len(exps), 2))
+    for c, (a, e) in enumerate(exps):
+        if a:
+            D[lower[a - 1, e], c, 0] = a
+        if e:
+            D[lower[a, e - 1], c, 1] = e
+    return D
 
 
 def face_monomials(s, degree: int):

@@ -121,14 +121,20 @@ def solve_direct(A, b) -> tuple:
     With a symmetric ordering and diagonal pivots the factorization is
     P A P^T = L U with U = D L^T, so A is SPD exactly when no row was
     swapped off the diagonal (perm_r == perm_c) and every pivot is > 0.
+    A is symmetric, so SuperLU factors a float CSR matrix as A^T, the CSC
+    matrix on the same arrays, without a copy; the residual is taken with
+    A itself.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if n == 0:
         return np.zeros(0), SolveReport("direct", 0, 0, 0.0, True)
-    A = sp.csc_matrix(A, dtype=float)
+    if sp.issparse(A) and A.format == "csr" and A.dtype == float:
+        factor = A.T
+    else:
+        A = factor = sp.csc_matrix(A, dtype=float)
     try:
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(factor, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError("matrix is singular or not SPD") from exc

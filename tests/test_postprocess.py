@@ -20,11 +20,14 @@ from stagpoly.postprocess import (
     recover_flux,
     scaled_conservation_residuals,
     write_vtk,
+    _at,
+    _face_jump_sq,
     _normal_part,
+    _split,
 )
 from stagpoly.problems import example1, example2, example3, patch_linear
 from stagpoly.quadbasis import (edge_rule, map_to_edge, map_to_triangle,
-                                triangle_rule)
+                                monomials, triangle_rule)
 from stagpoly.solver import solve_system
 from stagpoly.weakgrad import ElementGroup, flux_values, outer_edge
 
@@ -430,6 +433,42 @@ def test_post_stage_on_kept_points_matches_fresh_quadrature(voronoi64,
     assert mine["face"] == ref["face"]
     assert abs(mine["max_scaled_jump"] - ref["max_scaled_jump"]) \
         <= 1e-13 * ref["max_scaled_jump"]
+
+
+def reference_e1h(sol, grad_u):
+    """e_1h in mode "paper" with grad u_0 from monomials(grad=True) at
+    every point."""
+    system = sol.system
+    total = 0.0
+    for grp in system.groups:
+        uc, ub = _split(grp, sol.dofs)
+        pts, wts = grp.fan_quadrature(triangle_rule(2))
+        gphi = monomials(pts, grp.xbar[:, None, None], grp.h[:, None, None],
+                         system.k + 1, grad=True)
+        dg = _at(grad_u, pts, (2,)) - np.einsum("gtqcx,gc->gtqx", gphi, uc)
+        total += np.sum(wts * (dg ** 2).sum(axis=-1))
+        total += np.sum(_face_jump_sq(grp, uc, ub, edge_rule(system.k + 1))
+                        / system.mesh.diameters[grp.cells])
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("case", ["tri8-k0", "tri8-k1", "tri8-k2", "tri8-k3",
+                                  "voronoi64-k1"])
+def test_kept_tables_match_fresh_evaluation(case, voronoi64, monkeypatch):
+    # the load reads the points element_groups keeps (at k = 0 its volume
+    # points), and e_1h the P_k columns of the basis it evaluates for e_L2
+    name, k = case.split("-k")
+    mesh = voronoi64 if name == "voronoi64" else gen_uniform_triangles(8)
+    prob = example2() if name == "voronoi64" else example1()
+    sol = solved(prob, mesh, k=int(k))
+    with monkeypatch.context() as patch:
+        fresh_quadrature(patch)
+        fresh = assemble_system(mesh, sol.system.subtri, int(k), prob.coeff,
+                                prob.f, prob.bc, flux_sign=prob.flux_sign)
+    assert np.array_equal(sol.system.b_full, fresh.b_full)
+    e1h = error_norms(sol, prob.u, prob.grad_u)["e_1h"]
+    ref = reference_e1h(sol, prob.grad_u)
+    assert abs(e1h - ref) <= 1e-13 * ref
 
 
 def test_reassigned_flux_coefficients_are_read(voronoi64):

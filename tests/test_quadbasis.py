@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stagpoly.quadbasis import (
     QuadratureError,
+    derivative_table,
     edge_rule,
     face_monomials,
     map_to_edge,
@@ -180,12 +181,34 @@ def test_cell_basis_first_component_one(pentagon_cell, pts):
 def test_cell_basis_gradient_matches_fd(pentagon_cell):
     fan = subtriangulate(pentagon_cell).fans[0]
     x = np.array([[0.3, -0.2]])
-    g = monomials(x, fan.xbar, fan.h, 2, grad=True)[0]
     eps = 1e-6
-    for d, e in ((0, np.array([[eps, 0.0]])), (1, np.array([[0.0, eps]]))):
-        fd = (monomials(x + e, fan.xbar, fan.h, 2)[0]
-              - monomials(x - e, fan.xbar, fan.h, 2)[0]) / (2 * eps)
-        assert np.allclose(g[:, d], fd, atol=1e-8)
+    for degree in range(7):
+        g = monomials(x, fan.xbar, fan.h, degree, grad=True)[0]
+        for d, e in ((0, np.array([[eps, 0.0]])),
+                     (1, np.array([[0.0, eps]]))):
+            fd = (monomials(x + e, fan.xbar, fan.h, degree)[0]
+                  - monomials(x - e, fan.xbar, fan.h, degree)[0]) / (2 * eps)
+            assert np.allclose(g[:, d], fd, atol=1e-8), degree
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_derivative_table_holds_the_exponents(degree):
+    # d/dx xi^a eta^b = a xi^(a-1) eta^b / h, and likewise along y
+    lower = monomial_exponents(degree - 1)
+    want = np.zeros((len(lower), len(monomial_exponents(degree)), 2))
+    for c, (a, b) in enumerate(monomial_exponents(degree)):
+        if a:
+            want[lower.index((a - 1, b)), c, 0] = a
+        if b:
+            want[lower.index((a, b - 1)), c, 1] = b
+    assert np.array_equal(derivative_table(degree), want)
+
+
+def test_derivative_table_degree0_is_zero():
+    assert derivative_table(0).shape == (0, 1, 2)
+    grad = monomials(np.array([[0.3, -0.2], [1.0, 2.0]]), np.zeros(2), 0.5, 0,
+                     grad=True)
+    assert grad.shape == (2, 1, 2) and not grad.any()
 
 
 def test_cell_basis_gram_conditioning(mesh_families):

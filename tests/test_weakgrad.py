@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from stagpoly.quadbasis import (edge_rule, face_monomials, map_to_edge,
                                 map_to_triangle, monomial_exponents,
                                 monomials, triangle_rule)
 from stagpoly.assembly import BoundarySpec, assemble_system
+from stagpoly.polymesh import gen_uniform_triangles
 from stagpoly.postprocess import FluxField
 from stagpoly.weakgrad import (
     CoefficientError,
@@ -534,6 +536,8 @@ def test_face_rows_are_one_reference_table(voronoi64, voronoi64_sub, k):
 def test_group_keeps_read_only_quadrature_points(voronoi64, voronoi64_sub):
     grp = element_groups(voronoi64, voronoi64_sub, 1,
                          identity_coefficient())[0]
+    # element_groups keeps the points of its volume and outer-edge rules
+    assert set(grp._points) == {("fan", 2), ("edge", 3)}
     pts, wts = grp.fan_quadrature(triangle_rule(0))
     again, wts_again = grp.fan_quadrature(triangle_rule(2))
     # triangle_rule(0..2) is one rule, so one table
@@ -569,3 +573,19 @@ def test_element_layer_and_fans_share_mesh_groups(voronoi64, voronoi64_sub):
         assert np.shares_memory(grp.areas, areas)
         for c in cg.cells:
             assert np.shares_memory(voronoi64_sub.fans[c].loop, cg.loop)
+
+
+def test_element_groups_memory_at_k3():
+    # tri32 at k = 3 peaks near 104 MiB and keeps G, A and the volume and
+    # edge point tables, about 39 MiB: a further kept table shows here
+    mesh = gen_uniform_triangles(32)
+    sub = subtriangulate(mesh)
+    tracemalloc.start()
+    try:
+        groups = element_groups(mesh, sub, 3, identity_coefficient())
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(groups) == 1
+    assert peak <= 115 * 2 ** 20, peak
+    assert kept <= 40 * 2 ** 20, kept
