@@ -121,20 +121,14 @@ def solve_direct(A, b) -> tuple:
     With a symmetric ordering and diagonal pivots the factorization is
     P A P^T = L U with U = D L^T, so A is SPD exactly when no row was
     swapped off the diagonal (perm_r == perm_c) and every pivot is > 0.
-    A is symmetric, so SuperLU factors a float CSR matrix as A^T, the CSC
-    matrix on the same arrays, without a copy; the residual is taken with
-    A itself.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if n == 0:
         return np.zeros(0), SolveReport("direct", 0, 0, 0.0, True)
-    if sp.issparse(A) and A.format == "csr" and A.dtype == float:
-        factor = A.T
-    else:
-        A = factor = sp.csc_matrix(A, dtype=float)
+    A = sp.csc_matrix(A, dtype=float)
     try:
-        lu = splu(factor, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError("matrix is singular or not SPD") from exc
@@ -156,7 +150,9 @@ def solve_system(system: GlobalSystem, method: str = "direct",
     """
     cond = static_condensation(system)
     if method == "direct":
-        x, report = solve_direct(cond.S, cond.b)
+        # S is bitwise symmetric (_symmetric_csr), so its transpose is the
+        # CSC matrix on the same arrays, which SuperLU takes without a copy
+        x, report = solve_direct(cond.S.T, cond.b)
     elif method == "cg":
         x, report = solve_cg(cond.S, cond.b, tol=tol)
     else:

@@ -214,21 +214,28 @@ class ElementGroup(CellGroup):
     def fan_quadrature(self, rule):
         """A reference triangle rule on every fan triangle: points
         (g, m, q, 2), kept read-only, and weights (g, m, q)."""
-        key = ("fan", rule.degree)
-        if key not in self._points:
-            self._points[key] = _read_only(
-                map_to_triangle(rule, self.triangles)[0])
         # the fan triangles are positive, so |Jacobian| = 2 |T|
-        return self._points[key], rule.weights * (2.0 * self.areas)[..., None]
+        return (self._keep("fan", rule),
+                rule.weights * (2.0 * self.areas)[..., None])
 
     def edge_quadrature(self, rule):
         """A reference edge rule on every outer edge in loop direction:
         points (g, m, q, 2), kept read-only, and weights (g, m, q)."""
-        key = ("edge", rule.degree)
+        return self._keep("edge", rule), rule.weights * self.lengths[..., None]
+
+    def _keep(self, kind, rule, pts=None):
+        """The kept read-only points (g, m, q, 2) of a rule on every fan
+        triangle (kind "fan") or outer edge ("edge"), one table per kind and
+        rule degree; pts, if given, are those points already mapped."""
+        key = (kind, rule.degree)
         if key not in self._points:
-            self._points[key] = _read_only(map_to_edge(
-                rule, self.loop, np.roll(self.loop, -1, axis=1))[0])
-        return self._points[key], rule.weights * self.lengths[..., None]
+            if pts is None and kind == "fan":
+                pts = map_to_triangle(rule, self.triangles)[0]
+            elif pts is None:
+                pts = map_to_edge(rule, self.loop,
+                                  np.roll(self.loop, -1, axis=1))[0]
+            self._points[key] = _read_only(pts)
+        return self._points[key]
 
     def face_basis(self, t):
         """Face basis (g, m, len(t), k+1) at reference points t of every
@@ -386,8 +393,8 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
                                dofmap.cell_dofs(grp.cells)], axis=1)
         group = ElementGroup(**vars(grp), k=k, star=star, areas=areas, h=h,
                              G=G, A=A, dofs=dofs)
-        group._points.update({("fan", vol_rule.degree): _read_only(vpts),
-                              ("edge", erule.degree): _read_only(epts)})
+        group._keep("fan", vol_rule, vpts)
+        group._keep("edge", erule, epts)
         groups.append(group)
     return groups
 

@@ -141,6 +141,15 @@ def test_direct_matches_dense():
         assert np.abs(x - np.linalg.solve(A, b)).max() < 1e-10
 
 
+def test_direct_solves_the_matrix_it_is_given():
+    # positive diagonal pivots but not symmetric: A x = b, not A^T x = b
+    A = np.array([[2.0, 1.0], [0.0, 2.0]])
+    b = np.array([1.0, 2.0])
+    for matrix in (A, sp.csr_matrix(A), sp.csc_matrix(A)):
+        x, _ = solve_direct(matrix, b)
+        assert np.allclose(A @ x, b, rtol=0.0, atol=1e-14)
+
+
 def test_direct_singular_raises():
     A = np.zeros((3, 3))
     with pytest.raises(SolverError):
