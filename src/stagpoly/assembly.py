@@ -198,7 +198,7 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
     ends = mesh.vertices[mesh.edges[edges]]
     dirichlet = np.zeros(len(edges), dtype=bool)
     values = np.zeros((len(edges), k + 1))
-    erule = edge_rule(min(max(k + 1, 2), 6))
+    erule = edge_rule(max(k + 1, 2))
     psi = face_monomials(erule.points - 0.5, k)
     for tag in np.unique(tags):
         kind, g = bc.condition_for(int(tag))

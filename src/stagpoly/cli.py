@@ -35,8 +35,6 @@ EXIT_CONFIG = 1
 EXIT_MESH = 2
 EXIT_SOLVER = 3
 
-DEFAULT_STAR = "chebyshev"
-
 # Published reference values for example1 on structured triangle meshes:
 # (h, N_K, sigma error, u error)
 TABLE1_REFERENCE = [
@@ -102,14 +100,8 @@ def _add_mesh_source_flags(p):
     p.add_argument("--lloyd-iters", type=int, default=100)
 
 
-def _add_star_flag(p):
-    p.add_argument("--star", choices=["chebyshev", "centroid"],
-                   default=DEFAULT_STAR, help="star point placement")
-
-
 def _add_solve_flags(p):
     p.add_argument("-k", "--degree", type=int, default=0)
-    _add_star_flag(p)
     p.add_argument("--method", choices=["direct", "cg"], default="direct")
     p.add_argument("--cg-tol", type=float, default=1e-10, help="cg tolerance")
 
@@ -130,7 +122,7 @@ def cmd_mesh_gen(args) -> int:
 def cmd_mesh_info(args) -> int:
     mesh = read_mesh(args.file)
     # fanning every cell is what checks the star points
-    build_subtriangulation(mesh, compute_star_points(mesh, method=args.star))
+    build_subtriangulation(mesh)
     rep = quality_report(mesh)
     print(f"cells      {mesh.num_cells}")
     print(f"vertices   {mesh.num_vertices}")
@@ -138,12 +130,12 @@ def cmd_mesh_info(args) -> int:
     print(f"area       {mesh.areas().sum():.12f}")
     print(f"max chunkiness (diam/rho)   {rep.max_chunkiness:.3f}")
     print(f"max face ratio (diam/minF)  {rep.max_face_ratio:.3f}")
-    print(f"star points ({args.star})   all valid")
+    print("star points   all valid")
     return 0
 
 
 def _solve_problem(problem, mesh, args):
-    stars = compute_star_points(mesh, method=args.star)
+    stars = compute_star_points(mesh)
     subtri = build_subtriangulation(mesh, star_points=stars)
     system = assemble_system(mesh, subtri, args.degree, problem.coeff,
                              problem.f, problem.bc,
@@ -214,7 +206,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"{problem.name} has no exact solution to "
                           "measure convergence against")
     meshes = _convergence_meshes(args)
-    report = convergence_study(problem, meshes, k=args.degree, star=args.star,
+    report = convergence_study(problem, meshes, k=args.degree,
                                mode=args.quadrature,
                                solver_opts={"method": args.method,
                                             "tol": args.cg_tol})
@@ -270,8 +262,7 @@ def cmd_crcheck(args) -> int:
     mesh = _build_mesh(args)
     if not mesh.is_triangle_mesh():
         raise MeshError("equivalence check requires a triangle mesh")
-    stars = compute_star_points(mesh, method=args.star)
-    disc = cr_equivalence(mesh, star_points=stars)
+    disc = cr_equivalence(mesh)
     print(f"cells {mesh.num_cells}  discrepancy {disc:.3e}  "
           f"(tolerance {args.tol:.1e})")
     return 0 if disc <= args.tol else EXIT_SOLVER
@@ -292,7 +283,6 @@ def _make_parser() -> argparse.ArgumentParser:
     pg.set_defaults(run=cmd_mesh_gen)
     pi = msub.add_parser("info", help="counts, quality, star validity")
     pi.add_argument("file")
-    _add_star_flag(pi)
     pi.set_defaults(run=cmd_mesh_info)
 
     ps = sub.add_parser("solve", help="solve one problem instance")
@@ -336,7 +326,6 @@ def _make_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("cr-check",
                         help="compare against the nonconforming P1 matrix")
     _add_mesh_source_flags(pr)
-    _add_star_flag(pr)
     pr.add_argument("--tol", type=float, default=1e-10)
     pr.set_defaults(run=cmd_crcheck)
     return ap

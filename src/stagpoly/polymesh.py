@@ -508,15 +508,6 @@ def _reflection(mirror):
                       np.concatenate([none, w, pad]))
 
 
-def _reflect(seeds, mirror):
-    """Seeds followed by their reflections across the walls marked in
-    mirror (n, 4): _reflection's points without the _BOX corners, with
-    their mate and wall arrays. Raises as _check_wall_gap."""
-    _check_wall_gap(seeds)
-    src, scale, off, mate, wall = (v[:-len(_BOX)] for v in _reflection(mirror))
-    return np.take(seeds, src, axis=0) * scale + off, mate, wall
-
-
 def _wall_pairs(mate, wall, groups):
     """Rows of the point-id groups (P, k) holding a seed and its own
     reflection, and the wall between the two, once per reflection; mate
@@ -753,23 +744,21 @@ def _diagram(seeds, mirror, kept=None):
     reflection, and the mask only grows. The circumcenter of a triangle
     holding a seed and its reflection is put exactly on their wall.
 
-    kept is an earlier record, or a (mask, triangles, twins) tuple. Extra
-    reflections leave the regions unchanged, so its triangulation serves
-    any mask it covers, unless it carries over twice the reflections asked
-    for (the first, fully reflected step). Lawson flips repair it after the
-    seeds moved; Qhull triangulates only a new point set or a repair that
-    fails. A repair that flips nothing returns kept itself, with every
-    index array it has built.
+    kept is an earlier record. Extra reflections leave the regions
+    unchanged, so its triangulation serves any mask it covers, unless it
+    carries over twice the reflections asked for (the first, fully
+    reflected step). Lawson flips repair it after the seeds moved; Qhull
+    triangulates only a new point set or a repair that fails. A repair
+    that flips nothing returns kept itself, with every index array it has
+    built.
 
     Raises GenerationError for a seed nearer a wall than _WALL_GAP.
     """
     n = len(seeds)
     _check_wall_gap(seeds)
     mirror = np.array(mirror, dtype=bool)
-    if kept is not None and not (mirror & ~kept[0]).any() \
-            and kept[0].sum() <= 2 * mirror.sum():
-        kept = kept if isinstance(kept, _Kept) else _Kept(*kept)
-    else:
+    if kept is None or (mirror & ~kept.mask).any() \
+            or kept.mask.sum() > 2 * mirror.sum():
         kept = _Kept(*_read_only(mirror), None, None)
     while True:
         src, scale, off = kept.reflection[:3]
@@ -991,31 +980,18 @@ def _best_vertices(n, b, triples):
                   + np.where(tie, x, -np.inf).max(axis=1)), best
 
 
-def compute_star_points(mesh: PolyMesh, method: str = "chebyshev"):
-    """Per-cell star points.
+def compute_star_points(mesh: PolyMesh):
+    """Per-cell star points: each cell's kernel Chebyshev center.
 
-    method "chebyshev" (default) returns each cell's kernel Chebyshev
-    center: the center of the largest disc inside the cell's kernel, the
+    That is the center of the largest disc inside the cell's kernel, the
     set of points that see the whole cell boundary. On a triangle this is
     the incenter, on a convex cell the center of the largest inscribed
     disc. Each cell's 3-variable LP is solved exactly by enumerating its
     vertices, valence group by valence group, not as one block LP; where
     the largest disc can slide along a segment, the star point is the
-    segment's midpoint. "centroid" returns the area centroid, valid for
-    convex cells. Raises StarShapeError when a cell has no star point.
+    segment's midpoint. Raises StarShapeError when a cell has no star point.
     """
-    if method == "chebyshev":
-        return _kernel_chebyshev(mesh)[0]
-    if method != "centroid":
-        raise ValueError(f"unknown star point method {method!r}")
-    star = _shoelace(mesh.vertices[mesh.cell_verts], mesh.cell_ptr)[1]
-    # the centroid fans its cell iff every fan triangle is positive
-    bad = [c for grp in mesh.groups for c in grp.cells[np.any(
-        fan_areas(grp.loop, star[grp.cells]) <= 0.0, axis=1)]]
-    if bad:
-        raise StarShapeError(
-            f"star point of cell {min(bad)} has nonpositive clearance")
-    return star
+    return _kernel_chebyshev(mesh)[0]
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ published example1 triangle table (k = 0, Chebyshev star points) it gives
 e_sigma_L2 within 0.3% at every level, and e_L2 a steady factor 0.991 below
 the published column from the second level on (0.984 at the first). e_L2 is
 sensitive to the convention: mode "high" puts it 25-27% above the published
-column and centroid star points 7-8% above, while e_sigma_L2 stays within
-0.5% of the published column in both.
+column, and fans around the area centroid put it 7-8% above (measured when
+the centroid was still offered as a star point; it no longer is), while
+e_sigma_L2 stays within 0.5% of the published column in both.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import scipy.sparse as sp
 
 from .assembly import (BoundarySpec, CondensationError, GlobalSystem,
                        _block_triplets, _symmetric_csr, assemble_system)
-from .polymesh import PolyMesh, build_subtriangulation, compute_star_points
+from .polymesh import PolyMesh, build_subtriangulation
 from .quadbasis import (derivative_table, edge_rule, face_monomials,
                         monomials, triangle_rule)
 from .weakgrad import (flux_basis, flux_values, identity_coefficient,
@@ -115,7 +116,7 @@ def _norm_rules(system: GlobalSystem, mode: str):
     if mode == "high":
         return triangle_rule(6), edge_rule(4)
     if mode == "exact":
-        return triangle_rule(min(2 * k + 2, 10)), edge_rule(min(k + 2, 6))
+        return triangle_rule(2 * k + 2), edge_rule(k + 2)
     raise PostprocessError(f"unknown quadrature mode {mode!r}")
 
 
@@ -325,7 +326,7 @@ def h1h_distance(system: GlobalSystem, dofs_a: np.ndarray,
     """1,h-norm of the difference of two discrete solutions (exact rules)."""
     k = system.k
     vol_rule = triangle_rule(max(2 * k, 2))
-    erule = edge_rule(min(k + 2, 6))
+    erule = edge_rule(k + 2)
     delta = np.asarray(dofs_a) - np.asarray(dofs_b)
     total = 0.0
     diam = system.mesh.diameters
@@ -394,8 +395,7 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def convergence_study(problem, meshes, k: int = 0, star: str = "chebyshev",
-                      mode: str = "paper",
+def convergence_study(problem, meshes, k: int = 0, mode: str = "paper",
                       solver_opts: dict | None = None) -> ConvergenceReport:
     """Solve a problem on a mesh family and tabulate errors with rates."""
     from .solver import SolverError, solve_system
@@ -405,7 +405,7 @@ def convergence_study(problem, meshes, k: int = 0, star: str = "chebyshev",
     report = ConvergenceReport(problem=problem.name, k=k,
                                columns=list(problem.table_columns))
     for level, mesh in enumerate(meshes, start=1):
-        subtri = build_subtriangulation(mesh, compute_star_points(mesh, star))
+        subtri = build_subtriangulation(mesh)
         system = assemble_system(mesh, subtri, k, problem.coeff, problem.f,
                                  problem.bc, flux_sign=problem.flux_sign)
         try:
@@ -422,7 +422,7 @@ def convergence_study(problem, meshes, k: int = 0, star: str = "chebyshev",
     return report
 
 
-def cr_equivalence(mesh: PolyMesh, star_points=None) -> float:
+def cr_equivalence(mesh: PolyMesh) -> float:
     """Scaled max-norm gap between the assembled matrix and E^T A_CR E.
 
     A_CR is the P1 nonconforming stiffness matrix on the fan refinement
@@ -432,7 +432,7 @@ def cr_equivalence(mesh: PolyMesh, star_points=None) -> float:
     """
     if not mesh.is_triangle_mesh():
         raise PostprocessError("equivalence check requires a triangle mesh")
-    subtri = build_subtriangulation(mesh, star_points=star_points)
+    subtri = build_subtriangulation(mesh)
     system = assemble_system(
         mesh, subtri, 0, identity_coefficient(),
         f=lambda pts: np.zeros(len(pts)),

@@ -421,7 +421,7 @@ def weak_gradient_coeffs(group: ElementGroup, u_local) -> np.ndarray:
 
 def cell_mass(group: ElementGroup) -> np.ndarray:
     """Gram matrices (g, nc, nc) of the cell bases integrated over the fans."""
-    pts, wts = group.fan_quadrature(triangle_rule(min(2 * (group.k + 1), 10)))
+    pts, wts = group.fan_quadrature(triangle_rule(2 * (group.k + 1)))
     phi = group.cell_basis(pts)
     return np.einsum("gtqa,gtqb->gab", phi * wts[..., None], phi)
 
@@ -440,7 +440,7 @@ def weak_divergence(group: ElementGroup, s) -> tuple:
     """
     s = np.asarray(s, dtype=float)
     k, g, m = group.k, len(group.cells), group.n_edges
-    rule = triangle_rule(min(2 * (k + 1), 10))
+    rule = triangle_rule(2 * (k + 1))
     pts, wts = group.fan_quadrature(rule)
     # flux basis gradients: reference gradients times J^-1
     mgrad = monomials(rule.points, _REF_CENTROID, 1.0, k, grad=True)

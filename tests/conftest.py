@@ -16,8 +16,8 @@ def make_single_cell(vertices):
     return polymesh.build_polymesh(vertices, [list(range(len(vertices)))])
 
 
-def subtriangulate(mesh, method="chebyshev"):
-    stars = polymesh.compute_star_points(mesh, method=method)
+def subtriangulate(mesh):
+    stars = polymesh.compute_star_points(mesh)
     return polymesh.build_subtriangulation(mesh, star_points=stars)
 
 

@@ -217,7 +217,7 @@ def test_flat_geometry_matches_per_cell_loops(voronoi64):
     # another order, so they may differ by the summation error bound
     m = voronoi64
     areas = m.areas()
-    centroids = compute_star_points(m, method="centroid")
+    centroids = polymesh._shoelace(m.vertices[m.cell_verts], m.cell_ptr)[1]
     diameters = m.diameters
     for c in range(m.num_cells):
         p = m.vertices[m.cells[c]]
@@ -455,7 +455,8 @@ def test_flip_repair_restores_delaunay():
     mask, tri, twin = kept
     # a jitter of a tenth of the spacing makes the kept triangulation illegal
     moved = seeds + rng.normal(scale=0.1 / 16, size=seeds.shape)
-    pts = np.vstack([polymesh._reflect(moved, mask)[0], polymesh._BOX])
+    src, scale, off = polymesh._reflection(mask)[:3]
+    pts = moved[src] * scale + off
     assert _incircle_excess(pts, tri, twin).max() > 1e-3
     repaired = polymesh._flip_to_delaunay(pts, tri, twin)
     assert repaired is not None
@@ -463,7 +464,8 @@ def test_flip_repair_restores_delaunay():
     assert _incircle_excess(pts, *repaired).max() <= 1e-10
     # a seed and a neighbour make a cocircular quad with their reflections,
     # so the triangles may differ from Qhull's but not the regions
-    centroid, _, kept = polymesh._lloyd_step(moved, mask, (mask, *repaired))
+    centroid, _, kept = polymesh._lloyd_step(moved, mask,
+                                             polymesh._Kept(mask, *repaired))
     assert np.array_equal(kept[1], repaired[0])
     assert np.abs(centroid - polymesh._lloyd_step(moved, mask)[0]).max() <= 1e-14
 
@@ -485,7 +487,8 @@ def test_flip_repair_returns_or_spares_its_inputs():
     tri, twin = polymesh._flip_to_delaunay(pts, kept.tri, kept.twin)
     assert tri is kept.tri and twin is kept.twin
     moved = seeds + np.random.default_rng(4).normal(scale=0.1 / 16, size=seeds.shape)
-    pts = np.vstack([polymesh._reflect(moved, kept.mask)[0], polymesh._BOX])
+    src, scale, off = polymesh._reflection(kept.mask)[:3]
+    pts = moved[src] * scale + off
     tri, twin = kept.tri.copy(), kept.twin.copy()
     repaired = polymesh._flip_to_delaunay(pts, tri, twin)
     assert repaired is not None and not np.array_equal(repaired[0], tri)
@@ -788,11 +791,6 @@ def test_mesh_groups_cover_every_cell_once(voronoi64):
             arr = getattr(grp, f.name)
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
-
-
-def test_star_point_centroid_method(pentagon_cell):
-    star = compute_star_points(pentagon_cell, method="centroid")
-    assert np.allclose(star[0], [0.0, 0.0], atol=1e-12)
 
 
 def test_fan_unit_square(unit_square_cell):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stagpoly.quadbasis import (edge_rule, face_monomials, map_to_edge,
-                                map_to_triangle, monomial_exponents,
-                                monomials, triangle_rule)
+from stagpoly.quadbasis import (QuadratureError, edge_rule, face_monomials,
+                                map_to_edge, map_to_triangle,
+                                monomial_exponents, monomials, triangle_rule)
 from stagpoly.assembly import BoundarySpec, assemble_system
 from stagpoly.polymesh import gen_uniform_triangles
 from stagpoly.postprocess import FluxField
@@ -291,6 +291,18 @@ def test_weak_divergence_adjointness():
             rhs += np.einsum("t,ta,tab,tb->", fan.lengths,
                              u[:nfd].reshape(5, k + 1), gram, face_parts[0])
             assert lhs == pytest.approx(-rhs, abs=1e-12 * max(1.0, abs(lhs)))
+
+
+def test_rules_beyond_the_cap_raise_at_k5():
+    # element_groups itself accepts k = 5, but the degree-12 mass and
+    # divergence rules exceed MAX_TRIANGLE_DEGREE; a lower rule would
+    # under-integrate them silently
+    mesh = gen_uniform_triangles(2)
+    [grp] = element_groups(mesh, subtriangulate(mesh), 5, identity_coefficient())
+    with pytest.raises(QuadratureError):
+        cell_mass(grp)
+    with pytest.raises(QuadratureError):
+        weak_divergence(grp, np.zeros((len(grp.cells), grp.G.shape[1])))
 
 
 def test_batched_cholesky_names_failing_cell():
