@@ -4,12 +4,12 @@ A PolyMesh is a set of simple, counter-clockwise polygonal cells glued
 along straight edges, in compressed sparse row (CSR) form: cell c's
 vertex loop fills the slots cell_ptr[c]:cell_ptr[c+1] of cell_verts, and
 the same slots of cell_edges hold the edges of its loop segments. Flat
-passes over the slots give areas, centroids and diameters; mesh.groups
-stacks the cells of each edge count into one CellGroup of edge geometry,
-built once for the star points, the fans and the element layer. Each
-cell is fanned into triangles from its star point, an interior point
-seeing its whole boundary; the fans form the sub-triangulation that the
-flux space lives on.
+passes over the slots give areas and diameters; mesh.groups stacks the
+cells of each edge count into one CellGroup of edge geometry, built once
+for the star points, the fans and the element layer. Each cell is fanned
+into triangles from its star point, an interior point seeing its whole
+boundary; the fans form the sub-triangulation that the flux space lives
+on.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from itertools import chain, combinations, permutations
 from operator import itemgetter
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 __all__ = [
     "MeshError",
@@ -133,7 +132,7 @@ class PolyMesh:
         return np.flatnonzero(self.edge_cells[:, 1] < 0)
 
     def areas(self):
-        return _shoelace(self.vertices[self.cell_verts], self.cell_ptr)[0]
+        return _shoelace(self.vertices[self.cell_verts], self.cell_ptr)
 
     def is_triangle_mesh(self) -> bool:
         return bool(np.all(np.diff(self.cell_ptr) == 3))
@@ -197,14 +196,10 @@ def _successor(cell_ptr):
 
 
 def _shoelace(pts, cell_ptr):
-    """Signed area (C,) and area centroid (C, 2) of the CSR loops pts (N, 2)."""
+    """Signed area (C,) of the CSR loops pts (N, 2)."""
     q = pts[_successor(cell_ptr)]
     cross = pts[:, 0] * q[:, 1] - q[:, 0] * pts[:, 1]
-    area = 0.5 * np.add.reduceat(cross, cell_ptr[:-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        centroid = np.add.reduceat((pts + q) * cross[:, None], cell_ptr[:-1]) \
-            / (6.0 * area[:, None])
-    return area, centroid
+    return 0.5 * np.add.reduceat(cross, cell_ptr[:-1])
 
 
 def _diameters(pts, cell_ptr):
@@ -260,7 +255,7 @@ def _connect(vertices, cell_ptr, cell_verts):
     pairs = np.sort(cell * nv + cell_verts)
     _lowest(pairs[1:][pairs[1:] == pairs[:-1]] // nv,
             "cell {} lists a vertex twice")
-    area, _ = _shoelace(vertices[cell_verts], cell_ptr)
+    area = _shoelace(vertices[cell_verts], cell_ptr)
     bad = np.flatnonzero(area <= 0.0)
     if len(bad):
         raise MeshValidationError(
@@ -581,6 +576,8 @@ def _twins(tri):
 def _delaunay(pts):
     """CCW Delaunay triangles (T, 3) of pts and their _twins: Qhull's, with
     what its round-off left out, inverted or illegal mended by flips."""
+    # Qhull loads only for Voronoi meshes
+    from scipy.spatial import Delaunay
     qhull = Delaunay(pts)
     # scipy orders each simplex counterclockwise; its ids are 32-bit
     tri = qhull.simplices.astype(np.intp)
@@ -895,9 +892,11 @@ def gen_delaunay_triangles(n_points: int, rng_seed: int = 0) -> PolyMesh:
     pts = 0.05 + 0.9 * rng.random((n_points, 2))
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     allpts = np.vstack([corners, pts])
+    # Qhull loads only for Delaunay and Voronoi meshes
+    from scipy.spatial import Delaunay
     simplices = Delaunay(allpts).simplices
     cell_ptr = 3 * np.arange(len(simplices) + 1)
-    area, _ = _shoelace(allpts[simplices.ravel()], cell_ptr)
+    area = _shoelace(allpts[simplices.ravel()], cell_ptr)
     cells = np.where(area[:, None] < 0, simplices[:, ::-1], simplices)
     return _unit_square_mesh(allpts, cell_ptr, cells.ravel())
 

@@ -15,7 +15,6 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 __all__ = [
     "QuadratureError",
@@ -72,6 +71,8 @@ def triangle_rule(degree: int) -> QuadRule:
     gx, gw = np.polynomial.legendre.leggauss(m)
     xi = 0.5 * (gx + 1.0)
     wxi = 0.5 * gw
+    # scipy.special loads only for k >= 1 or high-order quadrature
+    from scipy.special import roots_jacobi
     ju, jw = roots_jacobi(m, 1.0, 0.0)
     eta = 0.5 * (ju + 1.0)
     weta = 0.25 * jw

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .assembly import GlobalSystem, static_condensation
 
@@ -127,6 +126,8 @@ def solve_direct(A, b) -> tuple:
     if n == 0:
         return np.zeros(0), SolveReport("direct", 0, 0, 0.0, True)
     A = sp.csc_matrix(A, dtype=float)
+    # SuperLU loads only for direct solves
+    from scipy.sparse.linalg import splu
     try:
         lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})

@@ -13,7 +13,8 @@ from stagpoly.assembly import (
     static_condensation,
     write_matrix_market,
 )
-from stagpoly.problems import example1, example3, patch_linear
+from stagpoly.polymesh import gen_uniform_squares
+from stagpoly.problems import example1, example2, example3, patch_linear
 from stagpoly.solver import solve_direct, solve_system
 from stagpoly.weakgrad import CoefficientField
 
@@ -101,6 +102,20 @@ def test_system_bitwise_symmetric(tri4):
     system = build(example1(), tri4)
     assert (system.A_full - system.A_full.T).nnz == 0
     assert (system.A - system.A.T).nnz == 0
+
+
+@pytest.mark.parametrize("case", ["squares8-example3-k0",
+                                  "voronoi64-example2-k1"])
+def test_assembled_matrices_store_no_zero(case, voronoi64):
+    # _symmetric_csr's mirroring sum prunes the triplet sums that cancel
+    # exactly; a direct COO-to-CSR build would store them
+    if case.startswith("squares8"):
+        system = build(example3(), gen_uniform_squares(8), 0)
+    else:
+        system = build(example2(), voronoi64, 1)
+    for A in (static_condensation(system).S, system.A_full):
+        assert A.nnz > 0
+        assert np.count_nonzero(A.data == 0.0) == 0
 
 
 def test_pre_bc_kernel_is_constants(tri4):

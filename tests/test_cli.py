@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -293,3 +296,48 @@ def test_unknown_flag(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# import budget
+
+IMPORT_BUDGET_SCRIPT = """
+import json, sys
+WATCHED = ("scipy.spatial", "scipy.special", "scipy.io", "scipy.sparse.linalg")
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+stages = {}
+from stagpoly import cli
+stages["import"] = loaded()
+out = sys.argv[1]
+assert cli.main(["solve", "--problem", "example1", "--triangles", "4",
+                 "--no-timestamp", "--outdir", out + "/k0"]) == 0
+stages["k0 solve"] = loaded()
+from stagpoly.quadbasis import triangle_rule
+triangle_rule(3)
+stages["degree-3 rule"] = loaded()
+from stagpoly.polymesh import gen_voronoi_polygons
+gen_voronoi_polygons(16, lloyd_iters=5, rng_seed=1)
+stages["voronoi"] = loaded()
+assert cli.main(["solve", "--problem", "example1", "--triangles", "4",
+                 "--no-timestamp", "--matrix-market",
+                 "--outdir", out + "/mm"]) == 0
+stages["matrix market"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_scipy_subpackages_load_on_first_use(tmp_path):
+    # a fresh interpreter: this process has imported them all already
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    assert stages["import"] == []
+    assert stages["k0 solve"] == ["scipy.sparse.linalg"]
+    assert stages["degree-3 rule"] == ["scipy.special", "scipy.sparse.linalg"]
+    # scipy.spatial may bring scipy.special along
+    assert "scipy.spatial" in stages["voronoi"]
+    assert "scipy.io" in stages["matrix market"]
