@@ -106,7 +106,11 @@ class GlobalSystem:
     fixed_dofs: np.ndarray
     fixed_values: np.ndarray
     groups: list = field(repr=False, default_factory=list)
-    rhs_degree: int = 2
+
+    @property
+    def rhs_degree(self) -> int:
+        """Degree of the fan-triangle rule the load integrates f with."""
+        return 2 * (self.k + 1)
 
     @cached_property
     def A_full(self) -> sp.csr_matrix:
@@ -181,9 +185,8 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
 
     The load integrates f against the cell basis with a fan-triangle rule
     of degree 2(k+1); Neumann faces add flux_sign * <g_N, v_b>; Dirichlet
-    faces are projected with face_projection_Qb on k+1 Gauss points, which
-    makes the boundary values interpolatory there (the face midpoint at
-    k = 0), and eliminated.
+    faces are projected with face_projection_Qb, which interpolates the
+    boundary values at k+1 Gauss points, and eliminated.
     """
     dofmap = build_dof_map(mesh, k)
     rhs_rule = triangle_rule(2 * (k + 1))
@@ -211,7 +214,7 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
         a, bb = ends[sel, 0], ends[sel, 1]
         if kind == "dirichlet":
             dirichlet[sel] = True
-            values[sel] = face_projection_Qb(a, bb, k, g, npoints=k + 1)
+            values[sel] = face_projection_Qb(a, bb, k, g)
         else:
             pts, wts = map_to_edge(erule, a, bb)
             gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(
@@ -225,7 +228,7 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
                         coeff=coeff, flux_sign=flux_sign, b_full=b,
                         free=np.flatnonzero(mask), fixed_dofs=fixed_dofs,
                         fixed_values=values[dirichlet].ravel(),
-                        groups=groups, rhs_degree=rhs_rule.degree)
+                        groups=groups)
 
 
 @dataclass

@@ -576,7 +576,7 @@ def _twins(tri):
 def _delaunay(pts):
     """CCW Delaunay triangles (T, 3) of pts and their _twins: Qhull's, with
     what its round-off left out, inverted or illegal mended by flips."""
-    # Qhull loads only for Voronoi meshes
+    # Qhull loads only for Voronoi and Delaunay meshes
     from scipy.spatial import Delaunay
     qhull = Delaunay(pts)
     # scipy orders each simplex counterclockwise; its ids are 32-bit
@@ -892,13 +892,8 @@ def gen_delaunay_triangles(n_points: int, rng_seed: int = 0) -> PolyMesh:
     pts = 0.05 + 0.9 * rng.random((n_points, 2))
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     allpts = np.vstack([corners, pts])
-    # Qhull loads only for Delaunay and Voronoi meshes
-    from scipy.spatial import Delaunay
-    simplices = Delaunay(allpts).simplices
-    cell_ptr = 3 * np.arange(len(simplices) + 1)
-    area = _shoelace(allpts[simplices.ravel()], cell_ptr)
-    cells = np.where(area[:, None] < 0, simplices[:, ::-1], simplices)
-    return _unit_square_mesh(allpts, cell_ptr, cells.ravel())
+    tri = _delaunay(allpts)[0]
+    return _unit_square_mesh(allpts, 3 * np.arange(len(tri) + 1), tri.ravel())
 
 
 # ---------------------------------------------------------------------------

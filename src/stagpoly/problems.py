@@ -25,9 +25,11 @@ __all__ = [
 class Problem:
     """A PDE instance: coefficient, load, boundary data, optional exact u.
 
-    flux_sign tags the recovered flux: +1 for the potential flux K grad u,
-    -1 for the Darcy flux -K grad u. table_columns lists the norms (in
-    report order) a convergence study of this problem tabulates.
+    u and grad_u come together: a problem with an exact solution gives its
+    gradient too, which the error norms read. flux_sign tags the recovered
+    flux: +1 for the potential flux K grad u, -1 for the Darcy flux
+    -K grad u. table_columns lists the norms (in report order) a
+    convergence study of this problem tabulates.
     """
     name: str
     coeff: CoefficientField

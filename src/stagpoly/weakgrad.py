@@ -475,14 +475,16 @@ def weak_divergence(group: ElementGroup, s) -> tuple:
     return cell_part, np.linalg.solve(gram, mom[..., None])[..., 0]
 
 
-def face_projection_Qb(a, b, k: int, trace, npoints: int = 6) -> np.ndarray:
-    """L2 projection of a trace function onto the face polynomial space.
+def face_projection_Qb(a, b, k: int, trace) -> np.ndarray:
+    """Discrete L2 projection of a trace function onto the face polynomial
+    space, on k+1 Gauss points.
 
     a, b (..., 2) are the end points of edges in canonical direction;
     `trace` is a callable on (n, 2) point arrays. Returns coefficients
-    (..., k+1). For degree 0 this is the face average.
+    (..., k+1). With as many points as coefficients the projection
+    interpolates the trace at the Gauss points (the face midpoint at k = 0).
     """
-    rule = edge_rule(npoints)
+    rule = edge_rule(k + 1)
     pts, _ = map_to_edge(rule, a, b)
     vals = np.asarray(trace(pts.reshape(-1, 2)), dtype=float).reshape(
         pts.shape[:-1])

@@ -189,7 +189,7 @@ def test_criterion_5_linear_reproduction(mesh_families):
     for name, mesh in mesh_families.items():
         system, sol, _ = solve_problem(prob, mesh, method="direct")
         errs = error_norms(sol, prob.u, prob.grad_u,
-                           flux=recover_flux(sol), mode="exact")
+                           flux=recover_flux(sol), mode="high")
         for key, val in errs.items():
             worst = max(worst, val)
             assert val <= 1e-10, (name, key, val)
@@ -323,7 +323,7 @@ def test_criterion_8_second_order_elements(mesh_families):
     for name, mesh in mesh_families.items():
         system, sol, _ = solve_problem(prob, mesh, k=1, method="direct")
         errs = error_norms(sol, prob.u, prob.grad_u,
-                           flux=recover_flux(sol), mode="exact")
+                           flux=recover_flux(sol), mode="high")
         for key, val in errs.items():
             patch_worst = max(patch_worst, val)
             assert val <= 1e-9, (name, key, val)

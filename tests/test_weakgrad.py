@@ -319,19 +319,6 @@ def edge_ends(mesh, e=0):
     return mesh.vertices[mesh.edges[e, 0]], mesh.vertices[mesh.edges[e, 1]]
 
 
-def test_face_projection_average(tri4):
-    a, b = edge_ends(tri4)
-
-    def g(pts):
-        pts = np.atleast_2d(pts)
-        return np.cos(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
-
-    pts, wts = map_to_edge(edge_rule(6), a, b)
-    exact_avg = (wts @ g(pts)) / np.linalg.norm(b - a)
-    assert face_projection_Qb(a, b, 0, g, npoints=6)[0] == pytest.approx(
-        exact_avg, abs=1e-14)
-
-
 def test_face_projection_midpoint_interpolation(tri4):
     a, b = edge_ends(tri4)
 
@@ -339,7 +326,7 @@ def test_face_projection_midpoint_interpolation(tri4):
         pts = np.atleast_2d(pts)
         return np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2
 
-    got = face_projection_Qb(a, b, 0, g, npoints=1)[0]
+    got = face_projection_Qb(a, b, 0, g)[0]
     assert got == pytest.approx(float(g(0.5 * (a + b))[0]), abs=1e-14)
 
 
@@ -350,16 +337,16 @@ def test_face_projection_reproduces_polynomials(tri4):
         pts = np.atleast_2d(pts)
         return 2.0 + 3.0 * pts[:, 0] - pts[:, 1]
 
-    c = face_projection_Qb(a, b, 1, g, npoints=4)
+    c = face_projection_Qb(a, b, 1, g)
     s = np.linspace(-0.5, 0.5, 7)
     pts = 0.5 * (a + b) + s[:, None] * (b - a)
     assert np.allclose(c[0] + c[1] * s, g(pts), atol=1e-13)
     # a batch of edges projects each edge on its own
     ends = tri4.vertices[tri4.edges[:5]]
-    batch = face_projection_Qb(ends[:, 0], ends[:, 1], 1, g, npoints=4)
+    batch = face_projection_Qb(ends[:, 0], ends[:, 1], 1, g)
     assert np.allclose(batch[0], c, atol=1e-14)
     for (a, b), ce in zip(ends, batch):
-        assert np.allclose(ce, face_projection_Qb(a, b, 1, g, npoints=4),
+        assert np.allclose(ce, face_projection_Qb(a, b, 1, g),
                            atol=1e-14)
 
 
