@@ -18,7 +18,7 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 from operator import itemgetter
 
 import numpy as np
@@ -407,9 +407,9 @@ def mesh_document(mesh: PolyMesh) -> str:
 def _wall_markers(vertices, edges, edge_cells, tol=1e-12):
     """Tag of the first unit-square wall holding each boundary edge."""
     # tags 1..4: left (x = 0), right (x = 1), bottom (y = 0), top (y = 1)
-    near = np.abs(_wall_distances(vertices)) < tol
-    on = (edge_cells[:, 1, None] < 0) & near[edges[:, 0]] & near[edges[:, 1]]
-    return np.select(list(on.T), [1, 2, 3, 4], 0)
+    near = np.abs(_wall_distances(vertices.T)) < tol
+    on = (edge_cells[:, 1] < 0) & near[:, edges[:, 0]] & near[:, edges[:, 1]]
+    return np.select(list(on), [1, 2, 3, 4], 0)
 
 
 def _unit_square_mesh(vertices, cell_ptr, cell_verts, h_report=None):
@@ -453,11 +453,10 @@ def gen_uniform_squares(n: int) -> PolyMesh:
                              cells.ravel(), h_report=1.0 / n)
 
 
-def _wall_distances(pts):
-    """Signed distance (N, 4) of points to the left, right, bottom and top
-    walls of the unit square, positive inside."""
-    return np.column_stack([pts[:, 0], 1.0 - pts[:, 0],
-                            pts[:, 1], 1.0 - pts[:, 1]])
+def _wall_distances(xy):
+    """Signed distance (4, N) of the points xy (2, N) to the left, right,
+    bottom and top walls of the unit square, positive inside."""
+    return np.array([xy[0], 1.0 - xy[0], xy[1], 1.0 - xy[1]])
 
 
 _WALL_GAP = 1e-6
@@ -477,42 +476,41 @@ def _check_wall_gap(seeds):
     gap keeps a seed, its reflection and their slivers far above the 1e-12
     within which the region checks take a vertex to be on a wall."""
     if seeds.min() < _WALL_GAP or (1.0 - seeds).min() < _WALL_GAP:
-        close = np.flatnonzero(_wall_distances(seeds).min(axis=1) < _WALL_GAP)
+        close = np.flatnonzero(_wall_distances(seeds.T).min(axis=0) < _WALL_GAP)
         raise GenerationError(f"seed {close[0]} is within {_WALL_GAP:g} of "
                               "a wall of the unit square")
 
 
 def _reflection(mirror):
     """The points that _diagram triangulates for the mask mirror (n, 4), as
-    a map of the seeds: point i is seeds[src[i]] * scale[i] + off[i]. They
-    are the seeds, their reflections across the marked walls (wall by wall
-    and in seed order within a wall; -x + 2a rounds as 2a - x does), then
-    the _BOX corners (scale 0). Returns src, scale, off and, for every
-    point, the seed it reflects and the wall it is reflected across, both
-    -1 for the seeds and the corners; every array read-only."""
+    a map of the seeds: point i has the coordinates seeds[src[i]] *
+    scale[:, i] + off[:, i]. They are the seeds, their reflections across
+    the marked walls (wall by wall and in seed order within a wall; -x + 2a
+    rounds as 2a - x does), then the _BOX corners (scale 0). Returns src,
+    the rows scale and off (2, P) and, for every point, the seed it
+    reflects and the wall it is reflected across, both -1 for the seeds and
+    the corners; every array read-only."""
     n, box = len(mirror), len(_BOX)
     w, s = np.nonzero(mirror.T)
     row = n + np.arange(len(s))
     src = np.concatenate([np.arange(n), s, np.zeros(box, dtype=np.intp)])
-    scale, off = np.ones((len(src), 2)), np.zeros((len(src), 2))
-    scale[row, _AXIS[w]] = -1.0
-    off[row, _AXIS[w]] = 2.0 * _AT[w]
-    scale[n + len(s):], off[n + len(s):] = 0.0, _BOX
+    scale, off = np.ones((2, len(src))), np.zeros((2, len(src)))
+    scale[_AXIS[w], row] = -1.0
+    off[_AXIS[w], row] = 2.0 * _AT[w]
+    scale[:, n + len(s):], off[:, n + len(s):] = 0.0, _BOX.T
     none, pad = np.full(n, -1), np.full(box, -1)
     return _read_only(src, scale, off, np.concatenate([none, s, pad]),
                       np.concatenate([none, w, pad]))
 
 
-def _wall_pairs(mate, wall, groups):
-    """Rows of the point-id groups (P, k) holding a seed and its own
+def _wall_pairs(mate, wall, tri):
+    """Rows of the triangles tri (T, 3) holding a seed and its own
     reflection, and the wall between the two, once per reflection; mate
     and wall are _reflection's per-point arrays."""
-    rows, walls = [], []
-    for j, i in permutations(range(groups.shape[1]), 2):
-        hit = np.flatnonzero(mate[groups[:, j]] == groups[:, i])
-        rows.append(hit)
-        walls.append(wall[groups[hit, j]])
-    return np.concatenate(rows), np.concatenate(walls)
+    a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    # a seed's mate is -1, and a reflection's id is above its seed's
+    h = np.flatnonzero((mate[a] == b) | (mate[b] == a))
+    return h // 3, wall[np.maximum(a[h], b[h])]
 
 
 # Corners that fix the convex hull of every Lloyd triangulation: every
@@ -529,35 +527,31 @@ _INCIRCLE_TOL = 1e-12
 _FLIP_ROUNDS = 32
 
 
-def _corners(pts, tri):
-    """Coordinates (T, 2) of each corner column of the triangles tri."""
-    return [np.take(pts, tri[:, k], axis=0) for k in range(3)]
+def _orientation(xy, tri):
+    """Twice the signed area of each triangle (T, 3) of the points xy (2, P)."""
+    x, y = np.take(xy, tri.T, axis=1)
+    return (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
 
 
-def _orientation(pts, tri):
-    """Twice the signed area of each triangle (T, 3) of pts."""
-    a, b, c = _corners(pts, tri)
-    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) \
-        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-
-
-def _circumcenters(pts, tri):
-    """Circumcenters (T, 2) of the CCW triangles tri (T, 3) of pts, each
-    taken from the corner opposite its longest edge: from the corner
-    opposite the short edge of a sliver, the two edge vectors are nearly
-    parallel and their cross product loses digits."""
-    a, b, c = _corners(pts, tri)
-    # squared length of the edge opposite each corner
-    la, lb, lc = ((q - p)[:, 0] ** 2 + (q - p)[:, 1] ** 2
-                  for p, q in ((b, c), (c, a), (a, b)))
-    k = np.where((la >= lb) & (la >= lc), 0, np.where(lb >= lc, 1, 2))
-    o, p, q = (np.take(pts, tri.ravel()[3 * np.arange(len(tri)) + (k + i) % 3], axis=0)
-               for i in range(3))
+def _circumcenters(xy, tri):
+    """Circumcenters (2, T) of the CCW triangles tri (T, 3) of the points
+    xy (2, P), each taken from the corner opposite its longest edge: from
+    the corner opposite the short edge of a sliver, the two edge vectors
+    are nearly parallel and their cross product loses digits."""
+    corners = np.take(xy, tri.T, axis=1)
+    # the corners a, b, c, a, b, and the edge opposite each of a, b, c
+    corners = np.concatenate([corners, corners[:, :2]], axis=1)
+    d = corners[:, 2:] - corners[:, 1:4]
+    la, lb, lc = d[0] ** 2 + d[1] ** 2
+    # o, p and q: the corner k opposite the longest edge and the two after
+    # it, each triangle's three taken from the five flattened corners
+    k = np.where((la >= lb) & (la >= lc), 0, 2 - (lb >= lc))
+    at = (k + np.arange(3)[:, None]) * len(k) + np.arange(len(k))
+    o, p, q = np.take(corners.reshape(2, -1), at, axis=1).transpose(1, 0, 2)
     u, v = p - o, q - o
-    uu, vv = u[:, 0] ** 2 + u[:, 1] ** 2, v[:, 0] ** 2 + v[:, 1] ** 2
-    den = 2.0 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-    return o + np.column_stack([v[:, 1] * uu - u[:, 1] * vv,
-                                u[:, 0] * vv - v[:, 0] * uu]) / den[:, None]
+    uu, vv = u[0] ** 2 + u[1] ** 2, v[0] ** 2 + v[1] ** 2
+    den = 2.0 * (u[0] * v[1] - u[1] * v[0])
+    return o + np.array([v[1] * uu - u[1] * vv, u[0] * vv - v[0] * uu]) / den
 
 
 def _twins(tri):
@@ -573,44 +567,47 @@ def _twins(tri):
     return twin
 
 
-def _delaunay(pts):
-    """CCW Delaunay triangles (T, 3) of pts and their _twins: Qhull's, with
-    what its round-off left out, inverted or illegal mended by flips."""
+def _delaunay(xy):
+    """CCW Delaunay triangles (T, 3) of the points xy (2, P) and their
+    _twins: Qhull's, with what its round-off left out, inverted or illegal
+    mended by flips."""
     # Qhull loads only for Voronoi and Delaunay meshes
     from scipy.spatial import Delaunay
-    qhull = Delaunay(pts)
+    qhull = Delaunay(xy.T)
     # scipy orders each simplex counterclockwise; its ids are 32-bit
     tri = qhull.simplices.astype(np.intp)
     # Qhull drops a point within its round-off of another; split the
     # triangle holding it, and the flips below make the fan Delaunay
     for p in qhull.coplanar[:, 0]:
         # the triangle with p farthest inside all three of its edges
-        side = [_orientation(pts, np.column_stack(
+        side = [_orientation(xy, np.column_stack(
             [tri[:, k], tri[:, (k + 1) % 3], np.full(len(tri), p)])) for k in range(3)]
         t = np.minimum(np.minimum(side[0], side[1]), side[2]).argmax()
         a, b, c = tri[t]
         tri = np.vstack([np.delete(tri, t, axis=0), [[a, b, p], [b, c, p], [c, a, p]]])
-    repaired = _flip_to_delaunay(pts, tri, _twins(tri))
+    repaired = _flip_to_delaunay(xy, _Kept(None, tri, _twins(tri)))
     if repaired is None:
         raise GenerationError("degenerate Delaunay triangulation of the seeds")
-    return repaired
+    return repaired.tri, repaired.twin
 
 
-def _half_edges(tri):
-    """The raveled triangles tri (T, 3), their half-edge ids, and the next
-    and the previous half-edge in each triangle."""
-    he = np.arange(tri.size)
-    nxt, prv = he + 1, he - 1
-    nxt[2::3] -= 3
-    prv[0::3] += 3
-    return tri.ravel(), he, nxt, prv
+def _incircle_ids(flat, nxt, prv, twin, h):
+    """Point ids (4, E) of the corners a, b, c of the triangle of each
+    interior half-edge h, from a to b, and of the far point d of the
+    triangle across it; flat holds the raveled triangles, nxt and prv the
+    next and the previous half-edge in each triangle."""
+    return flat[np.array([h, nxt[h], prv[h], prv[twin[h]]])]
 
 
-def _incircle(x, y):
-    """Incircle determinant of the origin against the CCW triangles (a, b,
-    c), positive when the origin is inside the circle; and the scale its
-    rounding error is bounded by. x and y (5, E) hold the coordinates of
-    the corners a, b, c, a, b."""
+def _incircle(xy, ids):
+    """Incircle determinant of each far point d against its CCW triangle
+    (a, b, c), positive when d is inside the circle, and the scale its
+    rounding error is bounded by; ids (4, E) are _incircle_ids of the
+    points xy (2, P)."""
+    corners = np.take(xy, ids, axis=1)
+    rel = corners[:, :3] - corners[:, 3:]
+    # the corners a, b, c, a, b relative to d
+    x, y = np.concatenate([rel, rel[:, :2]], axis=1)
     lift = x[:3] ** 2 + y[:3] ** 2
     # the two products of each 2x2 minor, of the corners after each corner
     p, q = x[1:4] * y[2:], x[2:] * y[1:4]
@@ -618,22 +615,13 @@ def _incircle(x, y):
     return det[0] + det[1] + det[2], scale[0] + scale[1] + scale[2]
 
 
-def _edge_incircle(xy, flat, nxt, prv, twin, h):
-    """_incircle of the far point d of the triangle across each interior
-    half-edge h against h's own triangle (a, b, c); xy holds the points'
-    coordinates as rows (2, N), flat the raveled triangles, nxt and prv the
-    next and previous half-edge in each triangle."""
-    ids = flat[np.stack([h, nxt[h], prv[h], h, nxt[h], prv[twin[h]]])]
-    corners = np.take(xy, ids, axis=1)
-    return _incircle(*(corners[:, :5] - corners[:, 5:]))
-
-
-def _flip_to_delaunay(pts, tri, twin):
-    """Repair the CCW triangulation tri (T, 3), with its _twins, of moved
-    points pts by edge flips; None when a flip would leave a triangle
-    that is not CCW, a folded sliver lies on the hull, or the flips do not
-    settle within _FLIP_ROUNDS. When nothing needs a flip it returns tri
-    and twin themselves; it never writes to them.
+def _flip_to_delaunay(xy, kept):
+    """Repair the CCW triangulation of the _Kept record kept for the moved
+    points xy (2, P) by edge flips; None when a flip would leave a
+    triangle that is not CCW, a folded sliver lies on the hull, or the
+    flips do not settle within _FLIP_ROUNDS. When nothing needs a flip it
+    returns kept itself, else kept.with_triangles of copies of its arrays;
+    it never writes to them.
 
     A triangle that is no longer CCW is a sliver whose middle corner
     crossed its longest edge, and that edge is flipped. Otherwise an edge
@@ -644,50 +632,61 @@ def _flip_to_delaunay(pts, tri, twin):
     flips when its lower half-edge id is the largest among the edges to
     flip of both of its triangles.
     """
-    flat, he, nxt, prv = _half_edges(tri)
-    xy = np.ascontiguousarray(pts.T)
-    crossed = np.flatnonzero(_orientation(pts, tri) <= 0)
-    test = np.flatnonzero(twin > he)
+    tri, twin = kept.tri, kept.twin
+    flat = tri.ravel()
+    he, nxt, prv = kept.half_edges
+    crossed = np.flatnonzero(_orientation(xy, tri) <= 0)
+    test, ids = kept.first_round
     for r in range(_FLIP_ROUNDS):
+        if r:
+            ids = _incircle_ids(flat, nxt, prv, twin, test)
         # is d, across edge (a, b), inside the circle of the triangle (a, b, c)?
-        det, scale = _edge_incircle(xy, flat, nxt, prv, twin, test)
+        det, scale = _incircle(xy, ids)
         e = test[det > _INCIRCLE_TOL * scale]
         if len(crossed):
             h = 3 * crossed[:, None] + np.arange(3)
-            edge = np.take(pts, flat[nxt[h]], axis=0) - np.take(pts, flat[h], axis=0)
-            h = h[np.arange(len(h)), (edge ** 2).sum(axis=2).argmax(axis=1)]
+            edge = np.take(xy, flat[nxt[h]], axis=1) - np.take(xy, flat[h], axis=1)
+            h = h[np.arange(len(h)), (edge[0] ** 2 + edge[1] ** 2).argmax(axis=1)]
             if (twin[h] < 0).any():
                 return None
             e = np.union1d(e, np.minimum(h, twin[h]))
         if not len(e):
-            return tri, twin
+            return kept.with_triangles(tri, twin) if r else kept
         top = np.full(tri.size, -1)
         top[e] = top[twin[e]] = e
         top = np.maximum(np.maximum(top[0::3], top[1::3]), top[2::3])
         go = (top[e // 3] == e) & (top[twin[e] // 3] == e)
         f1 = e[go]
         f2 = twin[f1]
-        t1, t2 = f1 // 3, f2 // 3
-        # (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c)
-        a, b, c, d = flat[f1], flat[nxt[f1]], flat[prv[f1]], flat[prv[f2]]
-        new = np.concatenate([np.column_stack([a, d, c]),
-                              np.column_stack([d, b, c])])
-        if (_orientation(pts, new) <= 0).any():
+        n1, p1, n2, p2 = nxt[f1], prv[f1], nxt[f2], prv[f2]
+        # (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c): corner
+        # rows (3, 2F), the new triangles t1 then t2
+        a, b, c, d = flat[np.array([f1, n1, p1, p2])]
+        new = np.array([[a, d], [d, b], [c, c]]).reshape(3, -1)
+        if (_orientation(xy, new.T) <= 0).any():
             return None
         if not r:
             tri, twin = tri.copy(), twin.copy()
             flat = tri.ravel()
-        # the new position of every half-edge
+        # the new position of every half-edge: slot k of the new triangle t
+        # takes the half-edge from its corner k to the next
+        t = np.concatenate([f1, f2]) // 3
+        slot = 3 * t + np.arange(3)[:, None]
+        old = np.array([[n2, p2], [f1, n1], [p1, f2]]).reshape(3, -1)
+        across = twin[old]
         move = he.copy()
-        move[nxt[f2]], move[f1], move[prv[f1]] = 3 * t1, 3 * t1 + 1, 3 * t1 + 2
-        move[prv[f2]], move[nxt[f1]], move[f2] = 3 * t2, 3 * t2 + 1, 3 * t2 + 2
-        tri[np.concatenate([t1, t2])] = new
-        twin[move] = np.where(twin < 0, -1, move[twin])
+        move[old] = slot
+        tri[t] = new.T
+        # twins change only at the slots and at the neighbours across them;
+        # a neighbour that moved too is written at its old place, which is
+        # a slot and is written again after
+        hull = across < 0
+        twin[across[~hull]] = slot[~hull]
+        twin[slot] = np.where(hull, -1, move[across])
         if len(crossed):
-            crossed = np.setdiff1d(crossed, np.concatenate([t1, t2]))
-        test = np.concatenate([move[e[~go]], 3 * t1, 3 * t1 + 1, 3 * t1 + 2,
-                               3 * t2, 3 * t2 + 1, 3 * t2 + 2])
-        test = np.unique(np.where(twin[test] < test, twin[test], test))
+            crossed = np.setdiff1d(crossed, t)
+        test = np.concatenate([move[e[~go]], slot.ravel()])
+        test = np.unique(np.minimum(test, twin[test]))
         test = test[twin[test] >= 0]
     return None
 
@@ -698,11 +697,31 @@ class _Kept(namedtuple("_Kept", "mask tri twin")):
     (None before they are built) and their _twins. The index arrays that
     depend only on these three are built on first use and kept, read-only,
     with the record: a step whose repair flips nothing reuses them all,
-    and with_triangles carries the mask's over to the flipped triangles."""
+    and with_triangles carries over the mask's map and the arrays that
+    depend only on the triangle count. The repair of a fresh Qhull
+    triangulation uses a record whose mask is None."""
 
     @cached_property
     def reflection(self):
         return _reflection(self.mask)
+
+    @cached_property
+    def half_edges(self):
+        """The half-edge ids (3T,) and the next and the previous half-edge
+        in each triangle."""
+        he = np.arange(self.tri.size)
+        nxt, prv = he + 1, he - 1
+        nxt[2::3] -= 3
+        prv[0::3] += 3
+        return _read_only(he, nxt, prv)
+
+    @cached_property
+    def first_round(self):
+        """The lower half-edge of every interior edge, which the repair's
+        first round tests, and their _incircle_ids."""
+        he, nxt, prv = self.half_edges
+        h = np.flatnonzero(self.twin > he)
+        return _read_only(h, _incircle_ids(self.tri.ravel(), nxt, prv, self.twin, h))
 
     @cached_property
     def wall_pairs(self):
@@ -713,17 +732,25 @@ class _Kept(namedtuple("_Kept", "mask tri twin")):
 
     @cached_property
     def seed_corners(self):
-        """For every triangle corner at a seed: the triangle, the seed, and
-        the next and the previous point of the triangle."""
-        flat = self.tri.ravel()
+        """For every triangle corner at a seed: the triangle, and the ids
+        (3, K) of the seed and of the next and the previous point of the
+        triangle; and the bins (3K,) of the area and moment sums, the
+        seed's id plus 0, n and 2n."""
+        flat, (_, nxt, prv) = self.tri.ravel(), self.half_edges
         corner = np.flatnonzero(flat < len(self.mask))
-        first = corner - corner % 3
-        return _read_only(corner // 3, flat[corner], flat[first + (corner + 1) % 3],
-                          flat[first + (corner + 2) % 3])
+        ids = flat[np.array([corner, nxt[corner], prv[corner]])]
+        bins = ids[0] + len(self.mask) * np.arange(3)[:, None]
+        return _read_only(corner // 3, ids, bins.ravel())
 
     def with_triangles(self, tri, twin):
+        """The record of the same mask for the triangles tri and their
+        twins, with the reflection map and, for as many triangles, the
+        half-edge arrays of this one where they are built."""
         kept = _Kept(self.mask, *_read_only(tri, twin))
-        kept.__dict__["reflection"] = self.reflection
+        for name, value in self.__dict__.items():
+            if name == "reflection" or (name == "half_edges"
+                                        and value[0].size == tri.size):
+                kept.__dict__[name] = value
         return kept
 
 
@@ -731,8 +758,8 @@ def _diagram(seeds, mirror, kept=None):
     """Delaunay triangulation of the seeds, their reflections across the
     walls marked in mirror (n, 4) and the _BOX corners, whose circumcenters
     at a seed are the vertices of its Voronoi region in the unit square.
-    Returns the points, the triangulation with the mask used as a _Kept
-    record, and the circumcenters.
+    Returns the points as rows xy (2, P), the triangulation with the mask
+    used as a _Kept record, and the circumcenters as rows (2, T).
 
     A missing reflection can only bound its own seed's region: on the
     square's side of a wall a seed is closer than its reflection. So a
@@ -759,24 +786,21 @@ def _diagram(seeds, mirror, kept=None):
         kept = _Kept(*_read_only(mirror), None, None)
     while True:
         src, scale, off = kept.reflection[:3]
-        pts = np.take(seeds, src, axis=0) * scale + off
-        repaired = None if kept.tri is None else _flip_to_delaunay(pts, kept.tri, kept.twin)
-        if repaired is None:
-            repaired = _delaunay(pts)
-        if repaired[0] is not kept.tri:
-            kept = kept.with_triangles(*repaired)
-        cc = _circumcenters(pts, kept.tri)
+        xy = np.take(seeds.T, src, axis=1) * scale + off
+        repaired = None if kept.tri is None else _flip_to_delaunay(xy, kept)
+        kept = kept.with_triangles(*_delaunay(xy)) if repaired is None else repaired
+        cc = _circumcenters(xy, kept.tri)
         rows, axes, at = kept.wall_pairs
-        cc[rows, axes] = at
+        cc[axes, rows] = at
         # a vertex within round-off of a wall counts as on it
-        rows, w = np.nonzero(_wall_distances(cc) <= 1e-12)
+        w, rows = np.nonzero(_wall_distances(cc) <= 1e-12)
         corner = kept.tri[rows]
         at = corner < n
         fail = np.zeros((n, 4), dtype=bool)
         fail[corner[at], np.repeat(w, 3)[at.ravel()]] = True
         fail &= ~kept.mask
         if not fail.any():
-            return pts, kept, cc
+            return xy, kept, cc
         kept = _Kept(*_read_only(kept.mask | fail), None, None)
 
 
@@ -789,22 +813,22 @@ def _lloyd_step(seeds, mirror, kept=None):
     The regions are those of _diagram(seeds, mirror, kept). A seed's region
     is the sum over its triangles (v, a, b) of the signed quads (v,
     mid(v, a), circumcenter, mid(v, b)); the record keeps the corner ids
-    of these sums.
+    of these sums. One bincount adds up the areas and both moments, each
+    bin in corner order.
     """
     n = len(seeds)
-    pts, kept, cc = _diagram(seeds, mirror, kept)
+    xy, kept, cc = _diagram(seeds, mirror, kept)
     # every corner at a seed o, with the next corners p and q of its triangle
-    t, s, pid, qid = kept.seed_corners
-    o = np.take(pts, s, axis=0)
-    p, q = (0.5 * (np.take(pts, i, axis=0) - o) for i in (pid, qid))
-    m = np.take(cc, t, axis=0) - o
-    pm = p[:, 0] * m[:, 1] - p[:, 1] * m[:, 0]
-    mq = m[:, 0] * q[:, 1] - m[:, 1] * q[:, 0]
-    area = np.bincount(s, pm + mq, minlength=n)
-    moment = [np.bincount(s, pm * (p[:, i] + m[:, i]) + mq * (m[:, i] + q[:, i]),
-                          minlength=n) for i in (0, 1)]
-    centroid = seeds + np.column_stack(moment) / (3.0 * area[:, None])
-    radius = np.sqrt((m[:, 0] ** 2 + m[:, 1] ** 2).max())
+    t, ids, bins = kept.seed_corners
+    o, p, q = np.take(xy, ids, axis=1).transpose(1, 0, 2)
+    p, q = 0.5 * (p - o), 0.5 * (q - o)
+    m = np.take(cc, t, axis=1) - o
+    pm = p[0] * m[1] - p[1] * m[0]
+    mq = m[0] * q[1] - m[1] * q[0]
+    weights = np.concatenate([pm + mq, (pm * (p + m) + mq * (m + q)).ravel()])
+    sums = np.bincount(bins, weights, minlength=3 * n)
+    centroid = seeds + (sums[n:].reshape(2, n) / (3.0 * sums[:n])).T
+    radius = np.sqrt((m[0] ** 2 + m[1] ** 2).max())
     return centroid, radius, kept
 
 
@@ -824,16 +848,14 @@ def _voronoi_loops(seeds, mirror, kept=None):
     Raises GenerationError for a seed nearer a wall than _WALL_GAP.
     """
     n = len(seeds)
-    pts, kept, cc = _diagram(seeds, mirror, kept)
-    tri, twin = kept.tri, kept.twin
-    flat, he, nxt, prv = _half_edges(tri)
-    h = np.flatnonzero(twin > he)
-    det, scale = _edge_incircle(np.ascontiguousarray(pts.T), flat, nxt, prv, twin, h)
+    xy, kept, cc = _diagram(seeds, mirror, kept)
+    h, ids = kept.first_round
+    det, scale = _incircle(xy, ids)
     h = h[np.abs(det) <= _INCIRCLE_TOL * scale]
-    a, b = h // 3, twin[h] // 3
+    a, b = h // 3, kept.twin[h] // 3
     # each triangle takes the lowest label across its cocircular edges,
     # then the label of its label, until every group has one label
-    root = np.arange(len(tri))
+    root = np.arange(len(kept.tri))
     while True:
         low = root.copy()
         np.minimum.at(low, a, root[b])
@@ -842,11 +864,11 @@ def _voronoi_loops(seeds, mirror, kept=None):
         if np.array_equal(low, root):
             break
         root = low
-    t, s = kept.seed_corners[:2]
-    s, v = np.divmod(np.unique(s * len(tri) + root[t]), len(tri))
-    rel = cc[v] - seeds[s]
-    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), s))
-    return np.r_[0, np.cumsum(np.bincount(s, minlength=n))], v[order], cc
+    t, ids = kept.seed_corners[:2]
+    s, v = np.divmod(np.unique(ids[0] * len(root) + root[t]), len(root))
+    rel = np.take(cc, v, axis=1) - np.take(seeds.T, s, axis=1)
+    order = np.lexsort((np.arctan2(rel[1], rel[0]), s))
+    return np.r_[0, np.cumsum(np.bincount(s, minlength=n))], v[order], cc.T
 
 
 def gen_voronoi_polygons(n_seeds: int, lloyd_iters: int = 100,
@@ -873,7 +895,7 @@ def gen_voronoi_polygons(n_seeds: int, lloyd_iters: int = 100,
     mirror, kept = np.ones((n_seeds, 4), dtype=bool), None
     for _ in range(lloyd_iters):
         seeds, radius, kept = _lloyd_step(seeds, mirror, kept)
-        mirror = _wall_distances(seeds) < radius
+        mirror = (_wall_distances(seeds.T) < radius).T
     cell_ptr, ids, coords = _voronoi_loops(seeds, mirror, kept)
     bad = np.flatnonzero(np.diff(cell_ptr) < 3)
     if len(bad):
@@ -892,7 +914,7 @@ def gen_delaunay_triangles(n_points: int, rng_seed: int = 0) -> PolyMesh:
     pts = 0.05 + 0.9 * rng.random((n_points, 2))
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     allpts = np.vstack([corners, pts])
-    tri = _delaunay(allpts)[0]
+    tri = _delaunay(allpts.T)[0]
     return _unit_square_mesh(allpts, 3 * np.arange(len(tri) + 1), tri.ravel())
 
 

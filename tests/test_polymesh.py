@@ -459,22 +459,23 @@ def test_flip_repair_restores_delaunay():
     seeds, mirror, kept = rng.random((256, 2)), np.ones((256, 4), dtype=bool), None
     for _ in range(100):
         seeds, radius, kept = polymesh._lloyd_step(seeds, mirror, kept)
-        mirror = polymesh._wall_distances(seeds) < radius
+        mirror = (polymesh._wall_distances(seeds.T) < radius).T
     mask, tri, twin = kept
     # a jitter of a tenth of the spacing makes the kept triangulation illegal
     moved = seeds + rng.normal(scale=0.1 / 16, size=seeds.shape)
     src, scale, off = polymesh._reflection(mask)[:3]
-    pts = moved[src] * scale + off
-    assert _incircle_excess(pts, tri, twin).max() > 1e-3
-    repaired = polymesh._flip_to_delaunay(pts, tri, twin)
+    xy = moved.T[:, src] * scale + off
+    assert _incircle_excess(xy.T, tri, twin).max() > 1e-3
+    repaired = polymesh._flip_to_delaunay(xy, kept)
     assert repaired is not None
-    assert (polymesh._orientation(pts, repaired[0]) > 0).all()
-    assert _incircle_excess(pts, *repaired).max() <= 1e-10
+    assert (polymesh._orientation(xy, repaired.tri) > 0).all()
+    assert np.array_equal(repaired.twin, polymesh._twins(repaired.tri))
+    assert _incircle_excess(xy.T, repaired.tri, repaired.twin).max() <= 1e-10
     # a seed and a neighbour make a cocircular quad with their reflections,
     # so the triangles may differ from Qhull's but not the regions
-    centroid, _, kept = polymesh._lloyd_step(moved, mask,
-                                             polymesh._Kept(mask, *repaired))
-    assert np.array_equal(kept[1], repaired[0])
+    centroid, _, kept = polymesh._lloyd_step(
+        moved, mask, polymesh._Kept(mask, repaired.tri, repaired.twin))
+    assert np.array_equal(kept[1], repaired.tri)
     assert np.abs(centroid - polymesh._lloyd_step(moved, mask)[0]).max() <= 1e-14
 
 
@@ -485,29 +486,43 @@ def _lloyd_steps(n, steps, rng_seed):
     mirror, kept = np.ones((n, 4), dtype=bool), None
     for _ in range(steps):
         seeds, radius, kept = polymesh._lloyd_step(seeds, mirror, kept)
-        mirror = polymesh._wall_distances(seeds) < radius
+        mirror = (polymesh._wall_distances(seeds.T) < radius).T
     return seeds, mirror, kept
 
 
 def test_flip_repair_returns_or_spares_its_inputs():
     seeds, mirror, kept = _lloyd_steps(256, 20, rng_seed=3)
-    pts, kept, _ = polymesh._diagram(seeds, mirror, kept)
-    tri, twin = polymesh._flip_to_delaunay(pts, kept.tri, kept.twin)
-    assert tri is kept.tri and twin is kept.twin
+    xy, kept, _ = polymesh._diagram(seeds, mirror, kept)
+    repaired = polymesh._flip_to_delaunay(xy, kept)
+    assert repaired is kept
+    assert repaired.tri is kept.tri and repaired.twin is kept.twin
     moved = seeds + np.random.default_rng(4).normal(scale=0.1 / 16, size=seeds.shape)
     src, scale, off = polymesh._reflection(kept.mask)[:3]
-    pts = moved[src] * scale + off
-    tri, twin = kept.tri.copy(), kept.twin.copy()
-    repaired = polymesh._flip_to_delaunay(pts, tri, twin)
-    assert repaired is not None and not np.array_equal(repaired[0], tri)
-    assert np.array_equal(tri, kept.tri) and np.array_equal(twin, kept.twin)
+    xy = moved.T[:, src] * scale + off
+    # writable copies: the repair must copy before it flips
+    given = polymesh._Kept(kept.mask, kept.tri.copy(), kept.twin.copy())
+    repaired = polymesh._flip_to_delaunay(xy, given)
+    assert repaired is not None and not np.array_equal(repaired.tri, given.tri)
+    assert np.array_equal(given.tri, kept.tri) and np.array_equal(given.twin, kept.twin)
+    # the flipped record keeps the arrays of the triangle count
+    assert repaired.half_edges is given.half_edges
 
 
 def _seed_corners(tri, n):
     flat = tri.ravel()
     corner = np.flatnonzero(flat < n)
-    return (corner // 3, flat[corner], flat[3 * (corner // 3) + (corner + 1) % 3],
-            flat[3 * (corner // 3) + (corner + 2) % 3])
+    ids = np.array([flat[corner], flat[3 * (corner // 3) + (corner + 1) % 3],
+                    flat[3 * (corner // 3) + (corner + 2) % 3]])
+    return corner // 3, ids, np.concatenate([ids[0], ids[0] + n, ids[0] + 2 * n])
+
+
+def _first_round(tri, twin):
+    # every interior edge once, by its lower half-edge h = 3t + k, with the
+    # corners a, b, c of its triangle from h's start and the far corner d
+    h = np.flatnonzero(twin > np.arange(twin.size))
+    t, k = h // 3, h % 3
+    a, b, c = (tri[t, (k + i) % 3] for i in range(3))
+    return h, np.array([a, b, c, tri[twin[h] // 3, (twin[h] + 2) % 3]])
 
 
 def _voronoi_mesh(seeds, mirror, kept):
@@ -523,17 +538,17 @@ def test_lloyd_record_follows_qhull_fallback(monkeypatch):
     seeds, mirror, kept = _lloyd_steps(64, 10, rng_seed=5)
     flip, delaunay, failed, qhull = polymesh._flip_to_delaunay, polymesh._delaunay, [], []
 
-    def fail_once(pts, tri, twin):
+    def fail_once(xy, kept):
         if failed:
-            return flip(pts, tri, twin)
-        failed.append(tri)
+            return flip(xy, kept)
+        failed.append(kept.tri)
         return None
 
     monkeypatch.setattr(polymesh, "_flip_to_delaunay", fail_once)
-    monkeypatch.setattr(polymesh, "_delaunay", lambda pts: qhull.append(1) or delaunay(pts))
+    monkeypatch.setattr(polymesh, "_delaunay", lambda xy: qhull.append(1) or delaunay(xy))
     for step in range(10):
         seeds, radius, kept = polymesh._lloyd_step(seeds, mirror, kept)
-        mirror = polymesh._wall_distances(seeds) < radius
+        mirror = (polymesh._wall_distances(seeds.T) < radius).T
         if step == 0:
             # one Qhull call, and the mask of the unpatched step: stale wall
             # pairs would misplace vertices and grow the mask
@@ -545,6 +560,8 @@ def test_lloyd_record_follows_qhull_fallback(monkeypatch):
                 assert np.array_equal(got, want)
             for got, want in zip(kept.seed_corners, _seed_corners(kept.tri, 64)):
                 assert np.array_equal(got, want)
+            for got, want in zip(kept.first_round, _first_round(kept.tri, kept.twin)):
+                assert np.array_equal(got, want)
     assert np.abs(seeds - ref[0]).max() <= 1e-12
     mesh, ref_mesh = _voronoi_mesh(seeds, mirror, kept), _voronoi_mesh(*ref)
     assert np.array_equal(mesh.cell_ptr, ref_mesh.cell_ptr)
@@ -552,18 +569,43 @@ def test_lloyd_record_follows_qhull_fallback(monkeypatch):
     assert np.abs(mesh.vertices - ref_mesh.vertices).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n, calls", [(256, 2), (1024, 3)])
+def test_lloyd_qhull_calls(monkeypatch, n, calls):
+    # Qhull triangulates only a new point set (the first, fully reflected
+    # step, then a mask that shrinks or grows) or after a failed repair;
+    # every other step repairs the kept triangles by flips
+    delaunay, qhull = polymesh._delaunay, []
+    monkeypatch.setattr(polymesh, "_delaunay", lambda xy: qhull.append(1) or delaunay(xy))
+    gen_voronoi_polygons(n, 100, 1)
+    assert len(qhull) == calls
+
+
 def test_lloyd_record_is_read_only_and_reflects_exactly():
     seeds, mirror, kept = _lloyd_steps(64, 5, rng_seed=2)
+    xy, kept, _ = polymesh._diagram(seeds, mirror, kept)
     src, scale, off, mate, wall = kept.reflection
-    for a in (*kept, *kept.reflection, *kept.wall_pairs, *kept.seed_corners):
+    arrays = (*kept, *kept.reflection, *kept.wall_pairs, *kept.seed_corners,
+              *kept.half_edges, *kept.first_round)
+    for a in arrays:
         assert not a.flags.writeable
+    he, nxt, prv = kept.half_edges
+    assert np.array_equal(nxt, 3 * (he // 3) + (he + 1) % 3)
+    assert np.array_equal(prv, 3 * (he // 3) + (he + 2) % 3)
+    # the record is Delaunay for its own seeds: the repair flips nothing
+    # and returns the record itself, with every array it had built
+    repaired = polymesh._flip_to_delaunay(xy, kept)
+    assert repaired is kept
+    assert all(a is b for a, b in zip(arrays, (
+        *repaired, *repaired.reflection, *repaired.wall_pairs, *repaired.seed_corners,
+        *repaired.half_edges, *repaired.first_round)))
+    assert polymesh._diagram(seeds, mirror, kept)[1] is kept
     # the map's points are the seeds, the reflections 2a - x and the box
     w, s = np.nonzero(kept.mask.T)
     images = seeds[s]
     images[np.arange(len(s)), polymesh._AXIS[w]] = \
         2.0 * polymesh._AT[w] - images[np.arange(len(s)), polymesh._AXIS[w]]
-    assert np.array_equal(np.take(seeds, src, axis=0) * scale + off,
-                          np.vstack([seeds, images, polymesh._BOX]))
+    assert np.array_equal(np.take(seeds.T, src, axis=1) * scale + off,
+                          np.vstack([seeds, images, polymesh._BOX]).T)
     assert np.array_equal(mate[len(seeds):-4], s) and np.array_equal(wall[len(seeds):-4], w)
 
 
@@ -578,7 +620,11 @@ def test_lloyd_record_is_read_only_and_reflects_exactly():
      "ae31a9710b3afa4c69e80418a2b12fa5f5ab832d410f239fa8ce258958aa7199"),
     (lambda: gen_voronoi_polygons(256, rng_seed=1),
      "90fe488a44491f6cef7112ca232533322299c00576f32d0c0ffba230c0959e71"),
-], ids=["tri4", "squares3", "delaunay40", "voronoi64", "voronoi256"])
+    # three Qhull calls and more flips than the two above; recorded from
+    # the Lloyd steps that held their points as (P, 2) arrays
+    (lambda: gen_voronoi_polygons(1024, rng_seed=1),
+     "b61b500b08d62fc48133eca7e9edbc4380c031c6739de1736243c04a431352de"),
+], ids=["tri4", "squares3", "delaunay40", "voronoi64", "voronoi256", "voronoi1024"])
 def test_document_digest(make, digest):
     # recorded from the per-cell implementation (the Voronoi meshes from the
     # Lloyd loop that rebuilt its index arrays every step): documents stay
