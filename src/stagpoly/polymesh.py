@@ -686,8 +686,8 @@ def _flip_to_delaunay(xy, kept):
         if len(crossed):
             crossed = np.setdiff1d(crossed, t)
         test = np.concatenate([move[e[~go]], slot.ravel()])
-        test = np.unique(np.minimum(test, twin[test]))
         test = test[twin[test] >= 0]
+        test = np.unique(np.minimum(test, twin[test]))
     return None
 
 

@@ -71,21 +71,19 @@ class SolutionField:
         if len(self.dofs) != self.system.dofmap.total:
             raise PostprocessError("coefficient vector length mismatch")
 
-    def cell_coeffs(self, c: int) -> np.ndarray:
-        return self.dofs[self.system.dofmap.cell_dofs(c)]
-
     def u0_values(self, c: int, pts) -> np.ndarray:
         gi, r = self.system.locate(c)
         grp = self.system.groups[gi]
         return monomials(pts, grp.xbar[r], grp.h[r], grp.k + 1) \
-            @ self.cell_coeffs(c)
+            @ self.dofs[self.system.dofmap.cell_dofs(c)]
 
 
 @dataclass
 class FluxField:
     """Piecewise P_k vector flux on the fan sub-triangulation.
 
-    coeffs holds one (g, d) array of flux coefficients per element group.
+    coeffs holds one (g, d) array of flux coefficients per element group,
+    in (fan triangle, frame, basis function) order, as G builds them.
     """
     system: GlobalSystem
     coeffs: list = field(repr=False, default_factory=list)
@@ -97,7 +95,7 @@ class FluxField:
         star, m = grp.star[r], grp.n_edges
         J = (grp.loop[r, [i, (i + 1) % m]] - star).T
         ref = np.linalg.solve(J, (np.asarray(pts, dtype=float) - star).T).T
-        coeffs = self.coeffs[gi].reshape(len(grp.cells), 2, m, -1)[r, :, i]
+        coeffs = self.coeffs[gi].reshape(len(grp.cells), m, 2, -1)[r, i]
         return flux_basis(ref, grp.k) @ (coeffs.T @ grp.frames[r, i])
 
 

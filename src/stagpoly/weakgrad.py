@@ -18,9 +18,9 @@ gives G_T = (F K F^T (x) I) [D_b, D_0]_T / |T| without a factorisation.
 Cells with the same number of edges m share one array layout, the mesh's
 CellGroup, and the operators of such a valence group are stacks over its
 g cells (one ElementGroup per m). Local DoFs are [face DoFs | cell DoFs];
-flux coefficients are ordered (frame, fan triangle, basis function) with
-the normal frame first, and functions on distinct fan triangles have
-disjoint supports.
+flux coefficients are ordered (fan triangle, frame, basis function), the
+order of frames[g, t, f], with the normal frame first, and functions on
+distinct fan triangles have disjoint supports.
 """
 
 from __future__ import annotations
@@ -166,9 +166,9 @@ class ElementGroup(CellGroup):
     of the reference (0, 0), (1, 0), (0, 1), with outer edge edge_ids[r, t]
     and area areas[r, t] (the SubTriangulation's array). Cell monomials
     are centred at xbar[r] and scaled by h[r] = sqrt(|K|). G (g, d, n) maps
-    local DoFs to coefficients in flux_basis and A (g, n, n) is the
-    stiffness, with d = 2 m nm, nm = dim P_k and n = m(k+1) + nc local
-    DoFs; dofs (g, n) are their global ids.
+    local DoFs to flux_basis coefficients in (fan triangle, frame, basis
+    function) order, A (g, n, n) is the stiffness, d = 2 m nm, nm = dim P_k,
+    n = m(k+1) + nc local DoFs, and dofs (g, n) are their global ids.
 
     fan_quadrature and edge_quadrature keep the physical points of each
     rule they are asked for, one read-only table per kind and degree
@@ -385,10 +385,9 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
                 M.reshape(g, m, 2 * nm, 2 * nm), grp.cells,
                 DegenerateElementError, "singular flux mass matrix"))
             G = np.swapaxes(Linv, -1, -2) @ (Linv @ B.reshape(g, m, 2 * nm, n))
-        A = np.swapaxes(B.reshape(g, -1, n), 1, 2) @ G.reshape(g, -1, n)
+        G = G.reshape(g, -1, n)
+        A = np.swapaxes(B.reshape(g, -1, n), 1, 2) @ G
         A = 0.5 * (A + np.swapaxes(A, 1, 2))
-        # flux coefficients are ordered (frame, triangle, basis function)
-        G = np.moveaxis(G.reshape(g, m, 2, nm, n), 1, 2).reshape(g, -1, n)
         dofs = np.concatenate([dofmap.face_dofs(grp.edge_ids).reshape(g, -1),
                                dofmap.cell_dofs(grp.cells)], axis=1)
         group = ElementGroup(**vars(grp), k=k, star=star, areas=areas, h=h,
@@ -404,18 +403,20 @@ def flux_values(group: ElementGroup, coeffs, ref):
     (q, 2), mapped onto every fan triangle. Returns (g, m, q, 2)."""
     g, m, nm = len(group.cells), group.n_edges, group.n_mono
     c = np.asarray(coeffs, dtype=float).reshape(-1, nm)
-    # each frame's scalar field (g, 2, m, q), by one product with the table;
+    # each frame's scalar field (g, m, 2, q), by one product with the table;
     # at k = 0 the one function is exactly 1, so none is needed
-    s = (c if nm == 1 else c @ flux_basis(ref, group.k).T).reshape(g, 2, m, -1)
+    s = (c if nm == 1 else c @ flux_basis(ref, group.k).T).reshape(g, m, 2, -1)
     n, t = group.frames[..., 0, :], group.frames[..., 1, :]
     out = np.empty((g, m, len(ref), 2))
     for x in (0, 1):
-        out[..., x] = s[:, 0] * n[..., x, None] + s[:, 1] * t[..., x, None]
+        out[..., x] = s[:, :, 0] * n[..., x, None] \
+            + s[:, :, 1] * t[..., x, None]
     return out
 
 
 def weak_gradient_coeffs(group: ElementGroup, u_local) -> np.ndarray:
-    """Flux coefficients (g, d) of the rows u_local (g, n) = [u_b | u_0]."""
+    """Flux coefficients (g, d) of the rows u_local (g, n) = [u_b | u_0],
+    in (fan triangle, frame, basis function) order."""
     return (group.G @ np.asarray(u_local, dtype=float)[..., None])[..., 0]
 
 
@@ -444,9 +445,9 @@ def weak_divergence(group: ElementGroup, s) -> tuple:
     pts, wts = group.fan_quadrature(rule)
     # flux basis gradients: reference gradients times J^-1
     mgrad = monomials(rule.points, _REF_CENTROID, 1.0, k, grad=True)
-    div = np.einsum("qby,ba,gtyx,gtfx,gfta->gtq", mgrad, _flux_coefficients(k),
+    div = np.einsum("qby,ba,gtyx,gtfx,gtfa->gtq", mgrad, _flux_coefficients(k),
                     np.linalg.inv(group.jacobians), group.frames,
-                    s.reshape(g, 2, m, group.n_mono), optimize=True)
+                    s.reshape(g, m, 2, group.n_mono), optimize=True)
     rhs = np.einsum("gtqc,gtq->gc", group.cell_basis(pts), div * wts)
 
     # spoke i runs from the star point to loop vertex i, shared by

@@ -580,6 +580,21 @@ def test_lloyd_qhull_calls(monkeypatch, n, calls):
     assert len(qhull) == calls
 
 
+def test_flip_rounds_test_only_real_half_edges(monkeypatch):
+    # a flipped triangle's hull half-edge has twin -1; a later round's test
+    # set must drop it, not keep -1, which would index half-edge 3T - 1
+    incircle_ids, seen = polymesh._incircle_ids, []
+
+    def record(flat, nxt, prv, twin, h):
+        seen.append(np.asarray(h))
+        return incircle_ids(flat, nxt, prv, twin, h)
+
+    monkeypatch.setattr(polymesh, "_incircle_ids", record)
+    gen_voronoi_polygons(256, 100, 1)
+    assert len(seen) > 100
+    assert [i for i, h in enumerate(seen) if (h < 0).any()] == []
+
+
 def test_lloyd_record_is_read_only_and_reflects_exactly():
     seeds, mirror, kept = _lloyd_steps(64, 5, rng_seed=2)
     xy, kept, _ = polymesh._diagram(seeds, mirror, kept)

@@ -275,13 +275,14 @@ def test_flux_basis_disjoint_support(unit_square_cell):
     fan = subtriangulate(unit_square_cell).fans[0]
     [grp] = groups_of(unit_square_cell, 0)
     # at the centroid of triangle T_3, the image of the reference
-    # centroid, frame functions of T_1 evaluate to zero
+    # centroid, frame functions of T_1 evaluate to zero; coefficient
+    # 2 t + f is frame f (normal first) on triangle t
     x = np.full((1, 2), 1 / 3)
     other = np.zeros((1, 8))
     other[0, 0] = 1.0
     assert np.allclose(flux_values(grp, other, x)[0, 2], 0.0)
     home = np.zeros((1, 8))
-    home[0, 2] = 1.0
+    home[0, 4] = 1.0
     assert np.allclose(flux_values(grp, home, x)[0, 2], fan.normals[2])
 
 
@@ -297,16 +298,16 @@ def test_flux_basis_index_layout(pentagon_cell):
     [grp] = groups_of(pentagon_cell, 1)
     assert grp.n_mono == 3
     assert grp.G.shape[1] == 2 * 5 * 3
-    # (frame, triangle, basis function), normal frame first: a face DoF
+    # (triangle, frame, basis function), normal frame first: a face DoF
     # moves the flux on its own fan triangle only, and with K = I only its
     # normal component
-    Gb = grp.G[0, :, :grp.n_face_dofs].reshape(2, 5, 3, 5, 2)
+    Gb = grp.G[0, :, :grp.n_face_dofs].reshape(5, 2, 3, 5, 2)
     for t in range(5):
         for u in range(5):
-            block = Gb[:, t, :, u, :]
+            block = Gb[t, :, :, u, :]
             assert (np.abs(block).max() > 0) == (t == u)
-    assert np.abs(Gb[1]).max() == 0.0
-    assert np.abs(Gb[0]).max() > 0.0
+    assert np.abs(Gb[:, 1]).max() == 0.0
+    assert np.abs(Gb[:, 0]).max() > 0.0
 
 
 def test_flux_basis_home_triangle(pentagon_cell):
@@ -319,7 +320,7 @@ def test_flux_basis_home_triangle(pentagon_cell):
                              BoundarySpec.dirichlet_everywhere(
                                  lambda p: np.zeros(len(p))))
     # normal component i on triangle i tells which triangle was evaluated
-    coeffs = np.concatenate([np.arange(5.0), np.zeros(5)])[None, :]
+    coeffs = np.column_stack([np.arange(5.0), np.zeros(5)]).reshape(1, -1)
     flux = FluxField(system=system, coeffs=[coeffs])
     cents = np.array([fan.triangle(i).mean(axis=0) for i in range(5)])
     vals = np.concatenate([flux.tri_values(0, i, cents[i:i + 1])
