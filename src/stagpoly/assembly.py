@@ -126,26 +126,6 @@ class GlobalSystem:
         return self.b_full[self.free] \
             - self.A_full[self.free][:, self.fixed_dofs] @ self.fixed_values
 
-    @cached_property
-    def _slots(self) -> np.ndarray:
-        slots = np.empty((2, self.mesh.num_cells), dtype=np.intp)
-        for gi, grp in enumerate(self.groups):
-            slots[0, grp.cells] = gi
-            slots[1, grp.cells] = np.arange(len(grp.cells))
-        return slots
-
-    def locate(self, c: int) -> tuple:
-        """(group index, row) of cell c."""
-        gi, row = self._slots[:, c]
-        return int(gi), int(row)
-
-    def expand(self, x_free) -> np.ndarray:
-        """Full coefficient vector from a free-DoF solution."""
-        out = np.empty(self.dofmap.total)
-        out[self.free] = x_free
-        out[self.fixed_dofs] = self.fixed_values
-        return out
-
 
 def _symmetric_csr(n, rows, cols, vals) -> sp.csr_matrix:
     """Exactly symmetric CSR from triplets of symmetric local blocks.

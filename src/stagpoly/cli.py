@@ -121,8 +121,6 @@ def cmd_mesh_gen(args) -> int:
 
 def cmd_mesh_info(args) -> int:
     mesh = read_mesh(args.file)
-    # fanning every cell is what checks the star points
-    build_subtriangulation(mesh)
     rep = quality_report(mesh)
     print(f"cells      {mesh.num_cells}")
     print(f"vertices   {mesh.num_vertices}")

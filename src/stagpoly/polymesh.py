@@ -1012,27 +1012,19 @@ def compute_star_points(mesh: PolyMesh):
 
 @dataclass(frozen=True)
 class CellFan:
-    """Fan triangulation of one cell from its star point.
-
-    Triangle i has vertices (star, loop[i], loop[i+1]) and outer edge
-    edge_ids[i]; normals point out of the cell.
-    """
-    cell: int
+    """Fan of the cell in row `row` of mesh.groups[group] from its star
+    point, whose star, loop and outward normals are views: triangle i has
+    vertices (star, loop[i], loop[i+1])."""
+    group: int
+    row: int
     star: np.ndarray
     loop: np.ndarray            # (m, 2) CCW vertex coordinates
-    edge_ids: np.ndarray        # (m,) global edge ids, loop order
-    areas: np.ndarray           # (m,) fan triangle areas
     normals: np.ndarray         # (m, 2) outward unit normals
-    tangents: np.ndarray        # (m, 2) CCW unit tangents
-    midpoints: np.ndarray       # (m, 2) edge midpoints
-    lengths: np.ndarray         # (m,) edge lengths
-    xbar: np.ndarray            # vertex average
-    h: float                    # sqrt(cell area)
     area: float
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_ids)
+        return len(self.loop)
 
     def triangle(self, i: int):
         """Vertices of fan triangle i as a (3, 2) array (star, v_i, v_{i+1})."""
@@ -1042,8 +1034,8 @@ class CellFan:
 
 @dataclass(frozen=True)
 class SubTriangulation:
-    """Fans of every cell around its star point star[c]; areas holds one
-    read-only (g, m) array of fan triangle areas per mesh.groups entry."""
+    """Fans of every cell around its read-only star point star[c]; areas
+    holds one read-only (g, m) array of fan areas per mesh.groups entry."""
     mesh: PolyMesh
     star: np.ndarray
     areas: tuple
@@ -1052,28 +1044,23 @@ class SubTriangulation:
     def fans(self) -> list[CellFan]:
         """One CellFan per cell, built on first use from the group arrays."""
         fans = [None] * self.mesh.num_cells
-        for grp, areas in zip(self.mesh.groups, self.areas):
-            area = areas.sum(axis=1)
-            mid = 0.5 * (grp.loop + np.roll(grp.loop, -1, axis=1))
+        for gi, (grp, areas) in enumerate(zip(self.mesh.groups, self.areas)):
             for r, c in enumerate(grp.cells.tolist()):
-                fans[c] = CellFan(
-                    cell=c, star=self.star[c].copy(), loop=grp.loop[r],
-                    edge_ids=grp.edge_ids[r], areas=areas[r],
-                    normals=grp.frames[r, :, 0], tangents=grp.frames[r, :, 1],
-                    midpoints=mid[r], lengths=grp.lengths[r],
-                    xbar=grp.xbar[r], h=float(np.sqrt(area[r])),
-                    area=float(area[r]))
+                fans[c] = CellFan(group=gi, row=r, star=self.star[c],
+                                  loop=grp.loop[r], normals=grp.frames[r, :, 0],
+                                  area=float(areas[r].sum()))
         return fans
 
 
 def build_subtriangulation(mesh: PolyMesh, star_points=None) -> SubTriangulation:
-    """Fan every cell from its star point.
+    """Fan every cell from its star point, of which it keeps a copy.
 
     Raises StarShapeError if any fan triangle has area <= 1e-12 * |K|.
     """
     if star_points is None:
         star_points = compute_star_points(mesh)
-    star_points = np.asarray(star_points, dtype=float)
+    star_points = np.array(star_points, dtype=float)
+    star_points.setflags(write=False)
     if star_points.shape != (mesh.num_cells, 2):
         raise ValueError("star_points must be (num_cells, 2)")
     areas, degenerate = [], []
@@ -1101,10 +1088,12 @@ def quality_report(mesh: PolyMesh) -> MeshQualityReport:
     """Shape-regularity diagnostics: all reported ratios are >= 1.
 
     rho is the radius of the largest disc inside the cell's kernel (the
-    inradius for convex cells).
+    inradius for convex cells). Fans every cell from the disc's center, its
+    star point, so raises StarShapeError as build_subtriangulation does.
     """
     diam = mesh.diameters
-    _, rho = _kernel_chebyshev(mesh)
+    center, rho = _kernel_chebyshev(mesh)
+    build_subtriangulation(mesh, center)
     chunk = diam / rho
     face_ratio = np.empty(mesh.num_cells)
     for grp in mesh.groups:

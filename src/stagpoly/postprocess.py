@@ -12,6 +12,12 @@ triangle (the fan around the cell's star point) plus face midpoints; "high"
 uses a triangle rule of degree max(6, 2k + 2) and max(4, k + 2)-point Gauss
 on faces, which integrate every discrete term exactly at every k.
 
+Mode "paper" samples u, grad u and K at the midpoints of each fan
+triangle's edges, one of them on the cell's own edge: where K or grad u
+jumps across a mesh edge, its volume norms read whichever side the
+callables return there (e_sigma_L2 0.144 on squares 4 for a reproduced
+piecewise-linear u, where "high" reads 1.3e-14). Use "high" there.
+
 The paper's own norm definitions are not recorded in this repository, so
 mode "paper" is this package's convention, not a transcription. Against the
 published example1 triangle table (k = 0, Chebyshev star points) it gives
@@ -72,8 +78,8 @@ class SolutionField:
             raise PostprocessError("coefficient vector length mismatch")
 
     def u0_values(self, c: int, pts) -> np.ndarray:
-        gi, r = self.system.locate(c)
-        grp = self.system.groups[gi]
+        fan = self.system.subtri.fans[c]
+        grp, r = self.system.groups[fan.group], fan.row
         return monomials(pts, grp.xbar[r], grp.h[r], grp.k + 1) \
             @ self.dofs[self.system.dofmap.cell_dofs(c)]
 
@@ -90,12 +96,12 @@ class FluxField:
 
     def tri_values(self, c: int, i: int, pts) -> np.ndarray:
         """Flux values on fan triangle i of cell c at physical points."""
-        gi, r = self.system.locate(c)
-        grp = self.system.groups[gi]
+        fan = self.system.subtri.fans[c]
+        grp, r = self.system.groups[fan.group], fan.row
         star, m = grp.star[r], grp.n_edges
         J = (grp.loop[r, [i, (i + 1) % m]] - star).T
         ref = np.linalg.solve(J, (np.asarray(pts, dtype=float) - star).T).T
-        coeffs = self.coeffs[gi].reshape(len(grp.cells), m, 2, -1)[r, i]
+        coeffs = self.coeffs[fan.group].reshape(len(grp.cells), m, 2, -1)[r, i]
         return flux_basis(ref, grp.k) @ (coeffs.T @ grp.frames[r, i])
 
 

@@ -123,20 +123,14 @@ def _powers(t, top: int) -> list:
     return list(accumulate([t] * top, np.multiply, initial=np.ones_like(t)))
 
 
-def monomials(points, center, h, degree: int, grad: bool = False):
+def monomials(points, center, h, degree: int):
     """Scaled monomials ((x, y) - center) / h of total degree <= degree.
 
     points (..., 2); center and h broadcast against points (..., 2) and
     points[..., 0]. Returns values (..., n) in the graded ordering of
-    monomial_exponents, or with grad their gradients (..., n, 2): the
-    degree - 1 values over h times derivative_table(degree).
+    monomial_exponents; their gradients are the degree - 1 values over h
+    times derivative_table(degree).
     """
-    if grad:
-        D = derivative_table(degree)
-        low = monomials(points, center, h, degree - 1) \
-            / np.asarray(h, dtype=float)[..., None]
-        n = D.shape[1]
-        return (low @ D.reshape(-1, 2 * n)).reshape(low.shape[:-1] + (n, 2))
     pts = np.asarray(points, dtype=float)
     h = np.asarray(h, dtype=float)
     xi = (pts[..., 0] - center[..., 0]) / h

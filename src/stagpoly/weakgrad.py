@@ -443,8 +443,9 @@ def weak_divergence(group: ElementGroup, s) -> tuple:
     k, g, m = group.k, len(group.cells), group.n_edges
     rule = triangle_rule(2 * (k + 1))
     pts, wts = group.fan_quadrature(rule)
-    # flux basis gradients: reference gradients times J^-1
-    mgrad = monomials(rule.points, _REF_CENTROID, 1.0, k, grad=True)
+    # flux basis gradients: reference gradients (h = 1) times J^-1
+    mgrad = np.tensordot(monomials(rule.points, _REF_CENTROID, 1.0, k - 1),
+                         derivative_table(k), 1)
     div = np.einsum("qby,ba,gtyx,gtfx,gtfa->gtq", mgrad, _flux_coefficients(k),
                     np.linalg.inv(group.jacobians), group.frames,
                     s.reshape(g, m, 2, group.n_mono), optimize=True)

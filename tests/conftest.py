@@ -5,6 +5,8 @@ import pytest
 from hypothesis import settings
 
 from stagpoly import polymesh
+from stagpoly.quadbasis import monomial_exponents
+from stagpoly.solver import solve_direct
 
 # `pytest --hypothesis-profile=ci` prints the blob that reproduces a
 # failing example; every other setting stays at its default
@@ -19,6 +21,28 @@ def make_single_cell(vertices):
 def subtriangulate(mesh):
     stars = polymesh.compute_star_points(mesh)
     return polymesh.build_subtriangulation(mesh, star_points=stars)
+
+
+def full_solve(system):
+    """Every DoF from the uncondensed solve of the free-DoF system A x = b,
+    with the Dirichlet values in place: the condensed solve's reference."""
+    x = np.empty(system.dofmap.total)
+    x[system.free] = solve_direct(system.A, system.b)[0]
+    x[system.fixed_dofs] = system.fixed_values
+    return x
+
+
+def monomial_gradients(pts, center, h, degree):
+    """Gradients (..., n, 2) of quadbasis.monomials(pts, center, h, degree)
+    by the power rule on each exponent pair: the reference the derivative
+    table is checked against."""
+    h = np.asarray(h, dtype=float)
+    d = (np.asarray(pts, dtype=float) - center) / h[..., None]
+    xi, eta = d[..., 0], d[..., 1]
+    grads = [np.stack([a * xi ** max(a - 1, 0) * eta ** b,
+                       b * xi ** a * eta ** max(b - 1, 0)], axis=-1)
+             for a, b in monomial_exponents(degree)]
+    return np.stack(grads, axis=-2) / h[..., None, None]
 
 
 @pytest.fixture(scope="session")

@@ -15,12 +15,10 @@ from stagpoly.assembly import (
 )
 from stagpoly.polymesh import gen_uniform_squares
 from stagpoly.problems import example1, example2, example3, patch_linear
-from stagpoly.solver import solve_direct, solve_system
+from stagpoly.solver import solve_system
 from stagpoly.weakgrad import CoefficientField
 
-from conftest import subtriangulate
-
-RNG = np.random.default_rng(7)
+from conftest import full_solve, subtriangulate
 
 
 def zero(pts):
@@ -139,14 +137,6 @@ def test_reduced_system_spd(tri4):
     assert w[0] > 0
 
 
-def test_expand_roundtrip(tri4):
-    system = build(example1(), tri4)
-    x = RNG.standard_normal(len(system.free))
-    full = system.expand(x)
-    assert np.array_equal(full[system.free], x)
-    assert np.array_equal(full[system.fixed_dofs], system.fixed_values)
-
-
 def test_rhs_degree_default(tri4):
     assert build(example1(), tri4).rhs_degree == 2
     assert build(example1(), tri4, k=1).rhs_degree == 4
@@ -212,7 +202,7 @@ def test_reduced_system_built_on_demand(tri4):
 
 def test_condensation_matches_full(tri4):
     system = build(example1(), tri4)
-    x_full = system.expand(solve_direct(system.A, system.b)[0])
+    x_full = full_solve(system)
     x_cond, _ = solve_system(system, method="direct")
     assert np.abs(x_full - x_cond).max() < 1e-11
 

@@ -35,6 +35,22 @@ def test_mesh_gen_and_info(tmp_path, capsys):
     assert "all valid" in out
 
 
+def test_mesh_info_solves_the_star_point_lp_once(tmp_path, capsys,
+                                                 monkeypatch):
+    from stagpoly import polymesh
+    path = tmp_path / "vor.json"
+    run(capsys, "mesh", "gen", "--voronoi", "16", "--seed", "1",
+        "-o", str(path))
+    calls = []
+    lp = polymesh._kernel_chebyshev
+    monkeypatch.setattr(polymesh, "_kernel_chebyshev",
+                        lambda mesh: calls.append(mesh) or lp(mesh))
+    code, out, _ = run(capsys, "mesh", "info", str(path))
+    assert code == 0
+    assert "all valid" in out
+    assert len(calls) == 1
+
+
 def test_mesh_gen_needs_one_source(tmp_path, capsys):
     code, _, err = run(capsys, "mesh", "gen", "--triangles", "4",
                        "--squares", "4", "-o", str(tmp_path / "m.json"))

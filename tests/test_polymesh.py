@@ -30,6 +30,7 @@ from stagpoly.polymesh import (
     quality_report,
     read_mesh,
 )
+from stagpoly.weakgrad import element_groups, identity_coefficient
 
 from conftest import make_single_cell, subtriangulate
 
@@ -865,22 +866,22 @@ def test_mesh_groups_cover_every_cell_once(voronoi64):
 def test_fan_unit_square(unit_square_cell):
     sub = build_subtriangulation(unit_square_cell,
                                  star_points=np.array([[0.5, 0.5]]))
-    fan = sub.fans[0]
-    assert fan.n_edges == 4
-    assert np.allclose(fan.areas, 0.25, atol=1e-15)
+    (areas,) = sub.areas
+    assert areas.shape == (1, 4)
+    assert np.allclose(areas, 0.25, atol=1e-15)
 
 
 def test_fan_pentagon(pentagon_cell):
-    sub = subtriangulate(pentagon_cell)
-    fan = sub.fans[0]
-    assert fan.n_edges == 5
-    assert fan.areas.sum() == pytest.approx(pentagon_cell.areas()[0], abs=1e-13)
+    (areas,) = subtriangulate(pentagon_cell).areas
+    assert areas.shape == (1, 5)
+    assert areas.sum() == pytest.approx(pentagon_cell.areas()[0], abs=1e-13)
 
 
 def test_fan_partition_exact(tri4_sub, squares4_sub, voronoi64_sub):
     for sub in (tri4_sub, squares4_sub, voronoi64_sub):
-        for c, fan in enumerate(sub.fans):
-            assert abs(fan.areas.sum() - sub.mesh.areas()[c]) < 1e-12
+        for grp, areas in zip(sub.mesh.groups, sub.areas):
+            gap = areas.sum(axis=1) - sub.mesh.areas()[grp.cells]
+            assert np.abs(gap).max() < 1e-12
 
 
 def test_star_on_edge_rejected(unit_square_cell):
@@ -889,26 +890,48 @@ def test_star_on_edge_rejected(unit_square_cell):
                                star_points=np.array([[0.5, 0.0]]))
 
 
-def test_fan_normals_opposite_across_interior_edges(tri4, tri4_sub):
+def test_subtriangulation_keeps_its_own_star_points():
+    # editing the caller's array after the build leaves the star points
+    # the fan areas were computed from
+    mesh = gen_uniform_squares(2)
+    stars = compute_star_points(mesh)
+    kept = stars.copy()
+    sub = build_subtriangulation(mesh, star_points=stars)
+    stars[0] = [0.9, 0.9]
+    assert np.array_equal(sub.star, kept)
+    (grp,), (areas,) = mesh.groups, sub.areas
+    assert np.all(areas == 0.0625)
+    assert np.array_equal(polymesh.fan_areas(grp.loop, sub.star[grp.cells]),
+                          areas)
+    with pytest.raises(ValueError):
+        sub.star[0] = [0.9, 0.9]
+
+
+def test_fan_normals_opposite_across_interior_edges(tri4):
+    normal = {}
+    for grp in tri4.groups:
+        for c, ids, n in zip(grp.cells, grp.edge_ids, grp.frames[:, :, 0]):
+            normal.update({(c, e): n[i] for i, e in enumerate(ids)})
     for e in range(tri4.num_edges):
         c0, c1 = tri4.edge_cells[e]
         if c1 < 0:
             continue
-        f0, f1 = tri4_sub.fans[c0], tri4_sub.fans[c1]
-        i0 = int(np.flatnonzero(f0.edge_ids == e)[0])
-        i1 = int(np.flatnonzero(f1.edge_ids == e)[0])
-        assert np.allclose(f0.normals[i0], -f1.normals[i1], atol=1e-14)
+        assert np.allclose(normal[c0, e], -normal[c1, e], atol=1e-14)
 
 
-def test_fan_geometry_fields(voronoi64_sub):
-    for fan in voronoi64_sub.fans[:10]:
-        assert np.allclose(np.linalg.norm(fan.normals, axis=1), 1.0, atol=1e-13)
-        assert np.allclose(np.linalg.norm(fan.tangents, axis=1), 1.0, atol=1e-13)
+def test_fan_geometry_fields(voronoi64, voronoi64_sub):
+    for grp in element_groups(voronoi64, voronoi64_sub, 0,
+                              identity_coefficient()):
+        normals, tangents = grp.frames[:, :, 0], grp.frames[:, :, 1]
+        assert np.allclose(np.linalg.norm(normals, axis=-1), 1.0, atol=1e-13)
+        assert np.allclose(np.linalg.norm(tangents, axis=-1), 1.0,
+                           atol=1e-13)
         # outward normal is the CCW tangent rotated clockwise
-        rot = np.column_stack([fan.tangents[:, 1], -fan.tangents[:, 0]])
-        assert np.allclose(fan.normals, rot, atol=1e-13)
-        assert fan.h == pytest.approx(np.sqrt(fan.area), abs=1e-15)
-        assert np.allclose(fan.xbar, fan.loop.mean(axis=0), atol=1e-15)
+        rot = np.stack([tangents[..., 1], -tangents[..., 0]], axis=-1)
+        assert np.allclose(normals, rot, atol=1e-13)
+        assert np.allclose(grp.h, np.sqrt(voronoi64.areas()[grp.cells]),
+                           rtol=0, atol=1e-15)
+        assert np.allclose(grp.xbar, grp.loop.mean(axis=1), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stagpoly.assembly import assemble_system
+from stagpoly.assembly import BoundarySpec, assemble_system
 from stagpoly.polymesh import (build_polymesh, gen_uniform_squares,
                                gen_uniform_triangles, gen_voronoi_polygons)
 from stagpoly.postprocess import (
@@ -28,11 +28,12 @@ from stagpoly.postprocess import (
 from stagpoly.problems import (example1, example2, example3, patch_linear,
                                patch_quadratic)
 from stagpoly.quadbasis import (edge_rule, face_monomials, map_to_edge,
-                                map_to_triangle, monomials, triangle_rule)
+                                map_to_triangle, triangle_rule)
 from stagpoly.solver import solve_system
-from stagpoly.weakgrad import ElementGroup, flux_values, outer_edge
+from stagpoly.weakgrad import (ElementGroup, flux_values, outer_edge,
+                               scalar_coefficient)
 
-from conftest import subtriangulate
+from conftest import monomial_gradients, subtriangulate
 
 RNG = np.random.default_rng(23)
 
@@ -52,6 +53,18 @@ def test_solution_field_length_check(tri4):
     sol = solved(example1(), tri4)
     with pytest.raises(PostprocessError):
         SolutionField(sol.system, sol.dofs[:-1])
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_u0_values_is_the_cell_basis_expansion(voronoi64, k):
+    # at the star point and the fan corners of every cell
+    sol = solved(example2(), voronoi64, k)
+    for grp in sol.system.groups:
+        uc = _split(grp, sol.dofs)[0]
+        pts = np.concatenate([grp.star[:, None], grp.loop], axis=1)
+        want = np.einsum("gpc,gc->gp", grp.cell_basis(pts), uc)
+        got = np.array([sol.u0_values(c, p) for c, p in zip(grp.cells, pts)])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), k
 
 
 def test_patch_flux_is_constant(mesh_families):
@@ -88,6 +101,38 @@ def test_quadratic_patch_1h_error_is_finite(mesh_families):
                           mode="high")["e_1h"]
         assert np.isfinite(e1h) and e1h <= 1e-9, (name, e1h)
         assert h1h_distance(sol.system, sol.dofs, sol.dofs) == 0.0, name
+
+
+def _linear(pts):
+    pts = np.atleast_2d(pts)
+    return 1.0 + 2.0 * pts[:, 0] - 3.0 * pts[:, 1]
+
+
+def _linear_grad(pts):
+    return np.tile([2.0, -3.0], (len(np.atleast_2d(pts)), 1))
+
+
+@pytest.mark.parametrize("kappa, f, k", [
+    (2.0, 0.0, 0), (2.0, 0.0, 1),
+    (lambda pts: 1.0 + pts[:, 0], -2.0, 1),
+    (lambda pts: 1.0 + pts[:, 0], -2.0, 2)],
+    ids=["2-k0", "2-k1", "1+x-k1", "1+x-k2"])
+def test_linear_solution_norms_with_scaled_K(squares4, voronoi64, kappa, f,
+                                             k):
+    # K = kappa I, cellwise (2) or pointwise (1 + x), so the exact flux is
+    # K grad u; u = 1 + 2x - 3y and its flux K grad u lie in the discrete
+    # spaces, so every norm reads round-off
+    coeff = scalar_coefficient(kappa)
+    assert not coeff.is_identity
+    for mesh in (squares4, voronoi64):
+        system = assemble_system(mesh, subtriangulate(mesh), k, coeff,
+                                 lambda pts: np.full(len(pts), f),
+                                 BoundarySpec.dirichlet_everywhere(_linear))
+        sol = SolutionField(system, solve_system(system, method="direct")[0])
+        flux = recover_flux(sol)
+        for mode in ("paper", "high"):
+            errs = error_norms(sol, _linear, _linear_grad, flux, mode=mode)
+            assert max(errs.values()) < 1e-12, (mesh.num_cells, mode, errs)
 
 
 def test_unknown_quadrature_mode(tri4):
@@ -159,6 +204,18 @@ def test_random_flux_jump_large(tri4):
     coeffs = [RNG.standard_normal(grp.G.shape[:2]) for grp in system.groups]
     report = flux_jump_report(FluxField(system=system, coeffs=coeffs))
     assert report["max_scaled_jump"] > 1e-3
+
+
+def test_flux_jump_without_interior_faces(unit_square_cell):
+    # a one-cell mesh has no interior face to jump across
+    zero = BoundarySpec.dirichlet_everywhere(lambda pts: np.zeros(len(pts)))
+    system = assemble_system(unit_square_cell,
+                             subtriangulate(unit_square_cell), 0,
+                             example1().coeff, example1().f, zero)
+    rng = np.random.default_rng(3)
+    coeffs = [rng.standard_normal(grp.G.shape[:2]) for grp in system.groups]
+    report = flux_jump_report(FluxField(system=system, coeffs=coeffs))
+    assert report == {"max_scaled_jump": 0.0, "face": -1}
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +465,11 @@ def reference_jump_report(flux):
     ends = mesh.vertices[mesh.edges]
     pts, wts = map_to_edge(erule, ends[:, 0], ends[:, 1])
     sides = np.zeros((mesh.num_edges, 2) + pts.shape[1:])
-    for c in range(mesh.num_cells):
-        gi, r = system.locate(c)
-        grp = system.groups[gi]
-        for i, e in enumerate(grp.edge_ids[r]):
-            sides[e, int(grp.orient[r, i] < 0)] = flux.tri_values(c, i, pts[e])
+    for grp in system.groups:
+        for r, c in enumerate(grp.cells):
+            for i, e in enumerate(grp.edge_ids[r]):
+                sides[e, int(grp.orient[r, i] < 0)] = \
+                    flux.tri_values(c, i, pts[e])
     inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
     s0, s1 = sides[inner, 0], sides[inner, 1]
     t = ends[inner, 1] - ends[inner, 0]
@@ -472,15 +529,15 @@ def test_post_stage_on_kept_points_matches_fresh_quadrature(voronoi64,
 
 
 def reference_e1h(sol, grad_u):
-    """e_1h in mode "paper" with grad u_0 from monomials(grad=True) at
-    every point."""
+    """e_1h in mode "paper" with grad u_0 by the power rule at every
+    point."""
     system = sol.system
     total = 0.0
     for grp in system.groups:
         uc, ub = _split(grp, sol.dofs)
         pts, wts = grp.fan_quadrature(triangle_rule(2))
-        gphi = monomials(pts, grp.xbar[:, None, None], grp.h[:, None, None],
-                         system.k + 1, grad=True)
+        gphi = monomial_gradients(pts, grp.xbar[:, None, None],
+                                  grp.h[:, None, None], system.k + 1)
         dg = _at(grad_u, pts, (2,)) - np.einsum("gtqcx,gc->gtqx", gphi, uc)
         total += np.sum(wts * (dg ** 2).sum(axis=-1))
         total += np.sum(_face_jump_sq(grp, uc, ub, edge_rule(system.k + 1))

@@ -155,11 +155,12 @@ def test_monomial_exponents_graded_lex():
 # cell basis: scaled monomials of degree k+1 about the vertex average
 
 def test_cell_basis_k0_ordering(unit_square_cell):
-    fan = subtriangulate(unit_square_cell).fans[0]
-    vals = monomials(fan.xbar[None, :], fan.xbar, fan.h, 1)
+    [grp] = groups_of(unit_square_cell, 0)
+    xbar, h = grp.xbar[0], grp.h[0]
+    vals = monomials(xbar[None, :], xbar, h, 1)
     assert vals.shape == (1, 3)
     assert np.allclose(vals[0], [1.0, 0.0, 0.0])
-    vals = monomials(np.array([[1.0, 0.5]]), fan.xbar, fan.h, 1)[0]
+    vals = monomials(np.array([[1.0, 0.5]]), xbar, h, 1)[0]
     assert np.allclose(vals, [1.0, 0.5, 0.0])
 
 
@@ -173,21 +174,26 @@ def test_cell_basis_k1_dim(unit_square_cell):
 @given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
                 min_size=5, max_size=5))
 def test_cell_basis_first_component_one(pentagon_cell, pts):
-    fan = subtriangulate(pentagon_cell).fans[0]
-    vals = monomials(np.asarray(pts, dtype=float), fan.xbar, fan.h, 1)
+    [grp] = pentagon_cell.groups
+    vals = monomials(np.asarray(pts, dtype=float), grp.xbar[0],
+                     np.sqrt(pentagon_cell.areas()[0]), 1)
     assert np.allclose(vals[:, 0], 1.0)
 
 
 def test_cell_basis_gradient_matches_fd(pentagon_cell):
-    fan = subtriangulate(pentagon_cell).fans[0]
+    # the gradients are the degree - 1 values over h times the derivative
+    # table, as the norms and the weak divergence form them
+    [grp] = groups_of(pentagon_cell, 0)
+    xbar, h = grp.xbar[0], grp.h[0]
     x = np.array([[0.3, -0.2]])
     eps = 1e-6
     for degree in range(7):
-        g = monomials(x, fan.xbar, fan.h, degree, grad=True)[0]
+        g = np.einsum("b,bcx->cx", monomials(x, xbar, h, degree - 1)[0] / h,
+                      derivative_table(degree))
         for d, e in ((0, np.array([[eps, 0.0]])),
                      (1, np.array([[0.0, eps]]))):
-            fd = (monomials(x + e, fan.xbar, fan.h, degree)[0]
-                  - monomials(x - e, fan.xbar, fan.h, degree)[0]) / (2 * eps)
+            fd = (monomials(x + e, xbar, h, degree)[0]
+                  - monomials(x - e, xbar, h, degree)[0]) / (2 * eps)
             assert np.allclose(g[:, d], fd, atol=1e-8), degree
 
 
@@ -206,8 +212,9 @@ def test_derivative_table_holds_the_exponents(degree):
 
 def test_derivative_table_degree0_is_zero():
     assert derivative_table(0).shape == (0, 1, 2)
-    grad = monomials(np.array([[0.3, -0.2], [1.0, 2.0]]), np.zeros(2), 0.5, 0,
-                     grad=True)
+    low = monomials(np.array([[0.3, -0.2], [1.0, 2.0]]), np.zeros(2), 0.5, -1)
+    assert low.shape == (2, 0)
+    grad = np.einsum("pb,bcx->pcx", low, derivative_table(0))
     assert grad.shape == (2, 1, 2) and not grad.any()
 
 
@@ -272,7 +279,6 @@ def test_flux_basis_square_k0(unit_square_cell):
 
 def test_flux_basis_disjoint_support(unit_square_cell):
     from stagpoly.weakgrad import flux_values
-    fan = subtriangulate(unit_square_cell).fans[0]
     [grp] = groups_of(unit_square_cell, 0)
     # at the centroid of triangle T_3, the image of the reference
     # centroid, frame functions of T_1 evaluate to zero; coefficient
@@ -283,15 +289,17 @@ def test_flux_basis_disjoint_support(unit_square_cell):
     assert np.allclose(flux_values(grp, other, x)[0, 2], 0.0)
     home = np.zeros((1, 8))
     home[0, 4] = 1.0
-    assert np.allclose(flux_values(grp, home, x)[0, 2], fan.normals[2])
+    assert np.allclose(flux_values(grp, home, x)[0, 2], grp.frames[0, 2, 0])
 
 
 def test_flux_basis_frames(pentagon_cell):
-    fan = subtriangulate(pentagon_cell).fans[0]
     [grp] = groups_of(pentagon_cell, 0)
-    for i in range(fan.n_edges):
-        assert np.allclose(grp.frames[0, i, 0], fan.normals[i])
-        assert np.allclose(grp.frames[0, i, 1], fan.tangents[i])
+    verts = pentagon_cell.vertices
+    for i in range(5):
+        t = verts[(i + 1) % 5] - verts[i]
+        t /= np.linalg.norm(t)
+        assert np.allclose(grp.frames[0, i, 0], [t[1], -t[0]])
+        assert np.allclose(grp.frames[0, i, 1], t)
 
 
 def test_flux_basis_index_layout(pentagon_cell):
@@ -314,7 +322,6 @@ def test_flux_basis_home_triangle(pentagon_cell):
     from stagpoly.postprocess import FluxField
     from stagpoly.assembly import BoundarySpec, assemble_system
     sub = subtriangulate(pentagon_cell)
-    fan = sub.fans[0]
     system = assemble_system(pentagon_cell, sub, 0, identity_coefficient(),
                              lambda p: np.zeros(len(p)),
                              BoundarySpec.dirichlet_everywhere(
@@ -322,7 +329,8 @@ def test_flux_basis_home_triangle(pentagon_cell):
     # normal component i on triangle i tells which triangle was evaluated
     coeffs = np.column_stack([np.arange(5.0), np.zeros(5)]).reshape(1, -1)
     flux = FluxField(system=system, coeffs=[coeffs])
-    cents = np.array([fan.triangle(i).mean(axis=0) for i in range(5)])
+    [grp] = system.groups
+    cents = grp.triangles[0].mean(axis=1)
     vals = np.concatenate([flux.tri_values(0, i, cents[i:i + 1])
                            for i in range(5)])
-    assert np.allclose(vals, np.arange(5.0)[:, None] * fan.normals)
+    assert np.allclose(vals, np.arange(5.0)[:, None] * grp.frames[0, :, 0])

@@ -13,7 +13,7 @@ from stagpoly.solver import (
     solve_system,
 )
 
-from conftest import subtriangulate
+from conftest import full_solve, subtriangulate
 
 RNG = np.random.default_rng(11)
 
@@ -175,7 +175,7 @@ def test_direct_zero_diagonal_raises():
 def test_solve_system_condensed_vs_full(tri4):
     system = wg_system(tri4)
     x_c, _ = solve_system(system, method="direct")
-    x_f = system.expand(solve_direct(system.A, system.b)[0])
+    x_f = full_solve(system)
     assert np.abs(x_c - x_f).max() < 1e-10
 
 

@@ -29,7 +29,7 @@ from stagpoly.weakgrad import (
     weak_gradient_coeffs,
 )
 
-from conftest import make_single_cell, subtriangulate
+from conftest import make_single_cell, monomial_gradients, subtriangulate
 
 RNG = np.random.default_rng(42)
 
@@ -102,7 +102,7 @@ def test_mass_unit_square_identity():
 
 def test_mass_pentagon_diag_areas():
     _, sub, op = pentagon_op()
-    areas = sub.fans[0].areas
+    areas = sub.areas[0][0]
     assert np.allclose(flux_gram(op), np.diag(np.repeat(areas, 2)),
                        atol=1e-14)
 
@@ -126,7 +126,7 @@ def test_mass_k1_spd(pentagon_cell):
     [grp] = element_groups(pentagon_cell, sub, 1, identity_coefficient())
     M = flux_gram(grp)
     assert M.shape == (30, 30)
-    areas = np.repeat(sub.fans[0].areas, 2 * 3)
+    areas = np.repeat(sub.areas[0][0], 2 * 3)
     assert np.allclose(M, np.diag(areas), atol=1e-15)
     assert np.linalg.eigvalsh(M).min() > 0
 
@@ -144,22 +144,21 @@ def test_db_closed_form():
 
 
 def test_d0_closed_form():
-    _, sub, op = square_op()
-    fan = sub.fans[0]
+    _, _, op = square_op()
+    loop = op.loop[0]
     # bottom edge is the one with midpoint (0.5, 0)
-    i = int(np.argmin(np.abs(fan.midpoints[:, 1])))
-    assert np.allclose(fan.normals[i], [0.0, -1.0], atol=1e-14)
+    i = int(np.argmin(np.abs(loop[:, 1] + np.roll(loop[:, 1], -1))))
+    assert np.allclose(op.frames[0, i, 0], [0.0, -1.0], atol=1e-14)
     assert np.allclose(op.G[0, 2 * i, 4:], [-4.0, 0.0, 1.0], atol=1e-14)
     assert np.allclose(op.G[0, 2 * i + 1, 4:], [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_d0_tangent_rows_general():
-    _, sub, op = pentagon_op()
-    fan = sub.fans[0]
+    _, _, op = pentagon_op()
+    tangents, h = op.frames[0, :, 1], op.h[0]
     for i in range(5):
         row = op.G[0, 2 * i + 1, 5:]
-        expected = [0.0, fan.tangents[i, 0] / fan.h,
-                    fan.tangents[i, 1] / fan.h]
+        expected = [0.0, tangents[i, 0] / h, tangents[i, 1] / h]
         assert np.allclose(row, expected, atol=1e-13)
 
 
@@ -210,28 +209,28 @@ def test_weak_gradient_kills_constants():
 
 
 def test_weak_gradient_exact_on_linears():
-    mesh, sub, op = pentagon_op()
-    fan = sub.fans[0]
+    _, _, op = pentagon_op()
+    loop, h = op.loop[0], op.h[0]
     grad = np.array([0.7, -1.3])
 
     def u(p):
         return 0.2 + p @ grad
 
-    u0 = np.array([u(fan.xbar), grad[0] * fan.h, grad[1] * fan.h])
-    ub = np.array([u(m) for m in fan.midpoints])
+    u0 = np.array([u(op.xbar[0]), grad[0] * h, grad[1] * h])
+    ub = u(0.5 * (loop + np.roll(loop, -1, axis=0)))
     s = weak_gradient_coeffs(op, np.concatenate([ub, u0])[None])[0]
     # k = 0: coefficient (triangle i, frame) sits at 2 * i + frame
     for i in range(5):
-        assert s[2 * i] == pytest.approx(fan.normals[i] @ grad, abs=1e-12)
-        assert s[2 * i + 1] == pytest.approx(fan.tangents[i] @ grad,
+        assert s[2 * i] == pytest.approx(op.frames[0, i, 0] @ grad, abs=1e-12)
+        assert s[2 * i + 1] == pytest.approx(op.frames[0, i, 1] @ grad,
                                              abs=1e-12)
 
 
 def test_weak_gradient_defining_identity():
     # (grad_w u, zeta_j) = (grad u_0, zeta_j)_K + <u_b - u_0, zeta_j . n>_dK
     # verified by independent quadrature for random fields
-    mesh, sub, op = pentagon_op()
-    fan = sub.fans[0]
+    _, _, op = pentagon_op()
+    xbar, h, loop = op.xbar[0], op.h[0], op.loop[0]
     vol = triangle_rule(4)
     eru = edge_rule(4)
     for _ in range(20):
@@ -240,19 +239,19 @@ def test_weak_gradient_defining_identity():
         lhs = np.zeros(10)  # identity coefficient: the plain L2 product
         rhs = np.zeros(10)
         ub, u0 = u[:5], u[5:]
-        for i in range(fan.n_edges):
-            pts, wts = map_to_triangle(vol, fan.triangle(i))
+        # u_0 = u0[0] + u0[1] (x - xbar_x) / h + u0[2] (y - xbar_y) / h
+        grad_u0 = u0[1:] / h
+        for i in range(5):
+            pts, wts = map_to_triangle(vol, op.triangles[0, i])
             sig = flux_values(op, s, vol.points)[0, i]
-            gphi = np.einsum("pid,i->pd",
-                             monomials(pts, fan.xbar, fan.h, 1, grad=True), u0)
-            a, b = fan.loop[i], fan.loop[(i + 1) % fan.n_edges]
-            epts, ewts = map_to_edge(eru, a, b)
-            trace = ub[i] - monomials(epts, fan.xbar, fan.h, 1) @ u0
-            for frame, zeta in enumerate((fan.normals[i], fan.tangents[i])):
+            epts, ewts = map_to_edge(eru, loop[i], loop[(i + 1) % 5])
+            trace = ub[i] - u0[0] - (epts - xbar) @ grad_u0
+            normal = op.frames[0, i, 0]
+            for frame, zeta in enumerate(op.frames[0, i]):
                 j = 2 * i + frame  # the constant on triangle i, k = 0
                 lhs[j] += wts @ (sig @ zeta)
-                rhs[j] += wts @ (gphi @ zeta)
-                rhs[j] += ewts @ (trace * (zeta @ fan.normals[i]))
+                rhs[j] += wts.sum() * (grad_u0 @ zeta)
+                rhs[j] += ewts @ (trace * (zeta @ normal))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -260,10 +259,10 @@ def test_weak_gradient_defining_identity():
 # weak divergence
 
 def test_weak_divergence_constant_flux():
-    _, sub, op = pentagon_op()
-    fan = sub.fans[0]
+    _, _, op = pentagon_op()
     vec = np.array([1.3, -0.4])
-    s = np.column_stack([fan.normals @ vec, fan.tangents @ vec]).ravel()
+    # (triangle, frame) order: the normal and tangent parts of vec
+    s = (op.frames[0] @ vec).ravel()
     cell_part, face_parts = weak_divergence(op, s[None])
     assert np.allclose(cell_part[0], 0.0, atol=1e-12)
 
@@ -271,8 +270,7 @@ def test_weak_divergence_constant_flux():
 def test_weak_divergence_adjointness():
     # (grad_w u, s)_K = -[(div_w s, u_0)_K + sum_F h_F <u_b, -h_F^-1 (s.n)>_F]
     for k in range(4):
-        mesh, sub, op = pentagon_op(k)
-        fan = sub.fans[0]
+        _, _, op = pentagon_op(k)
         Mc = cell_mass(op)[0]
         nfd = op.n_face_dofs
         rule = triangle_rule(max(2 * k, 2))
@@ -281,7 +279,7 @@ def test_weak_divergence_adjointness():
         erule = edge_rule(k + 1)
         psi = op.face_basis(erule.points)[0]
         gram = np.einsum("tqa,tqb,q,t->tab", psi, psi, erule.weights,
-                         fan.lengths)
+                         op.lengths[0])
         for _ in range(20):
             u = RNG.standard_normal(op.A.shape[1])
             s = RNG.standard_normal(op.G.shape[1])
@@ -291,7 +289,7 @@ def test_weak_divergence_adjointness():
                                       axis=-1))
             cell_part, face_parts = weak_divergence(op, s[None])
             rhs = cell_part[0] @ (Mc @ u[nfd:])
-            rhs += np.einsum("t,ta,tab,tb->", fan.lengths,
+            rhs += np.einsum("t,ta,tab,tb->", op.lengths[0],
                              u[:nfd].reshape(5, k + 1), gram, face_parts[0])
             assert lhs == pytest.approx(-rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
@@ -374,7 +372,7 @@ def monomial_reference_stiffness(grp, coeff):
             grp.star[:1] if coeff.cellwise_constant else pts), (len(pts), 2, 2))
         M[:, t, :, :, t, :] = np.einsum("fi,qij,ej,qa,qb,q->faeb", F, Kinv, F,
                                         mono, mono, wts)
-        gphi = monomials(pts, xbar, h, k + 1, grad=True)
+        gphi = monomial_gradients(pts, xbar, h, k + 1)
         B[:, t, :, m * nf:] += np.einsum("qa,qcx,fx,q->fac", mono, gphi, F,
                                          wts)
         epts, ewts = map_to_edge(erule, grp.loop[0, t],
@@ -573,8 +571,15 @@ def test_element_layer_and_fans_share_mesh_groups(voronoi64, voronoi64_sub):
         for f in dataclasses.fields(cg):
             assert np.shares_memory(getattr(grp, f.name), getattr(cg, f.name))
         assert np.shares_memory(grp.areas, areas)
-        for c in cg.cells:
-            assert np.shares_memory(voronoi64_sub.fans[c].loop, cg.loop)
+    # each cell's fan is its group row, and views the group's arrays and
+    # the subtriangulation's star points
+    for gi, cg in enumerate(voronoi64.groups):
+        for r, c in enumerate(cg.cells):
+            fan = voronoi64_sub.fans[c]
+            assert (fan.group, fan.row) == (gi, r)
+            assert np.shares_memory(fan.loop, cg.loop)
+            assert np.shares_memory(fan.normals, cg.frames)
+            assert np.shares_memory(fan.star, voronoi64_sub.star)
 
 
 def test_element_groups_memory_at_k3():
