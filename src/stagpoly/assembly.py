@@ -19,8 +19,8 @@ import scipy.sparse as sp
 from .polymesh import PolyMesh, SubTriangulation
 from .quadbasis import (MAX_TRIANGLE_DEGREE, edge_rule, face_monomials,
                         map_to_edge, triangle_rule)
-from .weakgrad import (CoefficientField, DofMap, batched_cholesky,
-                       element_groups, face_projection_Qb, lower_inverse)
+from .weakgrad import (CoefficientField, DofMap, element_groups,
+                       face_projection_Qb)
 
 __all__ = [
     "AssemblyError",
@@ -244,6 +244,35 @@ class CondensedSystem:
         return full
 
 
+def batched_cholesky(mats, cells):
+    """Lower Cholesky factors of a stack of matrices, one per cell.
+
+    Raises CondensationError naming the first cell whose matrix is not SPD.
+    """
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        for c, mat in zip(cells, mats):
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError as exc:
+                raise CondensationError(
+                    f"cell {c}: singular interior block") from exc
+        raise
+
+
+def lower_inverse(L):
+    """Inverses of stacked lower triangular matrices (..., n, n), by forward
+    substitution on one row of every matrix at a time."""
+    X = np.zeros_like(L)
+    for i in range(L.shape[-1]):
+        X[..., i, i] = 1.0
+        X[..., i, :i + 1] -= (L[..., i, None, :i]
+                              @ X[..., :i, :i + 1])[..., 0, :]
+        X[..., i, :i + 1] /= L[..., i, i, None]
+    return X
+
+
 def static_condensation(system: GlobalSystem) -> CondensedSystem:
     """Eliminate the cell block by per-cell Schur complements.
 
@@ -262,9 +291,7 @@ def static_condensation(system: GlobalSystem) -> CondensedSystem:
     for grp in system.groups:
         nfl = grp.n_face_dofs
         fdofs, cdofs = grp.dofs[:, :nfl], grp.dofs[:, nfl:]
-        Linv = lower_inverse(batched_cholesky(
-            grp.A[:, nfl:, nfl:], grp.cells, CondensationError,
-            "singular interior block"))
+        Linv = lower_inverse(batched_cholesky(grp.A[:, nfl:, nfl:], grp.cells))
         Y = Linv @ np.concatenate([grp.A[:, nfl:, :nfl],
                                    system.b_full[cdofs][..., None]], axis=2)
         Z = np.swapaxes(Y[:, :, :nfl], 1, 2) @ Y

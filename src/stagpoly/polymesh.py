@@ -1003,9 +1003,9 @@ def compute_star_points(mesh: PolyMesh):
     set of points that see the whole cell boundary. On a triangle this is
     the incenter, on a convex cell the center of the largest inscribed
     disc. Each cell's 3-variable LP is solved exactly by enumerating its
-    vertices, valence group by valence group, not as one block LP; where
-    the largest disc can slide along a segment, the star point is the
-    segment's midpoint. Raises StarShapeError when a cell has no star point.
+    vertices, valence group by valence group; where the largest disc can
+    slide along a segment, the star point is the segment's midpoint.
+    Raises StarShapeError when a cell has no star point.
     """
     return _kernel_chebyshev(mesh)[0]
 

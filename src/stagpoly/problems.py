@@ -112,7 +112,7 @@ def example3() -> Problem:
     bc = BoundarySpec(dirichlet={1: one, 2: zero}, neumann={3: zero, 4: zero})
     return Problem(
         name="example3",
-        coeff=scalar_coefficient(kappa, cellwise_constant=True),
+        coeff=scalar_coefficient(kappa),
         f=zero,
         bc=bc,
         flux_sign=-1,

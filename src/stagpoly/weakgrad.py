@@ -4,16 +4,18 @@ For a cell fanned into triangles, the flux space is spanned by frame
 vectors F = (outward normal, tangent) of each fan triangle's outer edge
 times a P_k basis on that triangle: one basis on the reference triangle,
 orthonormal in its mean inner product and led by the constant 1, mapped
-affinely, so orthonormal in (1/|T|) int_T. The flux of a pair (u_0, u_b)
-is the field sigma (K G_w u for a cellwise-constant K) with
+affinely, so orthonormal in (1/|T|) int_T. K is constant on each cell:
+the coefficient is sampled once, at the cell's star point, so a K that
+jumps inside a cell takes the value on the star point's side. The flux
+of a pair (u_0, u_b) is the field sigma = K G_w u with
 
     (K^{-1} sigma, tau)_K = (grad u_0, tau)_K + <u_b - u_0, tau . n>_dK
 
 for every flux test field tau. Its coefficients are G u with
 G = M^{-1} [D_b, D_0], M the K^{-1}-weighted flux Gram matrix, and the
 local stiffness is A_K = [D_b, D_0]^T G. M is block-diagonal by fan
-triangle; for a cellwise-constant K its block |T| (F K^{-1} F^T (x) I)
-gives G_T = (F K F^T (x) I) [D_b, D_0]_T / |T| without a factorisation.
+triangle, and its block |T| (F K^{-1} F^T (x) I) gives
+G_T = (F K F^T (x) I) [D_b, D_0]_T / |T| without a factorisation.
 
 Cells with the same number of edges m share one array layout, the mesh's
 CellGroup, and the operators of such a valence group are stacks over its
@@ -38,15 +40,12 @@ from .quadbasis import (derivative_table, edge_rule, face_monomials,
 
 __all__ = [
     "CoefficientError",
-    "DegenerateElementError",
     "CoefficientField",
     "identity_coefficient",
     "scalar_coefficient",
     "DofMap",
     "ElementGroup",
     "element_groups",
-    "batched_cholesky",
-    "lower_inverse",
     "flux_basis",
     "outer_edge",
     "flux_values",
@@ -61,20 +60,15 @@ class CoefficientError(Exception):
     """Coefficient matrix is not symmetric positive definite."""
 
 
-class DegenerateElementError(Exception):
-    """Element mass matrix could not be factorized."""
-
-
 @dataclass(frozen=True)
 class CoefficientField:
     """Symmetric positive definite 2x2 coefficient K(x).
 
-    `fn` maps an (n, 2) array of points to (n, 2, 2) matrices. When
-    `cellwise_constant` is set, K is sampled once per cell (at the star
-    point), the fast path for coefficients aligned with the mesh.
+    `fn` maps an (n, 2) array of points to (n, 2, 2) matrices. The element
+    layer reads it once per cell, at the star point, and takes K as
+    constant on the cell.
     """
     fn: Callable
-    cellwise_constant: bool = False
     is_identity: bool = False
 
     def at(self, points):
@@ -84,9 +78,6 @@ class CoefficientField:
             raise CoefficientError(f"coefficient returned shape {K.shape}")
         _check_spd(K)
         return K
-
-    def inv_at(self, points):
-        return np.linalg.inv(self.at(points))
 
 
 def _check_spd(K, tol=1e-12):
@@ -103,9 +94,9 @@ def identity_coefficient() -> CoefficientField:
     return scalar_coefficient(1.0)
 
 
-def scalar_coefficient(kappa, cellwise_constant: bool = False) -> CoefficientField:
-    """K = kappa I; kappa may be a number, which is cellwise constant, or a
-    callable on (n, 2) point arrays."""
+def scalar_coefficient(kappa) -> CoefficientField:
+    """K = kappa I; kappa may be a number or a callable on (n, 2) point
+    arrays, which the element layer samples at each cell's star point."""
     const = not callable(kappa)
     if const:
         kappa = float(kappa)
@@ -117,8 +108,7 @@ def scalar_coefficient(kappa, cellwise_constant: bool = False) -> CoefficientFie
         K[:, 0, 0] = vals
         K[:, 1, 1] = vals
         return K
-    return CoefficientField(fn=fn, cellwise_constant=const or cellwise_constant,
-                            is_identity=const and kappa == 1.0)
+    return CoefficientField(fn=fn, is_identity=const and kappa == 1.0)
 
 
 @dataclass(frozen=True)
@@ -179,8 +169,7 @@ class ElementGroup(CellGroup):
     and of its outer-edge rule, edge_rule(k + 1), and assemble_system the
     one of its load rule, triangle_rule(2k + 2), which at k = 0 is the
     volume rule again; so these tables stay alive through the solve. At
-    tri256 k = 0 the 3-point table is 131,072 x 3 x 3 x 2 floats, 19 MB,
-    and peak RSS went from 616 to 626 MB when they were first kept.
+    tri256 k = 0 the 3-point table is 131,072 x 3 x 3 x 2 floats, 19 MB.
     """
     k: int
     star: np.ndarray
@@ -291,34 +280,6 @@ def _fan_triangles(star, loop):
     return np.stack([star, loop, np.roll(loop, -1, axis=1)], axis=2)
 
 
-def batched_cholesky(mats, cells, error, what: str):
-    """Lower Cholesky factors of a stack of matrices, one per cell.
-
-    Raises `error` naming the first cell whose matrix is not SPD.
-    """
-    try:
-        return np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        for c, mat in zip(cells, mats):
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError as exc:
-                raise error(f"cell {c}: {what}") from exc
-        raise
-
-
-def lower_inverse(L):
-    """Inverses of stacked lower triangular matrices (..., n, n), by forward
-    substitution on one row of every matrix at a time."""
-    X = np.zeros_like(L)
-    for i in range(L.shape[-1]):
-        X[..., i, i] = 1.0
-        X[..., i, :i + 1] -= (L[..., i, None, :i]
-                              @ X[..., :i, :i + 1])[..., 0, :]
-        X[..., i, :i + 1] /= L[..., i, i, None]
-    return X
-
-
 def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
                    coeff: CoefficientField) -> list:
     """One ElementGroup per cell valence, in ascending edge count.
@@ -327,11 +288,11 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
     realize (grad phi_0, tau)_K - <phi_0, tau . n>_dK. Every outer edge is
     the image of one reference edge, so D_b is the edge length times
     orient^p times one table; its tangent rows vanish because tau . n does.
-    A cellwise-constant K is sampled once per cell, at the star point.
+    K is sampled once per cell, at the star point, and G_T = C_T B_T
+    with C_T = F K F^T / |T| on each fan triangle.
     """
     dofmap = DofMap(k=k, num_faces=mesh.num_edges, num_cells=mesh.num_cells)
     nm, nf, nc = (k + 1) * (k + 2) // 2, k + 1, dofmap.cell_block
-    cellwise = coeff.cellwise_constant
     vol_rule, erule = triangle_rule(2 * k), edge_rule(k + 1)
     wphi = flux_basis(vol_rule.points, k) * vol_rule.weights[:, None]
     ephi = flux_basis(outer_edge(erule), k) * erule.weights[:, None]
@@ -365,27 +326,14 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
         B[:, :, 0, :, m * nf:] -= lengths[..., None, None] * np.einsum(
             "qa,gtqc->gtac", ephi, monomials(epts, xbar, hq, k + 1))
 
-        if cellwise:
-            # no matmul: products and sums keep n . t exactly 0 when K = I
-            K = coeff.at(star)[:, None, None]
-            FK0 = frames[..., 0] * K[..., 0, 0] + frames[..., 1] * K[..., 1, 0]
-            FK1 = frames[..., 0] * K[..., 0, 1] + frames[..., 1] * K[..., 1, 1]
-            C = (FK0[..., :, None] * frames[..., None, :, 0]
-                 + FK1[..., :, None] * frames[..., None, :, 1]) \
-                / areas[..., None, None]
-            G = C @ B.reshape(g, m, 2, nm * n)
-        else:
-            rule = triangle_rule(2 * k + 2)
-            pts, wts = map_to_triangle(rule, tris)
-            phi = flux_basis(rule.points, k)
-            Kinv = coeff.inv_at(pts.reshape(-1, 2)).reshape(pts.shape + (2,))
-            M = np.einsum("qa,gtfi,gtqij,gtej,qb,gtq->gtfaeb", phi, frames,
-                          Kinv, frames, phi, wts, optimize=True)
-            Linv = lower_inverse(batched_cholesky(
-                M.reshape(g, m, 2 * nm, 2 * nm), grp.cells,
-                DegenerateElementError, "singular flux mass matrix"))
-            G = np.swapaxes(Linv, -1, -2) @ (Linv @ B.reshape(g, m, 2 * nm, n))
-        G = G.reshape(g, -1, n)
+        # no matmul: products and sums keep n . t exactly 0 when K = I
+        K = coeff.at(star)[:, None, None]
+        FK0 = frames[..., 0] * K[..., 0, 0] + frames[..., 1] * K[..., 1, 0]
+        FK1 = frames[..., 0] * K[..., 0, 1] + frames[..., 1] * K[..., 1, 1]
+        C = (FK0[..., :, None] * frames[..., None, :, 0]
+             + FK1[..., :, None] * frames[..., None, :, 1]) \
+            / areas[..., None, None]
+        G = (C @ B.reshape(g, m, 2, nm * n)).reshape(g, -1, n)
         A = np.swapaxes(B.reshape(g, -1, n), 1, 2) @ G
         A = 0.5 * (A + np.swapaxes(A, 1, 2))
         dofs = np.concatenate([dofmap.face_dofs(grp.edge_ids).reshape(g, -1),

@@ -169,20 +169,6 @@ def test_neumann_loads_enter_rhs(squares4):
     assert np.allclose(system.b_full[others], 0.0)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_pointwise_constant_K_matches_cellwise(voronoi64, voronoi64_sub, k):
-    # the pointwise-K mass matrix of every valence group agrees with the
-    # star-point sample when K is constant
-    def K(pts):
-        return np.tile([[2.0, 0.5], [0.5, 1.0]], (len(pts), 1, 1))
-    bc = BoundarySpec.dirichlet_everywhere(zero)
-    A = [assemble_system(voronoi64, voronoi64_sub, k,
-                         CoefficientField(K, cellwise_constant=cw),
-                         zero, bc).A_full for cw in (False, True)]
-    assert len({len(c) for c in voronoi64.cells}) >= 4
-    assert abs(A[0] - A[1]).max() <= 1e-13 * abs(A[1]).max()
-
-
 def test_reduced_system_built_on_demand(tri4):
     system = build(example1(), tri4)
     assert "A" not in vars(system) and "b" not in vars(system)
@@ -226,9 +212,9 @@ def test_condensation_cell_rows_exact(squares4):
         1.0, np.abs(system.b_full).max())
 
 
-def _pointwise_K_system(mesh, k):
-    # a K that varies inside each cell takes the element layer's
-    # flux-mass Cholesky branch
+def _tensor_K_system(mesh, k):
+    # a full tensor K that varies in space, sampled once per cell at the
+    # star point
     def K(pts):
         return (1.0 + pts[:, 0] ** 2)[:, None, None] \
             * np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -240,11 +226,11 @@ def _pointwise_K_system(mesh, k):
 def _condensation_cases(voronoi64):
     for k in range(4):
         yield f"k={k}", build(example1(), voronoi64, k)
-    yield "pointwise K, k=1", _pointwise_K_system(voronoi64, 1)
+    yield "tensor K, k=1", _tensor_K_system(voronoi64, 1)
 
 
 def test_condensed_system_is_dense_schur_complement(voronoi64):
-    # mixed valence 4-8 at k = 0..3, and a K that is not cellwise constant
+    # mixed valence 4-8 at k = 0..3, and a tensor K that varies in space
     assert len({len(c) for c in voronoi64.cells}) >= 4
     for name, system in _condensation_cases(voronoi64):
         cond = static_condensation(system)

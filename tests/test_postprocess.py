@@ -112,27 +112,53 @@ def _linear_grad(pts):
     return np.tile([2.0, -3.0], (len(np.atleast_2d(pts)), 1))
 
 
-@pytest.mark.parametrize("kappa, f, k", [
-    (2.0, 0.0, 0), (2.0, 0.0, 1),
-    (lambda pts: 1.0 + pts[:, 0], -2.0, 1),
-    (lambda pts: 1.0 + pts[:, 0], -2.0, 2)],
-    ids=["2-k0", "2-k1", "1+x-k1", "1+x-k2"])
-def test_linear_solution_norms_with_scaled_K(squares4, voronoi64, kappa, f,
-                                             k):
-    # K = kappa I, cellwise (2) or pointwise (1 + x), so the exact flux is
-    # K grad u; u = 1 + 2x - 3y and its flux K grad u lie in the discrete
-    # spaces, so every norm reads round-off
-    coeff = scalar_coefficient(kappa)
+@pytest.mark.parametrize("k", [0, 1], ids=["2-k0", "2-k1"])
+def test_linear_solution_norms_with_scaled_K(squares4, voronoi64, k):
+    # K = 2 I, so the exact flux is K grad u; u = 1 + 2x - 3y and its flux
+    # K grad u lie in the discrete spaces, so every norm reads round-off
+    coeff = scalar_coefficient(2.0)
     assert not coeff.is_identity
     for mesh in (squares4, voronoi64):
         system = assemble_system(mesh, subtriangulate(mesh), k, coeff,
-                                 lambda pts: np.full(len(pts), f),
+                                 lambda pts: np.zeros(len(pts)),
                                  BoundarySpec.dirichlet_everywhere(_linear))
         sol = SolutionField(system, solve_system(system, method="direct")[0])
         flux = recover_flux(sol)
         for mode in ("paper", "high"):
             errs = error_norms(sol, _linear, _linear_grad, flux, mode=mode)
             assert max(errs.values()) < 1e-12, (mesh.num_cells, mode, errs)
+
+
+def _kappa_jump(pts):
+    return np.where(np.atleast_2d(pts)[:, 0] < 0.5, 1.0, 2.0)
+
+
+def _kink(pts):
+    x = np.atleast_2d(pts)[:, 0]
+    return np.where(x < 0.5, x, 0.5 + 0.5 * (x - 0.5))
+
+
+def _kink_grad(pts):
+    x = np.atleast_2d(pts)[:, 0]
+    return np.column_stack([np.where(x < 0.5, 1.0, 0.5), np.zeros(len(x))])
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_callable_K_jump_on_a_mesh_line_reproduces_kinked_u(k):
+    # K = 1 left of x = 1/2 and 2 right of it, as a plain callable: every
+    # cell reads K at its star point, so u = x | 1/2 + (x - 1/2)/2, whose
+    # flux K grad u = (1, 0) is continuous, is reproduced on squares that
+    # have x = 1/2 as a mesh line
+    coeff = scalar_coefficient(_kappa_jump)
+    for n in (4, 8):
+        mesh = gen_uniform_squares(n)
+        system = assemble_system(mesh, subtriangulate(mesh), k, coeff,
+                                 lambda pts: np.zeros(len(pts)),
+                                 BoundarySpec.dirichlet_everywhere(_kink))
+        sol = SolutionField(system, solve_system(system, method="direct")[0])
+        errs = error_norms(sol, _kink, _kink_grad, recover_flux(sol),
+                           mode="high")
+        assert max(errs.values()) < 1e-12, (n, errs)
 
 
 def test_unknown_quadrature_mode(tri4):

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from stagpoly.quadbasis import (QuadratureError, edge_rule, face_monomials,
                                 map_to_edge, map_to_triangle,
                                 monomial_exponents, monomials, triangle_rule)
-from stagpoly.assembly import BoundarySpec, assemble_system
+from stagpoly.assembly import (BoundarySpec, CondensationError,
+                               assemble_system, batched_cholesky)
 from stagpoly.polymesh import gen_uniform_triangles
 from stagpoly.postprocess import FluxField
 from stagpoly.weakgrad import (
     CoefficientError,
     CoefficientField,
-    DegenerateElementError,
     _flux_coefficients,
-    batched_cholesky,
     cell_mass,
     element_groups,
     face_projection_Qb,
@@ -60,7 +59,6 @@ def test_identity_coefficient():
     c = identity_coefficient()
     pts = RNG.random((4, 2))
     assert np.allclose(c.at(pts), np.eye(2))
-    assert np.allclose(c.inv_at(pts), np.eye(2))
     assert c.is_identity
 
 
@@ -68,7 +66,6 @@ def test_scalar_coefficient():
     c = scalar_coefficient(lambda pts: np.full(len(np.atleast_2d(pts)), 2.0))
     K = c.at(RNG.random((3, 2)))
     assert np.allclose(K, 2.0 * np.eye(2))
-    assert np.allclose(c.inv_at(RNG.random((3, 2))), 0.5 * np.eye(2))
 
 
 def test_matrix_coefficient_spd_check():
@@ -109,7 +106,7 @@ def test_mass_pentagon_diag_areas():
 
 def test_mass_scalar_scaling():
     # G = M^{-1} B with M the K^{-1}-weighted Gram matrix, so G(kappa K) =
-    # kappa G(K); a callable kappa takes the pointwise path
+    # kappa G(K); a callable kappa is sampled at the star point
     kappa = 1e-3
     for k in (0, 2):
         _, _, op1 = square_op(k)
@@ -308,9 +305,8 @@ def test_rules_beyond_the_cap_raise_at_k5():
 
 def test_batched_cholesky_names_failing_cell():
     mats = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
-    with pytest.raises(DegenerateElementError, match="cell 17: singular"):
-        batched_cholesky(mats, np.array([4, 17, 9]), DegenerateElementError,
-                         "singular flux mass matrix")
+    with pytest.raises(CondensationError, match="cell 17: singular"):
+        batched_cholesky(mats, np.array([4, 17, 9]))
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +353,20 @@ def test_face_projection_reproduces_polynomials(tri4):
 
 def monomial_reference_stiffness(grp, coeff):
     """A = B^T M^{-1} B of row 0 in scaled monomials about each fan
-    triangle's centroid, with the dense (d, d) flux mass matrix M."""
+    triangle's centroid, with the dense (d, d) flux mass matrix M of K
+    sampled at the star point."""
     k, m, nm = grp.k, grp.n_edges, grp.n_mono
     nf, nc = k + 1, (k + 2) * (k + 3) // 2
     xbar, h = grp.xbar[0], grp.h[0]
     vol, erule = triangle_rule(2 * k + 2), edge_rule(k + 1)
+    Kinv = np.linalg.inv(coeff.at(grp.star[:1])[0])
     M = np.zeros((2, m, nm, 2, m, nm))
     B = np.zeros((2, m, nm, m * nf + nc))
     for t in range(m):
         F, cent = grp.frames[0, t], grp.triangles[0, t].mean(axis=0)
         pts, wts = map_to_triangle(vol, grp.triangles[0, t])
         mono = monomials(pts, cent, h, k)
-        Kinv = np.broadcast_to(coeff.inv_at(
-            grp.star[:1] if coeff.cellwise_constant else pts), (len(pts), 2, 2))
-        M[:, t, :, :, t, :] = np.einsum("fi,qij,ej,qa,qb,q->faeb", F, Kinv, F,
+        M[:, t, :, :, t, :] = np.einsum("fi,ij,ej,qa,qb,q->faeb", F, Kinv, F,
                                         mono, mono, wts)
         gphi = monomial_gradients(pts, xbar, h, k + 1)
         B[:, t, :, m * nf:] += np.einsum("qa,qcx,fx,q->fac", mono, gphi, F,
@@ -413,6 +409,7 @@ CELLS = st.one_of(
     st.builds(l_shaped_cell, st.floats(0.5, 2.0), st.floats(0.3, 0.7),
               st.floats(0.3, 0.7), st.floats(0.5, 2.0), st.floats(0.1, 10.0)))
 
+# a full tensor K that varies in space, read once per cell at the star point
 ANISOTROPIC = CoefficientField(lambda p: np.stack([
     np.stack([2.0 + p[:, 0] ** 2, 0.5 * p[:, 1]], axis=-1),
     np.stack([0.5 * p[:, 1], 1.0 + p[:, 1] ** 2], axis=-1)], axis=-2))
@@ -420,10 +417,10 @@ ANISOTROPIC = CoefficientField(lambda p: np.stack([
 
 @settings(max_examples=40, deadline=None)
 @given(CELLS, st.integers(0, 3), st.booleans())
-def test_orthonormal_basis_matches_monomial_formula(vertices, k, pointwise):
+def test_orthonormal_basis_matches_monomial_formula(vertices, k, anisotropic):
     mesh = make_single_cell(vertices)
     sub = subtriangulate(mesh)
-    coeff = ANISOTROPIC if pointwise else identity_coefficient()
+    coeff = ANISOTROPIC if anisotropic else identity_coefficient()
     [grp] = element_groups(mesh, sub, k, coeff)
     assume(fan_min_angle(grp.triangles) >= 10.0)
     A = grp.A[0]
