@@ -538,9 +538,20 @@ def test_post_stage_on_kept_points_matches_fresh_quadrature(voronoi64,
         assert np.abs(raw - fresh[1]).max() <= 1e-13 * load
         assert np.abs(scaled - fresh[2]).max() <= 1e-13
 
-    # each side reads its own loop-direction points, reversed where it runs
-    # against the edge: the solved flux keeps its P_k normal moments across
-    # faces, and points out of step at k = 2 would break that
+
+@pytest.mark.parametrize("case, k", [("voronoi64", 2), ("tri8", 0),
+                                     ("tri8", 3), ("squares8", 0)])
+def test_flux_jump_report_matches_canonical_points(case, k, voronoi64):
+    prob, mesh = {
+        "voronoi64": lambda: (example2(), voronoi64),
+        "tri8": lambda: (example1(), gen_uniform_triangles(8)),
+        "squares8": lambda: (example3(), gen_uniform_squares(8)),
+    }[case]()
+    sol = solved(prob, mesh, k)
+    flux = recover_flux(sol)
+    # each side's moments in its own loop direction, turned by orient^p:
+    # the solved flux keeps its P_k normal moments across faces, and
+    # moments out of step with the edge's direction would break that
     mine, ref = flux_jump_report(flux), reference_jump_report(flux)
     assert mine["max_scaled_jump"] <= 1e-11
     assert abs(mine["max_scaled_jump"] - ref["max_scaled_jump"]) <= 1e-13

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from stagpoly import polymesh
 from stagpoly.assembly import assemble_system, static_condensation
-from stagpoly.problems import example1
+from stagpoly.problems import example1, example2, example3
 from stagpoly.solver import (
     NotSPDError,
     SolverError,
@@ -132,11 +135,15 @@ def test_cg_converged_on_true_residual(tri4, tol):
 # ---------------------------------------------------------------------------
 # direct solver
 
+# SuperLU's default panel and panels of one face block at k = 0, 1 and 4
+BLOCKS = (None, 1, 2, 5)
+
+
 def test_direct_matches_dense():
     A = random_spd(35, seed=7)
     b = RNG.standard_normal(35)
-    for matrix in (A, sp.csr_matrix(A)):
-        x, report = solve_direct(matrix, b)
+    for matrix, block in itertools.product((A, sp.csr_matrix(A)), BLOCKS):
+        x, report = solve_direct(matrix, b, block)
         assert report.method == "direct"
         assert np.abs(x - np.linalg.solve(A, b)).max() < 1e-10
 
@@ -145,28 +152,57 @@ def test_direct_solves_the_matrix_it_is_given():
     # positive diagonal pivots but not symmetric: A x = b, not A^T x = b
     A = np.array([[2.0, 1.0], [0.0, 2.0]])
     b = np.array([1.0, 2.0])
-    for matrix in (A, sp.csr_matrix(A), sp.csc_matrix(A)):
-        x, _ = solve_direct(matrix, b)
+    for matrix, block in itertools.product(
+            (A, sp.csr_matrix(A), sp.csc_matrix(A)), BLOCKS):
+        x, _ = solve_direct(matrix, b, block)
         assert np.allclose(A @ x, b, rtol=0.0, atol=1e-14)
 
 
 def test_direct_singular_raises():
     A = np.zeros((3, 3))
-    with pytest.raises(SolverError):
-        solve_direct(A, np.ones(3))
+    for block in BLOCKS:
+        with pytest.raises(SolverError):
+            solve_direct(A, np.ones(3), block)
 
 
 def test_direct_indefinite_raises():
     A = np.diag([1.0, -1.0])
-    with pytest.raises(SolverError):
-        solve_direct(A, np.ones(2))
+    for block in BLOCKS:
+        with pytest.raises(SolverError):
+            solve_direct(A, np.ones(2), block)
 
 
 def test_direct_zero_diagonal_raises():
     # indefinite, yet the row-swapped LU has positive pivots
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(SolverError):
-        solve_direct(A, np.ones(2))
+    for block in BLOCKS:
+        with pytest.raises(SolverError):
+            solve_direct(A, np.ones(2), block)
+
+
+@pytest.mark.parametrize("case, k", [
+    ("tri8", 0), ("tri8", 1), ("tri8", 2), ("tri8", 3), ("tri8", 4),
+    ("voronoi64", 1), ("voronoi64", 2), ("squares8", 0)])
+def test_face_block_panel_matches_default_panel(case, k, voronoi64):
+    # the panel width changes how SuperLU sweeps the columns, not the
+    # factorization: the face DoFs are those of SuperLU's default panel.
+    # The cell DoFs recovered from them are compared no further: at k = 3
+    # a random 1.8e-15 change of the face DoFs moves them by 4.8e-12
+    mesh, prob = {
+        "tri8": lambda: (polymesh.gen_uniform_triangles(8), example1()),
+        "voronoi64": lambda: (voronoi64, example2()),
+        "squares8": lambda: (polymesh.gen_uniform_squares(8), example3()),
+    }[case]()
+    system = assemble_system(mesh, subtriangulate(mesh), k, prob.coeff,
+                             prob.f, prob.bc, flux_sign=prob.flux_sign)
+    dofs, _ = solve_system(system, method="direct")
+    cond = static_condensation(system)
+    lu = splu(cond.S.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    ref = cond.recover(lu.solve(cond.b))
+    faces = slice(system.dofmap.n_face_dofs)
+    assert np.abs(dofs[faces] - ref[faces]).max() \
+        <= 1e-12 * np.abs(ref[faces]).max()
 
 
 # ---------------------------------------------------------------------------
