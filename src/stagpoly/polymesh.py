@@ -475,8 +475,9 @@ def _check_wall_gap(seeds):
     """Raise GenerationError for a seed nearer a wall than _WALL_GAP: the
     gap keeps a seed, its reflection and their slivers far above the 1e-12
     within which the region checks take a vertex to be on a wall."""
-    if seeds.min() < _WALL_GAP or (1.0 - seeds).min() < _WALL_GAP:
-        close = np.flatnonzero(_wall_distances(seeds.T).min(axis=0) < _WALL_GAP)
+    # 1 - x < _WALL_GAP exactly when x > 1 - _WALL_GAP, which rounds down
+    if seeds.min() < _WALL_GAP or seeds.max() > 1.0 - _WALL_GAP:
+        close = (_wall_distances(seeds.T).min(axis=0) < _WALL_GAP).nonzero()[0]
         raise GenerationError(f"seed {close[0]} is within {_WALL_GAP:g} of "
                               "a wall of the unit square")
 
@@ -506,7 +507,8 @@ def _reflection(mirror):
 def _wall_pairs(mate, wall, tri):
     """Rows of the triangles tri (T, 3) holding a seed and its own
     reflection, and the wall between the two, once per reflection; mate
-    and wall are _reflection's per-point arrays."""
+    and wall are _reflection's per-point arrays. The plain form of the
+    rows and walls that _Kept.corners builds from its shared gathers."""
     a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
     # a seed's mate is -1, and a reflection's id is above its seed's
     h = np.flatnonzero((mate[a] == b) | (mate[b] == a))
@@ -529,7 +531,7 @@ _FLIP_ROUNDS = 32
 
 def _orientation(xy, tri):
     """Twice the signed area of each triangle (T, 3) of the points xy (2, P)."""
-    x, y = np.take(xy, tri.T, axis=1)
+    x, y = xy.take(tri.T, axis=1)
     return (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
 
 
@@ -538,7 +540,7 @@ def _circumcenters(xy, tri):
     xy (2, P), each taken from the corner opposite its longest edge: from
     the corner opposite the short edge of a sliver, the two edge vectors
     are nearly parallel and their cross product loses digits."""
-    corners = np.take(xy, tri.T, axis=1)
+    corners = xy.take(tri.T, axis=1)
     # the corners a, b, c, a, b, and the edge opposite each of a, b, c
     corners = np.concatenate([corners, corners[:, :2]], axis=1)
     d = corners[:, 2:] - corners[:, 1:4]
@@ -546,8 +548,8 @@ def _circumcenters(xy, tri):
     # o, p and q: the corner k opposite the longest edge and the two after
     # it, each triangle's three taken from the five flattened corners
     k = np.where((la >= lb) & (la >= lc), 0, 2 - (lb >= lc))
-    at = (k + np.arange(3)[:, None]) * len(k) + np.arange(len(k))
-    o, p, q = np.take(corners.reshape(2, -1), at, axis=1).transpose(1, 0, 2)
+    at = k * len(k) + np.arange(3 * len(k)).reshape(3, -1)
+    o, p, q = corners.reshape(2, -1).take(at, axis=1).transpose(1, 0, 2)
     u, v = p - o, q - o
     uu, vv = u[0] ** 2 + u[1] ** 2, v[0] ** 2 + v[1] ** 2
     den = 2.0 * (u[0] * v[1] - u[1] * v[0])
@@ -604,7 +606,7 @@ def _incircle(xy, ids):
     (a, b, c), positive when d is inside the circle, and the scale its
     rounding error is bounded by; ids (4, E) are _incircle_ids of the
     points xy (2, P)."""
-    corners = np.take(xy, ids, axis=1)
+    corners = xy.take(ids, axis=1)
     rel = corners[:, :3] - corners[:, 3:]
     # the corners a, b, c, a, b relative to d
     x, y = np.concatenate([rel, rel[:, :2]], axis=1)
@@ -635,7 +637,7 @@ def _flip_to_delaunay(xy, kept):
     tri, twin = kept.tri, kept.twin
     flat = tri.ravel()
     he, nxt, prv = kept.half_edges
-    crossed = np.flatnonzero(_orientation(xy, tri) <= 0)
+    crossed = (_orientation(xy, tri) <= 0).nonzero()[0]
     test, ids = kept.first_round
     for r in range(_FLIP_ROUNDS):
         if r:
@@ -645,19 +647,20 @@ def _flip_to_delaunay(xy, kept):
         e = test[det > _INCIRCLE_TOL * scale]
         if len(crossed):
             h = 3 * crossed[:, None] + np.arange(3)
-            edge = np.take(xy, flat[nxt[h]], axis=1) - np.take(xy, flat[h], axis=1)
+            edge = xy.take(flat[nxt[h]], axis=1) - xy.take(flat[h], axis=1)
             h = h[np.arange(len(h)), (edge[0] ** 2 + edge[1] ** 2).argmax(axis=1)]
             if (twin[h] < 0).any():
                 return None
             e = np.union1d(e, np.minimum(h, twin[h]))
         if not len(e):
             return kept.with_triangles(tri, twin) if r else kept
+        e2 = twin[e]
         top = np.full(tri.size, -1)
-        top[e] = top[twin[e]] = e
+        top[e] = top[e2] = e
         top = np.maximum(np.maximum(top[0::3], top[1::3]), top[2::3])
-        go = (top[e // 3] == e) & (top[twin[e] // 3] == e)
+        go = (top[e // 3] == e) & (top[e2 // 3] == e)
         f1 = e[go]
-        f2 = twin[f1]
+        f2 = e2[go]
         n1, p1, n2, p2 = nxt[f1], prv[f1], nxt[f2], prv[f2]
         # (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c): corner
         # rows (3, 2F), the new triangles t1 then t2
@@ -685,9 +688,13 @@ def _flip_to_delaunay(xy, kept):
         twin[slot] = np.where(hull, -1, move[across])
         if len(crossed):
             crossed = np.setdiff1d(crossed, t)
+        # the next round tests the edges left to flip and those of the new
+        # triangles, each once, by its lower half-edge; the -1 twin of a
+        # hull half-edge marks the spare entry past the last half-edge
         test = np.concatenate([move[e[~go]], slot.ravel()])
-        test = test[twin[test] >= 0]
-        test = np.unique(np.minimum(test, twin[test]))
+        mark = np.zeros(tri.size + 1, dtype=bool)
+        mark[np.minimum(test, twin[test])] = True
+        test = mark[:-1].nonzero()[0]
     return None
 
 
@@ -696,10 +703,14 @@ class _Kept(namedtuple("_Kept", "mask tri twin")):
     mask (n, 4), the CCW triangles (T, 3) of _reflection(mask)'s points
     (None before they are built) and their _twins. The index arrays that
     depend only on these three are built on first use and kept, read-only,
-    with the record: a step whose repair flips nothing reuses them all,
-    and with_triangles carries over the mask's map and the arrays that
-    depend only on the triangle count. The repair of a fresh Qhull
-    triangulation uses a record whose mask is None."""
+    with the record: a step whose repair flips nothing reuses them all.
+    New triangles build the wall pairs and the seed corners in one pass,
+    which gathers each half-edge's next and previous corner once, and the
+    first round's incircle ids in one _incircle_ids call. with_triangles
+    carries over the mask's map and the half-edge arrays, which depend
+    only on the triangle count. The repair of a fresh Qhull triangulation
+    uses a record whose mask is None; it builds only the half-edge arrays
+    and the first round."""
 
     @cached_property
     def reflection(self):
@@ -720,27 +731,40 @@ class _Kept(namedtuple("_Kept", "mask tri twin")):
         """The lower half-edge of every interior edge, which the repair's
         first round tests, and their _incircle_ids."""
         he, nxt, prv = self.half_edges
-        h = np.flatnonzero(self.twin > he)
+        h = (self.twin > he).nonzero()[0]
         return _read_only(h, _incircle_ids(self.tri.ravel(), nxt, prv, self.twin, h))
 
     @cached_property
+    def corners(self):
+        """The wall_pairs and the seed_corners, both from one gather of the
+        next and one of the previous corner of every half-edge."""
+        n, (mate, wall) = len(self.mask), self.reflection[3:]
+        a, (_, nxt, prv) = self.tri.ravel(), self.half_edges
+        b, c = a.take(nxt), a.take(prv)
+        # a seed's mate is -1, and a reflection's id is above its seed's
+        hi = np.maximum(a, b)
+        h = (mate.take(hi) == np.minimum(a, b)).nonzero()[0]
+        w = wall.take(hi.take(h))
+        corner = (a < n).nonzero()[0]
+        ids = np.array([a.take(corner), b.take(corner), c.take(corner)])
+        bins = ids[0] + n * np.arange(3)[:, None]
+        return (_read_only(h // 3, _AXIS[w], _AT[w]),
+                _read_only(corner // 3, ids, bins.ravel()))
+
+    @property
     def wall_pairs(self):
         """Rows of the triangles holding a seed and its own reflection, and
-        the axis and the value of the wall between the two."""
-        rows, w = _wall_pairs(*self.reflection[3:], self.tri)
-        return _read_only(rows, _AXIS[w], _AT[w])
+        the axis and the value of the wall between the two; the rows and
+        walls of _wall_pairs."""
+        return self.corners[0]
 
-    @cached_property
+    @property
     def seed_corners(self):
         """For every triangle corner at a seed: the triangle, and the ids
         (3, K) of the seed and of the next and the previous point of the
         triangle; and the bins (3K,) of the area and moment sums, the
         seed's id plus 0, n and 2n."""
-        flat, (_, nxt, prv) = self.tri.ravel(), self.half_edges
-        corner = np.flatnonzero(flat < len(self.mask))
-        ids = flat[np.array([corner, nxt[corner], prv[corner]])]
-        bins = ids[0] + len(self.mask) * np.arange(3)[:, None]
-        return _read_only(corner // 3, ids, bins.ravel())
+        return self.corners[1]
 
     def with_triangles(self, tri, twin):
         """The record of the same mask for the triangles tri and their
@@ -766,7 +790,10 @@ def _diagram(seeds, mirror, kept=None):
     region with every vertex strictly inside its unmirrored walls is that
     of full mirroring; a vertex on or beyond such a wall adds the
     reflection, and the mask only grows. The circumcenter of a triangle
-    holding a seed and its reflection is put exactly on their wall.
+    holding a seed and its reflection is put exactly on their wall. The
+    check finds the circumcenters within 1e-12 of a wall by one nonzero
+    over a (4, T) mask, and reads the mask at the seed corners of their
+    triangles only.
 
     kept is an earlier record. Extra reflections leave the regions
     unchanged, so its triangulation serves any mask it covers, unless it
@@ -774,34 +801,41 @@ def _diagram(seeds, mirror, kept=None):
     reflected step). Lawson flips repair it after the seeds moved; Qhull
     triangulates only a new point set or a repair that fails. A repair
     that flips nothing returns kept itself, with every index array it has
-    built.
+    built; a repair that flips returns a record that builds the arrays of
+    its new triangles when they are first read (see _Kept).
 
     Raises GenerationError for a seed nearer a wall than _WALL_GAP.
     """
     n = len(seeds)
     _check_wall_gap(seeds)
     mirror = np.array(mirror, dtype=bool)
-    if kept is None or (mirror & ~kept.mask).any() \
-            or kept.mask.sum() > 2 * mirror.sum():
+    if kept is None or (mirror > kept.mask).any() \
+            or np.count_nonzero(kept.mask) > 2 * np.count_nonzero(mirror):
         kept = _Kept(*_read_only(mirror), None, None)
     while True:
         src, scale, off = kept.reflection[:3]
-        xy = np.take(seeds.T, src, axis=1) * scale + off
+        xy = seeds.T.take(src, axis=1) * scale + off
         repaired = None if kept.tri is None else _flip_to_delaunay(xy, kept)
         kept = kept.with_triangles(*_delaunay(xy)) if repaired is None else repaired
         cc = _circumcenters(xy, kept.tri)
         rows, axes, at = kept.wall_pairs
         cc[axes, rows] = at
-        # a vertex within round-off of a wall counts as on it
-        w, rows = np.nonzero(_wall_distances(cc) <= 1e-12)
-        corner = kept.tri[rows]
-        at = corner < n
-        fail = np.zeros((n, 4), dtype=bool)
-        fail[corner[at], np.repeat(w, 3)[at.ravel()]] = True
-        fail &= ~kept.mask
-        if not fail.any():
+        # a vertex within round-off of a wall counts as on it: the rows of
+        # near are the walls left, right, bottom and top (1 - x <= 1e-12
+        # exactly when x >= 1 - 1e-12, which rounds up)
+        near = np.empty((4, cc.shape[1]), dtype=bool)
+        np.less_equal(cc, 1e-12, out=near[0::2])
+        np.greater_equal(cc, 1.0 - 1e-12, out=near[1::2])
+        w, rows = np.divmod(near.ravel().nonzero()[0], cc.shape[1])
+        # the seed corners of those triangles, each with its wall
+        corner = kept.tri.take(rows, axis=0).ravel()
+        j = (corner < n).nonzero()[0]
+        s, w = corner[j], w[j // 3]
+        if kept.mask[s, w].all():
             return xy, kept, cc
-        kept = _Kept(*_read_only(kept.mask | fail), None, None)
+        mask = kept.mask.copy()
+        mask[s, w] = True
+        kept = _Kept(*_read_only(mask), None, None)
 
 
 def _lloyd_step(seeds, mirror, kept=None):
@@ -812,17 +846,20 @@ def _lloyd_step(seeds, mirror, kept=None):
 
     The regions are those of _diagram(seeds, mirror, kept). A seed's region
     is the sum over its triangles (v, a, b) of the signed quads (v,
-    mid(v, a), circumcenter, mid(v, b)); the record keeps the corner ids
-    of these sums. One bincount adds up the areas and both moments, each
-    bin in corner order.
+    mid(v, a), circumcenter, mid(v, b)); the record's seed_corners holds
+    the corner ids and the bins of these sums, built with its wall pairs
+    in one pass and reused until the triangles change. One bincount adds
+    up the areas and both moments, each bin in corner order. The gathers
+    are ndarray.take: on arrays of this size a fancy index a[:, idx]
+    costs several times as much.
     """
     n = len(seeds)
     xy, kept, cc = _diagram(seeds, mirror, kept)
     # every corner at a seed o, with the next corners p and q of its triangle
     t, ids, bins = kept.seed_corners
-    o, p, q = np.take(xy, ids, axis=1).transpose(1, 0, 2)
+    o, p, q = xy.take(ids, axis=1).transpose(1, 0, 2)
     p, q = 0.5 * (p - o), 0.5 * (q - o)
-    m = np.take(cc, t, axis=1) - o
+    m = cc.take(t, axis=1) - o
     pm = p[0] * m[1] - p[1] * m[0]
     mq = m[0] * q[1] - m[1] * q[0]
     weights = np.concatenate([pm + mq, (pm * (p + m) + mq * (m + q)).ravel()])

