@@ -20,7 +20,7 @@ from .polymesh import PolyMesh, SubTriangulation
 from .quadbasis import (MAX_TRIANGLE_DEGREE, edge_rule, face_monomials,
                         map_to_edge, triangle_rule)
 from .weakgrad import (CoefficientField, DofMap, element_groups,
-                       face_projection_Qb)
+                       face_diagonal, face_projection_Qb)
 
 __all__ = [
     "AssemblyError",
@@ -128,27 +128,25 @@ class GlobalSystem:
 
 
 def _symmetric_csr(n, rows, cols, vals) -> sp.csr_matrix:
-    """Exactly symmetric CSR from triplets of symmetric local blocks.
+    """Exactly symmetric CSR from triplets of exactly symmetric local
+    blocks, in one COO-to-CSR pass. Triplets with a negative index are
+    dropped.
 
-    Only the upper triangle is accumulated and then mirrored, so
-    A == A.T holds bitwise regardless of summation order; the diagonal
-    triplets are halved, which is exact, so that the mirror adds each
-    diagonal sum to itself. Triplets with a negative index are dropped.
-
-    The sum upper + upper.T also drops every entry whose triplets add to
-    exactly zero, so the result stores no explicit zero. On 32 x 32
-    squares (example3, k = 0) S keeps 10,496 entries where a direct
-    COO-to-CSR build of the same triplets stores 13,952, which cost about
-    10% more solve time and 1.5 MB more peak RSS.
+    Every entry receives at most two triplets: a pair of face DoFs lies in
+    at most the two cells of an edge, and a Crouzeix-Raviart spoke in the
+    two fan triangles on either side of it. Since a + b == b + a, entries
+    (i, j) and (j, i) sum the same two numbers and come out bitwise equal,
+    whatever the summation order. Entries whose triplets add to exactly
+    zero are then dropped, so the result stores no explicit zero.
     """
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    keep = (0 <= rows) & (rows <= cols)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    vals[rows == cols] *= 0.5
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return upper + upper.T.tocsr()
+    keep = (rows >= 0) & (cols >= 0)
+    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                      shape=(n, n)).tocsr()
+    A.eliminate_zeros()
+    return A
 
 
 def _block_triplets(dofs, blocks):
@@ -216,31 +214,32 @@ class CondensedSystem:
     """Face-only Schur complement system with exact interior recovery.
 
     factors holds, per element group, L^{-1} (g, nc, nc) for the interior
-    blocks A_cc = L L^T of its cell matrices, L their Cholesky factors.
+    blocks A_cc = L L^T of its cell matrices, L their Cholesky factors, and
+    Y the group's Y = L^{-1} [A_cf | b_c] (g, nc, m(k+1) + 1).
     """
     system: GlobalSystem
     S: sp.csr_matrix            # reduced to free face DoFs
     b: np.ndarray
     free_faces: np.ndarray      # free face DoF ids (global numbering)
     factors: list = field(repr=False, default_factory=list)
+    Y: list = field(repr=False, default_factory=list)
 
     def recover(self, x_faces) -> np.ndarray:
         """Full DoF vector from the free-face solution.
 
-        Interior DoFs solve their local equations exactly, which is what
-        makes the recovered flux locally conservative independent of the
-        face-solver tolerance.
+        Interior DoFs solve their local equations exactly,
+        u_c = L^{-T} (Y_b - Y_f u_f), which is what makes the recovered
+        flux locally conservative independent of the face-solver tolerance.
         """
         sys = self.system
         full = np.zeros(sys.dofmap.total)
         full[self.free_faces] = x_faces
         full[sys.fixed_dofs] = sys.fixed_values
-        for grp, Linv in zip(sys.groups, self.factors):
+        for grp, Linv, Y in zip(sys.groups, self.factors, self.Y):
             nfl = grp.n_face_dofs
-            fdofs, cdofs = grp.dofs[:, :nfl], grp.dofs[:, nfl:]
-            rhs = sys.b_full[cdofs][..., None] \
-                - grp.A[:, nfl:, :nfl] @ full[fdofs][..., None]
-            full[cdofs] = (np.swapaxes(Linv, 1, 2) @ (Linv @ rhs))[..., 0]
+            rhs = Y[:, :, nfl:] - Y[:, :, :nfl] @ full[grp.dofs[:, :nfl],
+                                                       None]
+            full[grp.dofs[:, nfl:]] = (np.swapaxes(Linv, 1, 2) @ rhs)[..., 0]
         return full
 
 
@@ -276,8 +275,11 @@ def lower_inverse(L):
 def static_condensation(system: GlobalSystem) -> CondensedSystem:
     """Eliminate the cell block by per-cell Schur complements.
 
-    With Y = L^{-1} [A_cf | b_c], cell K adds S_K = A_ff - Y_f^T Y_f on the
-    free face DoFs and -Y_f^T Y_b - S_K u_fixed to their load.
+    Each group's stiffness blocks (ElementGroup.blocks) are formed chunk by
+    chunk and go straight into the Cholesky factor L of A_cc, L^{-1} and
+    Y = L^{-1} [A_cf | b_c]; cell K adds S_K = A_ff - Y_f^T Y_f on the free
+    face DoFs and -Y_f^T Y_b - S_K u_fixed to their load. No local
+    stiffness matrix is formed whole.
     """
     nf = system.dofmap.n_face_dofs
     free_faces = system.free[system.free < nf]
@@ -285,27 +287,41 @@ def static_condensation(system: GlobalSystem) -> CondensedSystem:
     row[free_faces] = np.arange(len(free_faces))
     fixed = np.zeros(nf)
     fixed[system.fixed_dofs] = system.fixed_values
+    fixed_face = row < 0
     triplets = []
     b_s = system.b_full[:nf].copy()
-    factors = []
+    factors, Ys = [], []
     for grp in system.groups:
-        nfl = grp.n_face_dofs
+        g, nfl = len(grp.cells), grp.n_face_dofs
         fdofs, cdofs = grp.dofs[:, :nfl], grp.dofs[:, nfl:]
-        Linv = lower_inverse(batched_cholesky(grp.A[:, nfl:, nfl:], grp.cells))
-        Y = Linv @ np.concatenate([grp.A[:, nfl:, :nfl],
-                                   system.b_full[cdofs][..., None]], axis=2)
-        Z = np.swapaxes(Y[:, :, :nfl], 1, 2) @ Y
-        S_local = grp.A[:, :nfl, :nfl] - Z[:, :, :nfl]
-        S_local = 0.5 * (S_local + np.swapaxes(S_local, 1, 2))
+        Linv = np.empty((g, cdofs.shape[1], cdofs.shape[1]))
+        Y = np.empty((g, cdofs.shape[1], nfl + 1))
+        Y[:, :, nfl] = system.b_full[cdofs]
+        S_local = np.empty((g, nfl, nfl))
+        load = np.empty((g, nfl))
+        diag = face_diagonal(grp.n_edges, system.k + 1)
+        for rows in grp.chunks:
+            A_ff, Y[rows, :, :nfl], A_cc = grp.blocks(rows)
+            Linv[rows] = lower_inverse(batched_cholesky(A_cc, grp.cells[rows]))
+            Y[rows] = Linv[rows] @ Y[rows]
+            Z = np.swapaxes(Y[rows, :, :nfl], 1, 2) @ Y[rows]
+            S = S_local[rows]
+            np.add(Z[:, :, :nfl], np.swapaxes(Z[:, :, :nfl], 1, 2), out=S)
+            S *= -0.5
+            S[:, diag[0], diag[1]] += A_ff.reshape(len(S), -1)
+            load[rows] = Z[:, :, nfl]
+        # the Dirichlet lift, on the cells that have a fixed face
+        lift = np.flatnonzero(fixed_face[fdofs].any(axis=1))
+        load[lift] += (S_local[lift] @ fixed[fdofs[lift]][..., None])[..., 0]
         triplets.append(_block_triplets(row[fdofs], S_local))
-        load = Z[:, :, nfl] + (S_local @ fixed[fdofs][..., None])[..., 0]
         b_s -= np.bincount(fdofs.ravel(), load.ravel(), minlength=nf)
         factors.append(Linv)
+        Ys.append(Y)
 
     return CondensedSystem(system=system,
                            S=_symmetric_csr(len(free_faces), *zip(*triplets)),
                            b=b_s[free_faces], free_faces=free_faces,
-                           factors=factors)
+                           factors=factors, Y=Ys)
 
 
 def write_matrix_market(system: GlobalSystem, path) -> None:

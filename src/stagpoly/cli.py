@@ -258,8 +258,6 @@ def cmd_conserve(args) -> int:
 
 def cmd_crcheck(args) -> int:
     mesh = _build_mesh(args)
-    if not mesh.is_triangle_mesh():
-        raise MeshError("equivalence check requires a triangle mesh")
     disc = cr_equivalence(mesh)
     print(f"cells {mesh.num_cells}  discrepancy {disc:.3e}  "
           f"(tolerance {args.tol:.1e})")

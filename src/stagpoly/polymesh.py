@@ -178,7 +178,7 @@ def _cell_group(mesh, cells, m) -> CellGroup:
     verts, edge_ids = mesh.cell_verts[idx], mesh.cell_edges[idx]
     loop = mesh.vertices[verts]
     d = np.roll(loop, -1, axis=1) - loop
-    lengths = np.sqrt((d ** 2).sum(axis=-1))
+    lengths = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
     if np.any(lengths <= 0):
         raise MeshValidationError("zero-length edge")
     t = d / lengths[..., None]
@@ -208,7 +208,8 @@ def _diameters(pts, cell_ptr):
     far, j = np.zeros(len(pts)), nxt
     # offsets 1..m//2 along the loop reach every vertex pair of an m-gon
     for _ in range(int(np.diff(cell_ptr).max()) // 2):
-        far = np.maximum(far, np.sqrt(((pts - pts[j]) ** 2).sum(axis=1)))
+        d = pts - pts[j]
+        far = np.maximum(far, np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2))
         j = nxt[j]
     return np.maximum.reduceat(far, cell_ptr[:-1])
 

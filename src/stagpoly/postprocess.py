@@ -90,7 +90,8 @@ class FluxField:
     """Piecewise P_k vector flux on the fan sub-triangulation.
 
     coeffs holds one (g, d) array of flux coefficients per element group,
-    in (fan triangle, frame, basis function) order, as G builds them.
+    in (fan triangle, frame, basis function) order, as
+    weak_gradient_coeffs gives them.
     """
     system: GlobalSystem
     coeffs: list = field(repr=False, default_factory=list)
@@ -107,7 +108,8 @@ class FluxField:
 
 
 def recover_flux(solution: SolutionField) -> FluxField:
-    """Per-cell flux flux_sign*K*(weak gradient): G times the local DoFs."""
+    """Per-cell flux flux_sign*K*(weak gradient): C B times the local DoFs,
+    from each group's kept blocks (weak_gradient_coeffs)."""
     system = solution.system
     sign = system.flux_sign
     coeffs = [sign * weak_gradient_coeffs(grp, solution.dofs[grp.dofs])
@@ -436,39 +438,48 @@ def cr_equivalence(mesh: PolyMesh) -> float:
     """Scaled max-norm gap between the assembled matrix and E^T A_CR E.
 
     A_CR is the P1 nonconforming stiffness matrix on the fan refinement
-    (star points as interior nodes); E maps face DoFs to primal-edge CR
-    DoFs and cell linears to spoke-midpoint values (the exact edge
-    average of an affine function). Requires k = 0 and triangle cells.
+    (star points as interior nodes), assembled one valence group at a time;
+    E maps face DoFs to primal-edge CR DoFs and cell linears to
+    spoke-midpoint values (the exact edge average of an affine function).
+    Requires k = 0; any polygon mesh.
     """
-    if not mesh.is_triangle_mesh():
-        raise PostprocessError("equivalence check requires a triangle mesh")
     subtri = build_subtriangulation(mesh)
     system = assemble_system(
         mesh, subtri, 0, identity_coefficient(),
         f=lambda pts: np.zeros(len(pts)),
         bc=BoundarySpec.dirichlet_everywhere(lambda pts: np.zeros(len(pts))))
-    ne, nc = mesh.num_edges, mesh.num_cells
-    (grp,) = system.groups      # a triangle mesh has one valence group
-    # CR DoFs: the primal edges, then ne + 3 c + i at the midpoint of the
-    # spoke from the star point of cell c to its loop vertex i
-    spoke = ne + 3 * grp.cells[:, None] + np.arange(3)
-    Jinv = np.linalg.inv(grp.jacobians)
-    grads = np.concatenate([-(Jinv[..., :1, :] + Jinv[..., 1:, :]), Jinv],
-                           axis=-2)
-    S = 4.0 * grp.areas[..., None, None] * (grads @ np.swapaxes(grads, -1, -2))
-    local = np.stack([grp.edge_ids, np.roll(spoke, -1, axis=1), spoke], axis=-1)
-    triplets = [_block_triplets(local.reshape(-1, 3), S.reshape(-1, 3, 3))]
-    A_cr = _symmetric_csr(ne + 3 * nc, *zip(*triplets))
-    # both numberings put the faces first and then 3 DoFs per cell, cell by
-    # cell, so E is block diagonal: the identity on the faces, and per cell
-    # the 3 x 3 map from its P1 coefficients to its spoke-midpoint values
-    mid = 0.5 * (grp.star[:, None] + grp.loop)
-    blocks = np.empty((nc, 3, 3))
-    blocks[grp.cells] = np.concatenate(
-        [np.ones((len(mid), 3, 1)),
-         (mid - grp.xbar[:, None]) / grp.h[:, None, None]], axis=-1)
-    E = sp.block_diag([sp.identity(ne), sp.bsr_matrix(
-        (blocks, np.arange(nc), np.arange(nc + 1)))], format="csr")
+    ne, n_cr = mesh.num_edges, mesh.num_edges + int(mesh.cell_ptr[-1])
+    triplets, e_rows, e_cols, e_vals = [], [np.arange(ne)], [np.arange(ne)], \
+        [np.ones(ne)]
+    for grp in system.groups:
+        m = grp.n_edges
+        # CR DoFs: the primal edges, then ne + cell_ptr[c] + i at the
+        # midpoint of the spoke from the star point of cell c to its loop
+        # vertex i
+        spoke = ne + mesh.cell_ptr[grp.cells, None] + np.arange(m)
+        Jinv = np.linalg.inv(grp.jacobians)
+        grads = np.concatenate([-(Jinv[..., :1, :] + Jinv[..., 1:, :]), Jinv],
+                               axis=-2)
+        S = 4.0 * grp.areas[..., None, None] \
+            * (grads @ np.swapaxes(grads, -1, -2))
+        local = np.stack([grp.edge_ids, np.roll(spoke, -1, axis=1), spoke],
+                         axis=-1)
+        triplets.append(_block_triplets(local.reshape(-1, 3),
+                                        S.reshape(-1, 3, 3)))
+        # E per cell: the m x 3 map from its P1 coefficients to its
+        # spoke-midpoint values
+        mid = 0.5 * (grp.star[:, None] + grp.loop)
+        e_vals.append(np.concatenate(
+            [np.ones(mid.shape[:-1] + (1,)),
+             (mid - grp.xbar[:, None]) / grp.h[:, None, None]], axis=-1))
+        e_rows.append(np.broadcast_to(spoke[..., None], e_vals[-1].shape))
+        e_cols.append(np.broadcast_to(grp.dofs[:, None, m:],
+                                      e_vals[-1].shape))
+    A_cr = _symmetric_csr(n_cr, *zip(*triplets))
+    E = sp.csr_matrix((np.concatenate([v.ravel() for v in e_vals]),
+                       (np.concatenate([r.ravel() for r in e_rows]),
+                        np.concatenate([c.ravel() for c in e_cols]))),
+                      shape=(n_cr, system.dofmap.total))
     gap = system.A_full - E.T @ A_cr @ E
     denom = float(abs(A_cr).sum(axis=1).max())
     return float(abs(gap).sum(axis=1).max()) / denom

@@ -98,7 +98,9 @@ def map_to_triangle(rule: QuadRule, tri):
     """
     tri = np.asarray(tri, dtype=float)
     x, y = rule.points.T
-    pts = np.stack([1.0 - x - y, x, y], axis=1) @ tri
+    # one product over all triangles, not a stack of (q, 3) @ (3, 2) ones
+    pts = np.ascontiguousarray(np.moveaxis(np.tensordot(
+        np.stack([1.0 - x - y, x, y], axis=1), tri, axes=(1, -2)), 0, -2))
     e1, e2 = tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :]
     jac = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
     return pts, rule.weights * jac[..., None]
@@ -108,8 +110,9 @@ def map_to_edge(rule: QuadRule, a, b):
     """Physical points/weights of a reference rule on segments a -> b (..., 2)."""
     a = np.asarray(a, dtype=float)[..., None, :]
     b = np.asarray(b, dtype=float)[..., None, :]
-    pts = a + rule.points[:, None] * (b - a)
-    return pts, rule.weights * np.sqrt(((b - a) ** 2).sum(axis=-1))
+    d = b - a
+    pts = a + rule.points[:, None] * d
+    return pts, rule.weights * np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
 
 
 def monomial_exponents(degree: int):

@@ -11,11 +11,21 @@ of a pair (u_0, u_b) is the field sigma = K G_w u with
 
     (K^{-1} sigma, tau)_K = (grad u_0, tau)_K + <u_b - u_0, tau . n>_dK
 
-for every flux test field tau. Its coefficients are G u with
-G = M^{-1} [D_b, D_0], M the K^{-1}-weighted flux Gram matrix, and the
-local stiffness is A_K = [D_b, D_0]^T G. M is block-diagonal by fan
-triangle, and its block |T| (F K^{-1} F^T (x) I) gives
-G_T = (F K F^T (x) I) [D_b, D_0]_T / |T| without a factorisation.
+for every flux test field tau. Its coefficients are C B u with
+B = [B_b, B_c] = [D_b, D_0] and M = C^{-1} the K^{-1}-weighted flux Gram
+matrix, and the local stiffness is A_K = B^T C B. M is block-diagonal by
+fan triangle, and its block |T| (F K^{-1} F^T (x) I) gives
+C_T = F K F^T / |T| (x) I without a factorisation.
+
+B_b is zero outside the normal rows of each face's own fan triangle, where
+it is |e| orient^p times one reference table D_b, so it is never formed.
+With C_T = R_T^T R_T, R_T upper triangular, the element layer keeps the
+cell block as W = R B_c, stored by columns. Then A_cc = W^T W;
+A_cf = r_00 |e| orient^p D_b^T W_0 on each fan triangle, from W's normal
+row; and A_ff is block-diagonal by face, r_00^2 |e|^2 orient^(p+q)
+(D_b^T D_b)[p, q], with r_00^2 = C_00. The flux coefficients of u are
+R^T (W u_0 + R B_b u_b). Cells are taken in chunks whose largest array
+holds at most _BLOCK_BUDGET floats.
 
 Cells with the same number of edges m share one array layout, the mesh's
 CellGroup, and the operators of such a valence group are stacks over its
@@ -28,7 +38,7 @@ distinct fan triangles have disjoint supports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -155,10 +165,15 @@ class ElementGroup(CellGroup):
     Triangle t of row r is (star[r], loop[r, t], loop[r, t+1]), the image
     of the reference (0, 0), (1, 0), (0, 1), with outer edge edge_ids[r, t]
     and area areas[r, t] (the SubTriangulation's array). Cell monomials
-    are centred at xbar[r] and scaled by h[r] = sqrt(|K|). G (g, d, n) maps
-    local DoFs to flux_basis coefficients in (fan triangle, frame, basis
-    function) order, A (g, n, n) is the stiffness, d = 2 m nm, nm = dim P_k,
-    n = m(k+1) + nc local DoFs, and dofs (g, n) are their global ids.
+    are centred at xbar[r] and scaled by h[r] = sqrt(|K|). R (g, m, 2, 2)
+    is the upper triangular factor of C = F K F^T / |T| = R^T R on each fan
+    triangle, and W (g, nc, m, 2, nm) the scaled cell block R B_c stored
+    by columns: W[r, c] is column c of R B_c in (fan triangle, frame, basis
+    function) order, nm = dim P_k and nc = dim P_{k+1}. Rb (g, m, k+1) is
+    r_00 |e| orient^p, so that R B_b is Rb times D_b in the normal row of
+    each fan triangle. blocks() gives the stiffness blocks of a chunk of
+    rows, and A (g, n, n), n = m(k+1) + nc, the whole local stiffness,
+    built on first use. dofs (g, n) are the global ids of the local DoFs.
 
     fan_quadrature and edge_quadrature keep the physical points of each
     rule they are asked for, one read-only table per kind and degree
@@ -175,8 +190,9 @@ class ElementGroup(CellGroup):
     star: np.ndarray
     areas: np.ndarray
     h: np.ndarray
-    G: np.ndarray
-    A: np.ndarray
+    R: np.ndarray
+    Rb: np.ndarray
+    W: np.ndarray
     dofs: np.ndarray
     _points: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -241,6 +257,54 @@ class ElementGroup(CellGroup):
         return monomials(pts, self.xbar.reshape(shape + (2,)),
                          self.h.reshape(shape), self.k + 1)
 
+    @property
+    def chunks(self) -> list:
+        """Row slices whose scaled cell blocks W hold at most _BLOCK_BUDGET
+        floats."""
+        step = max(1, _BLOCK_BUDGET // int(np.prod(self.W.shape[1:])))
+        return [slice(i, i + step) for i in range(0, len(self.cells), step)]
+
+    def blocks(self, rows=slice(None)) -> tuple:
+        """Stiffness blocks of the rows: A_ff (c, m, k+1, k+1), one block
+        per face and exactly symmetric, A_cf (c, nc, m(k+1)) and A_cc
+        (c, nc, nc), whose lower triangle is what a Cholesky factor reads."""
+        W = self.W[rows]
+        (c, nc, m, _, nm), nf = W.shape, self.k + 1
+        Db, DtD = _face_table(self.k)
+        W2 = W.reshape(c, nc, -1)
+        # R B_b is Rb D_b in the normal row, zero elsewhere; one product
+        # with D_b gives A_cf in (cell column, face, p) order
+        rb = self.Rb[rows]
+        A_cf = np.dot(W[:, :, :, 0].reshape(-1, nm), Db).reshape(
+            c, nc, m, nf) * rb[:, None]
+        return (rb[..., :, None] * rb[..., None, :] * DtD,
+                A_cf.reshape(c, nc, -1), W2 @ np.swapaxes(W2, 1, 2))
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """Local stiffness (g, n, n) from blocks(), bitwise symmetric."""
+        A_ff, A_cf, A_cc = self.blocks()
+        nfl = self.n_face_dofs
+        n = nfl + A_cc.shape[1]
+        A = np.zeros((len(A_cc), n, n))
+        A[:, nfl:, :nfl] = A_cf
+        A[:, :nfl, nfl:] = np.swapaxes(A_cf, 1, 2)
+        A[:, nfl:, nfl:] = 0.5 * (A_cc + np.swapaxes(A_cc, 1, 2))
+        r, c = face_diagonal(self.n_edges, self.k + 1)
+        A[:, r, c] = A_ff.reshape(len(A), -1)
+        return A
+
+
+# floats in the cell block of one chunk (2 MiB); 2^16 to 2^22 time alike
+_BLOCK_BUDGET = 1 << 18
+
+
+def face_diagonal(m: int, nf: int) -> tuple:
+    """Row and column indices, (m nf nf,) each, of the m diagonal blocks of
+    size nf in an (m nf, m nf) matrix, in (face, row, column) order."""
+    rows = np.repeat(np.arange(m * nf), nf)
+    return rows, rows - rows % nf + np.tile(np.arange(nf), m * nf)
+
 
 def _read_only(a):
     a.setflags(write=False)
@@ -280,68 +344,85 @@ def _fan_triangles(star, loop):
     return np.stack([star, loop, np.roll(loop, -1, axis=1)], axis=2)
 
 
+@lru_cache(maxsize=None)
+def _face_table(k: int) -> tuple:
+    """Read-only D_b (nm, k+1), the flux moments of the face basis on the
+    reference outer edge, and D_b^T D_b, exactly symmetric."""
+    erule = edge_rule(k + 1)
+    ephi = flux_basis(outer_edge(erule), k) * erule.weights[:, None]
+    Db = ephi.T @ face_monomials(erule.points - 0.5, k)
+    DtD = Db.T @ Db
+    return _read_only(Db), _read_only(0.5 * (DtD + DtD.T))
+
+
+def _flux_factor(K, frames, areas) -> np.ndarray:
+    """Upper triangular R (g, m, 2, 2) with R^T R = C = F K F^T / |T| on
+    each fan triangle, for K (g, 2, 2) and frames F (g, m, 2, 2). By
+    components, so that C_01 = n . K t is exactly 0 when K = I; r_11 comes
+    from det C = det K / |T|^2, not from a difference."""
+    K = K[:, None]
+    n, t = frames[..., 0, :], frames[..., 1, :]
+    Kn0 = K[..., 0, 0] * n[..., 0] + K[..., 0, 1] * n[..., 1]
+    Kn1 = K[..., 1, 0] * n[..., 0] + K[..., 1, 1] * n[..., 1]
+    Kt0 = K[..., 0, 0] * t[..., 0] + K[..., 0, 1] * t[..., 1]
+    Kt1 = K[..., 1, 0] * t[..., 0] + K[..., 1, 1] * t[..., 1]
+    R = np.zeros(frames.shape)
+    r00 = R[..., 0, 0]
+    np.sqrt((n[..., 0] * Kn0 + n[..., 1] * Kn1) / areas, out=r00)
+    R[..., 0, 1] = (n[..., 0] * Kt0 + n[..., 1] * Kt1) / areas / r00
+    R[..., 1, 1] = np.sqrt(K[..., 0, 0] * K[..., 1, 1]
+                           - K[..., 0, 1] * K[..., 1, 0]) / (areas * r00)
+    return R
+
+
 def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
                    coeff: CoefficientField) -> list:
     """One ElementGroup per cell valence, in ascending edge count.
 
-    D_b columns are flux moments of the face basis functions; D_0 columns
-    realize (grad phi_0, tau)_K - <phi_0, tau . n>_dK. Every outer edge is
-    the image of one reference edge, so D_b is the edge length times
-    orient^p times one table; its tangent rows vanish because tau . n does.
-    K is sampled once per cell, at the star point, and G_T = C_T B_T
-    with C_T = F K F^T / |T| on each fan triangle.
+    The columns of B_c realize (grad phi_0, tau)_K - <phi_0, tau . n>_dK
+    for the cell basis functions phi_0; the face columns B_b are left
+    implicit (see the module docstring). K is sampled once per cell, at
+    the star point. W = R B_c is filled chunk by chunk
+    (ElementGroup.chunks).
     """
     dofmap = DofMap(k=k, num_faces=mesh.num_edges, num_cells=mesh.num_cells)
-    nm, nf, nc = (k + 1) * (k + 2) // 2, k + 1, dofmap.cell_block
+    nm, nc = (k + 1) * (k + 2) // 2, dofmap.cell_block
     vol_rule, erule = triangle_rule(2 * k), edge_rule(k + 1)
     wphi = flux_basis(vol_rule.points, k) * vol_rule.weights[:, None]
     ephi = flux_basis(outer_edge(erule), k) * erule.weights[:, None]
-    Db = ephi.T @ face_monomials(erule.points - 0.5, k)
     D = derivative_table(k + 1).reshape(nm, -1)
     groups = []
     for grp, areas in zip(mesh.groups, subtri.areas):
-        loop, frames, lengths = grp.loop, grp.frames, grp.lengths
+        frames = grp.frames
         g, m = grp.verts.shape
-        n = m * nf + nc
         star = subtri.star[grp.cells]
-        tris = _fan_triangles(star, loop)
         h = np.sqrt(areas.sum(axis=1))
-        xbar, hq = grp.xbar[:, None, None], h[:, None, None]
-
-        # rows (triangle, frame, basis function), columns [u_b | u_0]
-        B = np.zeros((g, m, 2, nm, n))
-        scale = lengths[..., None] * grp.orient[..., None] ** np.arange(nf)
-        B[:, np.arange(m)[:, None], 0, :, np.arange(m * nf).reshape(m, nf)] = \
-            np.moveaxis(scale, 0, -1)[..., None] * Db.T[:, None, :]
-        # (grad phi_0, tau)_T is (2 |T| / h) W (frames . D), W the flux
-        # moments of the P_k monomials, as grad phi_0 is P_k times D / h;
-        # the fan triangles are positive, so |Jacobian| = 2 |T|
-        vpts = map_to_triangle(vol_rule, tris)[0]
-        WD = ((wphi.T @ monomials(vpts, xbar, hq, k)).reshape(-1, nm)
-              @ D).reshape(g, m, 1, nm, nc, 2)
-        sf = frames[:, :, :, None, None] \
-            * (2.0 * areas / h[:, None])[..., None, None, None, None]
-        B[..., m * nf:] = sf[..., 0] * WD[..., 0] + sf[..., 1] * WD[..., 1]
-        epts = map_to_edge(erule, loop, np.roll(loop, -1, axis=1))[0]
-        B[:, :, 0, :, m * nf:] -= lengths[..., None, None] * np.einsum(
-            "qa,gtqc->gtac", ephi, monomials(epts, xbar, hq, k + 1))
-
-        # no matmul: products and sums keep n . t exactly 0 when K = I
-        K = coeff.at(star)[:, None, None]
-        FK0 = frames[..., 0] * K[..., 0, 0] + frames[..., 1] * K[..., 1, 0]
-        FK1 = frames[..., 0] * K[..., 0, 1] + frames[..., 1] * K[..., 1, 1]
-        C = (FK0[..., :, None] * frames[..., None, :, 0]
-             + FK1[..., :, None] * frames[..., None, :, 1]) \
-            / areas[..., None, None]
-        G = (C @ B.reshape(g, m, 2, nm * n)).reshape(g, -1, n)
-        A = np.swapaxes(B.reshape(g, -1, n), 1, 2) @ G
-        A = 0.5 * (A + np.swapaxes(A, 1, 2))
+        R = _flux_factor(coeff.at(star), frames, areas)
         dofs = np.concatenate([dofmap.face_dofs(grp.edge_ids).reshape(g, -1),
                                dofmap.cell_dofs(grp.cells)], axis=1)
+        Rb = (R[..., 0, 0] * grp.lengths)[..., None] \
+            * grp.orient[..., None] ** np.arange(k + 1)
         group = ElementGroup(**vars(grp), k=k, star=star, areas=areas, h=h,
-                             G=G, A=A, dofs=dofs)
-        group._keep("fan", vol_rule, vpts)
-        group._keep("edge", erule, epts)
+                             R=R, Rb=Rb, W=np.empty((g, nc, m, 2, nm)),
+                             dofs=dofs)
+        vpts, epts = group._keep("fan", vol_rule), group._keep("edge", erule)
+        # (grad phi_0, tau)_T is (2 |T| / h) W_D (frames . D), W_D the flux
+        # moments of the P_k monomials, as grad phi_0 is P_k times D / h;
+        # the fan triangles are positive, so |Jacobian| = 2 |T|. Row f of
+        # R B_c takes the frame combination (R F)_f.
+        RF = (R[..., :, 0, None] * frames[..., None, 0, :]
+              + R[..., :, 1, None] * frames[..., None, 1, :]) \
+            * (2.0 * areas / h[:, None])[..., None, None]
+        RF = RF[..., None, None, :]
+        for rows in group.chunks:
+            xbar, hq = grp.xbar[rows, None, None], h[rows, None, None]
+            WD = np.dot((wphi.T @ monomials(vpts[rows], xbar, hq, k)).reshape(
+                -1, nm), D).reshape(-1, m, 1, nm, nc, 2)
+            W = np.moveaxis(group.W[rows], 1, -1)
+            np.multiply(RF[rows, ..., 0], WD[..., 0], out=W)
+            W += RF[rows, ..., 1] * WD[..., 1]
+            W[:, :, 0] -= Rb[rows, :, :1, None] * np.einsum(
+                "qa,gtqc->gtac", ephi, monomials(epts[rows], xbar, hq, k + 1))
         groups.append(group)
     return groups
 
@@ -364,8 +445,20 @@ def flux_values(group: ElementGroup, coeffs, ref):
 
 def weak_gradient_coeffs(group: ElementGroup, u_local) -> np.ndarray:
     """Flux coefficients (g, d) of the rows u_local (g, n) = [u_b | u_0],
-    in (fan triangle, frame, basis function) order."""
-    return (group.G @ np.asarray(u_local, dtype=float)[..., None])[..., 0]
+    in (fan triangle, frame, basis function) order: R^T (W u_0 + R B_b u_b)."""
+    u = np.asarray(u_local, dtype=float)
+    g, m, nfl = len(group.cells), group.n_edges, group.n_face_dofs
+    W, R = group.W, group.R
+    v = np.einsum("gcd,gc->gd", W.reshape(g, W.shape[1], -1),
+                  u[:, nfl:]).reshape(g, m, 2, -1)
+    # np.dot, not @: one BLAS call for the (g m, k+1) x (k+1, nm) product
+    v[:, :, 0] += np.dot((u[:, :nfl] * group.Rb.reshape(g, -1)).reshape(
+        g * m, -1), _face_table(group.k)[0].T).reshape(g, m, -1)
+    s = np.empty_like(v)
+    np.multiply(R[..., 0, 0, None], v[:, :, 0], out=s[:, :, 0])
+    np.multiply(R[..., 1, 1, None], v[:, :, 1], out=s[:, :, 1])
+    s[:, :, 1] += R[..., 0, 1, None] * v[:, :, 0]
+    return s.reshape(g, -1)
 
 
 def cell_mass(group: ElementGroup) -> np.ndarray:
@@ -405,7 +498,7 @@ def weak_divergence(group: ElementGroup, s) -> tuple:
     spts, swts = map_to_edge(srule, group.star[:, None, :], group.loop)
     dvec = group.loop - group.star[:, None, :]
     ne = np.stack([dvec[..., 1], -dvec[..., 0]], axis=-1) \
-        / np.sqrt((dvec ** 2).sum(axis=-1))[..., None]
+        / np.sqrt(dvec[..., 0] ** 2 + dvec[..., 1] ** 2)[..., None]
     # T_i meets spoke i at reference points (t, 0), T_{i-1} at (0, t)
     spoke = np.column_stack([srule.points, np.zeros(len(srule.points))])
     jump = flux_values(group, s, spoke) \

@@ -7,6 +7,7 @@ from hypothesis import settings
 from stagpoly import polymesh
 from stagpoly.quadbasis import monomial_exponents
 from stagpoly.solver import solve_direct
+from stagpoly.weakgrad import weak_gradient_coeffs
 
 # `pytest --hypothesis-profile=ci` prints the blob that reproduces a
 # failing example; every other setting stays at its default
@@ -30,6 +31,15 @@ def full_solve(system):
     x[system.free] = solve_direct(system.A, system.b)[0]
     x[system.fixed_dofs] = system.fixed_values
     return x
+
+
+def weak_gradient_matrix(grp):
+    """G (g, d, n), the flux coefficients of every local unit vector: the
+    matrix that weak_gradient_coeffs applies to each row of a group."""
+    n = grp.dofs.shape[1]
+    unit = np.broadcast_to(np.eye(n), (len(grp.cells), n, n))
+    return np.stack([weak_gradient_coeffs(grp, unit[:, j]) for j in range(n)],
+                    axis=-1)
 
 
 def monomial_gradients(pts, center, h, degree):

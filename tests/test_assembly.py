@@ -3,6 +3,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
+from stagpoly import assembly
 from stagpoly.assembly import (
     AssemblyError,
     BoundarySpec,
@@ -13,12 +14,13 @@ from stagpoly.assembly import (
     static_condensation,
     write_matrix_market,
 )
-from stagpoly.polymesh import gen_uniform_squares
+from stagpoly.polymesh import gen_uniform_squares, gen_uniform_triangles
 from stagpoly.problems import example1, example2, example3, patch_linear
 from stagpoly.solver import solve_system
 from stagpoly.weakgrad import CoefficientField
 
 from conftest import full_solve, subtriangulate
+from test_postprocess import l_shaped_mesh
 
 
 def zero(pts):
@@ -105,8 +107,8 @@ def test_system_bitwise_symmetric(tri4):
 @pytest.mark.parametrize("case", ["squares8-example3-k0",
                                   "voronoi64-example2-k1"])
 def test_assembled_matrices_store_no_zero(case, voronoi64):
-    # _symmetric_csr's mirroring sum prunes the triplet sums that cancel
-    # exactly; a direct COO-to-CSR build would store them
+    # _symmetric_csr prunes the triplet sums that cancel exactly; a
+    # COO-to-CSR build without eliminate_zeros would store them
     if case.startswith("squares8"):
         system = build(example3(), gen_uniform_squares(8), 0)
     else:
@@ -114,6 +116,53 @@ def test_assembled_matrices_store_no_zero(case, voronoi64):
     for A in (static_condensation(system).S, system.A_full):
         assert A.nnz > 0
         assert np.count_nonzero(A.data == 0.0) == 0
+
+
+def _upper_and_mirror(n, rows, cols, vals):
+    """Reference symmetric CSR: accumulate the upper triangle with the
+    diagonal triplets halved, then add its mirror."""
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    keep = (0 <= rows) & (rows <= cols)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    vals[rows == cols] *= 0.5
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return upper + upper.T.tocsr()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("case", ["tri8", "squares4", "voronoi64",
+                                  "l_shaped8"])
+def test_symmetric_csr_is_the_upper_and_mirror_sum(case, k, squares4,
+                                                   voronoi64, monkeypatch):
+    # every entry of S and A_full receives at most two triplets, so one
+    # COO-to-CSR pass sums the same two numbers into (i, j) and (j, i)
+    mesh = {"tri8": lambda: gen_uniform_triangles(8),
+            "squares4": lambda: squares4, "voronoi64": lambda: voronoi64,
+            "l_shaped8": lambda: l_shaped_mesh(8)}[case]()
+    calls = []
+    one_pass = assembly._symmetric_csr
+
+    def record(n, rows, cols, vals):
+        calls.append((n, rows, cols, vals))
+        return one_pass(n, rows, cols, vals)
+    monkeypatch.setattr(assembly, "_symmetric_csr", record)
+    system = build(example1(), mesh, k)
+    static_condensation(system)
+    assert system.A_full.nnz > 0
+    assert len(calls) == 2
+    for n, rows, cols, vals in calls:
+        r, c = np.concatenate(rows), np.concatenate(cols)
+        keep = (r >= 0) & (c >= 0)
+        assert np.unique(r[keep] * n + c[keep],
+                         return_counts=True)[1].max() <= 2
+        A = one_pass(n, rows, cols, vals)
+        ref = _upper_and_mirror(n, rows, cols, vals)
+        ref.sort_indices()
+        assert A.has_sorted_indices
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.array_equal(A.data, ref.data)
+        assert (A - A.T).nnz == 0
 
 
 def test_pre_bc_kernel_is_constants(tri4):

@@ -33,7 +33,8 @@ from stagpoly.solver import solve_system
 from stagpoly.weakgrad import (ElementGroup, flux_values, outer_edge,
                                scalar_coefficient)
 
-from conftest import monomial_gradients, subtriangulate
+from conftest import (monomial_gradients, subtriangulate,
+                      weak_gradient_matrix)
 
 RNG = np.random.default_rng(23)
 
@@ -208,7 +209,7 @@ def test_flux_norm_ordering(mesh_families):
         prob = example1()
         system = assemble_system(mesh, sub, 0, prob.coeff, prob.f, prob.bc)
         for trial in range(10):
-            coeffs = [RNG.standard_normal(grp.G.shape[:2])
+            coeffs = [RNG.standard_normal(weak_gradient_matrix(grp).shape[:2])
                       for grp in system.groups]
             flux = FluxField(system=system, coeffs=coeffs)
             n0h, nl2 = flux_norms(flux)
@@ -227,7 +228,8 @@ def test_random_flux_jump_large(tri4):
     prob = example1()
     sub = subtriangulate(tri4)
     system = assemble_system(tri4, sub, 0, prob.coeff, prob.f, prob.bc)
-    coeffs = [RNG.standard_normal(grp.G.shape[:2]) for grp in system.groups]
+    coeffs = [RNG.standard_normal(weak_gradient_matrix(grp).shape[:2])
+              for grp in system.groups]
     report = flux_jump_report(FluxField(system=system, coeffs=coeffs))
     assert report["max_scaled_jump"] > 1e-3
 
@@ -239,7 +241,8 @@ def test_flux_jump_without_interior_faces(unit_square_cell):
                              subtriangulate(unit_square_cell), 0,
                              example1().coeff, example1().f, zero)
     rng = np.random.default_rng(3)
-    coeffs = [rng.standard_normal(grp.G.shape[:2]) for grp in system.groups]
+    coeffs = [rng.standard_normal(weak_gradient_matrix(grp).shape[:2])
+              for grp in system.groups]
     report = flux_jump_report(FluxField(system=system, coeffs=coeffs))
     assert report == {"max_scaled_jump": 0.0, "face": -1}
 
@@ -425,9 +428,15 @@ def test_cr_equivalence_triangles(tri4):
     assert cr_equivalence(tri4) < 1e-12
 
 
-def test_cr_equivalence_rejects_polygons(squares4):
-    with pytest.raises(PostprocessError):
-        cr_equivalence(squares4)
+def test_cr_equivalence_polygons(squares4):
+    assert cr_equivalence(squares4) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["voronoi64", "l_shaped8"])
+def test_cr_equivalence_voronoi_and_nonconvex(case, voronoi64):
+    # mixed valence, and non-convex cells with collinear edges
+    mesh = voronoi64 if case == "voronoi64" else l_shaped_mesh(8)
+    assert cr_equivalence(mesh) <= 1e-13
 
 
 def test_cr_equivalence_memory_is_sparse():

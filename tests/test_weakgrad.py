@@ -10,7 +10,8 @@ from stagpoly.quadbasis import (QuadratureError, edge_rule, face_monomials,
                                 map_to_edge, map_to_triangle,
                                 monomial_exponents, monomials, triangle_rule)
 from stagpoly.assembly import (BoundarySpec, CondensationError,
-                               assemble_system, batched_cholesky)
+                               assemble_system, batched_cholesky,
+                               static_condensation)
 from stagpoly.polymesh import gen_uniform_triangles
 from stagpoly.postprocess import FluxField
 from stagpoly.weakgrad import (
@@ -28,7 +29,8 @@ from stagpoly.weakgrad import (
     weak_gradient_coeffs,
 )
 
-from conftest import make_single_cell, monomial_gradients, subtriangulate
+from conftest import (make_single_cell, monomial_gradients, subtriangulate,
+                      weak_gradient_matrix)
 
 RNG = np.random.default_rng(42)
 
@@ -83,7 +85,7 @@ def test_matrix_coefficient_spd_check():
 def flux_gram(op, r=0):
     """Plain L2 Gram matrix of the flux basis of group row r, from
     flux_values on a rule exact for the products."""
-    d = op.G.shape[1]
+    d = weak_gradient_matrix(op).shape[1]
     rule = triangle_rule(max(2 * op.k, 2))
     wts = op.fan_quadrature(rule)[1]
     unit = np.zeros((d, len(op.cells), d))
@@ -112,8 +114,9 @@ def test_mass_scalar_scaling():
         _, _, op1 = square_op(k)
         _, _, opk = square_op(k, coeff=scalar_coefficient(
             lambda pts: np.full(len(np.atleast_2d(pts)), kappa)))
-        assert np.allclose(opk.G, kappa * op1.G, rtol=1e-13,
-                           atol=1e-13 * np.abs(kappa * op1.G).max())
+        Gk, G1 = weak_gradient_matrix(opk), weak_gradient_matrix(op1)
+        assert np.allclose(Gk, kappa * G1, rtol=1e-13,
+                           atol=1e-13 * np.abs(kappa * G1).max())
 
 
 def test_mass_k1_spd(pentagon_cell):
@@ -137,7 +140,8 @@ def test_db_closed_form():
     _, _, op = square_op()
     expected = np.zeros((4, 2, 4))
     expected[:, 0] = 4.0 * np.eye(4)
-    assert np.allclose(op.G[0, :, :4], expected.reshape(8, 4), atol=1e-14)
+    assert np.allclose(weak_gradient_matrix(op)[0, :, :4],
+                       expected.reshape(8, 4), atol=1e-14)
 
 
 def test_d0_closed_form():
@@ -146,15 +150,16 @@ def test_d0_closed_form():
     # bottom edge is the one with midpoint (0.5, 0)
     i = int(np.argmin(np.abs(loop[:, 1] + np.roll(loop[:, 1], -1))))
     assert np.allclose(op.frames[0, i, 0], [0.0, -1.0], atol=1e-14)
-    assert np.allclose(op.G[0, 2 * i, 4:], [-4.0, 0.0, 1.0], atol=1e-14)
-    assert np.allclose(op.G[0, 2 * i + 1, 4:], [0.0, 1.0, 0.0], atol=1e-14)
+    G = weak_gradient_matrix(op)
+    assert np.allclose(G[0, 2 * i, 4:], [-4.0, 0.0, 1.0], atol=1e-14)
+    assert np.allclose(G[0, 2 * i + 1, 4:], [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_d0_tangent_rows_general():
     _, _, op = pentagon_op()
     tangents, h = op.frames[0, :, 1], op.h[0]
     for i in range(5):
-        row = op.G[0, 2 * i + 1, 5:]
+        row = weak_gradient_matrix(op)[0, 2 * i + 1, 5:]
         expected = [0.0, tangents[i, 0] / h, tangents[i, 1] / h]
         assert np.allclose(row, expected, atol=1e-13)
 
@@ -252,6 +257,35 @@ def test_weak_gradient_defining_identity():
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def test_weak_gradient_defining_identity_tensor_K():
+    # (K^{-1} sigma, zeta) = (grad u_0, zeta)_K + <u_b - u_0, zeta . n>_dK
+    # for a full tensor K, whose C = F K F^T / |T| mixes the frames
+    Kc = np.array([[2.0, 0.7], [0.7, 1.0]])
+    coeff = CoefficientField(lambda p: np.broadcast_to(Kc, (len(p), 2, 2)))
+    _, _, op = pentagon_op(coeff=coeff)
+    xbar, h, loop = op.xbar[0], op.h[0], op.loop[0]
+    vol, eru = triangle_rule(4), edge_rule(4)
+    Kinv = np.linalg.inv(Kc)
+    for _ in range(20):
+        u = RNG.standard_normal(8)
+        s = weak_gradient_coeffs(op, u[None])
+        lhs, rhs = np.zeros(10), np.zeros(10)
+        ub, u0 = u[:5], u[5:]
+        grad_u0 = u0[1:] / h
+        for i in range(5):
+            pts, wts = map_to_triangle(vol, op.triangles[0, i])
+            sig = flux_values(op, s, vol.points)[0, i]
+            epts, ewts = map_to_edge(eru, loop[i], loop[(i + 1) % 5])
+            trace = ub[i] - u0[0] - (epts - xbar) @ grad_u0
+            normal = op.frames[0, i, 0]
+            for frame, zeta in enumerate(op.frames[0, i]):
+                j = 2 * i + frame
+                lhs[j] += wts @ (sig @ Kinv @ zeta)
+                rhs[j] += wts.sum() * (grad_u0 @ zeta)
+                rhs[j] += ewts @ (trace * (zeta @ normal))
+        assert np.allclose(lhs, rhs, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # weak divergence
 
@@ -279,7 +313,7 @@ def test_weak_divergence_adjointness():
                          op.lengths[0])
         for _ in range(20):
             u = RNG.standard_normal(op.A.shape[1])
-            s = RNG.standard_normal(op.G.shape[1])
+            s = RNG.standard_normal(weak_gradient_matrix(op).shape[1])
             w = weak_gradient_coeffs(op, u[None])
             lhs = np.sum(wts * np.sum(flux_values(op, w, rule.points)
                                       * flux_values(op, s[None], rule.points),
@@ -300,7 +334,8 @@ def test_rules_beyond_the_cap_raise_at_k5():
     with pytest.raises(QuadratureError):
         cell_mass(grp)
     with pytest.raises(QuadratureError):
-        weak_divergence(grp, np.zeros((len(grp.cells), grp.G.shape[1])))
+        weak_divergence(grp, np.zeros((len(grp.cells),
+                                       weak_gradient_matrix(grp).shape[1])))
 
 
 def test_batched_cholesky_names_failing_cell():
@@ -486,8 +521,9 @@ def test_flux_values_paths_match_per_triangle_reference(voronoi64,
                              BoundarySpec.dirichlet_everywhere(zero))
     assert len(system.groups) >= 3     # mixed valence
     rng = np.random.default_rng(k)
-    flux = FluxField(system, [rng.standard_normal(grp.G.shape[:2])
-                              for grp in system.groups])
+    flux = FluxField(system, [
+        rng.standard_normal(weak_gradient_matrix(grp).shape[:2])
+        for grp in system.groups])
     rule = triangle_rule(2 * k + 1)
     for grp, s in zip(system.groups, flux.coeffs):
         pts, _ = grp.fan_quadrature(rule)
@@ -521,7 +557,8 @@ def test_face_rows_are_one_reference_table(voronoi64, voronoi64_sub, k):
     for grp in element_groups(voronoi64, voronoi64_sub, k,
                               identity_coefficient()):
         g, m, nm = len(grp.cells), grp.n_edges, grp.n_mono
-        Gb = grp.G[:, :, :grp.n_face_dofs].reshape(g, m, 2, nm, m, k + 1)
+        Gb = weak_gradient_matrix(grp)[:, :, :grp.n_face_dofs].reshape(
+            g, m, 2, nm, m, k + 1)
         scale = (grp.lengths / grp.areas)[..., None] \
             * grp.orient[..., None] ** np.arange(k + 1)
         want = np.zeros_like(Gb[:, :, 0])
@@ -580,10 +617,11 @@ def test_element_layer_and_fans_share_mesh_groups(voronoi64, voronoi64_sub):
 
 
 def test_element_groups_memory_at_k3():
-    # tri32 at k = 3 peaks near 91 MiB and keeps G, A and the volume and
-    # edge point tables, about 39 MiB: a further kept table or a copy of G
-    # shows here. One call on the two-triangle mesh first, so that the
-    # first k = 3 call's imports and rule caches are not counted
+    # tri32 at k = 3 peaks near 21.6 MiB and keeps the scaled cell block W,
+    # R, Rb and the volume and edge point tables, about 16.8 MiB: a further
+    # kept table, a dense B or a stored G shows here. One call on the
+    # two-triangle mesh first, so that the first k = 3 call's imports and
+    # rule caches are not counted
     one = gen_uniform_triangles(1)
     element_groups(one, subtriangulate(one), 3, identity_coefficient())
     mesh = gen_uniform_triangles(32)
@@ -595,5 +633,29 @@ def test_element_groups_memory_at_k3():
     finally:
         tracemalloc.stop()
     assert len(groups) == 1
-    assert peak <= 100 * 2 ** 20, peak
-    assert kept <= 40 * 2 ** 20, kept
+    assert peak <= 24 * 2 ** 20, peak
+    assert kept <= 19 * 2 ** 20, kept
+
+
+def test_condensed_solve_memory_at_k3():
+    # assemble_system + static_condensation on tri32 at k = 3 peak near
+    # 53.9 MiB, where forming the dense B, G and A peaked at 90.6 MiB: a
+    # local stiffness matrix formed whole, or a chunk past the budget,
+    # shows here. One solve on the two-triangle mesh first, as above
+    def zero(p):
+        return np.zeros(len(p))
+    bc = BoundarySpec.dirichlet_everywhere(zero)
+    one = gen_uniform_triangles(1)
+    static_condensation(assemble_system(one, subtriangulate(one), 3,
+                                        identity_coefficient(), zero, bc))
+    mesh = gen_uniform_triangles(32)
+    sub = subtriangulate(mesh)
+    tracemalloc.start()
+    try:
+        cond = static_condensation(assemble_system(
+            mesh, sub, 3, identity_coefficient(), zero, bc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cond.S.shape[0] > 0
+    assert peak <= 60 * 2 ** 20, peak
