@@ -20,7 +20,7 @@ from .polymesh import PolyMesh, SubTriangulation
 from .quadbasis import (MAX_TRIANGLE_DEGREE, edge_rule, face_monomials,
                         map_to_edge, triangle_rule)
 from .weakgrad import (CoefficientField, DofMap, element_groups,
-                       face_diagonal, face_projection_Qb)
+                       face_projection_Qb)
 
 __all__ = [
     "AssemblyError",
@@ -91,7 +91,9 @@ class GlobalSystem:
     A_full / b_full cover every DoF; A / b are restricted to the free set,
     as the reference the tests check the condensed solve against and as
     the matrix --matrix-market writes. The condensed solve reads none of
-    A_full, A and b, which are built on first use. fixed_dofs and
+    A_full, A and b, which are built on first use; A_full is scattered
+    chunk by chunk from the groups' stiffness blocks: A_ff on each face's
+    DoF pairs, A_cf and its mirror, and (A_cc + A_cc^T) / 2. fixed_dofs and
     fixed_values record the eliminated Dirichlet data; groups hold the
     element operators, one ElementGroup per cell valence.
     """
@@ -114,7 +116,16 @@ class GlobalSystem:
 
     @cached_property
     def A_full(self) -> sp.csr_matrix:
-        triplets = [_block_triplets(grp.dofs, grp.A) for grp in self.groups]
+        triplets = []
+        for grp in self.groups:
+            for rows in grp.chunks:
+                A_ff, A_cf, A_cc = grp.blocks(rows)
+                f, c = np.hsplit(grp.dofs[rows], [grp.n_face_dofs])
+                faces = f.reshape(A_ff.shape[:-1])
+                r, s, v = _block_triplets(c, f, A_cf)
+                A_cc = 0.5 * (A_cc + np.swapaxes(A_cc, 1, 2))
+                triplets += [_block_triplets(faces, faces, A_ff), (r, s, v),
+                             (s, r, v), _block_triplets(c, c, A_cc)]
         return _symmetric_csr(self.dofmap.total, *zip(*triplets))
 
     @cached_property
@@ -132,16 +143,15 @@ def _symmetric_csr(n, rows, cols, vals) -> sp.csr_matrix:
     blocks, in one COO-to-CSR pass. Triplets with a negative index are
     dropped.
 
-    Every entry receives at most two triplets: a pair of face DoFs lies in
-    at most the two cells of an edge, and a Crouzeix-Raviart spoke in the
-    two fan triangles on either side of it. Since a + b == b + a, entries
-    (i, j) and (j, i) sum the same two numbers and come out bitwise equal,
+    Every entry receives at most two triplets: a face pair of S or A_full
+    lies in at most the two cells of an edge, a cell-face or cell-cell
+    pair gets one and two faces of one cell none, and a Crouzeix-Raviart
+    spoke of A_CR lies in two fan triangles. Since a + b == b + a, (i, j)
+    and (j, i) sum the same two numbers and come out bitwise equal,
     whatever the summation order. Entries whose triplets add to exactly
     zero are then dropped, so the result stores no explicit zero.
     """
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
     keep = (rows >= 0) & (cols >= 0)
     A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
                       shape=(n, n)).tocsr()
@@ -149,10 +159,11 @@ def _symmetric_csr(n, rows, cols, vals) -> sp.csr_matrix:
     return A
 
 
-def _block_triplets(dofs, blocks):
-    """COO (rows, cols, vals) of local blocks (g, n, n) on DoFs (g, n)."""
-    n = dofs.shape[1]
-    return (np.repeat(dofs, n, axis=1).ravel(), np.tile(dofs, n).ravel(),
+def _block_triplets(rows, cols, blocks):
+    """COO (rows, cols, vals) of local blocks (..., a, b) whose rows have
+    global ids rows (..., a) and whose columns have cols (..., b)."""
+    a, b = blocks.shape[-2:]
+    return (np.repeat(rows, b, axis=-1).ravel(), np.tile(cols, a).ravel(),
             blocks.ravel())
 
 
@@ -272,6 +283,13 @@ def lower_inverse(L):
     return X
 
 
+def face_diagonal(m: int, nf: int) -> tuple:
+    """Row and column indices, (m nf nf,) each, of the m diagonal blocks of
+    size nf in an (m nf, m nf) matrix, in (face, row, column) order."""
+    rows = np.repeat(np.arange(m * nf), nf)
+    return rows, rows - rows % nf + np.tile(np.arange(nf), m * nf)
+
+
 def static_condensation(system: GlobalSystem) -> CondensedSystem:
     """Eliminate the cell block by per-cell Schur complements.
 
@@ -287,13 +305,13 @@ def static_condensation(system: GlobalSystem) -> CondensedSystem:
     row[free_faces] = np.arange(len(free_faces))
     fixed = np.zeros(nf)
     fixed[system.fixed_dofs] = system.fixed_values
-    fixed_face = row < 0
     triplets = []
     b_s = system.b_full[:nf].copy()
     factors, Ys = [], []
     for grp in system.groups:
         g, nfl = len(grp.cells), grp.n_face_dofs
         fdofs, cdofs = grp.dofs[:, :nfl], grp.dofs[:, nfl:]
+        frows = row[fdofs]
         Linv = np.empty((g, cdofs.shape[1], cdofs.shape[1]))
         Y = np.empty((g, cdofs.shape[1], nfl + 1))
         Y[:, :, nfl] = system.b_full[cdofs]
@@ -311,9 +329,9 @@ def static_condensation(system: GlobalSystem) -> CondensedSystem:
             S[:, diag[0], diag[1]] += A_ff.reshape(len(S), -1)
             load[rows] = Z[:, :, nfl]
         # the Dirichlet lift, on the cells that have a fixed face
-        lift = np.flatnonzero(fixed_face[fdofs].any(axis=1))
+        lift = np.flatnonzero((frows < 0).any(axis=1))
         load[lift] += (S_local[lift] @ fixed[fdofs[lift]][..., None])[..., 0]
-        triplets.append(_block_triplets(row[fdofs], S_local))
+        triplets.append(_block_triplets(frows, frows, S_local))
         b_s -= np.bincount(fdofs.ravel(), load.ravel(), minlength=nf)
         factors.append(Linv)
         Ys.append(Y)

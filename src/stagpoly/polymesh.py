@@ -134,9 +134,6 @@ class PolyMesh:
     def areas(self):
         return _shoelace(self.vertices[self.cell_verts], self.cell_ptr)
 
-    def is_triangle_mesh(self) -> bool:
-        return bool(np.all(np.diff(self.cell_ptr) == 3))
-
     @cached_property
     def groups(self) -> tuple:
         sizes = np.diff(self.cell_ptr)

@@ -449,8 +449,7 @@ def cr_equivalence(mesh: PolyMesh) -> float:
         f=lambda pts: np.zeros(len(pts)),
         bc=BoundarySpec.dirichlet_everywhere(lambda pts: np.zeros(len(pts))))
     ne, n_cr = mesh.num_edges, mesh.num_edges + int(mesh.cell_ptr[-1])
-    triplets, e_rows, e_cols, e_vals = [], [np.arange(ne)], [np.arange(ne)], \
-        [np.ones(ne)]
+    triplets, e_triplets = [], [(np.arange(ne), np.arange(ne), np.ones(ne))]
     for grp in system.groups:
         m = grp.n_edges
         # CR DoFs: the primal edges, then ne + cell_ptr[c] + i at the
@@ -464,22 +463,17 @@ def cr_equivalence(mesh: PolyMesh) -> float:
             * (grads @ np.swapaxes(grads, -1, -2))
         local = np.stack([grp.edge_ids, np.roll(spoke, -1, axis=1), spoke],
                          axis=-1)
-        triplets.append(_block_triplets(local.reshape(-1, 3),
-                                        S.reshape(-1, 3, 3)))
+        triplets.append(_block_triplets(local, local, S))
         # E per cell: the m x 3 map from its P1 coefficients to its
         # spoke-midpoint values
         mid = 0.5 * (grp.star[:, None] + grp.loop)
-        e_vals.append(np.concatenate(
+        vals = np.concatenate(
             [np.ones(mid.shape[:-1] + (1,)),
-             (mid - grp.xbar[:, None]) / grp.h[:, None, None]], axis=-1))
-        e_rows.append(np.broadcast_to(spoke[..., None], e_vals[-1].shape))
-        e_cols.append(np.broadcast_to(grp.dofs[:, None, m:],
-                                      e_vals[-1].shape))
+             (mid - grp.xbar[:, None]) / grp.h[:, None, None]], axis=-1)
+        e_triplets.append(_block_triplets(spoke, grp.dofs[:, m:], vals))
     A_cr = _symmetric_csr(n_cr, *zip(*triplets))
-    E = sp.csr_matrix((np.concatenate([v.ravel() for v in e_vals]),
-                       (np.concatenate([r.ravel() for r in e_rows]),
-                        np.concatenate([c.ravel() for c in e_cols]))),
-                      shape=(n_cr, system.dofmap.total))
+    rows, cols, vals = map(np.concatenate, zip(*e_triplets))
+    E = sp.csr_matrix((vals, (rows, cols)), shape=(n_cr, system.dofmap.total))
     gap = system.A_full - E.T @ A_cr @ E
     denom = float(abs(A_cr).sum(axis=1).max())
     return float(abs(gap).sum(axis=1).max()) / denom

@@ -38,7 +38,7 @@ distinct fan triangles have disjoint supports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -171,9 +171,9 @@ class ElementGroup(CellGroup):
     by columns: W[r, c] is column c of R B_c in (fan triangle, frame, basis
     function) order, nm = dim P_k and nc = dim P_{k+1}. Rb (g, m, k+1) is
     r_00 |e| orient^p, so that R B_b is Rb times D_b in the normal row of
-    each fan triangle. blocks() gives the stiffness blocks of a chunk of
-    rows, and A (g, n, n), n = m(k+1) + nc, the whole local stiffness,
-    built on first use. dofs (g, n) are the global ids of the local DoFs.
+    each fan triangle. blocks(), the only form of the local stiffness,
+    gives the stiffness blocks of a chunk of rows; S, A_full and cr-check
+    scatter them. dofs (g, n), n = m(k+1) + nc, hold the local DoFs' ids.
 
     fan_quadrature and edge_quadrature keep the physical points of each
     rule they are asked for, one read-only table per kind and degree
@@ -228,15 +228,15 @@ class ElementGroup(CellGroup):
         points (g, m, q, 2), kept read-only, and weights (g, m, q)."""
         return self._keep("edge", rule), rule.weights * self.lengths[..., None]
 
-    def _keep(self, kind, rule, pts=None):
+    def _keep(self, kind, rule):
         """The kept read-only points (g, m, q, 2) of a rule on every fan
         triangle (kind "fan") or outer edge ("edge"), one table per kind and
-        rule degree; pts, if given, are those points already mapped."""
+        rule degree."""
         key = (kind, rule.degree)
         if key not in self._points:
-            if pts is None and kind == "fan":
+            if kind == "fan":
                 pts = map_to_triangle(rule, self.triangles)[0]
-            elif pts is None:
+            else:
                 pts = map_to_edge(rule, self.loop,
                                   np.roll(self.loop, -1, axis=1))[0]
             self._points[key] = _read_only(pts)
@@ -280,30 +280,9 @@ class ElementGroup(CellGroup):
         return (rb[..., :, None] * rb[..., None, :] * DtD,
                 A_cf.reshape(c, nc, -1), W2 @ np.swapaxes(W2, 1, 2))
 
-    @cached_property
-    def A(self) -> np.ndarray:
-        """Local stiffness (g, n, n) from blocks(), bitwise symmetric."""
-        A_ff, A_cf, A_cc = self.blocks()
-        nfl = self.n_face_dofs
-        n = nfl + A_cc.shape[1]
-        A = np.zeros((len(A_cc), n, n))
-        A[:, nfl:, :nfl] = A_cf
-        A[:, :nfl, nfl:] = np.swapaxes(A_cf, 1, 2)
-        A[:, nfl:, nfl:] = 0.5 * (A_cc + np.swapaxes(A_cc, 1, 2))
-        r, c = face_diagonal(self.n_edges, self.k + 1)
-        A[:, r, c] = A_ff.reshape(len(A), -1)
-        return A
-
 
 # floats in the cell block of one chunk (2 MiB); 2^16 to 2^22 time alike
 _BLOCK_BUDGET = 1 << 18
-
-
-def face_diagonal(m: int, nf: int) -> tuple:
-    """Row and column indices, (m nf nf,) each, of the m diagonal blocks of
-    size nf in an (m nf, m nf) matrix, in (face, row, column) order."""
-    rows = np.repeat(np.arange(m * nf), nf)
-    return rows, rows - rows % nf + np.tile(np.arange(nf), m * nf)
 
 
 def _read_only(a):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from stagpoly import polymesh
+from stagpoly.assembly import face_diagonal
 from stagpoly.quadbasis import monomial_exponents
 from stagpoly.solver import solve_direct
 from stagpoly.weakgrad import weak_gradient_coeffs
@@ -40,6 +41,22 @@ def weak_gradient_matrix(grp):
     unit = np.broadcast_to(np.eye(n), (len(grp.cells), n, n))
     return np.stack([weak_gradient_coeffs(grp, unit[:, j]) for j in range(n)],
                     axis=-1)
+
+
+def local_stiffness(grp):
+    """Whole local stiffness matrices (g, n, n) of a group, the dense
+    scatter of grp.blocks(): A_ff on each face's diagonal block, A_cf and
+    its mirror, and A_cc symmetrised, so bitwise symmetric."""
+    A_ff, A_cf, A_cc = grp.blocks()
+    nfl = grp.n_face_dofs
+    n = nfl + A_cc.shape[1]
+    A = np.zeros((len(A_cc), n, n))
+    A[:, nfl:, :nfl] = A_cf
+    A[:, :nfl, nfl:] = np.swapaxes(A_cf, 1, 2)
+    A[:, nfl:, nfl:] = 0.5 * (A_cc + np.swapaxes(A_cc, 1, 2))
+    r, c = face_diagonal(grp.n_edges, grp.k + 1)
+    A[:, r, c] = A_ff.reshape(len(A), -1)
+    return A
 
 
 def monomial_gradients(pts, center, h, degree):

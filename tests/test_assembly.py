@@ -19,7 +19,7 @@ from stagpoly.problems import example1, example2, example3, patch_linear
 from stagpoly.solver import solve_system
 from stagpoly.weakgrad import CoefficientField
 
-from conftest import full_solve, subtriangulate
+from conftest import full_solve, local_stiffness, subtriangulate
 from test_postprocess import l_shaped_mesh
 
 
@@ -163,6 +163,28 @@ def test_symmetric_csr_is_the_upper_and_mirror_sum(case, k, squares4,
         assert np.array_equal(A.indices, ref.indices)
         assert np.array_equal(A.data, ref.data)
         assert (A - A.T).nnz == 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", ["tri8", "squares4", "voronoi64",
+                                  "l_shaped8"])
+def test_full_matrix_is_the_scatter_of_local_stiffness(case, k, squares4,
+                                                      voronoi64):
+    # A_full, scattered from the stiffness blocks chunk by chunk, is bit
+    # for bit the scatter of the whole dense local matrices, whose zero
+    # pairs of two faces of one cell the one pass drops again
+    mesh = {"tri8": lambda: gen_uniform_triangles(8),
+            "squares4": lambda: squares4, "voronoi64": lambda: voronoi64,
+            "l_shaped8": lambda: l_shaped_mesh(8)}[case]()
+    system = build(example1(), mesh, k)
+    triplets = [assembly._block_triplets(grp.dofs, grp.dofs,
+                                         local_stiffness(grp))
+                for grp in system.groups]
+    ref = assembly._symmetric_csr(system.dofmap.total, *zip(*triplets))
+    A = system.A_full
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
 
 
 def test_pre_bc_kernel_is_constants(tri4):

@@ -722,9 +722,9 @@ def test_voronoi_h_decreases():
     assert h[1] < h[0]
 
 
-def test_delaunay_is_triangle_mesh():
+def test_delaunay_cells_are_triangles():
     m = gen_delaunay_triangles(60, rng_seed=2)
-    assert m.is_triangle_mesh()
+    assert np.all(np.diff(m.cell_ptr) == 3)
     assert m.num_cells <= 200
 
 

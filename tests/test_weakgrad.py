@@ -29,8 +29,8 @@ from stagpoly.weakgrad import (
     weak_gradient_coeffs,
 )
 
-from conftest import (make_single_cell, monomial_gradients, subtriangulate,
-                      weak_gradient_matrix)
+from conftest import (local_stiffness, make_single_cell, monomial_gradients,
+                      subtriangulate, weak_gradient_matrix)
 
 RNG = np.random.default_rng(42)
 
@@ -169,13 +169,14 @@ def test_d0_tangent_rows_general():
 
 def test_stiffness_bitwise_symmetric():
     _, _, op = pentagon_op()
-    assert np.array_equal(op.A[0], op.A[0].T)
+    A = local_stiffness(op)[0]
+    assert np.array_equal(A, A.T)
 
 
 def test_stiffness_psd_one_null():
     for build in (square_op, pentagon_op):
         _, _, op = build()
-        w = np.linalg.eigvalsh(op.A[0])
+        w = np.linalg.eigvalsh(local_stiffness(op)[0])
         scale = np.abs(w).max()
         assert w[0] >= -1e-12 * scale
         assert w[1] > 1e-8 * scale  # exactly one null direction
@@ -183,7 +184,7 @@ def test_stiffness_psd_one_null():
 
 def test_stiffness_constant_kernel():
     _, _, op = pentagon_op()
-    A = op.A[0]
+    A = local_stiffness(op)[0]
     const = np.concatenate([np.ones(5), [1.0, 0.0, 0.0]])
     assert np.allclose(A @ const, 0.0, atol=1e-12 * np.abs(A).max())
 
@@ -193,7 +194,7 @@ def test_stiffness_with_matrix_coefficient():
         pts = np.atleast_2d(pts)
         return np.tile([[2.0, 0.5], [0.5, 1.0]], (len(pts), 1, 1))
     _, _, op = pentagon_op(coeff=CoefficientField(K))
-    A = op.A[0]
+    A = local_stiffness(op)[0]
     w = np.linalg.eigvalsh(A)
     assert w[0] >= -1e-12 * np.abs(w).max()
     const = np.concatenate([np.ones(5), [1.0, 0.0, 0.0]])
@@ -312,7 +313,7 @@ def test_weak_divergence_adjointness():
         gram = np.einsum("tqa,tqb,q,t->tab", psi, psi, erule.weights,
                          op.lengths[0])
         for _ in range(20):
-            u = RNG.standard_normal(op.A.shape[1])
+            u = RNG.standard_normal(op.dofs.shape[1])
             s = RNG.standard_normal(weak_gradient_matrix(op).shape[1])
             w = weak_gradient_coeffs(op, u[None])
             lhs = np.sum(wts * np.sum(flux_values(op, w, rule.points)
@@ -458,7 +459,7 @@ def test_orthonormal_basis_matches_monomial_formula(vertices, k, anisotropic):
     coeff = ANISOTROPIC if anisotropic else identity_coefficient()
     [grp] = element_groups(mesh, sub, k, coeff)
     assume(fan_min_angle(grp.triangles) >= 10.0)
-    A = grp.A[0]
+    A = local_stiffness(grp)[0]
     assert np.array_equal(A, A.T)
     const = np.zeros(len(A))
     const[:grp.n_face_dofs:k + 1] = 1.0
@@ -659,3 +660,29 @@ def test_condensed_solve_memory_at_k3():
         tracemalloc.stop()
     assert cond.S.shape[0] > 0
     assert peak <= 60 * 2 ** 20, peak
+
+
+def test_full_matrix_memory_at_k3():
+    # A_full on tri32 at k = 3, scattered chunk by chunk from the stiffness
+    # blocks, peaks near 91.7 MiB and keeps 15.0 MiB, the CSR matrix alone;
+    # scattered from dense local matrices kept on the groups it peaked at
+    # 115.3 MiB and kept 28.6 MiB. One build on the two-triangle mesh
+    # first, as above
+    def zero(p):
+        return np.zeros(len(p))
+    bc = BoundarySpec.dirichlet_everywhere(zero)
+    one = gen_uniform_triangles(1)
+    assemble_system(one, subtriangulate(one), 3, identity_coefficient(),
+                    zero, bc).A_full
+    mesh = gen_uniform_triangles(32)
+    system = assemble_system(mesh, subtriangulate(mesh), 3,
+                             identity_coefficient(), zero, bc)
+    tracemalloc.start()
+    try:
+        A = system.A_full
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.nnz > 0
+    assert peak <= 101 * 2 ** 20, peak
+    assert kept <= 16.5 * 2 ** 20, kept
