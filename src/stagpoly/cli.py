@@ -5,6 +5,12 @@ Exit codes: 0 success, 1 configuration error, 2 mesh error, 3 solver
 failure or a failed conservation or CR check. All file outputs are
 written to a temp file and renamed into place so a failure never leaves
 a partial file.
+
+`solve_problem` runs the solve chain (star points, fan, assembly,
+condensed solve, flux recovery) for every command and for
+`convergence_study`. It lives here and calls the layers through this
+module's names because the benchmark marks its stage boundaries by
+patching `cli.build_subtriangulation` and `cli.solve_system`.
 """
 
 from __future__ import annotations
@@ -23,11 +29,10 @@ from .assembly import (AssemblyError, CondensationError, assemble_system,
 from .polymesh import (MeshError, PolyMesh, build_subtriangulation,
                        compute_star_points, quality_report, read_mesh,
                        mesh_document)
-from .postprocess import (PostprocessError, SolutionField,
-                          conservation_residuals, convergence_study,
-                          cr_equivalence, error_norms, flux_jump_report,
-                          recover_flux, scaled_conservation_residuals,
-                          write_vtk)
+from .postprocess import (ConvergenceReport, PostprocessError, SolutionField,
+                          conservation_residuals, cr_equivalence, error_norms,
+                          flux_jump_report, recover_flux,
+                          scaled_conservation_residuals, write_vtk)
 from .problems import get_problem
 from .solver import SolverError, solve_system
 
@@ -132,16 +137,39 @@ def cmd_mesh_info(args) -> int:
     return 0
 
 
-def _solve_problem(problem, mesh, args):
+def solve_problem(problem, mesh, k=0, method="direct", tol=1e-10):
+    """Solve a problem on a mesh at degree k; returns (system, solution,
+    flux, SolveReport)."""
     stars = compute_star_points(mesh)
     subtri = build_subtriangulation(mesh, star_points=stars)
-    system = assemble_system(mesh, subtri, args.degree, problem.coeff,
-                             problem.f, problem.bc,
-                             flux_sign=problem.flux_sign)
-    dofs, report = solve_system(system, method=args.method, tol=args.cg_tol)
+    system = assemble_system(mesh, subtri, k, problem.coeff, problem.f,
+                             problem.bc, flux_sign=problem.flux_sign)
+    dofs, report = solve_system(system, method=method, tol=tol)
     sol = SolutionField(system, dofs)
     flux = recover_flux(sol)
     return system, sol, flux, report
+
+
+def _solve_problem(problem, mesh, args):
+    return solve_problem(problem, mesh, args.degree, args.method, args.cg_tol)
+
+
+def convergence_study(problem, meshes, k=0, mode="paper", method="direct",
+                      tol=1e-10) -> ConvergenceReport:
+    """Solve a problem on a mesh family and tabulate errors with rates."""
+    if len(meshes) < 1:
+        raise PostprocessError("need at least one mesh level")
+    report = ConvergenceReport(problem=problem.name, k=k,
+                               columns=list(problem.table_columns))
+    for level, mesh in enumerate(meshes, start=1):
+        try:
+            _, sol, flux, _ = solve_problem(problem, mesh, k, method, tol)
+        except (SolverError, CondensationError) as exc:
+            # same type, so the CLI still reports a solver failure
+            raise type(exc)(f"solve failed at level {level}: {exc}") from exc
+        errs = error_norms(sol, problem.u, problem.grad_u, flux=flux, mode=mode)
+        report.add(h=mesh.h_report, n_cells=mesh.num_cells, errors=errs)
+    return report
 
 
 def cmd_solve(args) -> int:
@@ -187,15 +215,16 @@ def cmd_solve(args) -> int:
 
 
 def _convergence_meshes(args):
-    if args.problem == "example2" or args.cells is not None:
-        cells = args.cells or [64, 256, 1024, 4096]
+    """--cells: Voronoi meshes; --levels: squares for example3, triangles
+    otherwise; neither: Voronoi for example2, structured otherwise."""
+    if args.cells is not None or (args.levels is None
+                                  and args.problem == "example2"):
         return [polymesh.gen_voronoi_polygons(n, lloyd_iters=args.lloyd_iters,
                                               rng_seed=args.seed)
-                for n in cells]
-    levels = args.levels or [4, 8, 16, 32, 64]
-    if args.problem == "example3":
-        return [polymesh.gen_uniform_squares(n) for n in levels]
-    return [polymesh.gen_uniform_triangles(n) for n in levels]
+                for n in args.cells or [64, 256, 1024, 4096]]
+    gen = (polymesh.gen_uniform_squares if args.problem == "example3"
+           else polymesh.gen_uniform_triangles)
+    return [gen(n) for n in args.levels or [4, 8, 16, 32, 64]]
 
 
 def cmd_convergence(args) -> int:
@@ -205,9 +234,8 @@ def cmd_convergence(args) -> int:
                           "measure convergence against")
     meshes = _convergence_meshes(args)
     report = convergence_study(problem, meshes, k=args.degree,
-                               mode=args.quadrature,
-                               solver_opts={"method": args.method,
-                                            "tol": args.cg_tol})
+                               mode=args.quadrature, method=args.method,
+                               tol=args.cg_tol)
     print(report.format_table())
     if args.compare_paper:
         if args.problem != "example1":
@@ -295,10 +323,11 @@ def _make_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("convergence", help="mesh refinement study")
     pc.add_argument("--problem", default="example1")
-    pc.add_argument("--levels", type=_int_list,
-                    help="comma list of grid sizes n (structured meshes)")
-    pc.add_argument("--cells", type=_int_list,
-                    help="comma list of Voronoi cell counts")
+    ladder = pc.add_mutually_exclusive_group()
+    ladder.add_argument("--levels", type=_int_list,
+                        help="comma list of grid sizes n (structured meshes)")
+    ladder.add_argument("--cells", type=_int_list,
+                        help="comma list of Voronoi cell counts")
     pc.add_argument("--seed", type=int, default=1)
     pc.add_argument("--lloyd-iters", type=int, default=100)
     _add_solve_flags(pc)
@@ -329,9 +358,12 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def _int_list(text: str):
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"not a comma list of ints: {text!r}")
+    return values
 
 
 def main(argv=None) -> int:

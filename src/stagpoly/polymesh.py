@@ -85,8 +85,8 @@ class PolyMesh:
         in canonical direction, column 1 the other cell or -1 on the boundary
     edge_markers : (E,) int array; 0 on interior edges, generator walls get
         1/2/3/4 for left/right/bottom/top
-    h_report : reported mesh size (grid spacing for structured families,
-        max cell diameter otherwise)
+    h_report : reported mesh size (grid spacing for structured families;
+        the largest cell diameter when not given)
     cells : per-cell read-only views of cell_verts
     diameters : (C,) float array; each cell's largest distance between two
         of its vertices, computed once with the mesh
@@ -103,9 +103,10 @@ class PolyMesh:
         self.edges = np.asarray(edges, dtype=np.intp)
         self.edge_cells = np.asarray(edge_cells, dtype=np.intp)
         self.edge_markers = np.asarray(edge_markers, dtype=np.intp)
-        self.h_report = float(h_report) if h_report is not None else None
         self.diameters = _diameters(self.vertices[self.cell_verts],
                                     self.cell_ptr)
+        self.h_report = float(self.diameters.max() if h_report is None
+                              else h_report)
         for arr in (self.vertices, self.cell_ptr, self.cell_verts,
                     self.cell_edges, self.edges, self.edge_cells,
                     self.edge_markers, self.diameters):
@@ -394,9 +395,7 @@ def mesh_document(mesh: PolyMesh) -> str:
     }
     text = ",\n".join(f'  "{key}": [' + ",".join(f"\n    {row}" for row in rows)
                       + "\n  ]" for key, rows in arrays.items())
-    if mesh.h_report is not None:
-        text += f',\n  "h": {_fmt(mesh.h_report)}'
-    return "{\n" + text + "\n}\n"
+    return "{\n" + text + f',\n  "h": {_fmt(mesh.h_report)}' + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +410,12 @@ def _wall_markers(vertices, edges, edge_cells, tol=1e-12):
 
 
 def _unit_square_mesh(vertices, cell_ptr, cell_verts, h_report=None):
-    """PolyMesh of CSR loops tiling the unit square, walls tagged; h_report
-    defaults to the largest cell diameter."""
+    """PolyMesh of CSR loops tiling the unit square, walls tagged."""
     cell_verts = np.asarray(cell_verts, dtype=np.intp)
     edges, edge_cells, cell_edges = _connect(vertices, cell_ptr, cell_verts)
-    mesh = PolyMesh(vertices, cell_ptr, cell_verts, edges, edge_cells,
+    return PolyMesh(vertices, cell_ptr, cell_verts, edges, edge_cells,
                     _wall_markers(vertices, edges, edge_cells), cell_edges,
                     h_report=h_report)
-    if h_report is None:
-        mesh.h_report = float(mesh.diameters.max())
-    return mesh
 
 
 def _grid(n: int):

@@ -1,5 +1,5 @@
-"""Flux recovery, error norms, conservation residuals, convergence studies,
-and the Crouzeix-Raviart equivalence cross-check.
+"""Flux recovery, error norms, conservation residuals, the convergence
+table, and the Crouzeix-Raviart equivalence cross-check.
 
 Discrete error norms, summed over the fan triangles of each cell:
     e_1h^2    = sum_K ( |grad u - grad u_0|_K^2 + h_K^{-1} |Qb(u_0) - u_b|_dK^2 )
@@ -39,8 +39,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (BoundarySpec, CondensationError, GlobalSystem,
-                       _block_triplets, _symmetric_csr, assemble_system)
+from .assembly import (BoundarySpec, GlobalSystem, _block_triplets,
+                       _symmetric_csr, assemble_system)
 from .polymesh import PolyMesh, build_subtriangulation
 from .quadbasis import (derivative_table, edge_rule, face_monomials,
                         monomials, triangle_rule)
@@ -58,7 +58,6 @@ __all__ = [
     "flux_jump_report",
     "h1h_distance",
     "ConvergenceReport",
-    "convergence_study",
     "cr_equivalence",
     "write_vtk",
 ]
@@ -405,33 +404,6 @@ class ConvergenceReport:
                              else "    --")
             lines.append("  ".join(cells))
         return "\n".join(lines)
-
-
-def convergence_study(problem, meshes, k: int = 0, mode: str = "paper",
-                      solver_opts: dict | None = None) -> ConvergenceReport:
-    """Solve a problem on a mesh family and tabulate errors with rates."""
-    from .solver import SolverError, solve_system
-
-    if len(meshes) < 1:
-        raise PostprocessError("need at least one mesh level")
-    report = ConvergenceReport(problem=problem.name, k=k,
-                               columns=list(problem.table_columns))
-    for level, mesh in enumerate(meshes, start=1):
-        subtri = build_subtriangulation(mesh)
-        system = assemble_system(mesh, subtri, k, problem.coeff, problem.f,
-                                 problem.bc, flux_sign=problem.flux_sign)
-        try:
-            dofs, _ = solve_system(system, **(solver_opts or {}))
-        except (SolverError, CondensationError) as exc:
-            # same type, so the CLI still reports a solver failure
-            raise type(exc)(f"solve failed at level {level}: {exc}") from exc
-        sol = SolutionField(system, dofs)
-        flux = recover_flux(sol)
-        errs = error_norms(sol, problem.u, problem.grad_u, flux=flux, mode=mode)
-        h = mesh.h_report if mesh.h_report is not None \
-            else float(mesh.diameters.max())
-        report.add(h=h, n_cells=mesh.num_cells, errors=errs)
-    return report
 
 
 def cr_equivalence(mesh: PolyMesh) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stagpoly.assembly import assemble_system, static_condensation
-from stagpoly.cli import TABLE1_REFERENCE
+from stagpoly.cli import TABLE1_REFERENCE, convergence_study, solve_problem
 from stagpoly.polymesh import (
     gen_delaunay_triangles,
     gen_uniform_squares,
@@ -19,14 +19,11 @@ from stagpoly.polymesh import (
     gen_voronoi_polygons,
 )
 from stagpoly.postprocess import (
-    SolutionField,
     conservation_residuals,
-    convergence_study,
     cr_equivalence,
     error_norms,
     flux_jump_report,
     h1h_distance,
-    recover_flux,
 )
 from stagpoly.problems import (
     example1,
@@ -48,14 +45,6 @@ RNG = np.random.default_rng(2024)
 # Published coarsest-level magnitudes for example2 on Voronoi meshes.
 TABLE2_LEVEL1 = {"e_1h": 4.18367e-01, "e_L2": 9.86917e-03,
                  "e_sigma_0h": 8.15496e-01}
-
-
-def solve_problem(problem, mesh, k=0, **solver_opts):
-    sub = subtriangulate(mesh)
-    system = assemble_system(mesh, sub, k, problem.coeff, problem.f,
-                             problem.bc, flux_sign=problem.flux_sign)
-    dofs, report = solve_system(system, **solver_opts)
-    return system, SolutionField(system, dofs), report
 
 
 def verdict(num, label, ok, detail):
@@ -153,8 +142,8 @@ def test_criterion_3_local_conservation():
     t0 = time.perf_counter()
     prob = example3()
     mesh = gen_uniform_squares(32)
-    system, sol, report = solve_problem(prob, mesh, method="cg", tol=1e-10)
-    flux = recover_flux(sol)
+    system, sol, flux, report = solve_problem(prob, mesh, method="cg",
+                                              tol=1e-10)
     resid = conservation_residuals(flux, prob.f)
     elapsed = time.perf_counter() - t0
     worst = float(np.abs(resid).max())
@@ -187,9 +176,8 @@ def test_criterion_5_linear_reproduction(mesh_families):
     prob = patch_linear()
     worst = 0.0
     for name, mesh in mesh_families.items():
-        system, sol, _ = solve_problem(prob, mesh, method="direct")
-        errs = error_norms(sol, prob.u, prob.grad_u,
-                           flux=recover_flux(sol), mode="high")
+        system, sol, flux, _ = solve_problem(prob, mesh, method="direct")
+        errs = error_norms(sol, prob.u, prob.grad_u, flux=flux, mode="high")
         for key, val in errs.items():
             worst = max(worst, val)
             assert val <= 1e-10, (name, key, val)
@@ -271,7 +259,7 @@ def test_criterion_6_structural_invariants(mesh_families):
     jump_max = 0.0
     for name, mesh in mesh_families.items():
         prob = problems[name]
-        system, sol, _ = solve_problem(prob, mesh, method="direct")
+        system, sol, flux, _ = solve_problem(prob, mesh, method="direct")
 
         for grp in system.groups:
             A_K = local_stiffness(grp)
@@ -300,7 +288,7 @@ def test_criterion_6_structural_invariants(mesh_families):
             id_max = max(id_max, identity_residual(grp, r, u))
             adj_max = max(adj_max, adjointness_residual(grp, r, u, s))
 
-        jump = flux_jump_report(recover_flux(sol))["max_scaled_jump"]
+        jump = flux_jump_report(flux)["max_scaled_jump"]
         jump_max = max(jump_max, jump)
 
     ok = id_max <= 1e-12 and adj_max <= 1e-12 and jump_max <= 1e-9
@@ -333,9 +321,9 @@ def test_criterion_8_second_order_elements(mesh_families):
     prob = patch_quadratic()
     patch_worst = 0.0
     for name, mesh in mesh_families.items():
-        system, sol, _ = solve_problem(prob, mesh, k=1, method="direct")
-        errs = error_norms(sol, prob.u, prob.grad_u,
-                           flux=recover_flux(sol), mode="high")
+        system, sol, flux, _ = solve_problem(prob, mesh, k=1,
+                                             method="direct")
+        errs = error_norms(sol, prob.u, prob.grad_u, flux=flux, mode="high")
         for key, val in errs.items():
             patch_worst = max(patch_worst, val)
             assert val <= 1e-9, (name, key, val)

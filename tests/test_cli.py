@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 import scipy.io
 
+from stagpoly import cli
+from stagpoly.assembly import assemble_system
 from stagpoly.cli import EXIT_CONFIG, EXIT_MESH, EXIT_SOLVER, main
+from stagpoly.polymesh import build_subtriangulation, compute_star_points
+from stagpoly.postprocess import SolutionField, recover_flux
+from stagpoly.problems import example1, get_problem
+from stagpoly.solver import solve_system
 
 
 def run(capsys, *argv):
@@ -128,6 +134,49 @@ def test_solve_no_timestamp_report_is_reproducible(tmp_path, capsys):
     assert b"time" not in reports[0]
 
 
+def test_solve_mesh_document_without_h_reports_a_size(tmp_path, capsys):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({
+        "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
+        "cells": [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]}))
+    code, out, _ = run(capsys, "solve", "--mesh", str(path),
+                       "--outdir", str(tmp_path / "o"), "--no-timestamp")
+    assert code == 0
+    assert "mesh        4 cells, h = 1.0\n" in out
+
+
+@pytest.mark.parametrize("case", ["tri4-example1-0", "squares4-example3-0",
+                                  "voronoi64-example2-1"])
+def test_solve_problem_is_the_layer_chain(request, case):
+    # example3 has flux_sign -1 and Neumann walls
+    name, problem, k = case.split("-")
+    mesh, prob, k = request.getfixturevalue(name), get_problem(problem), int(k)
+    system, sol, flux, _ = cli.solve_problem(prob, mesh, k)
+    subtri = build_subtriangulation(mesh, star_points=compute_star_points(mesh))
+    ref = assemble_system(mesh, subtri, k, prob.coeff, prob.f, prob.bc,
+                          flux_sign=prob.flux_sign)
+    dofs, _ = solve_system(ref, method="direct", tol=1e-10)
+    ref_flux = recover_flux(SolutionField(ref, dofs))
+    assert system.flux_sign == prob.flux_sign
+    assert np.array_equal(sol.dofs, dofs)
+    assert len(flux.coeffs) == len(ref_flux.coeffs)
+    for got, want in zip(flux.coeffs, ref_flux.coeffs):
+        assert np.array_equal(got, want)
+
+
+def test_stage_boundaries_go_through_cli_bindings(tri4, monkeypatch):
+    # the benchmark ends its setup and solve stages on these two bindings
+    calls = []
+    for name in ("build_subtriangulation", "solve_system"):
+        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    args = cli._make_parser().parse_args(["solve", "--triangles", "4"])
+    cli._solve_problem(example1(), tri4, args)
+    assert sorted(calls) == ["build_subtriangulation", "solve_system"]
+
+
 def test_solve_unknown_problem(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--problem", "example9",
                        "--triangles", "2", "--outdir", str(tmp_path / "o"))
@@ -180,6 +229,28 @@ def test_convergence_csv_deterministic(tmp_path, capsys):
     assert lines[1].endswith(",")  # first level has no rate
     rate = float(lines[2].split(",")[-1])
     assert 1.8 < rate < 2.2
+
+
+def test_convergence_levels_build_triangles_for_example2(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    code, _, _ = run(capsys, "convergence", "--problem", "example2",
+                     "--levels", "2,4", "-o", str(path), "--no-timestamp")
+    assert code == 0
+    rows = path.read_text().strip().split("\n")[1:]
+    assert [row.split(",")[1] for row in rows] == ["8", "32"]
+
+
+def test_convergence_empty_levels_is_a_config_error(capsys):
+    code, _, err = run(capsys, "convergence", "--levels", ",")
+    assert code == EXIT_CONFIG
+    assert "comma list" in err
+
+
+def test_convergence_levels_and_cells_exclude_each_other(capsys):
+    code, _, err = run(capsys, "convergence", "--levels", "2",
+                       "--cells", "16")
+    assert code == EXIT_CONFIG
+    assert "not allowed with" in err
 
 
 def test_convergence_degree_out_of_range(capsys):

@@ -1080,6 +1080,12 @@ def test_load_rejects_wrong_types(change):
         load_mesh(json.dumps({**TRIANGLE, **change}))
 
 
+def test_h_report_defaults_to_largest_diameter():
+    m = build_polymesh(TRIANGLE["vertices"], TRIANGLE["cells"])
+    assert m.h_report == m.diameters.max() == np.sqrt(2.0)
+    assert '"h": 1.4142135623730951' in mesh_document(m)
+
+
 def test_load_accepts_integral_h_and_markers():
     m = load_mesh(json.dumps({**TRIANGLE, "h": 1, "boundary_markers": [
         {"edge": [1, 0], "tag": 3}]}))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stagpoly.assembly import BoundarySpec, assemble_system
+from stagpoly.cli import convergence_study, solve_problem
 from stagpoly.polymesh import (build_polymesh, gen_uniform_squares,
                                gen_uniform_triangles, gen_voronoi_polygons)
 from stagpoly.postprocess import (
@@ -12,7 +13,6 @@ from stagpoly.postprocess import (
     PostprocessError,
     SolutionField,
     conservation_residuals,
-    convergence_study,
     cr_equivalence,
     error_norms,
     flux_jump_report,
@@ -39,19 +39,11 @@ from conftest import (monomial_gradients, subtriangulate,
 RNG = np.random.default_rng(23)
 
 
-def solved(problem, mesh, k=0):
-    sub = subtriangulate(mesh)
-    system = assemble_system(mesh, sub, k, problem.coeff, problem.f,
-                             problem.bc, flux_sign=problem.flux_sign)
-    dofs, _ = solve_system(system, method="direct")
-    return SolutionField(system, dofs)
-
-
 # ---------------------------------------------------------------------------
 # fields
 
 def test_solution_field_length_check(tri4):
-    sol = solved(example1(), tri4)
+    sol = solve_problem(example1(), tri4)[1]
     with pytest.raises(PostprocessError):
         SolutionField(sol.system, sol.dofs[:-1])
 
@@ -59,7 +51,7 @@ def test_solution_field_length_check(tri4):
 @pytest.mark.parametrize("k", range(4))
 def test_u0_values_is_the_cell_basis_expansion(voronoi64, k):
     # at the star point and the fan corners of every cell
-    sol = solved(example2(), voronoi64, k)
+    sol = solve_problem(example2(), voronoi64, k)[1]
     for grp in sol.system.groups:
         uc = _split(grp, sol.dofs)[0]
         pts = np.concatenate([grp.star[:, None], grp.loop], axis=1)
@@ -71,8 +63,7 @@ def test_u0_values_is_the_cell_basis_expansion(voronoi64, k):
 def test_patch_flux_is_constant(mesh_families):
     prob = patch_linear()
     for name, mesh in mesh_families.items():
-        sol = solved(prob, mesh)
-        flux = recover_flux(sol)
+        _, sol, flux, _ = solve_problem(prob, mesh)
         # at the centroid of every fan triangle of every cell
         for gi, grp in enumerate(sol.system.groups):
             vals = flux_values(grp, flux.coeffs[gi], np.full((1, 2), 1 / 3))
@@ -85,9 +76,8 @@ def test_patch_flux_is_constant(mesh_families):
 def test_patch_errors_machine_zero(mesh_families):
     prob = patch_linear()
     for name, mesh in mesh_families.items():
-        sol = solved(prob, mesh)
-        errs = error_norms(sol, prob.u, prob.grad_u,
-                           flux=recover_flux(sol), mode="high")
+        _, sol, flux, _ = solve_problem(prob, mesh)
+        errs = error_norms(sol, prob.u, prob.grad_u, flux=flux, mode="high")
         for key, val in errs.items():
             assert val < 1e-10, (name, key, val)
 
@@ -97,8 +87,8 @@ def test_quadratic_patch_1h_error_is_finite(mesh_families):
     # reads round-off, never a negative number whose root is NaN
     prob = patch_quadratic()
     for name, mesh in mesh_families.items():
-        sol = solved(prob, mesh, k=1)
-        e1h = error_norms(sol, prob.u, prob.grad_u, flux=recover_flux(sol),
+        _, sol, flux, _ = solve_problem(prob, mesh, k=1)
+        e1h = error_norms(sol, prob.u, prob.grad_u, flux=flux,
                           mode="high")["e_1h"]
         assert np.isfinite(e1h) and e1h <= 1e-9, (name, e1h)
         assert h1h_distance(sol.system, sol.dofs, sol.dofs) == 0.0, name
@@ -164,16 +154,15 @@ def test_callable_K_jump_on_a_mesh_line_reproduces_kinked_u(k):
 
 def test_unknown_quadrature_mode(tri4):
     prob = example1()
-    sol = solved(prob, tri4)
+    _, sol, flux, _ = solve_problem(prob, tri4)
     with pytest.raises(PostprocessError):
-        error_norms(sol, prob.u, prob.grad_u, flux=recover_flux(sol),
-                    mode="adaptive")
+        error_norms(sol, prob.u, prob.grad_u, flux=flux, mode="adaptive")
 
 
 def test_error_norm_keys(tri4):
     prob = example1()
-    sol = solved(prob, tri4)
-    full = error_norms(sol, prob.u, prob.grad_u, flux=recover_flux(sol))
+    _, sol, flux, _ = solve_problem(prob, tri4)
+    full = error_norms(sol, prob.u, prob.grad_u, flux=flux)
     assert set(full) == {"e_L2", "e_1h", "e_sigma_L2", "e_sigma_0h"}
 
 
@@ -218,8 +207,8 @@ def test_flux_norm_ordering(mesh_families):
 
 
 def test_solved_flux_jump_small(tri4):
-    sol = solved(example1(), tri4)
-    report = flux_jump_report(recover_flux(sol))
+    _, sol, flux, _ = solve_problem(example1(), tri4)
+    report = flux_jump_report(flux)
     assert report["max_scaled_jump"] < 1e-9
     assert report["face"] >= 0
 
@@ -253,15 +242,14 @@ def test_flux_jump_without_interior_faces(unit_square_cell):
 def test_conservation_solved_system(squares4):
     prob = example3()
     mesh = gen_uniform_squares(8)
-    sol = solved(prob, mesh)
-    resid = conservation_residuals(recover_flux(sol), prob.f)
+    _, sol, flux, _ = solve_problem(prob, mesh)
+    resid = conservation_residuals(flux, prob.f)
     assert np.abs(resid).max() < 1e-11
 
 
 def test_conservation_detects_wrong_flux(squares4):
     prob = example1()
-    sol = solved(prob, squares4)
-    flux = recover_flux(sol)
+    _, sol, flux, _ = solve_problem(prob, squares4)
     flux.coeffs = [c + RNG.standard_normal(c.shape) for c in flux.coeffs]
     resid = conservation_residuals(flux, prob.f)
     assert np.abs(resid).max() > 1e-3
@@ -294,7 +282,7 @@ def test_scaled_conservation_matches_per_cell_loop(request, name, k):
     mesh = gen_uniform_triangles(8) if name == "tri8" \
         else request.getfixturevalue(name)
     prob = example1()
-    flux = recover_flux(solved(prob, mesh, k))
+    flux = solve_problem(prob, mesh, k)[2]
     scaled = scaled_conservation_residuals(flux, prob.f)
     # the solved flux balances to round-off, and the metric is already
     # relative to the terms it balances
@@ -314,12 +302,12 @@ def test_scaled_conservation_matches_per_cell_loop(request, name, k):
 # discrete distance
 
 def test_h1h_distance_zero_on_equal(tri4):
-    sol = solved(example1(), tri4)
+    sol = solve_problem(example1(), tri4)[1]
     assert h1h_distance(sol.system, sol.dofs, sol.dofs) == 0.0
 
 
 def test_h1h_distance_positive_and_homogeneous(tri4):
-    sol = solved(example1(), tri4)
+    sol = solve_problem(example1(), tri4)[1]
     other = sol.dofs + RNG.standard_normal(len(sol.dofs))
     d = h1h_distance(sol.system, sol.dofs, other)
     assert d > 0
@@ -456,8 +444,7 @@ def test_cr_equivalence_memory_is_sparse():
 # VTK output
 
 def test_write_vtk(tmp_path, tri4):
-    sol = solved(example1(), tri4)
-    flux = recover_flux(sol)
+    _, sol, flux, _ = solve_problem(example1(), tri4)
     path = tmp_path / "out.vtk"
     write_vtk(path, sol, flux)
     text = path.read_text()
@@ -472,7 +459,7 @@ def test_write_vtk(tmp_path, tri4):
 
 
 def test_write_vtk_without_flux(tmp_path, tri4):
-    sol = solved(example1(), tri4)
+    sol = solve_problem(example1(), tri4)[1]
     path = tmp_path / "plain.vtk"
     write_vtk(path, sol)
     assert "VECTORS" not in path.read_text()
@@ -530,8 +517,7 @@ def post_reports(sol, flux, prob):
 def test_post_stage_on_kept_points_matches_fresh_quadrature(voronoi64,
                                                            monkeypatch):
     prob = example2()
-    sol = solved(prob, voronoi64, k=2)
-    flux = recover_flux(sol)
+    _, sol, flux, _ = solve_problem(prob, voronoi64, k=2)
     kept = post_reports(sol, flux, prob)
     kept_again = post_reports(sol, flux, prob)
     with monkeypatch.context() as patch:
@@ -556,8 +542,7 @@ def test_flux_jump_report_matches_canonical_points(case, k, voronoi64):
         "tri8": lambda: (example1(), gen_uniform_triangles(8)),
         "squares8": lambda: (example3(), gen_uniform_squares(8)),
     }[case]()
-    sol = solved(prob, mesh, k)
-    flux = recover_flux(sol)
+    _, sol, flux, _ = solve_problem(prob, mesh, k)
     # each side's moments in its own loop direction, turned by orient^p:
     # the solved flux keeps its P_k normal moments across faces, and
     # moments out of step with the edge's direction would break that
@@ -625,7 +610,7 @@ def test_kept_tables_match_fresh_evaluation(case, voronoi64, monkeypatch):
     name, k = case.split("-k")
     mesh = voronoi64 if name == "voronoi64" else gen_uniform_triangles(8)
     prob = example2() if name == "voronoi64" else example1()
-    sol = solved(prob, mesh, k=int(k))
+    sol = solve_problem(prob, mesh, k=int(k))[1]
     with monkeypatch.context() as patch:
         fresh_quadrature(patch)
         fresh = assemble_system(mesh, sol.system.subtri, int(k), prob.coeff,
@@ -639,8 +624,7 @@ def test_kept_tables_match_fresh_evaluation(case, voronoi64, monkeypatch):
 
 def test_reassigned_flux_coefficients_are_read(voronoi64):
     prob = example2()
-    sol = solved(prob, voronoi64, k=1)
-    flux = recover_flux(sol)
+    _, sol, flux, _ = solve_problem(prob, voronoi64, k=1)
 
     def no_load(pts):
         return np.zeros(len(pts))
