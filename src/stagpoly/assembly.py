@@ -9,6 +9,8 @@ recovery exact.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -19,7 +21,7 @@ import scipy.sparse as sp
 from .polymesh import PolyMesh, SubTriangulation
 from .quadbasis import (MAX_TRIANGLE_DEGREE, edge_rule, face_monomials,
                         map_to_edge, triangle_rule)
-from .weakgrad import (CoefficientField, DofMap, element_groups,
+from .weakgrad import (CoefficientField, DofMap, _at, element_groups,
                        face_projection_Qb)
 
 __all__ = [
@@ -140,8 +142,7 @@ class GlobalSystem:
 
 def _symmetric_csr(n, rows, cols, vals) -> sp.csr_matrix:
     """Exactly symmetric CSR from triplets of exactly symmetric local
-    blocks, in one COO-to-CSR pass. Triplets with a negative index are
-    dropped.
+    blocks, in one COO-to-CSR pass.
 
     Every entry receives at most two triplets: a face pair of S or A_full
     lies in at most the two cells of an edge, a cell-face or cell-cell
@@ -151,9 +152,10 @@ def _symmetric_csr(n, rows, cols, vals) -> sp.csr_matrix:
     whatever the summation order. Entries whose triplets add to exactly
     zero are then dropped, so the result stores no explicit zero.
     """
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    keep = (rows >= 0) & (cols >= 0)
-    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+    # the 64-bit index arrays are freed once the COO matrix holds its
+    # 32-bit copies, before the CSR build
+    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                              np.concatenate(cols))),
                       shape=(n, n)).tocsr()
     A.eliminate_zeros()
     return A
@@ -186,9 +188,8 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
         # the group keeps these points through the solve for _balance; at
         # k = 0 they are element_groups' own volume points
         pts, wts = grp.fan_quadrature(rhs_rule)
-        fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(wts.shape)
         b[dofmap.cell_dofs(grp.cells)] += np.einsum(
-            "gtqc,gtq->gc", grp.cell_basis(pts), fv * wts)
+            "gtqc,gtq->gc", grp.cell_basis(pts), _at(f, pts) * wts)
 
     edges = mesh.boundary_edges
     tags = mesh.edge_markers[edges]
@@ -206,9 +207,8 @@ def assemble_system(mesh: PolyMesh, subtri: SubTriangulation, k: int,
             values[sel] = face_projection_Qb(a, bb, k, g)
         else:
             pts, wts = map_to_edge(erule, a, bb)
-            gv = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(
-                wts.shape)
-            b[dofmap.face_dofs(edges[sel])] += flux_sign * ((gv * wts) @ psi)
+            b[dofmap.face_dofs(edges[sel])] += flux_sign * (
+                (_at(g, pts) * wts) @ psi)
 
     fixed_dofs = dofmap.face_dofs(edges[dirichlet]).ravel()
     mask = np.ones(dofmap.total, dtype=bool)
@@ -331,7 +331,10 @@ def static_condensation(system: GlobalSystem) -> CondensedSystem:
         # the Dirichlet lift, on the cells that have a fixed face
         lift = np.flatnonzero((frows < 0).any(axis=1))
         load[lift] += (S_local[lift] @ fixed[fdofs[lift]][..., None])[..., 0]
-        triplets.append(_block_triplets(frows, frows, S_local))
+        # Dirichlet DoFs have no row in S: drop their triplets
+        r, c, v = _block_triplets(frows, frows, S_local)
+        keep = (r >= 0) & (c >= 0)
+        triplets.append((r[keep], c[keep], v[keep]))
         b_s -= np.bincount(fdofs.ravel(), load.ravel(), minlength=nf)
         factors.append(Linv)
         Ys.append(Y)
@@ -342,10 +345,25 @@ def static_condensation(system: GlobalSystem) -> CondensedSystem:
                            factors=factors, Y=Ys)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A new file ("w" or "wb") under a unique temporary name next to path,
+    renamed onto path when the block completes and removed if it fails."""
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, mode.replace("w", "x"))
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_matrix_market(system: GlobalSystem, path) -> None:
     """Export the reduced matrix A in Matrix Market format."""
     # scipy.io loads only for --matrix-market runs
     from scipy.io import mmwrite
-    # write through a handle: mmwrite appends .mtx to bare path names
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         mmwrite(fh, system.A, symmetry="symmetric")

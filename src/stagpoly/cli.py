@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: mesh (gen/info), solve, convergence, conserve, cr-check.
-Exit codes: 0 success, 1 configuration error, 2 mesh error, 3 solver
-failure or a failed conservation or CR check. All file outputs are
-written to a temp file and renamed into place so a failure never leaves
-a partial file.
+Exit codes: 0 success, 1 configuration or file error, 2 mesh error, 3
+solver failure or a failed conservation or CR check. All file outputs are
+written to a temp file and renamed into place (assembly.atomic_open), so
+a failure never leaves a partial file.
 
 `solve_problem` runs the solve chain (star points, fan, assembly,
 condensed solve, flux recovery) for every command and for
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import polymesh
 from .assembly import (AssemblyError, CondensationError, assemble_system,
-                       write_matrix_market)
+                       atomic_open, write_matrix_market)
 from .polymesh import (MeshError, PolyMesh, build_subtriangulation,
                        compute_star_points, quality_report, read_mesh,
                        mesh_document)
@@ -57,10 +57,8 @@ class ConfigError(Exception):
 
 def _atomic_write(path, text: str) -> None:
     os.makedirs(os.path.dirname(str(path)) or ".", exist_ok=True)
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(text)
-    os.replace(tmp, str(path))
 
 
 def _timestamp_line(args) -> str:
@@ -203,14 +201,11 @@ def cmd_solve(args) -> int:
     text = _timestamp_line(args) + "\n".join(lines) + "\n"
     print(text, end="")
 
-    os.makedirs(args.outdir, exist_ok=True)
     _atomic_write(os.path.join(args.outdir, "report.txt"), text)
     if args.vtk:
         write_vtk(os.path.join(args.outdir, "solution.vtk"), sol, flux)
     if args.matrix_market:
-        tmp = os.path.join(args.outdir, "system.mtx.tmp")
-        write_matrix_market(system, tmp)
-        os.replace(tmp, os.path.join(args.outdir, "system.mtx"))
+        write_matrix_market(system, os.path.join(args.outdir, "system.mtx"))
     return 0
 
 
@@ -374,7 +369,8 @@ def main(argv=None) -> int:
 
     try:
         return args.run(args)
-    except (ConfigError, AssemblyError, PostprocessError, KeyError) as exc:
+    except (ConfigError, AssemblyError, PostprocessError, KeyError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MeshError as exc:

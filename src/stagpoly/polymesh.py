@@ -975,7 +975,7 @@ def _kernel_chebyshev(mesh: PolyMesh):
     the enumeration is exact. The center is the bounding-box midpoint of
     the vertices within 1e-12 of that r: the optimum when it is unique,
     else the midpoint of the optimal segment, whatever the numbering.
-    Slacks are formed at most _CHEBYSHEV_BUDGET at a time. Raises
+    Slacks are formed a few rows at a time (row_chunks). Raises
     StarShapeError naming the lowest cell whose r <= 0.
     """
     h = mesh.diameters
@@ -985,8 +985,7 @@ def _kernel_chebyshev(mesh: PolyMesh):
         b = np.einsum("gik,gik->gi", n, grp.loop - xbar[:, None]) \
             / h[cells, None]
         triples = np.array(list(combinations(range(grp.n_edges), 3)))
-        step = max(1, _CHEBYSHEV_BUDGET // triples.shape[0] // b.shape[1])
-        for rows in (slice(i, i + step) for i in range(0, len(cells), step)):
+        for rows in row_chunks(len(cells), triples.shape[0] * b.shape[1]):
             x, r = _best_vertices(n[rows], b[rows], triples)
             c = cells[rows]
             center[c], radius[c] = xbar[rows] + h[c, None] * x, h[c] * r
@@ -997,7 +996,15 @@ def _kernel_chebyshev(mesh: PolyMesh):
     return center, radius
 
 
-_CHEBYSHEV_BUDGET = 1 << 18
+# floats in the largest array of one chunk (2 MiB); 2^16 to 2^22 time alike
+_CHUNK_BUDGET = 1 << 18
+
+
+def row_chunks(n: int, floats_per_row: int) -> list:
+    """Slices over n rows, each at least one row long and at most
+    _CHUNK_BUDGET floats at floats_per_row floats a row."""
+    step = max(1, _CHUNK_BUDGET // floats_per_row)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _best_vertices(n, b, triples):
@@ -1015,8 +1022,7 @@ def _best_vertices(n, b, triples):
                   bv * u[..., 0] - bu * v[..., 0]], axis=-1) \
         / np.where(ok, det, 1.0)[..., None]
     r = bt[..., 0] - np.einsum("gtk,gtk->gt", nt[..., 0, :], x)
-    span = max(1, _CHEBYSHEV_BUDGET // b.size)
-    for t in (slice(i, i + span) for i in range(0, len(triples), span)):
+    for t in row_chunks(len(triples), b.size):
         slack = b[:, None] - x[:, t] @ n.transpose(0, 2, 1) - r[:, t, None]
         ok[:, t] &= np.all(slack >= -tol, axis=-1)
     r = np.where(ok, r, -np.inf)

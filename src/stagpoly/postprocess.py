@@ -31,7 +31,6 @@ e_sigma_L2 stays within 0.5% of the published column in both.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable
@@ -40,11 +39,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (BoundarySpec, GlobalSystem, _block_triplets,
-                       _symmetric_csr, assemble_system)
+                       _symmetric_csr, assemble_system, atomic_open)
 from .polymesh import PolyMesh, build_subtriangulation
-from .quadbasis import (derivative_table, edge_rule, face_monomials,
-                        monomials, triangle_rule)
-from .weakgrad import (flux_basis, flux_values, identity_coefficient,
+from .quadbasis import edge_rule, face_monomials, triangle_rule
+from .weakgrad import (_at, flux_basis, flux_values, identity_coefficient,
                        outer_edge, weak_gradient_coeffs)
 
 __all__ = [
@@ -79,8 +77,7 @@ class SolutionField:
 
     def u0_values(self, c: int, pts) -> np.ndarray:
         fan = self.system.subtri.fans[c]
-        grp, r = self.system.groups[fan.group], fan.row
-        return monomials(pts, grp.xbar[r], grp.h[r], grp.k + 1) \
+        return self.system.groups[fan.group].cell_basis(pts, fan.row) \
             @ self.dofs[self.system.dofmap.cell_dofs(c)]
 
 
@@ -125,12 +122,6 @@ def _norm_rules(system: GlobalSystem, mode: str):
     raise PostprocessError(f"unknown quadrature mode {mode!r}")
 
 
-def _at(fn, pts, shape=()) -> np.ndarray:
-    """A callable on (n, 2) point arrays at points (..., 2)."""
-    vals = fn(pts.reshape(-1, 2))
-    return np.asarray(vals, dtype=float).reshape(pts.shape[:-1] + shape)
-
-
 def _face_jump_sq(grp, uc, ub, rule) -> np.ndarray:
     """Per row of a group, sum over its faces of |Q_b(u_0) - u_b|_F^2 for
     cell coefficients uc (g, nc), face coefficients ub (g, m, k+1) and a
@@ -159,18 +150,6 @@ def _split(grp, dofs):
     local = dofs[grp.dofs]
     nfl = grp.n_face_dofs
     return local[:, nfl:], local[:, :nfl].reshape(len(local), grp.n_edges, -1)
-
-
-def _u0_grad(grp, uc, phi) -> np.ndarray:
-    """grad u_0 (g, m, q, 2) of each row of a group from its cell
-    coefficients uc (g, nc) and its cell basis phi (g, m, q, nc) at the
-    points: the first n_mono columns of phi, P_k, over h times
-    derivative_table(k + 1) uc."""
-    g, nm = len(uc), grp.n_mono
-    pk = phi[..., :nm] / grp.h[:, None, None, None]
-    duc = np.einsum("bcx,gc->gbx", derivative_table(grp.k + 1), uc)
-    # one product per row, 1.4-2x faster than an einsum over the basis axis
-    return (pk.reshape(g, -1, nm) @ duc).reshape(phi.shape[:-1] + (2,))
 
 
 def _sq(v) -> np.ndarray:
@@ -212,7 +191,7 @@ def error_norms(solution: SolutionField, u_exact: Callable,
         du = _at(u_exact, pts) - np.einsum("gtqc,gc->gtq", phi, uc)
         l2_sq += float(np.sum(wts * du ** 2))
         grads = _at(grad_u_exact, pts, (2,))
-        dg = grads - _u0_grad(grp, uc, phi)
+        dg = grads - grp.cell_gradient(uc, phi)
         e1h_sq += float(np.sum(wts * _sq(dg)))
         e1h_sq += float(np.sum(_face_jump_sq(grp, uc, ub, jump_rule) / hK))
         ds = sign * _exact_flux(coeff, grads, pts) \
@@ -234,7 +213,7 @@ def _exact_flux(coeff, grads, pts) -> np.ndarray:
     """K grad u at points (..., 2) from grad u there, grads (..., 2)."""
     if coeff.is_identity:
         return grads
-    K = coeff.at(pts.reshape(-1, 2)).reshape(pts.shape + (2,))
+    K = _at(coeff.at, pts, (2, 2))
     return np.einsum("...ij,...j->...i", K, grads)
 
 
@@ -344,8 +323,8 @@ def h1h_distance(system: GlobalSystem, dofs_a: np.ndarray,
     for grp in system.groups:
         uc, ub = _split(grp, delta)
         pts, wts = grp.fan_quadrature(vol_rule)
-        total += float(np.sum(wts * _sq(_u0_grad(grp, uc,
-                                                 grp.cell_basis(pts)))))
+        total += float(np.sum(wts * _sq(grp.cell_gradient(
+            uc, grp.cell_basis(pts)))))
         total += float(np.sum(_face_jump_sq(grp, uc, ub, erule)
                               / diam[grp.cells]))
     return float(np.sqrt(total))
@@ -438,10 +417,7 @@ def cr_equivalence(mesh: PolyMesh) -> float:
         triplets.append(_block_triplets(local, local, S))
         # E per cell: the m x 3 map from its P1 coefficients to its
         # spoke-midpoint values
-        mid = 0.5 * (grp.star[:, None] + grp.loop)
-        vals = np.concatenate(
-            [np.ones(mid.shape[:-1] + (1,)),
-             (mid - grp.xbar[:, None]) / grp.h[:, None, None]], axis=-1)
+        vals = grp.cell_basis(0.5 * (grp.star[:, None] + grp.loop))
         e_triplets.append(_block_triplets(spoke, grp.dofs[:, m:], vals))
     A_cr = _symmetric_csr(n_cr, *zip(*triplets))
     rows, cols, vals = map(np.concatenate, zip(*e_triplets))
@@ -475,8 +451,7 @@ def write_vtk(path, solution: SolutionField, flux: FluxField | None = None) -> N
                                        np.full((1, 2), 1.0 / 3.0))[:, :, 0]
 
     npts = 3 * ntri
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("# vtk DataFile Version 2.0\nstagpoly solution\nASCII\n"
                  f"DATASET UNSTRUCTURED_GRID\nPOINTS {npts} double\n")
         np.savetxt(fh, corners.reshape(npts, 2), fmt="%.10e %.10e 0.0")
@@ -489,4 +464,3 @@ def write_vtk(path, solution: SolutionField, flux: FluxField | None = None) -> N
         if flux is not None:
             fh.write(f"CELL_DATA {ntri}\nVECTORS sigma double\n")
             np.savetxt(fh, sigma, fmt="%.10e %.10e 0.0")
-    os.replace(tmp, str(path))

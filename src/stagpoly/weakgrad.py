@@ -24,8 +24,8 @@ cell block as W = R B_c, stored by columns. Then A_cc = W^T W;
 A_cf = r_00 |e| orient^p D_b^T W_0 on each fan triangle, from W's normal
 row; and A_ff is block-diagonal by face, r_00^2 |e|^2 orient^(p+q)
 (D_b^T D_b)[p, q], with r_00^2 = C_00. The flux coefficients of u are
-R^T (W u_0 + R B_b u_b). Cells are taken in chunks whose largest array
-holds at most _BLOCK_BUDGET floats.
+R^T (W u_0 + R B_b u_b). Cells are taken in chunks of rows
+(polymesh.row_chunks) by the size of their cell block W.
 
 Cells with the same number of edges m share one array layout, the mesh's
 CellGroup, and the operators of such a valence group are stacks over its
@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polymesh import CellGroup, PolyMesh, SubTriangulation
+from .polymesh import CellGroup, PolyMesh, SubTriangulation, row_chunks
 from .quadbasis import (derivative_table, edge_rule, face_monomials,
                         map_to_edge, map_to_triangle, monomials,
                         triangle_rule)
@@ -64,6 +64,12 @@ __all__ = [
     "face_projection_Qb",
     "cell_mass",
 ]
+
+
+def _at(fn, pts, shape=()) -> np.ndarray:
+    """A callable on (n, 2) point arrays at points (..., 2)."""
+    vals = fn(pts.reshape(-1, 2))
+    return np.asarray(vals, dtype=float).reshape(pts.shape[:-1] + shape)
 
 
 class CoefficientError(Exception):
@@ -112,8 +118,7 @@ def scalar_coefficient(kappa) -> CoefficientField:
         kappa = float(kappa)
 
     def fn(pts):
-        vals = kappa if const else \
-            np.asarray(kappa(pts), dtype=float).reshape(len(pts))
+        vals = kappa if const else _at(kappa, pts)
         K = np.zeros((len(pts), 2, 2))
         K[:, 0, 0] = vals
         K[:, 1, 1] = vals
@@ -208,7 +213,9 @@ class ElementGroup(CellGroup):
     @property
     def triangles(self):
         """Fan triangle vertices (g, m, 3, 2)."""
-        return _fan_triangles(self.star, self.loop)
+        star = np.broadcast_to(self.star[:, None, :], self.loop.shape)
+        return np.stack([star, self.loop, np.roll(self.loop, -1, axis=1)],
+                        axis=2)
 
     @property
     def jacobians(self):
@@ -248,21 +255,30 @@ class ElementGroup(CellGroup):
         return face_monomials(self.orient[..., None] * (np.asarray(t) - 0.5),
                               self.k)
 
-    def cell_basis(self, pts):
-        """Cell basis P_{k+1} (scaled monomials about xbar) of each row at
-        points (g, ..., 2); see quadbasis.monomials. Its first n_mono
-        columns are P_k, which with derivative_table(k + 1) / h gives the
-        gradient of every column."""
-        shape = (len(self.cells),) + (1,) * (np.ndim(pts) - 2)
-        return monomials(pts, self.xbar.reshape(shape + (2,)),
-                         self.h.reshape(shape), self.k + 1)
+    def cell_basis(self, pts, rows=slice(None)):
+        """Cell basis P_{k+1} (scaled monomials about xbar) of the rows (all,
+        a slice or one row) at points (c, ..., 2), or (..., 2) for one row;
+        see quadbasis.monomials. Its first n_mono columns are P_k, which
+        cell_gradient turns into gradients."""
+        h = self.h[rows]
+        shape = np.shape(h) + (1,) * (np.ndim(pts) - np.ndim(h) - 1)
+        return monomials(pts, self.xbar[rows].reshape(shape + (2,)),
+                         h.reshape(shape), self.k + 1)
+
+    def cell_gradient(self, uc, phi) -> np.ndarray:
+        """Gradients (g, m, q, 2) of the cell functions with coefficients uc
+        (g, nc) from their cell basis phi (g, m, q, nc): its first n_mono
+        columns, P_k, over h times derivative_table(k + 1) uc."""
+        g, nm = len(uc), self.n_mono
+        pk = phi[..., :nm] / self.h[:, None, None, None]
+        duc = np.einsum("bcx,gc->gbx", derivative_table(self.k + 1), uc)
+        # one product per row, 1.4-2x faster than an einsum over the basis axis
+        return (pk.reshape(g, -1, nm) @ duc).reshape(phi.shape[:-1] + (2,))
 
     @property
     def chunks(self) -> list:
-        """Row slices whose scaled cell blocks W hold at most _BLOCK_BUDGET
-        floats."""
-        step = max(1, _BLOCK_BUDGET // int(np.prod(self.W.shape[1:])))
-        return [slice(i, i + step) for i in range(0, len(self.cells), step)]
+        """Row slices (polymesh.row_chunks) by the size of a row of W."""
+        return row_chunks(len(self.cells), int(np.prod(self.W.shape[1:])))
 
     def blocks(self, rows=slice(None)) -> tuple:
         """Stiffness blocks of the rows: A_ff (c, m, k+1, k+1), one block
@@ -279,10 +295,6 @@ class ElementGroup(CellGroup):
             c, nc, m, nf) * rb[:, None]
         return (rb[..., :, None] * rb[..., None, :] * DtD,
                 A_cf.reshape(c, nc, -1), W2 @ np.swapaxes(W2, 1, 2))
-
-
-# floats in the cell block of one chunk (2 MiB); 2^16 to 2^22 time alike
-_BLOCK_BUDGET = 1 << 18
 
 
 def _read_only(a):
@@ -316,11 +328,6 @@ def outer_edge(rule) -> np.ndarray:
     """Reference points (q, 2) of an edge rule on the edge (1, 0) -> (0, 1),
     which every fan triangle maps onto its outer edge in loop direction."""
     return np.column_stack([1.0 - rule.points, rule.points])
-
-
-def _fan_triangles(star, loop):
-    star = np.broadcast_to(star[:, None, :], loop.shape)
-    return np.stack([star, loop, np.roll(loop, -1, axis=1)], axis=2)
 
 
 @lru_cache(maxsize=None)
@@ -394,14 +401,14 @@ def element_groups(mesh: PolyMesh, subtri: SubTriangulation, k: int,
             * (2.0 * areas / h[:, None])[..., None, None]
         RF = RF[..., None, None, :]
         for rows in group.chunks:
-            xbar, hq = grp.xbar[rows, None, None], h[rows, None, None]
-            WD = np.dot((wphi.T @ monomials(vpts[rows], xbar, hq, k)).reshape(
-                -1, nm), D).reshape(-1, m, 1, nm, nc, 2)
+            pk = group.cell_basis(vpts[rows], rows)[..., :nm]
+            WD = np.dot((wphi.T @ pk).reshape(-1, nm), D).reshape(
+                -1, m, 1, nm, nc, 2)
             W = np.moveaxis(group.W[rows], 1, -1)
             np.multiply(RF[rows, ..., 0], WD[..., 0], out=W)
             W += RF[rows, ..., 1] * WD[..., 1]
             W[:, :, 0] -= Rb[rows, :, :1, None] * np.einsum(
-                "qa,gtqc->gtac", ephi, monomials(epts[rows], xbar, hq, k + 1))
+                "qa,gtqc->gtac", ephi, group.cell_basis(epts[rows], rows))
         groups.append(group)
     return groups
 
@@ -507,9 +514,7 @@ def face_projection_Qb(a, b, k: int, trace) -> np.ndarray:
     interpolates the trace at the Gauss points (the face midpoint at k = 0).
     """
     rule = edge_rule(k + 1)
-    pts, _ = map_to_edge(rule, a, b)
-    vals = np.asarray(trace(pts.reshape(-1, 2)), dtype=float).reshape(
-        pts.shape[:-1])
+    vals = _at(trace, map_to_edge(rule, a, b)[0])
     # the edge length scales the Gram matrix and the moments alike
     psi = face_monomials(rule.points - 0.5, k)
     gram = psi.T @ (psi * rule.weights[:, None])

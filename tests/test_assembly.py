@@ -1,9 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from stagpoly import assembly
+from stagpoly import assembly, polymesh
 from stagpoly.assembly import (
     AssemblyError,
     BoundarySpec,
@@ -15,7 +17,9 @@ from stagpoly.assembly import (
     write_matrix_market,
 )
 from stagpoly.polymesh import gen_uniform_squares, gen_uniform_triangles
-from stagpoly.problems import example1, example2, example3, patch_linear
+from stagpoly.cli import solve_problem
+from stagpoly.problems import (example1, example2, example3, get_problem,
+                               patch_linear)
 from stagpoly.solver import solve_system
 from stagpoly.weakgrad import CoefficientField
 
@@ -185,6 +189,39 @@ def test_full_matrix_is_the_scatter_of_local_stiffness(case, k, squares4,
     assert np.array_equal(A.indptr, ref.indptr)
     assert np.array_equal(A.indices, ref.indices)
     assert np.array_equal(A.data, ref.data)
+
+
+def _chunked_outputs(problem, mesh, k):
+    """Star points, DoFs, S, A_full and flux coefficients of one solve."""
+    system, sol, flux, _ = solve_problem(problem, mesh, k)
+    S = static_condensation(system).S
+    return ([system.subtri.star, sol.dofs, S.data, S.indices,
+             system.A_full.data, system.A_full.indices] + flux.coeffs,
+            max(len(grp.chunks) for grp in system.groups))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", ["voronoi64-example2", "tri16-example1",
+                                  "squares8-example3"])
+def test_chunk_size_does_not_change_results(case, k, voronoi64, monkeypatch):
+    # every chunked loop (the star-point LP's rows and triple spans, the
+    # element kernel, the Schur scatter and A_full) gives the same bits
+    # in chunks of 64 floats as in chunks of the default budget
+    name, prob = case.split("-")
+    mesh = {"voronoi64": lambda: voronoi64,
+            "tri16": lambda: gen_uniform_triangles(16),
+            "squares8": lambda: gen_uniform_squares(8)}[name]()
+    problem = get_problem(prob)
+    want, _ = _chunked_outputs(problem, mesh, k)
+    monkeypatch.setattr(polymesh, "_CHUNK_BUDGET", 64)
+    got, chunks = _chunked_outputs(problem, mesh, k)
+    assert chunks > 1
+    assert any(len(polymesh.row_chunks(len(cg.cells),
+                                       comb(cg.n_edges, 3) * cg.n_edges)) > 1
+               for cg in mesh.groups)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_pre_bc_kernel_is_constants(tri4):

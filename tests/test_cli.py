@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -110,6 +111,47 @@ def test_solve_reports_errors_and_outputs(tmp_path, capsys):
     A = scipy.io.mmread(outdir / "system.mtx")
     assert A.shape[0] == A.shape[1]
     assert not list(outdir.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("output", ["vtk", "matrix-market"])
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch,
+                                             output):
+    # the writer fails after its first bytes: the error is reported, the
+    # temp file removed and the file of an earlier run left as it was
+    outdir = tmp_path / "out"
+    name = {"vtk": "solution.vtk", "matrix-market": "system.mtx"}[output]
+    argv = ["solve", "--triangles", "2", "--outdir", str(outdir),
+            "--no-timestamp", f"--{output}"]
+    assert run(capsys, *argv)[0] == 0
+    before = (outdir / name).read_bytes()
+
+    def full_disk(fh, *args, **kwargs):
+        fh.write(b"partial" if "b" in fh.mode else "partial")
+        raise OSError(errno.ENOSPC, "No space left on device")
+    if output == "vtk":
+        monkeypatch.setattr(np, "savetxt", full_disk)
+    else:
+        monkeypatch.setattr(scipy.io, "mmwrite", full_disk)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "No space left" in err
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(
+        ["report.txt", name])
+    assert (outdir / name).read_bytes() == before
+
+
+def test_unwritable_output_path_is_an_error(tmp_path, capsys):
+    # a regular file where a directory should be: no traceback, exit 1
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    code, _, err = run(capsys, "solve", "--triangles", "2", "--outdir",
+                       str(blocker / "sub"), "--no-timestamp")
+    assert code == EXIT_CONFIG and err.startswith("error:")
+    code, _, err = run(capsys, "mesh", "gen", "--triangles", "2",
+                       "-o", str(blocker / "m.json"))
+    assert code == EXIT_CONFIG and err.startswith("error:")
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "kept"
 
 
 def test_solve_no_exact_solution(tmp_path, capsys):

@@ -480,6 +480,27 @@ def test_flip_repair_restores_delaunay():
     assert np.abs(centroid - polymesh._lloyd_step(moved, mask)[0]).max() <= 1e-14
 
 
+@pytest.mark.parametrize("rng_seed", [0, 1, 2])
+def test_delaunay_splits_a_triangle_for_a_coplanar_point(rng_seed):
+    # a copy of a point shifted by 1e-15: Qhull leaves one of the two out
+    # as coplanar, and _delaunay splits the triangle holding it
+    from scipy.spatial import Delaunay
+    pts = np.random.default_rng(rng_seed).random((50, 2))
+    pts = np.vstack([pts, pts[7] + [1e-15, 0.0]])
+    assert len(Delaunay(pts).coplanar) == 1
+    xy = pts.T
+    tri, twin = polymesh._delaunay(xy)
+    assert np.array_equal(np.unique(tri), np.arange(len(pts)))
+    assert (polymesh._orientation(xy, tri) > 0).all()
+    assert np.array_equal(twin, polymesh._twins(tri))
+    he = np.arange(tri.size)
+    nxt, prv = he - he % 3 + (he + 1) % 3, he - he % 3 + (he + 2) % 3
+    ids = polymesh._incircle_ids(tri.ravel(), nxt, prv, twin,
+                                 np.flatnonzero(twin >= 0))
+    det, scale = polymesh._incircle(xy, ids)
+    assert (det <= polymesh._INCIRCLE_TOL * scale).all()
+
+
 def _lloyd_steps(n, steps, rng_seed):
     """Seeds, mask and kept record after Lloyd steps as gen_voronoi_polygons
     runs them, from uniform seeds."""

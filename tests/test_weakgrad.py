@@ -664,10 +664,10 @@ def test_condensed_solve_memory_at_k3():
 
 def test_full_matrix_memory_at_k3():
     # A_full on tri32 at k = 3, scattered chunk by chunk from the stiffness
-    # blocks, peaks near 91.7 MiB and keeps 15.0 MiB, the CSR matrix alone;
-    # scattered from dense local matrices kept on the groups it peaked at
-    # 115.3 MiB and kept 28.6 MiB. One build on the two-triangle mesh
-    # first, as above
+    # blocks, peaks near 60.8 MiB and keeps 15.0 MiB, the CSR matrix alone;
+    # a masked copy of the triplets peaked at 91.7 MiB, and dense local
+    # matrices kept on the groups at 115.3 MiB, keeping 28.6 MiB. One
+    # build on the two-triangle mesh first, as above
     def zero(p):
         return np.zeros(len(p))
     bc = BoundarySpec.dirichlet_everywhere(zero)
@@ -684,5 +684,5 @@ def test_full_matrix_memory_at_k3():
     finally:
         tracemalloc.stop()
     assert A.nnz > 0
-    assert peak <= 101 * 2 ** 20, peak
+    assert peak <= 67 * 2 ** 20, peak
     assert kept <= 16.5 * 2 ** 20, kept
